@@ -102,28 +102,29 @@ class Manifest:
                 return stage, info["outputs"][artifact]
         return None
 
-    def require(self, artifact: str, producing_stage: str, force: bool = False) -> Path:
-        """Resolve an upstream artifact, checking existence and digest freshness."""
+    def require(self, artifact: str, producing_stage: str, force: bool = False) -> str:
+        """Check an upstream artifact exists and is fresh; return its digest.
+
+        With force, an unrecorded or modified artifact is accepted as it is.
+        """
         path = self.output_dir / artifact
         if not path.exists():
             raise StaleArtifactError(
                 f"missing artifact {artifact!r}; run the {producing_stage!r} stage first"
             )
         recorded = self.recorded_output(artifact)
-        if recorded is None:
-            if not force:
-                raise StaleArtifactError(
-                    f"artifact {artifact!r} is not recorded in the manifest; "
-                    f"re-run the {producing_stage!r} stage (or pass --force)"
-                )
-            return path
-        _, digest = recorded
-        if not force and artifact_digest(path) != digest:
+        if recorded is None and not force:
+            raise StaleArtifactError(
+                f"artifact {artifact!r} is not recorded in the manifest; "
+                f"re-run the {producing_stage!r} stage (or pass --force)"
+            )
+        digest = artifact_digest(path)
+        if recorded is not None and not force and digest != recorded[1]:
             raise StaleArtifactError(
                 f"artifact {artifact!r} was modified after the {producing_stage!r} "
                 f"stage produced it; re-run {producing_stage!r} (or pass --force)"
             )
-        return path
+        return digest
 
 
 @contextlib.contextmanager

@@ -1,7 +1,7 @@
 """Staged command-line driver with artifact persistence and run manifests.
 
-Usage: pseudolab <command> --config <path> [--force] [--workers N]
-Exit codes: 0 success, 1 validation error, 2 upstream-artifact error, 3 internal.
+Usage: pseudolab <command> --config <path> [--force]
+Exit codes: 0 success, 1 validation error, 2 stale or corrupt artifact, 3 internal.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from .pseudolabel import (
     save_pseudo_labels,
     save_set_stats,
 )
-from .scorer import load_model, predict, train_ridge
-from .simindex import build_index, load_index, save_index, verify_index
+from .scorer import load_model, model_to_json, predict, train_ridge
+from .simindex import IndexFormatError, build_index, load_index, save_index, verify_index
 
 STORE = "store.jsonl"
 CORPUS_STATS = "corpus_stats.json"
@@ -116,9 +116,10 @@ class _Stage:
         self.started = time.monotonic()
 
     def require(self, artifact: str, producing_stage: str) -> Path:
-        path = self.manifest.require(artifact, producing_stage, force=self.force)
-        self.inputs[artifact] = artifact_digest(path)
-        return path
+        self.inputs[artifact] = self.manifest.require(
+            artifact, producing_stage, force=self.force
+        )
+        return self.outdir / artifact
 
     def external_input(self, path: str | Path) -> Path:
         self.inputs[str(path)] = sha256_file(path)
@@ -137,7 +138,7 @@ class _Stage:
         _log(f"[{self.name}] done in {time.monotonic() - self.started:.1f}s")
 
 
-def cmd_ingest(config: RunConfig, force: bool, workers: int) -> None:
+def cmd_ingest(config: RunConfig, force: bool) -> None:
     stage = _Stage("ingest", config, force)
     store = CorpusStore()
     for entry in config.corpora:
@@ -157,7 +158,7 @@ def cmd_ingest(config: RunConfig, force: bool, workers: int) -> None:
     stage.finish([STORE, CORPUS_STATS])
 
 
-def cmd_featurize(config: RunConfig, force: bool, workers: int) -> None:
+def cmd_featurize(config: RunConfig, force: bool) -> None:
     stage = _Stage("featurize", config, force)
     store = load_store(stage.require(STORE, "ingest"))
     stats = {RETRIEVAL: fit_feature_stats(store.records, config.retrieval)}
@@ -176,7 +177,7 @@ def cmd_featurize(config: RunConfig, force: bool, workers: int) -> None:
     stage.finish([FEATURE_STATS, CORPUS_VECTORS, CORPUS_IDS])
 
 
-def cmd_index(config: RunConfig, force: bool, workers: int) -> None:
+def cmd_index(config: RunConfig, force: bool) -> None:
     stage = _Stage("index", config, force)
     stats = load_feature_stats(stage.require(FEATURE_STATS, "featurize"))
     vectors = np.load(stage.require(CORPUS_VECTORS, "featurize"))
@@ -190,7 +191,7 @@ def cmd_index(config: RunConfig, force: bool, workers: int) -> None:
     stage.finish([INDEX])
 
 
-def cmd_train_baseline(config: RunConfig, force: bool, workers: int) -> None:
+def cmd_train_baseline(config: RunConfig, force: bool) -> None:
     stage = _Stage("train-baseline", config, force)
     stats = load_feature_stats(stage.require(FEATURE_STATS, "featurize"))
     labeled = load_labeled(
@@ -206,17 +207,11 @@ def cmd_train_baseline(config: RunConfig, force: bool, workers: int) -> None:
         stage="baseline",
         archetype=RETRIEVAL,
     )
-    atomic_write_text(stage.outdir / BASELINE_MODEL, _model_json(model))
+    atomic_write_text(stage.outdir / BASELINE_MODEL, model_to_json(model))
     stage.finish([BASELINE_MODEL])
 
 
-def _model_json(model) -> str:
-    from .scorer import model_to_json
-
-    return model_to_json(model)
-
-
-def cmd_pseudolabel(config: RunConfig, force: bool, workers: int) -> None:
+def cmd_pseudolabel(config: RunConfig, force: bool) -> None:
     stage = _Stage("pseudolabel", config, force)
     store = load_store(stage.require(STORE, "ingest"))
     stats = load_feature_stats(stage.require(FEATURE_STATS, "featurize"))
@@ -227,16 +222,14 @@ def cmd_pseudolabel(config: RunConfig, force: bool, workers: int) -> None:
     anchors = load_labeled(
         stage.external_input(config.labeled_train), config.default_rating_std
     )
-    exclude = None
-    if config.exclude_labeled:
-        exclude = {s.text for s in anchors}
-        if config.labeled_test:
-            exclude |= {
-                s.text
-                for s in load_labeled(
-                    stage.external_input(config.labeled_test), config.default_rating_std
-                )
-            }
+    exclude = {s.text for s in anchors}
+    if config.labeled_test:
+        exclude |= {
+            s.text
+            for s in load_labeled(
+                stage.external_input(config.labeled_test), config.default_rating_std
+            )
+        }
     scores = predict(baseline, vectors.astype(np.float64))
     pset = generate_pseudo_labels(
         anchors,
@@ -257,7 +250,7 @@ def cmd_pseudolabel(config: RunConfig, force: bool, workers: int) -> None:
     stage.finish([PSEUDO_LABELS, PSEUDO_STATS, PSEUDO_TABLE])
 
 
-def cmd_train_ensemble(config: RunConfig, force: bool, workers: int) -> None:
+def cmd_train_ensemble(config: RunConfig, force: bool) -> None:
     stage = _Stage("train-ensemble", config, force)
     stats = load_feature_stats(stage.require(FEATURE_STATS, "featurize"))
     pset = load_pseudo_labels(stage.require(PSEUDO_LABELS, "pseudolabel"))
@@ -277,14 +270,7 @@ def cmd_train_ensemble(config: RunConfig, force: bool, workers: int) -> None:
     )
     _log(f"[train-ensemble] pseudo stage: {len(models9)} models")
     plan = make_fold_plan(len(labeled), config.n_folds, seed=config.fold_seed)
-    bundle = cv_fine_tune(
-        models9,
-        archetypes,
-        labeled,
-        plan,
-        config.hyper_fine,
-        literal_columns=config.literal_45_columns,
-    )
+    bundle = cv_fine_tune(models9, archetypes, labeled, plan, config.hyper_fine)
     _log(f"[train-ensemble] fine-tuned {len(bundle.fold_models)} fold models")
     y = np.array([s.mos for s in labeled])
     weights, intercept, fallback = fit_stacker(bundle.oof, y)
@@ -298,7 +284,7 @@ def cmd_train_ensemble(config: RunConfig, force: bool, workers: int) -> None:
     stage.finish([BUNDLE])
 
 
-def cmd_evaluate(config: RunConfig, force: bool, workers: int) -> None:
+def cmd_evaluate(config: RunConfig, force: bool) -> None:
     stage = _Stage("evaluate", config, force)
     store = load_store(stage.require(STORE, "ingest"))
     labeled = load_labeled(
@@ -306,9 +292,7 @@ def cmd_evaluate(config: RunConfig, force: bool, workers: int) -> None:
     )
     ctx = build_context(store, config.retrieval, config.archetypes)
     plan = make_fold_plan(len(labeled), config.n_folds, seed=config.fold_seed)
-    reports = evaluate_settings(
-        ctx, labeled, [config.setting], plan, config.pipeline_config()
-    )
+    reports = evaluate_settings(ctx, labeled, [config.setting], plan, config)
     report = reports[config.setting]
     _atomic_save(stage.outdir / EVAL_JSON, lambda tmp: save_report(report, tmp))
     atomic_write_text(stage.outdir / EVAL_TABLE, render_report_table([report]))
@@ -319,7 +303,7 @@ def cmd_evaluate(config: RunConfig, force: bool, workers: int) -> None:
     stage.finish([EVAL_JSON, EVAL_TABLE])
 
 
-def cmd_predict(config: RunConfig, force: bool, workers: int, input_path: str | None = None) -> None:
+def cmd_predict(config: RunConfig, force: bool, input_path: str | None = None) -> None:
     if input_path is None:
         raise ConfigError("predict requires --input <file>")
     stage = _Stage("predict", config, force)
@@ -369,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the run config JSON")
         p.add_argument("--force", action="store_true", help="ignore stale digests")
-        p.add_argument("--workers", type=int, default=1)
         if name == "predict":
             p.add_argument("--input", help="file of sentences to score, one per line")
     return parser
@@ -384,14 +367,14 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         with output_lock_dir(config):
             if args.command == "predict":
-                COMMANDS[args.command](config, args.force, args.workers, args.input)
+                COMMANDS[args.command](config, args.force, args.input)
             else:
-                COMMANDS[args.command](config, args.force, args.workers)
+                COMMANDS[args.command](config, args.force)
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except StaleArtifactError as exc:
+    except (StaleArtifactError, IndexFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

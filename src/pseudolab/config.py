@@ -3,19 +3,17 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .corpus import FORMATS
 from .features import FeatureConfig
 from .pipeline import (
     DEFAULT_ARCHETYPE_SPECS,
+    DEFAULT_RETRIEVAL_CONFIG,
     SETTINGS,
     ArchetypeSpec,
     PipelineConfig,
-    default_baseline_hyper,
-    default_fine_tune_hyper,
-    default_pseudo_hyper,
 )
 from .scorer import HyperParams
 
@@ -31,45 +29,19 @@ class CorpusEntry:
     format: str = "plain-lines"
 
 
-@dataclass
-class RunConfig:
+@dataclass(kw_only=True)
+class RunConfig(PipelineConfig):
     corpora: list[CorpusEntry]
     labeled_train: str
     output_dir: str
     labeled_test: str | None = None
-    retrieval: FeatureConfig = field(
-        default_factory=lambda: FeatureConfig(hashed_dim=1024, ngram_min=3, ngram_max=5)
-    )
+    retrieval: FeatureConfig = DEFAULT_RETRIEVAL_CONFIG
     archetypes: list[ArchetypeSpec] = field(
         default_factory=lambda: list(DEFAULT_ARCHETYPE_SPECS)
     )
-    k: int = 500
-    seeds: tuple[int, ...] = (1, 2, 3)
-    n_folds: int = 5
     fold_seed: int = 1
-    hyper_pseudo: HyperParams = field(default_factory=default_pseudo_hyper)
-    hyper_fine: HyperParams = field(default_factory=default_fine_tune_hyper)
-    hyper_baseline: HyperParams = field(default_factory=default_baseline_hyper)
-    ridge_lambda_baseline: float = 1.0
     setting: str = "ensemble_mean"
-    exclude_labeled: bool = True
-    shared_pseudo_labels: bool = False
-    literal_45_columns: bool = False
     default_rating_std: float = 0.5
-
-    def pipeline_config(self) -> PipelineConfig:
-        return PipelineConfig(
-            k=self.k,
-            n_folds=self.n_folds,
-            seeds=tuple(self.seeds),
-            hyper_pseudo=self.hyper_pseudo,
-            hyper_fine=self.hyper_fine,
-            hyper_baseline=self.hyper_baseline,
-            ridge_lambda_baseline=self.ridge_lambda_baseline,
-            exclude_labeled=self.exclude_labeled,
-            shared_pseudo_labels=self.shared_pseudo_labels,
-            literal_45_columns=self.literal_45_columns,
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -105,9 +77,6 @@ class RunConfig:
             "hyper_baseline": self.hyper_baseline.to_dict(),
             "ridge_lambda_baseline": self.ridge_lambda_baseline,
             "setting": self.setting,
-            "exclude_labeled": self.exclude_labeled,
-            "shared_pseudo_labels": self.shared_pseudo_labels,
-            "literal_45_columns": self.literal_45_columns,
             "default_rating_std": self.default_rating_std,
         }
 
@@ -126,6 +95,17 @@ def _hyper_from(d: dict | None, fallback: HyperParams) -> HyperParams:
         raise ConfigError(f"invalid hyperparameters: {exc}") from exc
 
 
+# JSON type each scalar key must have; bool is rejected even where int is allowed
+_SCALAR_TYPES = (
+    ("k", int, "an integer"),
+    ("n_folds", int, "an integer"),
+    ("fold_seed", int, "an integer"),
+    ("ridge_lambda_baseline", (int, float), "a number"),
+    ("default_rating_std", (int, float), "a number"),
+    ("setting", str, "a string"),
+)
+
+
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
@@ -134,6 +114,11 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise ConfigError(f"config {path} has unknown key(s): {', '.join(unknown)}")
 
     try:
         corpora = [
@@ -163,19 +148,12 @@ def load_config(path: str | Path) -> RunConfig:
             cfg.archetypes = [ArchetypeSpec(**a) for a in raw["archetypes"]]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid archetype config: {exc}") from exc
-    for key in (
-        "k",
-        "n_folds",
-        "fold_seed",
-        "ridge_lambda_baseline",
-        "setting",
-        "exclude_labeled",
-        "shared_pseudo_labels",
-        "literal_45_columns",
-        "default_rating_std",
-    ):
+    for key, kinds, kind_name in _SCALAR_TYPES:
         if key in raw:
-            setattr(cfg, key, raw[key])
+            value = raw[key]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ConfigError(f"{key} must be {kind_name}, got {value!r}")
+            setattr(cfg, key, value)
     if "seeds" in raw:
         cfg.seeds = tuple(int(s) for s in raw["seeds"])
     cfg.hyper_pseudo = _hyper_from(raw.get("hyper_pseudo"), cfg.hyper_pseudo)

@@ -217,9 +217,3 @@ def load_store(path: str | Path) -> CorpusStore:
                 )
             )
     return store
-
-
-def save_stats(stats: CorpusStats, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(stats.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -3,8 +3,6 @@ fine-tuning, out-of-fold prediction matrix, mean or linear-stacker aggregation.
 
 The out-of-fold matrix has one column per base (archetype, seed) model: each
 sentence's entry comes from the variant fine-tuned on the folds excluding it.
-A literal per-fold-column construction is available behind a flag for
-comparison, but it is leaky for every column not matching the row's fold.
 """
 
 from __future__ import annotations
@@ -101,7 +99,6 @@ class EnsembleBundle:
     stacker_fallback: bool = False
     oof: np.ndarray | None = None
     oof_columns: list[dict] = field(default_factory=list)
-    literal_columns: bool = False
 
 
 def _derived_seed(base_seed: int, fold: int, hyper_seed: int) -> int:
@@ -149,7 +146,6 @@ def cv_fine_tune(
     labeled: Sequence[LabeledSentence],
     plan: FoldPlan,
     hyper: HyperParams,
-    literal_columns: bool = False,
 ) -> EnsembleBundle:
     """Fine-tune each base model per fold; fill the out-of-fold matrix."""
     if len(labeled) != plan.assignment.shape[0]:
@@ -160,10 +156,7 @@ def cv_fine_tune(
     features = {a.name: embed_many(texts, a.stats) for a in archetypes}
 
     base_keys = [(m.archetype, m.seed) for m in models]
-    n = len(labeled)
-    n_cols = len(models) * plan.n_folds if literal_columns else len(models)
-    oof = np.full((n, n_cols), np.nan)
-    oof_columns: list[dict] = []
+    oof = np.full((len(labeled), len(models)), np.nan)
     fold_models: list[FoldModel] = []
 
     for j, base in enumerate(models):
@@ -190,37 +183,25 @@ def cv_fine_tune(
                 FoldModel(archetype=base.archetype, seed=base.seed, fold=f, model=tuned)
             )
             fold_idx = plan.fold_indices(f)
-            if literal_columns:
-                col = j * plan.n_folds + f
-                oof[:, col] = predict(tuned, X)
-            else:
-                oof[fold_idx, j] = predict(tuned, X[fold_idx])
-    if literal_columns:
-        for j, (arch_name, seed) in enumerate(base_keys):
-            for f in range(plan.n_folds):
-                oof_columns.append({"archetype": arch_name, "seed": seed, "fold": f})
-    else:
-        oof_columns = [
-            {"archetype": arch_name, "seed": seed, "fold": None}
-            for arch_name, seed in base_keys
-        ]
-    assert not np.any(np.isnan(oof))
+            oof[fold_idx, j] = predict(tuned, X[fold_idx])
+    unfilled = np.flatnonzero(np.isnan(oof).any(axis=1))
+    if unfilled.size:
+        raise ValueError(
+            f"fold plan (seed {plan.seed}, {plan.n_folds} folds) leaves "
+            f"{unfilled.size} out-of-fold rows unfilled (first {unfilled[:5].tolist()}); "
+            f"every fold id must lie in 0..{plan.n_folds - 1}"
+        )
     return EnsembleBundle(
         fold_models=fold_models,
         plan=plan,
         base_keys=base_keys,
         archetypes=arch_by_name,
         oof=oof,
-        oof_columns=oof_columns,
-        literal_columns=literal_columns,
+        oof_columns=[
+            {"archetype": arch_name, "seed": seed, "fold": None}
+            for arch_name, seed in base_keys
+        ],
     )
-
-
-def aggregate_mean(row: np.ndarray) -> float:
-    row = np.asarray(row, dtype=np.float64)
-    if row.size == 0:
-        raise ValueError("cannot aggregate an empty prediction row")
-    return float(clamp_scores(row.mean()))
 
 
 def fit_stacker(oof: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
@@ -256,37 +237,39 @@ def _pooled_base_predictions(bundle: EnsembleBundle, x_by_arch: dict[str, np.nda
     return pooled / counts
 
 
+def mean_prediction(
+    models: Sequence[ScorerModel], x_by_arch: Mapping[str, np.ndarray]
+) -> np.ndarray:
+    """Clamped mean of the models' predictions, each on its archetype's features."""
+    acc = np.zeros(next(iter(x_by_arch.values())).shape[0])
+    for m in models:
+        acc += predict(m, x_by_arch[m.archetype])
+    return clamp_scores(acc / len(models))
+
+
+def score_features(
+    bundle: EnsembleBundle, x_by_arch: Mapping[str, np.ndarray]
+) -> np.ndarray:
+    """Score precomputed features (one matrix per archetype) by the bundle's aggregation."""
+    if bundle.aggregation == "mean":
+        return mean_prediction([fm.model for fm in bundle.fold_models], x_by_arch)
+    if bundle.stacker_weights is None:
+        raise ValueError("stacker aggregation requested but no stacker was fit")
+    cols = _pooled_base_predictions(bundle, x_by_arch)
+    return clamp_scores(cols @ bundle.stacker_weights + bundle.stacker_intercept)
+
+
 def predict_ensemble_batch(bundle: EnsembleBundle, texts: Sequence[str]) -> np.ndarray:
     """Predict scores for a batch of normalized sentences."""
     x_by_arch = {
         name: embed_many(list(texts), arch.stats)
         for name, arch in bundle.archetypes.items()
     }
-    if bundle.aggregation == "mean":
-        n = len(texts)
-        acc = np.zeros(n)
-        for fm in bundle.fold_models:
-            acc += predict(fm.model, x_by_arch[fm.archetype])
-        return clamp_scores(acc / len(bundle.fold_models))
-    if bundle.stacker_weights is None:
-        raise ValueError("stacker aggregation requested but no stacker was fit")
-    if bundle.literal_columns:
-        cols = np.column_stack(
-            [predict(fm.model, x_by_arch[fm.archetype]) for fm in bundle.fold_models]
-        )
-    else:
-        cols = _pooled_base_predictions(bundle, x_by_arch)
-    return clamp_scores(cols @ bundle.stacker_weights + bundle.stacker_intercept)
-
-
-def predict_ensemble(bundle: EnsembleBundle, text: str) -> float:
-    return float(predict_ensemble_batch(bundle, [text])[0])
+    return score_features(bundle, x_by_arch)
 
 
 def audit_oof_hygiene(bundle: EnsembleBundle) -> bool:
     """Check that every OOF entry came from a variant that excluded its row's fold."""
-    if bundle.literal_columns:
-        return False  # literal construction is leaky by design
     folds_by_key: dict[tuple[str, int], set[int]] = {}
     for fm in bundle.fold_models:
         folds_by_key.setdefault((fm.archetype, fm.seed), set()).add(fm.fold)
@@ -312,7 +295,6 @@ def save_bundle(bundle: EnsembleBundle, directory: str | Path) -> None:
         ),
         "stacker_intercept": bundle.stacker_intercept,
         "stacker_fallback": bundle.stacker_fallback,
-        "literal_columns": bundle.literal_columns,
         "oof_columns": bundle.oof_columns,
         "archetypes": {
             name: {"stats": arch.stats.to_dict(), "batch_size": arch.batch_size}
@@ -327,10 +309,7 @@ def save_bundle(bundle: EnsembleBundle, directory: str | Path) -> None:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     if bundle.oof is not None:
-        header = ",".join(
-            f"{c['archetype']}_s{c['seed']}" + (f"_f{c['fold']}" if c["fold"] is not None else "")
-            for c in bundle.oof_columns
-        )
+        header = ",".join(f"{c['archetype']}_s{c['seed']}" for c in bundle.oof_columns)
         lines = [header]
         for row in bundle.oof:
             lines.append(",".join(repr(float(v)) for v in row))
@@ -377,5 +356,4 @@ def load_bundle(directory: str | Path) -> EnsembleBundle:
         stacker_fallback=bool(manifest["stacker_fallback"]),
         oof=oof,
         oof_columns=manifest["oof_columns"],
-        literal_columns=bool(manifest["literal_columns"]),
     )

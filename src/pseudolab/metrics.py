@@ -125,15 +125,6 @@ def mapped_rmse(pred, gold) -> tuple[float, MappingCoeffs]:
     return rmse(apply_mapping(mapping, pred), gold), mapping
 
 
-def cross_validate(setting, labeled, context, plan, pipeline_config, **kwargs) -> EvalReport:
-    """Cross-validate one experimental setting; see pipeline.evaluate_settings."""
-    from .pipeline import evaluate_settings
-
-    return evaluate_settings(
-        context, labeled, [setting], plan, pipeline_config, **kwargs
-    )[setting]
-
-
 def render_report_table(reports: list[EvalReport]) -> str:
     """Aligned text table: one row per setting, per-fold columns plus the mean."""
     if not reports:

@@ -17,14 +17,14 @@ from .ensemble import (
     Archetype,
     EnsembleBundle,
     FoldPlan,
-    _pooled_base_predictions,
     cv_fine_tune,
     fit_stacker,
     make_fold_plan,
+    mean_prediction,
+    score_features,
     train_pseudo_stage,
 )
 from .features import FeatureConfig, FeatureStats, embed_many, fit_feature_stats
-from .linalg import clamp_scores
 from .metrics import EvalReport, fold_mean, mapped_rmse, rmse
 from .pseudolabel import PseudoLabelSet, generate_pseudo_labels
 from .scorer import HyperParams, ScorerModel, predict, train_iterative, train_ridge
@@ -89,9 +89,6 @@ class PipelineConfig:
     hyper_fine: HyperParams = field(default_factory=default_fine_tune_hyper)
     hyper_baseline: HyperParams = field(default_factory=default_baseline_hyper)
     ridge_lambda_baseline: float = 1.0
-    exclude_labeled: bool = True
-    shared_pseudo_labels: bool = False
-    literal_45_columns: bool = False
 
 
 @dataclass
@@ -165,7 +162,7 @@ def generate_for_anchors(
     anchors: Sequence[LabeledSentence],
     gate: ScorerModel,
     cfg: PipelineConfig,
-    exclude_texts: set[str] | None,
+    exclude_texts: set[str],
 ) -> PseudoLabelSet:
     return generate_pseudo_labels(
         anchors,
@@ -211,9 +208,8 @@ def evaluate_settings(
 ) -> dict[str, EvalReport]:
     """Cross-validate the requested settings on the labeled set.
 
-    By default pseudo-labels are regenerated per fold from training-fold
-    anchors only; the shared_pseudo_labels flag instead generates them once from
-    all anchors, which leaks gate information across folds.
+    Pseudo-labels are regenerated per fold from training-fold anchors only,
+    and no labeled text is ever admitted as a pseudo-label.
     """
     for setting in settings:
         if setting not in SETTINGS:
@@ -221,7 +217,7 @@ def evaluate_settings(
     labeled = list(labeled)
     y = np.array([s.mos for s in labeled])
     texts = [s.text for s in labeled]
-    exclude = {s.text for s in labeled} if cfg.exclude_labeled else None
+    exclude = set(texts)
 
     x_labeled = {
         arch.name: embed_many(texts, arch.stats) for arch in ctx.archetypes
@@ -229,12 +225,6 @@ def evaluate_settings(
     need_pseudo = predictor_override is None and any(
         s != "baseline" for s in settings
     )
-
-    shared_models: list[ScorerModel] | None = None
-    if need_pseudo and cfg.shared_pseudo_labels:
-        gate = train_gate_model(ctx, labeled, cfg)
-        pset = generate_for_anchors(ctx, labeled, gate, cfg, exclude)
-        shared_models = _train_stage_models(ctx, pset, cfg)
 
     per_fold: dict[str, list[float]] = {s: [] for s in settings}
     pooled_pred: dict[str, np.ndarray] = {s: np.zeros(len(labeled)) for s in settings}
@@ -244,12 +234,18 @@ def evaluate_settings(
         test_idx = plan.fold_indices(f)
         fold_train = [labeled[i] for i in train_idx]
         fold_test = [labeled[i] for i in test_idx]
+        x_test = {name: feats[test_idx] for name, feats in x_labeled.items()}
 
-        models9: list[ScorerModel] | None = shared_models
-        if predictor_override is None and need_pseudo and models9 is None:
+        models9: list[ScorerModel] | None = None
+        if need_pseudo:
             gate = train_gate_model(ctx, fold_train, cfg)
             pset = generate_for_anchors(ctx, fold_train, gate, cfg, exclude)
-            assert not any(lab.anchor_id in {s.id for s in fold_test} for lab in pset.labels)
+            test_ids = {s.id for s in fold_test}
+            leaked = sorted({lab.anchor_id for lab in pset.labels} & test_ids)
+            if leaked:
+                raise RuntimeError(
+                    f"fold {f}: pseudo-labels anchored on test-fold ids {leaked[:5]}"
+                )
             models9 = _train_stage_models(ctx, pset, cfg)
 
         bundle: EnsembleBundle | None = None
@@ -260,12 +256,7 @@ def evaluate_settings(
                 len(train_idx), cfg.n_folds, seed=plan.seed * 1009 + f
             )
             bundle = cv_fine_tune(
-                models9,
-                ctx.archetypes,
-                fold_train,
-                inner_plan,
-                cfg.hyper_fine,
-                literal_columns=cfg.literal_45_columns,
+                models9, ctx.archetypes, fold_train, inner_plan, cfg.hyper_fine
             )
 
         for setting in settings:
@@ -285,29 +276,17 @@ def evaluate_settings(
                     stage="baseline",
                     archetype=arch0.name,
                 )
-                preds = predict(model, x_labeled[arch0.name][test_idx])
+                preds = predict(model, x_test[arch0.name])
             elif setting == "pseudo_only":
-                acc = np.zeros(len(test_idx))
-                for m in models9:
-                    acc += predict(m, x_labeled[m.archetype][test_idx])
-                preds = clamp_scores(acc / len(models9))
+                preds = mean_prediction(models9, x_test)
             elif setting == "ensemble_mean":
-                acc = np.zeros(len(test_idx))
-                for fm in bundle.fold_models:
-                    acc += predict(fm.model, x_labeled[fm.archetype][test_idx])
-                preds = clamp_scores(acc / len(bundle.fold_models))
+                preds = score_features(bundle, x_test)
             else:  # ensemble_stacker
                 w, b, _ = fit_stacker(bundle.oof, y[train_idx])
-                x_test = {
-                    name: feats[test_idx] for name, feats in x_labeled.items()
-                }
-                if cfg.literal_45_columns:
-                    cols = np.column_stack(
-                        [predict(fm.model, x_test[fm.archetype]) for fm in bundle.fold_models]
-                    )
-                else:
-                    cols = _pooled_base_predictions(bundle, x_test)
-                preds = clamp_scores(cols @ w + b)
+                stacked = replace(
+                    bundle, aggregation="stacker", stacker_weights=w, stacker_intercept=b
+                )
+                preds = score_features(stacked, x_test)
             per_fold[setting].append(rmse(preds, y[test_idx]))
             pooled_pred[setting][test_idx] = preds
 
@@ -322,10 +301,6 @@ def evaluate_settings(
             rmse_raw=raw,
             rmse_mapped=mapped,
             mapping=mapping,
-            details={
-                "n_folds": plan.n_folds,
-                "plan_seed": plan.seed,
-                "shared_pseudo_labels": cfg.shared_pseudo_labels,
-            },
+            details={"n_folds": plan.n_folds, "plan_seed": plan.seed},
         )
     return reports

@@ -11,8 +11,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import CorpusStore, LabeledSentence
-from .features import FeatureStats, embed, embed_many
-from .scorer import ScorerModel, predict
+from .features import FeatureStats, embed
+from .scorer import ScorerModel
 from .simindex import VectorIndex, top_k
 
 
@@ -58,14 +58,16 @@ def generate_pseudo_labels(
     feature_stats: FeatureStats,
     k: int = 500,
     exclude_texts: set[str] | None = None,
-    precomputed_scores: Mapping[int, float] | None = None,
+    *,
+    precomputed_scores: Mapping[int, float],
 ) -> PseudoLabelSet:
     """Generate the filtered pseudo-label set from labeled anchors.
 
     Anchors are processed in ascending id order; a candidate admitted by an
     earlier anchor is skipped by later anchors. A candidate is admitted when
-    its clamped baseline prediction deviates from the anchor's mean opinion
-    score by at most the anchor's rating standard deviation.
+    its clamped baseline prediction (precomputed_scores, by corpus id)
+    deviates from the anchor's mean opinion score by at most the anchor's
+    rating standard deviation.
     """
     if k <= 0:
         raise ValueError("k must be a positive integer")
@@ -89,11 +91,7 @@ def generate_pseudo_labels(
         candidate_ids = [h.id for h in hits if h.id not in seen]
         if not candidate_ids:
             continue
-        if precomputed_scores is not None:
-            scores = np.array([precomputed_scores[cid] for cid in candidate_ids])
-        else:
-            texts = [by_id[cid].text for cid in candidate_ids]
-            scores = predict(baseline, embed_many(texts, feature_stats))
+        scores = np.array([precomputed_scores[cid] for cid in candidate_ids])
         for cid, score in zip(candidate_ids, scores):
             if abs(float(score) - anchor.mos) <= anchor.rating_std:
                 rec = by_id[cid]

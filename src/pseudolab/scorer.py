@@ -15,9 +15,6 @@ import numpy as np
 
 from .linalg import clamp_scores, solve_spd
 
-STAGES = ("baseline", "pseudo_tuned", "final")
-
-
 @dataclass
 class HyperParams:
     learning_rate: float = 0.2
@@ -255,14 +252,6 @@ def predict(model: ScorerModel, X: np.ndarray) -> np.ndarray:
             f"{model.weights.shape[0]}"
         )
     return clamp_scores(X @ model.weights + model.intercept)
-
-
-def predict_texts(model: ScorerModel, stats, texts) -> np.ndarray:
-    from .features import embed_many
-
-    if model.fingerprint and model.fingerprint != stats.fingerprint:
-        raise ValueError("model fingerprint does not match featurizer fingerprint")
-    return predict(model, embed_many(list(texts), stats))
 
 
 def _loss(X, y, w, b, ridge_lambda):

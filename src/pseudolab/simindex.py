@@ -111,31 +111,35 @@ def save_index(index: VectorIndex, path: str | Path) -> None:
         fh.write(vec_bytes)
 
 
-def _read_header(data: bytes, path: Path) -> tuple[int, int, str, bytes, int]:
-    if len(data) < 20 or data[:4] != MAGIC:
+def _read_index_file(path: Path) -> tuple[int, int, str, bytes]:
+    """Check header bounds, version and payload checksum; return (dim, count, fp, payload)."""
+    data = path.read_bytes()
+    if data[:4] != MAGIC:
         raise IndexFormatError(f"{path}: not an index file (bad magic)")
+    if len(data) < 24:
+        raise IndexFormatError(f"{path}: truncated header")
     version, dim, count, fp_len = struct.unpack("<IIQI", data[4:24])
     if version != VERSION:
         raise IndexFormatError(f"{path}: unsupported index version {version}")
-    offset = 24
-    fp = data[offset : offset + fp_len].decode("utf-8")
-    offset += fp_len
-    digest = data[offset : offset + 32]
-    offset += 32
-    return dim, count, fp, digest, offset
-
-
-def load_index(path: str | Path) -> VectorIndex:
-    path = Path(path)
-    data = path.read_bytes()
-    dim, count, fp, digest, offset = _read_header(data, path)
-    ids_size = count * 8
-    vec_size = count * dim * 4
+    offset = 24 + fp_len + 32
+    if len(data) < offset:
+        raise IndexFormatError(f"{path}: truncated header")
+    try:
+        fp = data[24 : 24 + fp_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IndexFormatError(f"{path}: fingerprint is not valid UTF-8") from exc
+    digest = data[24 + fp_len : offset]
     payload = data[offset:]
-    if len(payload) != ids_size + vec_size:
+    if len(payload) != count * 8 + count * dim * 4:
         raise IndexFormatError(f"{path}: truncated or oversized payload")
     if hashlib.sha256(payload).digest() != digest:
         raise IndexFormatError(f"{path}: payload checksum mismatch (corrupted)")
+    return dim, count, fp, payload
+
+
+def load_index(path: str | Path) -> VectorIndex:
+    dim, count, fp, payload = _read_index_file(Path(path))
+    ids_size = count * 8
     ids = np.frombuffer(payload[:ids_size], dtype="<i8").astype(np.int64)
     vectors = (
         np.frombuffer(payload[ids_size:], dtype="<f4")
@@ -147,12 +151,5 @@ def load_index(path: str | Path) -> VectorIndex:
 
 def verify_index(path: str | Path) -> dict:
     """Check header and payload integrity; returns index metadata."""
-    path = Path(path)
-    data = path.read_bytes()
-    dim, count, fp, digest, offset = _read_header(data, path)
-    payload = data[offset:]
-    if len(payload) != count * 8 + count * dim * 4:
-        raise IndexFormatError(f"{path}: truncated or oversized payload")
-    if hashlib.sha256(payload).digest() != digest:
-        raise IndexFormatError(f"{path}: payload checksum mismatch (corrupted)")
+    dim, count, fp, _ = _read_index_file(Path(path))
     return {"dimension": dim, "count": count, "fingerprint": fp}

@@ -159,6 +159,41 @@ class TestValidation:
         config_path = _write_config(tmp_path, dataset, {"setting": "magic"})
         assert main(["ingest", "--config", str(config_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("k", "5"),
+            ("n_folds", 5.0),
+            ("fold_seed", True),
+            ("ridge_lambda_baseline", "1.0"),
+            ("default_rating_std", None),
+            ("setting", 3),
+        ],
+    )
+    def test_mistyped_scalar(self, tmp_path, capsys, key, value):
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        config_path = _write_config(tmp_path, dataset, {key: value})
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith(f"error: {key} must be")
+
+    @pytest.mark.parametrize(
+        "key",
+        ["literal_45_columns", "shared_pseudo_labels", "exclude_labeled", "literal_45_colums"],
+    )
+    def test_unknown_key(self, tmp_path, capsys, key):
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        config_path = _write_config(tmp_path, dataset, {key: False})
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.endswith(f"unknown key(s): {key}")
+        assert not (tmp_path / "out").exists()
+
+    def test_workers_flag_removed(self, tmp_path):
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        config_path = _write_config(tmp_path, dataset)
+        assert main(["ingest", "--config", str(config_path), "--workers", "2"]) == 1
+
     def test_malformed_json_config(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{not json", encoding="utf-8")
@@ -209,3 +244,18 @@ class TestStaleness:
         assert main(["featurize", "--config", str(config_path)]) == 2
         assert main(["ingest", "--config", str(config_path)]) == 0
         assert main(["featurize", "--config", str(config_path)]) == 0
+
+
+def test_corrupt_index_under_force_is_artifact_error(tmp_path, capsys):
+    dataset = fixtures.make_synthetic_dataset(n_corpus=80, n_train=10, n_test=5, seed=2)
+    config_path = _write_config(tmp_path, dataset)
+    for command in ("ingest", "featurize", "index", "train-baseline"):
+        assert main([command, "--config", str(config_path)]) == 0, command
+    index = tmp_path / "out" / cli.INDEX
+    data = bytearray(index.read_bytes())
+    data[-5] ^= 0x01
+    index.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(["pseudolabel", "--config", str(config_path), "--force"]) == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert "checksum" in line

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -8,13 +6,11 @@ from pseudolab.ensemble import (
     Archetype,
     EnsembleBundle,
     FoldPlan,
-    aggregate_mean,
     audit_oof_hygiene,
     cv_fine_tune,
     fit_stacker,
     load_bundle,
     make_fold_plan,
-    predict_ensemble,
     predict_ensemble_batch,
     save_bundle,
     train_pseudo_stage,
@@ -145,21 +141,17 @@ class TestCvFineTune:
         bundle, _, _ = tuned_bundle
         assert audit_oof_hygiene(bundle)
 
-    def test_literal_columns(self, toy_archetypes):
+    def test_fold_id_outside_plan_rejected(self, toy_archetypes):
         archetypes, texts = toy_archetypes
-        rng = np.random.default_rng(6)
-        y = rng.uniform(2, 6, size=len(texts))
+        y = np.full(len(texts), 3.0)
         base = train_pseudo_stage(
-            texts, y, archetypes[:1], (1, 2), HyperParams(max_epochs=1)
+            texts, y, archetypes[:1], (1,), HyperParams(max_epochs=1)
         )
         labeled = _labeled_from(texts, y)
         plan = make_fold_plan(len(labeled), n_folds=5, seed=1)
-        bundle = cv_fine_tune(
-            base, archetypes[:1], labeled, plan, HyperParams(max_epochs=1), literal_columns=True
-        )
-        assert bundle.oof.shape == (len(texts), 10)  # 2 base models x 5 folds
-        assert len(bundle.fold_models) == 10
-        assert not audit_oof_hygiene(bundle)  # leaky by construction
+        plan.assignment[[0, 3]] = 5  # no fold 5 in a 5-fold plan
+        with pytest.raises(ValueError, match=r"seed 1, 5 folds.*2 out-of-fold rows"):
+            cv_fine_tune(base, archetypes[:1], labeled, plan, HyperParams(max_epochs=1))
 
     def test_plan_size_mismatch(self, toy_archetypes):
         archetypes, texts = toy_archetypes
@@ -200,23 +192,6 @@ class TestCvFineTune:
         )
         oof_rmse = float(np.sqrt(np.mean((bundle.oof[:, 0] - y) ** 2)))
         assert oof_rmse < 0.05
-
-
-class TestAggregateMean:
-    def test_simple(self):
-        assert aggregate_mean(np.array([2.0, 4.0])) == 3.0
-
-    def test_clamped(self):
-        assert aggregate_mean(np.array([7.0, 9.4])) == 7.0
-
-    def test_matches_fsum_oracle(self, rng):
-        row = rng.uniform(1, 7, size=45)
-        oracle = math.fsum(float(v) for v in row) / 45
-        assert aggregate_mean(row) == pytest.approx(oracle, rel=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            aggregate_mean(np.array([]))
 
 
 class TestStacker:
@@ -298,7 +273,7 @@ class TestPredictEnsemble:
     def test_mean_of_constant_models(self, toy_archetypes):
         archetypes, _ = toy_archetypes
         bundle = _constant_bundle(archetypes, [2.0, 2.5, 3.0])
-        assert predict_ensemble(bundle, "irgendein satz") == pytest.approx(2.5)
+        assert predict_ensemble_batch(bundle, ["irgendein satz"])[0] == pytest.approx(2.5)
 
     def test_stacker_with_uniform_weights_equals_mean(self, toy_archetypes):
         archetypes, texts = toy_archetypes
@@ -318,7 +293,7 @@ class TestPredictEnsemble:
         archetypes, _ = toy_archetypes
         bundle = _constant_bundle(archetypes, [2.0, 2.5, 3.0], aggregation="stacker")
         with pytest.raises(ValueError, match="stacker"):
-            predict_ensemble(bundle, "satz")
+            predict_ensemble_batch(bundle, ["satz"])[0]
 
     def test_batch_matches_per_model_replay(self, tuned_bundle, toy_archetypes):
         bundle, labeled, _ = tuned_bundle

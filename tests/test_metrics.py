@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from pseudolab.ensemble import make_fold_plan
+from pseudolab.pipeline import evaluate_settings
 from pseudolab.metrics import (
     EvalReport,
     MappingCoeffs,
     apply_mapping,
-    cross_validate,
     fit_third_order_mapping,
     fold_mean,
     mapped_rmse,
@@ -126,14 +126,14 @@ def test_cross_validate_with_perfect_oracle(small_context, small_dataset, small_
     def oracle(setting, fold_test):
         return np.array([s.mos for s in fold_test])
 
-    report = cross_validate(
-        "baseline",
-        labeled,
+    report = evaluate_settings(
         small_context,
+        labeled,
+        ["baseline"],
         plan,
         small_pipeline_config,
         predictor_override=oracle,
-    )
+    )["baseline"]
     assert report.per_fold_rmse == [0.0] * 5
     assert report.fold_mean_rmse == 0.0
     assert report.rmse_raw == 0.0

@@ -114,12 +114,16 @@ class TestErrors:
         store, index, model, stats, scores = _setup(["ein satz"], [3.0])
         anchors = [LabeledSentence(id=1, text="x", mos=3.0, rating_std=0.5)]
         with pytest.raises(ValueError, match="k"):
-            generate_pseudo_labels(anchors, index, store, model, stats, k=0)
+            generate_pseudo_labels(
+                anchors, index, store, model, stats, k=0, precomputed_scores=scores
+            )
 
     def test_empty_anchors(self):
         store, index, model, stats, scores = _setup(["ein satz"], [3.0])
         with pytest.raises(ValueError, match="anchors"):
-            generate_pseudo_labels([], index, store, model, stats, k=5)
+            generate_pseudo_labels(
+                [], index, store, model, stats, k=5, precomputed_scores=scores
+            )
 
     def test_fingerprint_mismatch(self):
         store, index, model, stats, scores = _setup(["ein satz"], [3.0])
@@ -128,7 +132,9 @@ class TestErrors:
         )
         anchors = [LabeledSentence(id=1, text="x", mos=3.0, rating_std=0.5)]
         with pytest.raises(ValueError, match="fingerprint"):
-            generate_pseudo_labels(anchors, index, store, bad, stats, k=5)
+            generate_pseudo_labels(
+                anchors, index, store, bad, stats, k=5, precomputed_scores=scores
+            )
 
 
 @pytest.fixture(scope="module")
@@ -242,3 +248,27 @@ def test_render_stats_table():
     assert "3.4" in lines[1]
     assert "3.0" in lines[2]  # rounded to one decimal
     assert len({len(l) for l in lines}) == 1  # aligned columns
+
+
+def test_leakage_guard_names_fold(monkeypatch, small_context, small_dataset):
+    from dataclasses import replace
+
+    from pseudolab import pipeline
+    from pseudolab.ensemble import make_fold_plan
+
+    labeled = small_dataset.labeled_train
+    real = pipeline.generate_for_anchors
+
+    def leaky(ctx, anchors, gate, cfg, exclude_texts):
+        pset = real(ctx, anchors, gate, cfg, exclude_texts)
+        train_ids = {a.id for a in anchors}
+        outsider = next(s for s in labeled if s.id not in train_ids)
+        pset.labels.append(replace(pset.labels[0], anchor_id=outsider.id))
+        return pset
+
+    monkeypatch.setattr(pipeline, "generate_for_anchors", leaky)
+    plan = make_fold_plan(len(labeled), n_folds=5, seed=1)
+    with pytest.raises(RuntimeError, match="fold 0: pseudo-labels anchored on test-fold ids"):
+        pipeline.evaluate_settings(
+            small_context, labeled, ["pseudo_only"], plan, pipeline.PipelineConfig(k=25)
+        )

@@ -8,7 +8,6 @@ from pseudolab.scorer import (
     load_model,
     model_to_json,
     predict,
-    predict_texts,
     save_model,
     train_iterative,
     train_ridge,
@@ -160,14 +159,6 @@ class TestPredict:
         model = ScorerModel(weights=np.zeros(2), intercept=0.0)
         with pytest.raises(ValueError, match="dimension"):
             predict(model, np.ones((1, 3)))
-
-    def test_predict_texts_fingerprint_mismatch(self):
-        from pseudolab.features import FeatureConfig, fit_feature_stats
-
-        stats = fit_feature_stats(["ein satz"], FeatureConfig(hashed_dim=32))
-        model = ScorerModel(weights=np.zeros(38), intercept=3.0, fingerprint="wrong")
-        with pytest.raises(ValueError, match="fingerprint"):
-            predict_texts(model, stats, ["text"])
 
 
 class TestGradientCheck:

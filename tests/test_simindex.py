@@ -1,9 +1,11 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from pseudolab.simindex import (
+    MAGIC,
     IndexFormatError,
     VectorIndex,
     build_index,
@@ -166,6 +168,30 @@ class TestPersistence:
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(IndexFormatError, match="truncated"):
             verify_index(path)
+
+    def test_short_header(self, tmp_path):
+        path = tmp_path / "index.bin"
+        path.write_bytes(MAGIC + b"\x00" * 18)  # 22 bytes; the header needs 24
+        with pytest.raises(IndexFormatError, match="truncated header"):
+            load_index(path)
+
+    def test_fingerprint_past_end_of_file(self, tmp_path, rng):
+        path = tmp_path / "index.bin"
+        save_index(self._index(rng), path)
+        data = bytearray(path.read_bytes())
+        data[20:24] = struct.pack("<I", len(data))  # fp_len
+        path.write_bytes(bytes(data))
+        with pytest.raises(IndexFormatError, match="truncated header"):
+            verify_index(path)
+
+    def test_undecodable_fingerprint(self, tmp_path, rng):
+        path = tmp_path / "index.bin"
+        save_index(self._index(rng), path)
+        data = bytearray(path.read_bytes())
+        data[24] = 0xFF  # first fingerprint byte
+        path.write_bytes(bytes(data))
+        with pytest.raises(IndexFormatError, match="UTF-8"):
+            load_index(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "index.bin"

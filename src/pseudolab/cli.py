@@ -15,6 +15,7 @@ import sys
 import tempfile
 import time
 import traceback
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,27 +31,27 @@ from .artifacts import (
     sha256_file,
 )
 from .config import ConfigError, RunConfig, load_config
-from .corpus import CorpusStore, deduplicate, ingest_corpus, load_labeled, load_store, normalize_sentence, save_store
-from .ensemble import cv_fine_tune, fit_stacker, make_fold_plan, save_bundle, train_pseudo_stage
-from .features import embed_many, fit_feature_stats, load_feature_stats, save_feature_stats
+from .corpus import CorpusStore, InputFileError, LabeledSentence, deduplicate, ingest_corpus, load_labeled, load_store, normalize_sentence, save_store
+from .ensemble import make_fold_plan, save_bundle
+from .features import FeatureStats, embed_many, fit_feature_stats, load_feature_stats, save_feature_stats
 from .metrics import render_report_table, save_report
-from .pipeline import RETRIEVAL, Archetype, build_context, evaluate_settings
-from .pseudolabel import (
-    generate_pseudo_labels,
-    load_pseudo_labels,
-    pseudo_label_stats,
-    render_stats_table,
-    save_pseudo_labels,
-    save_set_stats,
-)
-from .scorer import load_model, model_to_json, predict, train_ridge
+from .pipeline import RETRIEVAL, Archetype, PipelineContext, evaluate_settings, fine_tune_ensemble, generate_for_anchors, train_gate_model, train_stage_models
+from .pseudolabel import load_pseudo_labels, pseudo_label_stats, render_stats_table, save_pseudo_labels, save_set_stats
+from .scorer import load_model, model_to_json
 from .simindex import IndexFormatError, build_index, load_index, save_index, verify_index
+
+# Not called here: perfbench/traced_cli.py looks these up on this module to patch them.
+from .ensemble import cv_fine_tune, fit_stacker, train_pseudo_stage  # noqa: F401
+from .pipeline import build_context  # noqa: F401
+from .pseudolabel import generate_pseudo_labels  # noqa: F401
+from .scorer import predict, train_ridge  # noqa: F401
 
 STORE = "store.jsonl"
 CORPUS_STATS = "corpus_stats.json"
 FEATURE_STATS = "feature_stats.json"
 CORPUS_VECTORS = "corpus_vectors.npy"
 CORPUS_IDS = "corpus_ids.npy"
+CORPUS_FEATURES = "corpus_features"
 INDEX = "index.bin"
 BASELINE_MODEL = "baseline_model.json"
 PSEUDO_LABELS = "pseudo_labels.jsonl"
@@ -125,6 +126,9 @@ class _Stage:
         self.inputs[str(path)] = sha256_file(path)
         return Path(path)
 
+    def labeled(self, path: str) -> list[LabeledSentence]:
+        return load_labeled(self.external_input(path), self.config.default_rating_std)
+
     def finish(self, outputs: list[str]) -> None:
         digests = {name: artifact_digest(self.outdir / name) for name in outputs}
         self.manifest.record_stage(
@@ -153,9 +157,14 @@ def cmd_ingest(config: RunConfig, force: bool) -> None:
     _atomic_save(stage.outdir / STORE, lambda tmp: save_store(store, tmp))
     atomic_write_text(
         stage.outdir / CORPUS_STATS,
-        json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n",
+        json.dumps(asdict(stats), indent=2, sort_keys=True) + "\n",
     )
     stage.finish([STORE, CORPUS_STATS])
+
+
+def _feature_cache(stats: FeatureStats) -> str:
+    """Artifact name of a featurizer's float64 corpus matrix, rows in corpus_ids order."""
+    return f"{CORPUS_FEATURES}/{stats.fingerprint}.npy"
 
 
 def cmd_featurize(config: RunConfig, force: bool) -> None:
@@ -174,7 +183,50 @@ def cmd_featurize(config: RunConfig, force: bool) -> None:
         stage.outdir / CORPUS_IDS,
         np.array([r.id for r in store.records], dtype=np.int64),
     )
-    stage.finish([FEATURE_STATS, CORPUS_VECTORS, CORPUS_IDS])
+    # archetypes with the same featurizer config share one matrix
+    caches = {_feature_cache(stats[spec.name]): stats[spec.name] for spec in config.archetypes}
+    (stage.outdir / CORPUS_FEATURES).mkdir(exist_ok=True)
+    for name, arch_stats in caches.items():
+        _save_npy(stage.outdir / name, embed_many(texts, arch_stats))
+    stage.finish([FEATURE_STATS, CORPUS_VECTORS, CORPUS_IDS, *caches])
+
+
+def _load_context(stage: _Stage, *, retrieval: bool, features: bool) -> PipelineContext:
+    """Build the pipeline context from featurize's artifacts, requiring only what is read.
+
+    `retrieval` loads the store and the index; `features` loads the cached
+    archetype corpus matrices and their row order.
+    """
+    stats = load_feature_stats(stage.require(FEATURE_STATS, "featurize"))
+    archetypes = []
+    for spec in stage.config.archetypes:
+        if spec.name not in stats or stats[spec.name].config != spec.feature_config():
+            raise StaleArtifactError(
+                f"{FEATURE_STATS} has no featurizer for archetype {spec.name!r} as "
+                "configured; re-run the 'featurize' stage"
+            )
+        archetypes.append(
+            Archetype(name=spec.name, stats=stats[spec.name], batch_size=spec.batch_size)
+        )
+    ctx = PipelineContext(
+        store=None,
+        retrieval_stats=stats[RETRIEVAL],
+        archetypes=archetypes,
+        index=None,
+        corpus_features={},
+        row_of_id={},
+    )
+    if retrieval:
+        ctx.store = load_store(stage.require(STORE, "ingest"))
+        ctx.index = load_index(stage.require(INDEX, "index"))
+    if features:
+        ids = np.load(stage.require(CORPUS_IDS, "featurize"))
+        ctx.row_of_id = {i: row for row, i in enumerate(ids.tolist())}
+        ctx.corpus_features = {
+            arch.name: np.load(stage.require(_feature_cache(arch.stats), "featurize"))
+            for arch in archetypes
+        }
+    return ctx
 
 
 def cmd_index(config: RunConfig, force: bool) -> None:
@@ -194,53 +246,20 @@ def cmd_index(config: RunConfig, force: bool) -> None:
 def cmd_train_baseline(config: RunConfig, force: bool) -> None:
     stage = _Stage("train-baseline", config, force)
     stats = load_feature_stats(stage.require(FEATURE_STATS, "featurize"))
-    labeled = load_labeled(
-        stage.external_input(config.labeled_train), config.default_rating_std
-    )
-    X = embed_many([s.text for s in labeled], stats[RETRIEVAL])
-    y = np.array([s.mos for s in labeled])
-    model = train_ridge(
-        X,
-        y,
-        config.ridge_lambda_baseline,
-        fingerprint=stats[RETRIEVAL].fingerprint,
-        stage="baseline",
-        archetype=RETRIEVAL,
-    )
+    model = train_gate_model(stats[RETRIEVAL], stage.labeled(config.labeled_train), config)
     atomic_write_text(stage.outdir / BASELINE_MODEL, model_to_json(model))
     stage.finish([BASELINE_MODEL])
 
 
 def cmd_pseudolabel(config: RunConfig, force: bool) -> None:
     stage = _Stage("pseudolabel", config, force)
-    store = load_store(stage.require(STORE, "ingest"))
-    stats = load_feature_stats(stage.require(FEATURE_STATS, "featurize"))
-    index = load_index(stage.require(INDEX, "index"))
-    baseline = load_model(stage.require(BASELINE_MODEL, "train-baseline"))
-    vectors = np.load(stage.require(CORPUS_VECTORS, "featurize"))
-    ids = np.load(stage.require(CORPUS_IDS, "featurize"))
-    anchors = load_labeled(
-        stage.external_input(config.labeled_train), config.default_rating_std
-    )
+    ctx = _load_context(stage, retrieval=True, features=False)
+    gate = load_model(stage.require(BASELINE_MODEL, "train-baseline"))
+    anchors = stage.labeled(config.labeled_train)
     exclude = {s.text for s in anchors}
     if config.labeled_test:
-        exclude |= {
-            s.text
-            for s in load_labeled(
-                stage.external_input(config.labeled_test), config.default_rating_std
-            )
-        }
-    scores = predict(baseline, vectors.astype(np.float64))
-    pset = generate_pseudo_labels(
-        anchors,
-        index,
-        store,
-        baseline,
-        stats[RETRIEVAL],
-        k=config.k,
-        exclude_texts=exclude,
-        precomputed_scores=dict(zip(ids.tolist(), scores.tolist())),
-    )
+        exclude |= {s.text for s in stage.labeled(config.labeled_test)}
+    pset = generate_for_anchors(ctx, anchors, gate, config, exclude)
     _log(f"[pseudolabel] admitted {len(pset.labels)} pseudo-labels")
     _atomic_save(stage.outdir / PSEUDO_LABELS, lambda tmp: save_pseudo_labels(pset, tmp))
     _atomic_save(stage.outdir / PSEUDO_STATS, lambda tmp: save_set_stats(pset, tmp))
@@ -252,31 +271,14 @@ def cmd_pseudolabel(config: RunConfig, force: bool) -> None:
 
 def cmd_train_ensemble(config: RunConfig, force: bool) -> None:
     stage = _Stage("train-ensemble", config, force)
-    stats = load_feature_stats(stage.require(FEATURE_STATS, "featurize"))
+    ctx = _load_context(stage, retrieval=False, features=True)
     pset = load_pseudo_labels(stage.require(PSEUDO_LABELS, "pseudolabel"))
-    labeled = load_labeled(
-        stage.external_input(config.labeled_train), config.default_rating_std
-    )
-    archetypes = [
-        Archetype(name=spec.name, stats=stats[spec.name], batch_size=spec.batch_size)
-        for spec in config.archetypes
-    ]
-    models9 = train_pseudo_stage(
-        [lab.text for lab in pset.labels],
-        [lab.predicted_score for lab in pset.labels],
-        archetypes,
-        config.seeds,
-        config.hyper_pseudo,
-    )
+    labeled = stage.labeled(config.labeled_train)
+    models9 = train_stage_models(ctx, pset, config, "train-ensemble")
     _log(f"[train-ensemble] pseudo stage: {len(models9)} models")
     plan = make_fold_plan(len(labeled), config.n_folds, seed=config.fold_seed)
-    bundle = cv_fine_tune(models9, archetypes, labeled, plan, config.hyper_fine)
+    bundle = fine_tune_ensemble(models9, ctx.archetypes, labeled, plan, config)
     _log(f"[train-ensemble] fine-tuned {len(bundle.fold_models)} fold models")
-    y = np.array([s.mos for s in labeled])
-    weights, intercept, fallback = fit_stacker(bundle.oof, y)
-    bundle.stacker_weights = weights
-    bundle.stacker_intercept = intercept
-    bundle.stacker_fallback = fallback
     bundle.aggregation = (
         "stacker" if config.setting == "ensemble_stacker" else "mean"
     )
@@ -286,11 +288,8 @@ def cmd_train_ensemble(config: RunConfig, force: bool) -> None:
 
 def cmd_evaluate(config: RunConfig, force: bool) -> None:
     stage = _Stage("evaluate", config, force)
-    store = load_store(stage.require(STORE, "ingest"))
-    labeled = load_labeled(
-        stage.external_input(config.labeled_train), config.default_rating_std
-    )
-    ctx = build_context(store, config.retrieval, config.archetypes)
+    ctx = _load_context(stage, retrieval=True, features=True)
+    labeled = stage.labeled(config.labeled_train)
     plan = make_fold_plan(len(labeled), config.n_folds, seed=config.fold_seed)
     reports = evaluate_settings(ctx, labeled, [config.setting], plan, config)
     report = reports[config.setting]
@@ -371,7 +370,7 @@ def main(argv=None) -> int:
             else:
                 COMMANDS[args.command](config, args.force)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (StaleArtifactError, IndexFormatError) as exc:

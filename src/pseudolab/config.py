@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .corpus import FORMATS
@@ -11,6 +11,7 @@ from .features import FeatureConfig
 from .pipeline import (
     DEFAULT_ARCHETYPE_SPECS,
     DEFAULT_RETRIEVAL_CONFIG,
+    RETRIEVAL,
     SETTINGS,
     ArchetypeSpec,
     PipelineConfig,
@@ -43,67 +44,55 @@ class RunConfig(PipelineConfig):
     setting: str = "ensemble_mean"
     default_rating_std: float = 0.5
 
-    def to_dict(self) -> dict:
-        return {
-            "corpora": [
-                {"path": c.path, "source": c.source, "format": c.format}
-                for c in self.corpora
-            ],
-            "labeled_train": self.labeled_train,
-            "labeled_test": self.labeled_test,
-            "output_dir": self.output_dir,
-            "retrieval": {
-                "hashed_dim": self.retrieval.hashed_dim,
-                "ngram_min": self.retrieval.ngram_min,
-                "ngram_max": self.retrieval.ngram_max,
-                "max_tokens": self.retrieval.max_tokens,
-            },
-            "archetypes": [
-                {
-                    "name": a.name,
-                    "hashed_dim": a.hashed_dim,
-                    "ngram_min": a.ngram_min,
-                    "ngram_max": a.ngram_max,
-                    "batch_size": a.batch_size,
-                }
-                for a in self.archetypes
-            ],
-            "k": self.k,
-            "seeds": list(self.seeds),
-            "n_folds": self.n_folds,
-            "fold_seed": self.fold_seed,
-            "hyper_pseudo": self.hyper_pseudo.to_dict(),
-            "hyper_fine": self.hyper_fine.to_dict(),
-            "hyper_baseline": self.hyper_baseline.to_dict(),
-            "ridge_lambda_baseline": self.ridge_lambda_baseline,
-            "setting": self.setting,
-            "default_rating_std": self.default_rating_std,
-        }
-
     def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
-def _hyper_from(d: dict | None, fallback: HyperParams) -> HyperParams:
-    if d is None:
-        return fallback
-    base = fallback.to_dict()
-    base.update(d)
-    try:
-        return HyperParams.from_dict(base)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid hyperparameters: {exc}") from exc
+# JSON type of each declared field type; bool is rejected even where int is allowed
+_JSON_KINDS = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+    "bool": (bool, "a boolean"),
+}
 
-
-# JSON type each scalar key must have; bool is rejected even where int is allowed
-_SCALAR_TYPES = (
-    ("k", int, "an integer"),
-    ("n_folds", int, "an integer"),
-    ("fold_seed", int, "an integer"),
-    ("ridge_lambda_baseline", (int, float), "a number"),
-    ("default_rating_std", (int, float), "a number"),
-    ("setting", str, "a string"),
+_SCALAR_KINDS = (
+    ("labeled_train", "str"),
+    ("output_dir", "str"),
+    ("k", "int"),
+    ("n_folds", "int"),
+    ("fold_seed", "int"),
+    ("ridge_lambda_baseline", "float"),
+    ("default_rating_std", "float"),
+    ("setting", "str"),
 )
+
+
+def _check_kind(name: str, value, kind: str) -> None:
+    kinds, kind_name = _JSON_KINDS[kind]
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, kinds):
+        raise ConfigError(f"{name} must be {kind_name}, got {value!r}")
+
+
+def _build(cls, value, name: str, defaults: dict | None = None):
+    """Build a config dataclass from a JSON object, checking each field's type."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object, got {value!r}")
+    declared = {f.name: f.type for f in fields(cls)}
+    for key, item in value.items():
+        if key not in declared:
+            raise ConfigError(f"{name} has unknown key {key!r}")
+        _check_kind(f"{name}.{key}", item, declared[key])
+    try:
+        return cls(**{**(defaults or {}), **value})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {name}: {exc}") from exc
+
+
+def _build_list(cls, value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return [_build(cls, item, f"{name}[{i}]") for i, item in enumerate(value)]
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -119,46 +108,37 @@ def load_config(path: str | Path) -> RunConfig:
     unknown = sorted(set(raw) - {f.name for f in fields(RunConfig)})
     if unknown:
         raise ConfigError(f"config {path} has unknown key(s): {', '.join(unknown)}")
+    missing = [key for key in ("corpora", "labeled_train", "output_dir") if key not in raw]
+    if missing:
+        raise ConfigError(f"config {path} missing required field(s): {', '.join(missing)}")
 
-    try:
-        corpora = [
-            CorpusEntry(
-                path=str(c["path"]),
-                source=str(c["source"]),
-                format=str(c.get("format", "plain-lines")),
-            )
-            for c in raw["corpora"]
-        ]
-        cfg = RunConfig(
-            corpora=corpora,
-            labeled_train=str(raw["labeled_train"]),
-            labeled_test=raw.get("labeled_test"),
-            output_dir=str(raw["output_dir"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"config {path} missing required field: {exc}") from exc
-
-    if "retrieval" in raw:
-        try:
-            cfg.retrieval = FeatureConfig(**raw["retrieval"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid retrieval featurizer config: {exc}") from exc
-    if "archetypes" in raw:
-        try:
-            cfg.archetypes = [ArchetypeSpec(**a) for a in raw["archetypes"]]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid archetype config: {exc}") from exc
-    for key, kinds, kind_name in _SCALAR_TYPES:
+    for key, kind in _SCALAR_KINDS:
         if key in raw:
-            value = raw[key]
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ConfigError(f"{key} must be {kind_name}, got {value!r}")
-            setattr(cfg, key, value)
+            _check_kind(key, raw[key], kind)
+    labeled_test = raw.get("labeled_test")
+    if labeled_test is not None:
+        _check_kind("labeled_test", labeled_test, "str")
+
+    cfg = RunConfig(
+        corpora=_build_list(CorpusEntry, raw["corpora"], "corpora"),
+        **{key: raw[key] for key, _ in _SCALAR_KINDS if key in raw},
+        labeled_test=labeled_test,
+    )
     if "seeds" in raw:
-        cfg.seeds = tuple(int(s) for s in raw["seeds"])
-    cfg.hyper_pseudo = _hyper_from(raw.get("hyper_pseudo"), cfg.hyper_pseudo)
-    cfg.hyper_fine = _hyper_from(raw.get("hyper_fine"), cfg.hyper_fine)
-    cfg.hyper_baseline = _hyper_from(raw.get("hyper_baseline"), cfg.hyper_baseline)
+        seeds = raw["seeds"]
+        if not isinstance(seeds, list) or not seeds:
+            raise ConfigError(f"seeds must be a non-empty list of integers, got {seeds!r}")
+        for i, seed in enumerate(seeds):
+            _check_kind(f"seeds[{i}]", seed, "int")
+        cfg.seeds = tuple(seeds)
+    if "retrieval" in raw:
+        cfg.retrieval = _build(FeatureConfig, raw["retrieval"], "retrieval")
+    if "archetypes" in raw:
+        cfg.archetypes = _build_list(ArchetypeSpec, raw["archetypes"], "archetypes")
+    for key in ("hyper_pseudo", "hyper_fine", "hyper_baseline"):
+        if key in raw:
+            defaults = asdict(getattr(cfg, key))
+            setattr(cfg, key, _build(HyperParams, raw[key], key, defaults))
     validate_config(cfg)
     return cfg
 
@@ -185,6 +165,10 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("config lists no archetypes")
     if len({a.name for a in cfg.archetypes}) != len(cfg.archetypes):
         raise ConfigError("archetype names must be unique")
+    if any(a.name == RETRIEVAL for a in cfg.archetypes):
+        raise ConfigError(
+            f"archetype name {RETRIEVAL!r} is reserved for the retrieval featurizer"
+        )
     if cfg.setting not in SETTINGS:
         raise ConfigError(f"setting must be one of {SETTINGS}, got {cfg.setting!r}")
     if cfg.default_rating_std < 0:

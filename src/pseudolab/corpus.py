@@ -19,6 +19,10 @@ MOS_MIN = 1.0
 MOS_MAX = 7.0
 
 
+class InputFileError(ValueError):
+    """A corpus file, labeled set or stored corpus is malformed."""
+
+
 @dataclass(frozen=True)
 class SentenceRecord:
     """One normalized unlabeled sentence with a stable id and source tag."""
@@ -44,13 +48,6 @@ class CorpusStats:
     total_sentences: int
     distinct_sentences: int
     per_source_counts: dict[str, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "total_sentences": self.total_sentences,
-            "distinct_sentences": self.distinct_sentences,
-            "per_source_counts": dict(sorted(self.per_source_counts.items())),
-        }
 
 
 def normalize_sentence(raw: str) -> str:
@@ -86,7 +83,7 @@ def ingest_corpus(
     from the store's current max.
     """
     if format not in FORMATS:
-        raise ValueError(f"unknown corpus format: {format!r}")
+        raise InputFileError(f"unknown corpus format: {format!r}")
     path = Path(source_path)
     next_id = store.next_id() if store is not None else 0
     records: list[SentenceRecord] = []
@@ -101,11 +98,11 @@ def ingest_corpus(
                 try:
                     obj = json.loads(stripped)
                 except json.JSONDecodeError as exc:
-                    raise ValueError(
+                    raise InputFileError(
                         f"{path}: line {lineno}: malformed jsonl record: {exc}"
                     ) from exc
                 if not isinstance(obj, dict) or "text" not in obj:
-                    raise ValueError(
+                    raise InputFileError(
                         f"{path}: line {lineno}: jsonl record missing 'text' key"
                     )
                 text = normalize_sentence(str(obj["text"]))
@@ -152,12 +149,13 @@ def load_labeled(
         try:
             header = next(reader)
         except StopIteration:
-            raise ValueError(f"{path}: empty labeled file") from None
+            raise InputFileError(f"{path}: empty labeled file") from None
         cols = {name.strip(): i for i, name in enumerate(header)}
         for required in ("id", "text", "mos"):
             if required not in cols:
-                raise ValueError(f"{path}: missing column {required!r}")
+                raise InputFileError(f"{path}: missing column {required!r}")
         has_std = "rating_std" in cols
+        row_of_id: dict[int, int] = {}
         for rowno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -166,13 +164,18 @@ def load_labeled(
                 mos = float(row[cols["mos"]])
                 std = float(row[cols["rating_std"]]) if has_std else default_rating_std
             except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}: row {rowno}: non-numeric field: {exc}") from exc
+                raise InputFileError(f"{path}: row {rowno}: non-numeric field: {exc}") from exc
             if not MOS_MIN <= mos <= MOS_MAX:
-                raise ValueError(
+                raise InputFileError(
                     f"{path}: row {rowno}: mos {mos} outside [{MOS_MIN}, {MOS_MAX}]"
                 )
             if std < 0:
-                raise ValueError(f"{path}: row {rowno}: negative rating_std {std}")
+                raise InputFileError(f"{path}: row {rowno}: negative rating_std {std}")
+            if sid in row_of_id:
+                raise InputFileError(
+                    f"{path}: row {rowno}: id {sid} already used in row {row_of_id[sid]}"
+                )
+            row_of_id[sid] = rowno
             out.append(
                 LabeledSentence(
                     id=sid,
@@ -205,12 +208,16 @@ def load_store(path: str | Path) -> CorpusStore:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: malformed store record") from exc
-            text = obj["text"]
+                text, sid = obj["text"], int(obj["id"])
+            except KeyError as exc:
+                raise InputFileError(f"{path}: line {lineno}: store record has no {exc} field") from exc
+            except (ValueError, TypeError) as exc:
+                raise InputFileError(f"{path}: line {lineno}: malformed store record: {exc}") from exc
+            if not isinstance(text, str):
+                raise InputFileError(f"{path}: line {lineno}: store record text is not a string")
             store.records.append(
                 SentenceRecord(
-                    id=int(obj["id"]),
+                    id=sid,
                     text=text,
                     source=obj.get("source", "unknown"),
                     char_len=len(text),

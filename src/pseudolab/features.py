@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -84,12 +84,7 @@ class FeatureStats:
 
     def to_dict(self) -> dict:
         return {
-            "config": {
-                "hashed_dim": self.config.hashed_dim,
-                "ngram_min": self.config.ngram_min,
-                "ngram_max": self.config.ngram_max,
-                "max_tokens": self.config.max_tokens,
-            },
+            "config": asdict(self.config),
             "means": self.means.tolist(),
             "stds": self.stds.tolist(),
             "fingerprint": self.fingerprint,

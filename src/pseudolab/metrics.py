@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,15 +30,6 @@ class MappingCoeffs:
     def coefficients(self) -> np.ndarray:
         return np.array([self.a0, self.a1, self.a2, self.a3])
 
-    def to_dict(self) -> dict:
-        return {
-            "a0": self.a0,
-            "a1": self.a1,
-            "a2": self.a2,
-            "a3": self.a3,
-            "degenerate": self.degenerate,
-        }
-
 
 @dataclass
 class EvalReport:
@@ -51,15 +42,7 @@ class EvalReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "setting": self.setting,
-            "per_fold_rmse": self.per_fold_rmse,
-            "fold_mean_rmse": self.fold_mean_rmse,
-            "rmse_raw": self.rmse_raw,
-            "rmse_mapped": self.rmse_mapped,
-            "mapping": self.mapping.to_dict(),
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def rmse(pred, gold) -> float:

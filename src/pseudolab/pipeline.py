@@ -93,12 +93,18 @@ class PipelineConfig:
 
 @dataclass
 class PipelineContext:
-    """Fold-independent state: store, featurizers, cached features, index."""
+    """Fold-independent state: store, featurizers, index, cached corpus features.
 
-    store: CorpusStore
+    The index's float32 vectors are the one retrieval matrix. `corpus_features`
+    holds each archetype's float64 corpus matrix; `row_of_id` maps a corpus id
+    to its row. A CLI stage loads only the parts it reads and leaves `store`
+    and `index`, or the features, empty.
+    """
+
+    store: CorpusStore | None
     retrieval_stats: FeatureStats
     archetypes: list[Archetype]
-    index: VectorIndex
+    index: VectorIndex | None
     corpus_features: dict[str, np.ndarray]
     row_of_id: dict[int, int]
 
@@ -108,6 +114,7 @@ def build_context(
     retrieval_config: FeatureConfig = DEFAULT_RETRIEVAL_CONFIG,
     archetype_specs: Sequence[ArchetypeSpec] = DEFAULT_ARCHETYPE_SPECS,
 ) -> PipelineContext:
+    """Fit every featurizer on the store and embed the corpus under each."""
     texts = [r.text for r in store.records]
     retrieval_stats = fit_feature_stats(store.records, retrieval_config)
     archetypes = [
@@ -118,43 +125,40 @@ def build_context(
         )
         for spec in archetype_specs
     ]
-    corpus_features = {RETRIEVAL: embed_many(texts, retrieval_stats)}
-    for arch in archetypes:
-        corpus_features[arch.name] = embed_many(texts, arch.stats)
     index = build_index(
-        zip((r.id for r in store.records), corpus_features[RETRIEVAL]),
+        zip((r.id for r in store.records), embed_many(texts, retrieval_stats)),
         fingerprint=retrieval_stats.fingerprint,
     )
-    row_of_id = {r.id: row for row, r in enumerate(store.records)}
     return PipelineContext(
         store=store,
         retrieval_stats=retrieval_stats,
         archetypes=archetypes,
         index=index,
-        corpus_features=corpus_features,
-        row_of_id=row_of_id,
+        corpus_features={arch.name: embed_many(texts, arch.stats) for arch in archetypes},
+        row_of_id={r.id: row for row, r in enumerate(store.records)},
     )
 
 
 def train_gate_model(
-    ctx: PipelineContext, anchors: Sequence[LabeledSentence], cfg: PipelineConfig
+    retrieval_stats: FeatureStats, anchors: Sequence[LabeledSentence], cfg: PipelineConfig
 ) -> ScorerModel:
     """Closed-form ridge baseline used to score pseudo-label candidates."""
-    X = embed_many([a.text for a in anchors], ctx.retrieval_stats)
+    X = embed_many([a.text for a in anchors], retrieval_stats)
     y = np.array([a.mos for a in anchors])
     return train_ridge(
         X,
         y,
         cfg.ridge_lambda_baseline,
-        fingerprint=ctx.retrieval_stats.fingerprint,
+        fingerprint=retrieval_stats.fingerprint,
         stage="baseline",
         archetype=RETRIEVAL,
     )
 
 
 def corpus_score_map(ctx: PipelineContext, gate: ScorerModel) -> dict[int, float]:
-    scores = predict(gate, ctx.corpus_features[RETRIEVAL])
-    return {r.id: float(s) for r, s in zip(ctx.store.records, scores)}
+    """The gate's score of every corpus sentence, by id, on the index vectors."""
+    scores = predict(gate, ctx.index.vectors)
+    return dict(zip(ctx.index.ids.tolist(), scores.tolist()))
 
 
 def generate_for_anchors(
@@ -185,9 +189,18 @@ def _pseudo_features(
     }
 
 
-def _train_stage_models(
-    ctx: PipelineContext, pset: PseudoLabelSet, cfg: PipelineConfig
+def train_stage_models(
+    ctx: PipelineContext, pset: PseudoLabelSet, cfg: PipelineConfig, where: str
 ) -> list[ScorerModel]:
+    """The pseudo stage: one model per (archetype, seed) on the cached features.
+
+    `where` names the stage or fold in the error raised when nothing was admitted.
+    """
+    if not pset.labels:
+        raise RuntimeError(
+            f"{where}: no pseudo-labels were admitted, so the pseudo stage has "
+            "nothing to train on (raise k or check the labeled set)"
+        )
     return train_pseudo_stage(
         [lab.text for lab in pset.labels],
         [lab.predicted_score for lab in pset.labels],
@@ -196,6 +209,26 @@ def _train_stage_models(
         cfg.hyper_pseudo,
         features_by_archetype=_pseudo_features(ctx, pset),
     )
+
+
+def fine_tune_ensemble(
+    models: Sequence[ScorerModel],
+    archetypes: Sequence[Archetype],
+    labeled: Sequence[LabeledSentence],
+    plan: FoldPlan,
+    cfg: PipelineConfig,
+) -> EnsembleBundle:
+    """Fine-tune every pseudo-stage model per fold, then fit the stacker on the OOF matrix.
+
+    The bundle aggregates by mean; set `aggregation` to "stacker" to use the stacker.
+    """
+    bundle = cv_fine_tune(models, archetypes, labeled, plan, cfg.hyper_fine)
+    y = np.array([s.mos for s in labeled])
+    weights, intercept, fallback = fit_stacker(bundle.oof, y)
+    bundle.stacker_weights = weights
+    bundle.stacker_intercept = intercept
+    bundle.stacker_fallback = fallback
+    return bundle
 
 
 def evaluate_settings(
@@ -238,7 +271,7 @@ def evaluate_settings(
 
         models9: list[ScorerModel] | None = None
         if need_pseudo:
-            gate = train_gate_model(ctx, fold_train, cfg)
+            gate = train_gate_model(ctx.retrieval_stats, fold_train, cfg)
             pset = generate_for_anchors(ctx, fold_train, gate, cfg, exclude)
             test_ids = {s.id for s in fold_test}
             leaked = sorted({lab.anchor_id for lab in pset.labels} & test_ids)
@@ -246,7 +279,7 @@ def evaluate_settings(
                 raise RuntimeError(
                     f"fold {f}: pseudo-labels anchored on test-fold ids {leaked[:5]}"
                 )
-            models9 = _train_stage_models(ctx, pset, cfg)
+            models9 = train_stage_models(ctx, pset, cfg, f"fold {f}")
 
         bundle: EnsembleBundle | None = None
         if predictor_override is None and any(
@@ -255,8 +288,8 @@ def evaluate_settings(
             inner_plan = make_fold_plan(
                 len(train_idx), cfg.n_folds, seed=plan.seed * 1009 + f
             )
-            bundle = cv_fine_tune(
-                models9, ctx.archetypes, fold_train, inner_plan, cfg.hyper_fine
+            bundle = fine_tune_ensemble(
+                models9, ctx.archetypes, fold_train, inner_plan, cfg
             )
 
         for setting in settings:
@@ -282,11 +315,7 @@ def evaluate_settings(
             elif setting == "ensemble_mean":
                 preds = score_features(bundle, x_test)
             else:  # ensemble_stacker
-                w, b, _ = fit_stacker(bundle.oof, y[train_idx])
-                stacked = replace(
-                    bundle, aggregation="stacker", stacker_weights=w, stacker_intercept=b
-                )
-                preds = score_features(stacked, x_test)
+                preds = score_features(replace(bundle, aggregation="stacker"), x_test)
             per_fold[setting].append(rmse(preds, y[test_idx]))
             pooled_pred[setting][test_idx] = preds
 

@@ -41,23 +41,6 @@ class HyperParams:
         if self.ridge_lambda < 0:
             raise ValueError("ridge_lambda must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "schedule": self.schedule,
-            "warmup_fraction": self.warmup_fraction,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "early_stopping": self.early_stopping,
-            "early_stopping_holdout_fraction": self.early_stopping_holdout_fraction,
-            "ridge_lambda": self.ridge_lambda,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HyperParams":
-        return cls(**d)
-
 
 @dataclass
 class ScorerModel:

@@ -150,7 +150,7 @@ def test_criterion_04_pseudo_label_soundness(acceptance, big_dataset, big_contex
     ctx, _ = big_context
     cfg = PipelineConfig(k=500)
     anchors = big_dataset.labeled_train[:25]
-    gate = pipeline.train_gate_model(ctx, anchors, cfg)
+    gate = pipeline.train_gate_model(ctx.retrieval_stats, anchors, cfg)
     scores = pipeline.corpus_score_map(ctx, gate)
     exclude = {s.text for s in big_dataset.labeled_train} | {
         s.text for s in big_dataset.labeled_test
@@ -387,7 +387,7 @@ def test_criterion_10_stats_recount(acceptance, big_dataset, big_context):
     ctx, _ = big_context
     cfg = PipelineConfig(k=200)
     anchors = big_dataset.labeled_train
-    gate = pipeline.train_gate_model(ctx, anchors, cfg)
+    gate = pipeline.train_gate_model(ctx.retrieval_stats, anchors, cfg)
     exclude = {s.text for s in anchors}
     pset = pipeline.generate_for_anchors(ctx, anchors, gate, cfg, exclude)
     rows = pseudo_label_stats(pset)

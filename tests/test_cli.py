@@ -1,10 +1,22 @@
+import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from pseudolab import cli, fixtures
+from pseudolab import cli, features, fixtures, pseudolabel
+from pseudolab import pipeline as pipeline_module
 from pseudolab.cli import main
+from pseudolab.config import load_config
+from pseudolab.corpus import load_labeled, load_store
+from pseudolab.pseudolabel import load_pseudo_labels
+from pseudolab.scorer import model_to_json
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _write_config(directory: Path, dataset, overrides=None) -> Path:
@@ -128,6 +140,47 @@ class TestFullPipeline:
         table = (directory / "out" / cli.EVAL_TABLE).read_text()
         assert table.startswith("Setting")
 
+    def test_train_ensemble_and_evaluate_embed_only_labeled_texts(
+        self, pipeline, monkeypatch
+    ):
+        directory, config_path, dataset = pipeline
+        embedded: list[str] = []
+        original = features.embed
+
+        def counting_embed(text, stats):
+            embedded.append(text)
+            return original(text, stats)
+
+        monkeypatch.setattr(features, "embed", counting_embed)
+        monkeypatch.setattr(pseudolabel, "embed", counting_embed)
+        labeled = {s.text for s in dataset.labeled_train}
+        n_archetypes = len(load_config(config_path).archetypes)
+
+        assert main(["train-ensemble", "--config", str(config_path)]) == 0
+        assert len(embedded) == len(dataset.labeled_train) * n_archetypes
+        assert set(embedded) <= labeled
+        embedded.clear()
+        assert main(["evaluate", "--config", str(config_path)]) == 0
+        assert embedded
+        assert set(embedded) <= labeled
+
+    def test_pseudolabel_matches_in_process_pipeline(self, pipeline):
+        directory, config_path, _ = pipeline
+        out = directory / "out"
+        config = load_config(config_path)
+        ctx = pipeline_module.build_context(
+            load_store(out / cli.STORE), config.retrieval, config.archetypes
+        )
+        anchors = load_labeled(config.labeled_train)
+        gate = pipeline_module.train_gate_model(ctx.retrieval_stats, anchors, config)
+        assert model_to_json(gate) == (out / cli.BASELINE_MODEL).read_text()
+        exclude = {s.text for s in anchors} | {
+            s.text for s in load_labeled(config.labeled_test)
+        }
+        pset = pipeline_module.generate_for_anchors(ctx, anchors, gate, config, exclude)
+        assert pset.labels
+        assert load_pseudo_labels(out / cli.PSEUDO_LABELS).labels == pset.labels
+
     def test_lock_blocks_second_command(self, pipeline):
         directory, config_path, _ = pipeline
         lock = directory / "out" / ".lock"
@@ -168,6 +221,17 @@ class TestValidation:
             ("ridge_lambda_baseline", "1.0"),
             ("default_rating_std", None),
             ("setting", 3),
+            ("seeds", "12"),
+            ("seeds", 3),
+            ("seeds", [1, "x"]),
+            ("seeds", [True]),
+            ("labeled_test", 5),
+            ("archetypes", [{"name": "a", "hashed_dim": "8", "ngram_min": 3, "ngram_max": 5}]),
+            ("archetypes", {"name": "a", "hashed_dim": 8, "ngram_min": 3, "ngram_max": 5}),
+            ("retrieval", {"hashed_dim": 128, "ngram_min": 3.0, "ngram_max": 4}),
+            ("corpora", [{"path": 5, "source": "wiki"}]),
+            ("hyper_fine", {"max_epochs": "3"}),
+            ("hyper_fine", 3),
         ],
     )
     def test_mistyped_scalar(self, tmp_path, capsys, key, value):
@@ -175,7 +239,16 @@ class TestValidation:
         config_path = _write_config(tmp_path, dataset, {key: value})
         assert main(["ingest", "--config", str(config_path)]) == 1
         (line,) = capsys.readouterr().err.strip().splitlines()
-        assert line.startswith(f"error: {key} must be")
+        # a nested value is named by its path, e.g. archetypes[0].hashed_dim
+        assert re.match(rf"error: {key}(\[\d+\])?(\.\w+)? must be ", line), line
+
+    def test_archetype_named_retrieval_rejected(self, tmp_path, capsys):
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        archetype = {"name": "retrieval", "hashed_dim": 64, "ngram_min": 2, "ngram_max": 4}
+        config_path = _write_config(tmp_path, dataset, {"archetypes": [archetype]})
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert "'retrieval' is reserved" in line
 
     @pytest.mark.parametrize(
         "key",
@@ -244,6 +317,92 @@ class TestStaleness:
         assert main(["featurize", "--config", str(config_path)]) == 2
         assert main(["ingest", "--config", str(config_path)]) == 0
         assert main(["featurize", "--config", str(config_path)]) == 0
+
+
+class TestBadInputFiles:
+    """A malformed input file ends in exit 1 with a one-line message."""
+
+    @pytest.fixture()
+    def featurized(self, tmp_path):
+        dataset = fixtures.make_synthetic_dataset(n_corpus=80, n_train=10, n_test=5, seed=2)
+        config_path = _write_config(tmp_path, dataset)
+        for command in ("ingest", "featurize"):
+            assert main([command, "--config", str(config_path)]) == 0, command
+        return tmp_path, config_path, dataset
+
+    def _one_line_error(self, capsys, command, config_path, *flags):
+        capsys.readouterr()
+        assert main([command, "--config", str(config_path), *flags]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        return line
+
+    def test_mos_out_of_range(self, featurized, capsys):
+        directory, config_path, dataset = featurized
+        rows = dataset.labeled_train
+        bad = [dataclasses.replace(rows[0], mos=9.5), *rows[1:]]
+        fixtures.write_labeled_tsv(bad, directory / "train.tsv")
+        line = self._one_line_error(capsys, "train-baseline", config_path)
+        assert "row 2: mos 9.5 outside" in line
+
+    def test_duplicate_labeled_id(self, featurized, capsys):
+        directory, config_path, dataset = featurized
+        rows = dataset.labeled_train
+        fixtures.write_labeled_tsv(
+            [*rows, dataclasses.replace(rows[-1], text="x y z")], directory / "train.tsv"
+        )
+        line = self._one_line_error(capsys, "train-baseline", config_path)
+        assert f"id {dataset.labeled_train[-1].id} already used" in line
+
+    def test_store_record_without_text(self, featurized, capsys):
+        directory, config_path, _ = featurized
+        store = directory / "out" / cli.STORE
+        lines = store.read_text(encoding="utf-8").splitlines()
+        lines[2] = json.dumps({"id": 2, "source": "wiki"})
+        store.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        line = self._one_line_error(capsys, "featurize", config_path, "--force")
+        assert "line 3: store record has no 'text' field" in line
+
+
+def test_nothing_admitted_names_the_stage_and_fold(tmp_path, capsys):
+    """With rating std 0 no candidate is admitted; training stages exit 1, naming where."""
+    dataset = fixtures.make_synthetic_dataset(n_corpus=80, n_train=10, n_test=5, seed=2)
+    config_path = _write_config(tmp_path, dataset)
+    fixtures.write_labeled_tsv(
+        [dataclasses.replace(s, rating_std=0.0) for s in dataset.labeled_train],
+        tmp_path / "train.tsv",
+    )
+    for command in ("ingest", "featurize", "index", "train-baseline", "pseudolabel"):
+        assert main([command, "--config", str(config_path)]) == 0, command
+    assert load_pseudo_labels(tmp_path / "out" / cli.PSEUDO_LABELS).labels == []
+    capsys.readouterr()
+    for command, where in (("train-ensemble", "train-ensemble"), ("evaluate", "fold 0")):
+        assert main([command, "--config", str(config_path)]) == 1, command
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith(f"error: {where}: no pseudo-labels were admitted"), line
+
+
+def test_archetype_changed_after_featurize_is_stale(tmp_path, capsys):
+    dataset = fixtures.make_synthetic_dataset(n_corpus=80, n_train=10, n_test=5, seed=2)
+    config_path = _write_config(tmp_path, dataset)
+    for command in ("ingest", "featurize"):
+        assert main([command, "--config", str(config_path)]) == 0, command
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["archetypes"][0]["hashed_dim"] = 256
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train-ensemble", "--config", str(config_path)]) == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert "archetype 'a'" in line
+
+
+def test_tracer_finds_every_name_it_patches():
+    """perfbench/traced_cli.py patches pseudolab functions by name; all must exist."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    code = "import traced_cli; traced_cli.install(traced_cli.Tracer())"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_corrupt_index_under_force_is_artifact_error(tmp_path, capsys):

@@ -143,7 +143,7 @@ def generated(small_context, small_dataset):
 
     ctx = small_context
     anchors = small_dataset.labeled_train
-    baseline = pipeline.train_gate_model(ctx, anchors, pipeline.PipelineConfig())
+    baseline = pipeline.train_gate_model(ctx.retrieval_stats, anchors, pipeline.PipelineConfig())
     scores = pipeline.corpus_score_map(ctx, baseline)
     exclude = {a.text for a in anchors} | {a.text for a in small_dataset.labeled_test}
     pset = generate_pseudo_labels(

@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -127,12 +128,42 @@ class Manifest:
         return digest
 
 
+def _dead_lock_holder(lock_path: Path) -> int | None:
+    """The PID a lock file names, if no process has that PID."""
+    try:
+        pid = int(lock_path.read_text())
+        if pid > 0:  # os.kill would signal a process group otherwise
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return pid
+    except (OSError, ValueError):  # gone, PID not written yet, or another user's
+        pass
+    return None
+
+
 @contextlib.contextmanager
 def output_lock(output_dir: str | Path):
-    """One command at a time per output directory."""
+    """One command at a time per output directory.
+
+    A lock whose PID names no live process was left by a killed command and
+    is taken over, once.
+    """
     lock_path = Path(output_dir) / ".lock"
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        try:
+            fd = os.open(lock_path, flags)
+        except FileExistsError:
+            dead_pid = _dead_lock_holder(lock_path)
+            if dead_pid is None:
+                raise
+            print(
+                f"removing stale lock {lock_path}: process {dead_pid} no longer exists",
+                file=sys.stderr,
+            )
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(lock_path)
+            fd = os.open(lock_path, flags)
     except FileExistsError:
         raise RuntimeError(
             f"output directory {output_dir} is locked by another command "

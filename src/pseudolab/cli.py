@@ -35,7 +35,7 @@ from .corpus import CorpusStore, InputFileError, LabeledSentence, deduplicate, i
 from .ensemble import make_fold_plan, save_bundle
 from .features import FeatureStats, embed_many, fit_feature_stats, load_feature_stats, save_feature_stats
 from .metrics import render_report_table, save_report
-from .pipeline import RETRIEVAL, Archetype, PipelineContext, evaluate_settings, fine_tune_ensemble, generate_for_anchors, train_gate_model, train_stage_models
+from .pipeline import RETRIEVAL, Archetype, PipelineContext, embed_labeled, evaluate_settings, fine_tune_ensemble, generate_for_anchors, train_gate_model, train_stage_models
 from .pseudolabel import load_pseudo_labels, pseudo_label_stats, render_stats_table, save_pseudo_labels, save_set_stats
 from .scorer import load_model, model_to_json
 from .simindex import IndexFormatError, build_index, load_index, save_index, verify_index
@@ -277,7 +277,10 @@ def cmd_train_ensemble(config: RunConfig, force: bool) -> None:
     models9 = train_stage_models(ctx, pset, config, "train-ensemble")
     _log(f"[train-ensemble] pseudo stage: {len(models9)} models")
     plan = make_fold_plan(len(labeled), config.n_folds, seed=config.fold_seed)
-    bundle = fine_tune_ensemble(models9, ctx.archetypes, labeled, plan, config)
+    bundle = fine_tune_ensemble(
+        models9, ctx.archetypes, labeled, plan, config,
+        features_by_archetype=embed_labeled(ctx.archetypes, labeled),
+    )
     _log(f"[train-ensemble] fine-tuned {len(bundle.fold_models)} fold models")
     bundle.aggregation = (
         "stacker" if config.setting == "ensemble_stacker" else "mean"

@@ -146,14 +146,18 @@ def cv_fine_tune(
     labeled: Sequence[LabeledSentence],
     plan: FoldPlan,
     hyper: HyperParams,
+    *,
+    features_by_archetype: Mapping[str, np.ndarray],
 ) -> EnsembleBundle:
-    """Fine-tune each base model per fold; fill the out-of-fold matrix."""
+    """Fine-tune each base model per fold; fill the out-of-fold matrix.
+
+    `features_by_archetype` holds each archetype's features of `labeled`, row
+    for row.
+    """
     if len(labeled) != plan.assignment.shape[0]:
         raise ValueError("fold plan does not cover the labeled set")
     arch_by_name = {a.name: a for a in archetypes}
-    texts = [s.text for s in labeled]
     y = np.array([s.mos for s in labeled], dtype=np.float64)
-    features = {a.name: embed_many(texts, a.stats) for a in archetypes}
 
     base_keys = [(m.archetype, m.seed) for m in models]
     oof = np.full((len(labeled), len(models)), np.nan)
@@ -161,7 +165,7 @@ def cv_fine_tune(
 
     for j, base in enumerate(models):
         arch = arch_by_name[base.archetype]
-        X = features[base.archetype]
+        X = features_by_archetype[base.archetype]
         for f in range(plan.n_folds):
             train_idx = plan.train_indices(f)
             h = replace(

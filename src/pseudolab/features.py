@@ -10,8 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +29,10 @@ STD_FLOOR = 1e-9
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_FNV64_PRIME = np.uint64(FNV64_PRIME)
+
+# Rows featurized at a time, so that peak memory does not grow with the batch.
+EMBED_CHUNK_ROWS = 1024
 
 
 def fnv1a64(data: bytes) -> int:
@@ -111,38 +114,76 @@ def truncate_tokens(text: str, max_tokens: int) -> str:
     return " ".join(tokens[:max_tokens])
 
 
-def surface_features(text: str) -> np.ndarray:
-    tokens = text.split()
-    n_chars = len(text)
-    n_tokens = len(tokens)
-    feats = np.zeros(SURFACE_DIM, dtype=np.float64)
-    feats[0] = n_chars
-    feats[1] = n_tokens
-    feats[2] = sum(len(t) for t in tokens) / n_tokens if n_tokens else 0.0
-    feats[3] = text.count(",")
-    feats[4] = sum(ch.isdigit() for ch in text) / n_chars if n_chars else 0.0
-    feats[5] = len(set(tokens)) / n_tokens if n_tokens else 0.0
+def _fnv1a64_windows(text: str, n_max: int) -> Iterator[np.ndarray]:
+    """FNV-1a 64 of the UTF-8 bytes of every window of 1..n_max characters of text.
+
+    The n-th array yielded (n from 1) holds, at position i, the hash of
+    text[i : i + n]; a window that runs past the end of text is not a valid
+    n-gram and its entry is meaningless. Each window's state is extended by
+    one character, that is by its 1-4 UTF-8 bytes, per step, with wrapping
+    uint64 arithmetic, so the result equals fnv1a64(gram.encode("utf-8")).
+    """
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    starts = np.flatnonzero((raw & 0xC0) != 0x80)  # not a continuation byte
+    n_chars = starts.size
+    widths = np.diff(starts, append=raw.size)
+    padded = np.concatenate([raw, np.zeros(3, dtype=np.uint8)])
+    pad = np.zeros(n_max, dtype=np.uint8)
+    # byte k of every character, zero and masked out past its width
+    char_bytes = [np.concatenate([padded[starts + k], pad]) for k in range(4)]
+    has_byte = [np.concatenate([widths > k, pad.astype(bool)]) for k in range(4)]
+    h = np.full(n_chars, FNV64_OFFSET, dtype=np.uint64)
+    for n in range(n_max):
+        window = slice(n, n + n_chars)
+        h = (h ^ char_bytes[0][window]) * _FNV64_PRIME  # every character has a first byte
+        for k in range(1, 4):
+            h = np.where(has_byte[k][window], (h ^ char_bytes[k][window]) * _FNV64_PRIME, h)
+        yield h
+
+
+def _hashed_block(texts: Sequence[str], config: FeatureConfig) -> np.ndarray:
+    """Feature-hashed character n-grams, one L2-normalized row per text.
+
+    Each bucket sums +-1 per n-gram (the sign is the hash's top bit), so it
+    holds an exact integer and the row does not depend on the other texts.
+    A text with no n-gram gets a zero row.
+    """
+    dim = config.hashed_dim
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    rows = np.repeat(np.arange(len(texts)), lengths)
+    # characters from each position to the end of its own text
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(rows.size)
+    keys, signs = [], []
+    for n, h in enumerate(_fnv1a64_windows("".join(texts), config.ngram_max), start=1):
+        if n < config.ngram_min:
+            continue
+        valid = room >= n
+        h = h[valid]
+        keys.append(rows[valid] * dim + (h % dim).astype(np.int64))
+        signs.append(np.where(h >> 63 == 0, 1.0, -1.0))
+    block = np.bincount(
+        np.concatenate(keys), weights=np.concatenate(signs), minlength=len(texts) * dim
+    ).reshape(len(texts), dim)
+    norms = np.sqrt(np.einsum("ij,ij->i", block, block))
+    return block / np.where(norms > 0.0, norms, 1.0)[:, None]
+
+
+def _surface_block(texts: Sequence[str]) -> np.ndarray:
+    """The SURFACE_FEATURES of each text, one row per text."""
+    # str.isdigit per distinct character; translate drops the digits in C
+    digits = {ord(c): None for c in set().union(*texts) if c.isdigit()}
+    feats = np.array(
+        [
+            (len(t), len(s), len("".join(s)), t.count(","),
+             len(t) - len(t.translate(digits)), len(set(s)))
+            for t, s in ((t, t.split()) for t in texts)
+        ],
+        dtype=np.float64,
+    ).reshape(len(texts), SURFACE_DIM)
+    # means per token and per character; each numerator is 0 where its denominator is
+    for col, denom in ((2, 1), (4, 0), (5, 1)):
+        np.divide(feats[:, col], feats[:, denom], out=feats[:, col], where=feats[:, denom] > 0)
     return feats
-
-
-@lru_cache(maxsize=1 << 20)
-def _gram_fnv(gram: str) -> int:
-    # grams repeat heavily across a corpus; caching avoids rehashing
-    return fnv1a64(gram.encode("utf-8"))
-
-
-def hashed_ngram_block(text: str, config: FeatureConfig) -> np.ndarray:
-    """Feature-hashed character n-grams, L2-normalized (zero vector if no grams)."""
-    vec = np.zeros(config.hashed_dim, dtype=np.float64)
-    for n in range(config.ngram_min, config.ngram_max + 1):
-        for i in range(len(text) - n + 1):
-            h = _gram_fnv(text[i : i + n])
-            sign = 1.0 if (h >> 63) == 0 else -1.0
-            vec[h % config.hashed_dim] += sign
-    norm = float(np.linalg.norm(vec))
-    if norm > 0.0:
-        vec /= norm
-    return vec
 
 
 def fit_feature_stats(corpus: Iterable, config: FeatureConfig) -> FeatureStats:
@@ -150,9 +191,7 @@ def fit_feature_stats(corpus: Iterable, config: FeatureConfig) -> FeatureStats:
     texts = [getattr(r, "text", r) for r in corpus]
     if not texts:
         raise ValueError("cannot fit feature stats on an empty corpus")
-    rows = np.stack(
-        [surface_features(truncate_tokens(t, config.max_tokens)) for t in texts]
-    )
+    rows = _surface_block([truncate_tokens(t, config.max_tokens) for t in texts])
     means = rows.mean(axis=0)
     stds = np.maximum(rows.std(axis=0), STD_FLOOR)
     return FeatureStats(
@@ -162,20 +201,29 @@ def fit_feature_stats(corpus: Iterable, config: FeatureConfig) -> FeatureStats:
 
 def embed(text: str, stats: FeatureStats) -> np.ndarray:
     """Map a normalized sentence to its fixed-dimension feature vector."""
-    config = stats.config
-    if stats.fingerprint != config.fingerprint():
-        raise ValueError("feature stats fingerprint does not match its config")
-    text = truncate_tokens(text, config.max_tokens)
-    hashed = hashed_ngram_block(text, config)
-    surface = (surface_features(text) - stats.means) / stats.stds
-    surface /= np.sqrt(SURFACE_DIM)
-    return np.concatenate([hashed, surface])
+    return embed_many([text], stats)[0]
 
 
 def embed_many(texts: Sequence[str], stats: FeatureStats) -> np.ndarray:
-    if not texts:
-        return np.zeros((0, stats.config.dimension), dtype=np.float64)
-    return np.stack([embed(t, stats) for t in texts])
+    """One feature row per text: the hashed block, then the z-scored surface block.
+
+    Texts are featurized EMBED_CHUNK_ROWS at a time, so peak memory does not
+    grow with the batch; a row does not depend on which texts share its chunk.
+    """
+    config = stats.config
+    if stats.fingerprint != config.fingerprint():
+        raise ValueError("feature stats fingerprint does not match its config")
+    out = np.empty((len(texts), config.dimension), dtype=np.float64)
+    for start in range(0, len(texts), EMBED_CHUNK_ROWS):
+        chunk = [
+            truncate_tokens(t, config.max_tokens)
+            for t in texts[start : start + EMBED_CHUNK_ROWS]
+        ]
+        rows = slice(start, start + len(chunk))
+        out[rows, : config.hashed_dim] = _hashed_block(chunk, config)
+        surface = (_surface_block(chunk) - stats.means) / stats.stds
+        out[rows, config.hashed_dim :] = surface / np.sqrt(SURFACE_DIM)
+    return out
 
 
 def save_feature_stats(stats_by_name: dict[str, FeatureStats], path) -> None:

@@ -211,18 +211,33 @@ def train_stage_models(
     )
 
 
+def embed_labeled(
+    archetypes: Sequence[Archetype], labeled: Sequence[LabeledSentence]
+) -> dict[str, np.ndarray]:
+    """Each archetype's features of the labeled sentences, row for row."""
+    texts = [s.text for s in labeled]
+    return {arch.name: embed_many(texts, arch.stats) for arch in archetypes}
+
+
 def fine_tune_ensemble(
     models: Sequence[ScorerModel],
     archetypes: Sequence[Archetype],
     labeled: Sequence[LabeledSentence],
     plan: FoldPlan,
     cfg: PipelineConfig,
+    *,
+    features_by_archetype: dict[str, np.ndarray],
 ) -> EnsembleBundle:
     """Fine-tune every pseudo-stage model per fold, then fit the stacker on the OOF matrix.
 
-    The bundle aggregates by mean; set `aggregation` to "stacker" to use the stacker.
+    `features_by_archetype` holds each archetype's features of `labeled`, row
+    for row. The bundle aggregates by mean; set `aggregation` to "stacker" to
+    use the stacker.
     """
-    bundle = cv_fine_tune(models, archetypes, labeled, plan, cfg.hyper_fine)
+    bundle = cv_fine_tune(
+        models, archetypes, labeled, plan, cfg.hyper_fine,
+        features_by_archetype=features_by_archetype,
+    )
     y = np.array([s.mos for s in labeled])
     weights, intercept, fallback = fit_stacker(bundle.oof, y)
     bundle.stacker_weights = weights
@@ -249,12 +264,8 @@ def evaluate_settings(
             raise ValueError(f"unknown setting {setting!r}; expected one of {SETTINGS}")
     labeled = list(labeled)
     y = np.array([s.mos for s in labeled])
-    texts = [s.text for s in labeled]
-    exclude = set(texts)
-
-    x_labeled = {
-        arch.name: embed_many(texts, arch.stats) for arch in ctx.archetypes
-    }
+    exclude = {s.text for s in labeled}
+    x_labeled = embed_labeled(ctx.archetypes, labeled)
     need_pseudo = predictor_override is None and any(
         s != "baseline" for s in settings
     )
@@ -289,7 +300,10 @@ def evaluate_settings(
                 len(train_idx), cfg.n_folds, seed=plan.seed * 1009 + f
             )
             bundle = fine_tune_ensemble(
-                models9, ctx.archetypes, fold_train, inner_plan, cfg
+                models9, ctx.archetypes, fold_train, inner_plan, cfg,
+                features_by_archetype={
+                    name: feats[train_idx] for name, feats in x_labeled.items()
+                },
             )
 
         for setting in settings:

@@ -83,11 +83,13 @@ def generate_pseudo_labels(
     if exclude_texts:
         excluded_ids = {r.id for r in store.records if r.text in exclude_texts}
 
+    # top_k scans in float64: convert the index once here, not once per query
+    scan = VectorIndex(index.ids, index.vectors.astype(np.float64), index.fingerprint)
     seen: set[int] = set()
     labels: list[PseudoLabel] = []
     for anchor in sorted(anchors, key=lambda a: a.id):
         query = embed(anchor.text, feature_stats)
-        hits = top_k(index, query, k, exclude=excluded_ids or None)
+        hits = top_k(scan, query, k, exclude=excluded_ids or None)
         candidate_ids = [h.id for h in hits if h.id not in seen]
         if not candidate_ids:
             continue

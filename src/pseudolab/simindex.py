@@ -25,13 +25,17 @@ class Hit:
 
 
 class VectorIndex:
-    """Immutable cosine-similarity index (exact scan, float32 storage)."""
+    """Immutable cosine-similarity index (exact scan).
+
+    Stored as float32; a float64 copy of the same vectors saves the
+    conversion on every query when many queries run in a row.
+    """
 
     def __init__(self, ids: np.ndarray, vectors: np.ndarray, fingerprint: str):
         self.ids = ids
         self.vectors = vectors
         self.fingerprint = fingerprint
-        self.norms = np.linalg.norm(vectors.astype(np.float64), axis=1)
+        self.norms = np.linalg.norm(np.asarray(vectors, dtype=np.float64), axis=1)
 
     @property
     def dimension(self) -> int:
@@ -82,7 +86,7 @@ def top_k(
     qnorm = float(np.linalg.norm(query))
     if qnorm == 0.0 or index.count == 0:
         return []
-    dots = index.vectors.astype(np.float64) @ query
+    dots = np.asarray(index.vectors, dtype=np.float64) @ query
     denom = index.norms * qnorm
     sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
     if exclude:

@@ -271,7 +271,10 @@ def test_criterion_07_cardinality_and_hygiene(acceptance, rng):
         for i, (t, v) in enumerate(zip(texts, scores))
     ]
     plan = make_fold_plan(len(labeled), 5, seed=4)
-    bundle = cv_fine_tune(models, archetypes, labeled, plan, HyperParams(max_epochs=2))
+    bundle = cv_fine_tune(
+        models, archetypes, labeled, plan, HyperParams(max_epochs=2),
+        features_by_archetype={a.name: embed_many(texts, a.stats) for a in archetypes},
+    )
     assert len(bundle.fold_models) == 45
     assert bundle.oof.shape == (len(labeled), 9)
     assert not np.any(np.isnan(bundle.oof))

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from pseudolab import cli, features, fixtures, pseudolabel
+from pseudolab import ensemble as ensemble_module
 from pseudolab import pipeline as pipeline_module
 from pseudolab.cli import main
 from pseudolab.config import load_config
@@ -144,25 +145,36 @@ class TestFullPipeline:
         self, pipeline, monkeypatch
     ):
         directory, config_path, dataset = pipeline
-        embedded: list[str] = []
-        original = features.embed
+        config = load_config(config_path)
+        # (text, featurizer fingerprint) of every row embedded, counted where called
+        embedded: list[tuple[str, str]] = []
 
-        def counting_embed(text, stats):
-            embedded.append(text)
-            return original(text, stats)
+        def counting(original, one_text):
+            def wrapper(texts, stats):
+                rows = [texts] if one_text else list(texts)
+                embedded.extend((t, stats.fingerprint) for t in rows)
+                return original(texts, stats)
 
-        monkeypatch.setattr(features, "embed", counting_embed)
-        monkeypatch.setattr(pseudolabel, "embed", counting_embed)
+            return wrapper
+
+        for module in (cli, pipeline_module, ensemble_module):
+            monkeypatch.setattr(module, "embed_many", counting(features.embed_many, False))
+        monkeypatch.setattr(pseudolabel, "embed", counting(features.embed, True))
         labeled = {s.text for s in dataset.labeled_train}
-        n_archetypes = len(load_config(config_path).archetypes)
+        n_archetypes = len(config.archetypes)
+        retrieval = config.retrieval.fingerprint()
 
         assert main(["train-ensemble", "--config", str(config_path)]) == 0
         assert len(embedded) == len(dataset.labeled_train) * n_archetypes
-        assert set(embedded) <= labeled
+        assert {t for t, _ in embedded} <= labeled
         embedded.clear()
         assert main(["evaluate", "--config", str(config_path)]) == 0
         assert embedded
-        assert set(embedded) <= labeled
+        assert {t for t, _ in embedded} <= labeled
+        # the archetype features of the labeled set are embedded once, and
+        # every fold's fine-tuning reuses them
+        archetype_rows = [t for t, fp in embedded if fp != retrieval]
+        assert len(archetype_rows) == len(dataset.labeled_train) * n_archetypes
 
     def test_pseudolabel_matches_in_process_pipeline(self, pipeline):
         directory, config_path, _ = pipeline
@@ -184,11 +196,35 @@ class TestFullPipeline:
     def test_lock_blocks_second_command(self, pipeline):
         directory, config_path, _ = pipeline
         lock = directory / "out" / ".lock"
-        lock.write_text("12345")
+        lock.write_text(str(os.getpid()))
         try:
             assert main(["ingest", "--config", str(config_path)]) == 1
         finally:
             lock.unlink()
+
+
+class TestStaleLock:
+    @pytest.fixture
+    def config_path(self, tmp_path):
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        (tmp_path / "out").mkdir()
+        return _write_config(tmp_path, dataset)
+
+    def test_lock_of_dead_process_is_taken_over(self, config_path, capsys):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        assert child.wait(timeout=60) == 0  # reaped: no process has its PID now
+        lock = config_path.parent / "out" / ".lock"
+        lock.write_text(str(child.pid))
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        assert f"process {child.pid} no longer exists" in capsys.readouterr().err
+        assert not lock.exists()
+
+    def test_empty_lock_still_blocks(self, config_path):
+        # its holder may not have written its PID yet
+        lock = config_path.parent / "out" / ".lock"
+        lock.write_text("")
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        assert lock.exists()
 
 
 class TestValidation:

@@ -121,7 +121,11 @@ def tuned_bundle(toy_archetypes, request):
     labeled = _labeled_from(texts, y)
     plan = make_fold_plan(len(labeled), n_folds=5, seed=11)
     hyper = HyperParams(learning_rate=0.1, max_epochs=10, early_stopping=True)
-    return cv_fine_tune(base, archetypes, labeled, plan, hyper), labeled, plan
+    features = {a.name: embed_many(texts, a.stats) for a in archetypes}
+    bundle = cv_fine_tune(
+        base, archetypes, labeled, plan, hyper, features_by_archetype=features
+    )
+    return bundle, labeled, plan
 
 
 class TestCvFineTune:
@@ -151,7 +155,10 @@ class TestCvFineTune:
         plan = make_fold_plan(len(labeled), n_folds=5, seed=1)
         plan.assignment[[0, 3]] = 5  # no fold 5 in a 5-fold plan
         with pytest.raises(ValueError, match=r"seed 1, 5 folds.*2 out-of-fold rows"):
-            cv_fine_tune(base, archetypes[:1], labeled, plan, HyperParams(max_epochs=1))
+            cv_fine_tune(
+                base, archetypes[:1], labeled, plan, HyperParams(max_epochs=1),
+                features_by_archetype={"a": embed_many(texts, archetypes[0].stats)},
+            )
 
     def test_plan_size_mismatch(self, toy_archetypes):
         archetypes, texts = toy_archetypes
@@ -166,7 +173,10 @@ class TestCvFineTune:
         labeled = _labeled_from(texts[:10], [3.0] * 10)
         plan = make_fold_plan(9, n_folds=3)
         with pytest.raises(ValueError, match="fold plan"):
-            cv_fine_tune(base, archetypes, labeled, plan, HyperParams())
+            cv_fine_tune(
+                base, archetypes, labeled, plan, HyperParams(),
+                features_by_archetype={"a": embed_many(texts[:10], archetypes[0].stats)},
+            )
 
     def test_recovers_exact_linear_target(self, toy_archetypes):
         # target is an exact linear function of archetype-a features, so the
@@ -189,6 +199,7 @@ class TestCvFineTune:
             labeled,
             plan,
             HyperParams(learning_rate=0.01, max_epochs=2),
+            features_by_archetype={"a": X},
         )
         oof_rmse = float(np.sqrt(np.mean((bundle.oof[:, 0] - y) ** 2)))
         assert oof_rmse < 0.05

@@ -1,26 +1,109 @@
 import json
 import math
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudolab.features import (
+    EMBED_CHUNK_ROWS,
     SURFACE_DIM,
     FeatureConfig,
     FeatureStats,
+    _fnv1a64_windows,
     embed,
     embed_many,
     fit_feature_stats,
     fnv1a64,
-    hashed_ngram_block,
     load_feature_stats,
     save_feature_stats,
-    surface_features,
     truncate_tokens,
 )
+from pseudolab.pipeline import DEFAULT_ARCHETYPE_SPECS, DEFAULT_RETRIEVAL_CONFIG
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+# The per-text featurizer the batch path replaced, kept as the reference.
+def surface_features(text: str) -> np.ndarray:
+    tokens = text.split()
+    n_chars = len(text)
+    n_tokens = len(tokens)
+    feats = np.zeros(SURFACE_DIM, dtype=np.float64)
+    feats[0] = n_chars
+    feats[1] = n_tokens
+    feats[2] = sum(len(t) for t in tokens) / n_tokens if n_tokens else 0.0
+    feats[3] = text.count(",")
+    feats[4] = sum(ch.isdigit() for ch in text) / n_chars if n_chars else 0.0
+    feats[5] = len(set(tokens)) / n_tokens if n_tokens else 0.0
+    return feats
+
+
+@lru_cache(maxsize=1 << 20)
+def _gram_fnv(gram: str) -> int:
+    # grams repeat heavily across a corpus; caching avoids rehashing
+    return fnv1a64(gram.encode("utf-8"))
+
+
+def hashed_ngram_block(text: str, config: FeatureConfig) -> np.ndarray:
+    """Feature-hashed character n-grams, L2-normalized (zero vector if no grams)."""
+    vec = np.zeros(config.hashed_dim, dtype=np.float64)
+    for n in range(config.ngram_min, config.ngram_max + 1):
+        for i in range(len(text) - n + 1):
+            h = _gram_fnv(text[i : i + n])
+            sign = 1.0 if (h >> 63) == 0 else -1.0
+            vec[h % config.hashed_dim] += sign
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
+
+
+def oracle_stats(texts, config: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
+    rows = np.stack(
+        [surface_features(truncate_tokens(t, config.max_tokens)) for t in texts]
+    )
+    return rows.mean(axis=0), np.maximum(rows.std(axis=0), 1e-9)
+
+
+def oracle_embed(text: str, stats: FeatureStats) -> np.ndarray:
+    config = stats.config
+    text = truncate_tokens(text, config.max_tokens)
+    hashed = hashed_ngram_block(text, config)
+    surface = (surface_features(text) - stats.means) / stats.stds
+    surface /= np.sqrt(SURFACE_DIM)
+    return np.concatenate([hashed, surface])
+
+
+def assert_matches_oracle(texts, config: FeatureConfig) -> None:
+    """Stats and every embedded row equal the per-text reference bit for bit."""
+    stats = fit_feature_stats(texts, config)
+    means, stds = oracle_stats(texts, config)
+    assert stats.means.tobytes() == means.tobytes()
+    assert stats.stds.tobytes() == stds.tobytes()
+    expected = np.stack([oracle_embed(t, stats) for t in texts])
+    assert embed_many(texts, stats).tobytes() == expected.tobytes()
+
+
+DEFAULT_CONFIGS = [DEFAULT_RETRIEVAL_CONFIG] + [
+    spec.feature_config() for spec in DEFAULT_ARCHETYPE_SPECS
+]
+SMALL_CONFIG = FeatureConfig(hashed_dim=16, ngram_min=1, ngram_max=2, max_tokens=3)
+
+EDGE_TEXTS = [
+    "Der Hund läuft schnell über die Straße, und 3 Kinder spielen 2025.",
+    "Größere Maße: 1,5 Äpfel, 12 Öfen, ß und ẞ.",
+    "日本語の文は三バイト文字です",
+    "emoji 😀😀 und 𝔘𝔫𝔦𝔠𝔬𝔡𝔢 mit ²³ und ٣ Ziffern",
+    "",
+    " ",
+    "\t \n  ",
+    "ab",
+    " ".join(f"wort{i}," for i in range(200)),
+]
 
 
 def test_fnv1a64_reference_vectors():
@@ -155,6 +238,48 @@ def test_locality_proxy_property(rng):
         if _cosine(e_s, embed(s_close, stats)) > _cosine(e_s, embed(r, stats)):
             hits += 1
     assert hits / n_pairs >= 0.95
+
+
+def test_fnv1a64_vectors_through_batch_windows():
+    vectors = json.loads((FIXTURES / "fnv1a64_vectors.json").read_text())["vectors"]
+    texts = [t for t in vectors if t]  # the empty string has no window
+    offsets = np.cumsum([0] + [len(t) for t in texts])
+    windows = list(_fnv1a64_windows("".join(texts), max(map(len, texts))))
+    for text, offset in zip(texts, offsets):
+        got = int(windows[len(text) - 1][offset])
+        assert format(got, "016x") == vectors[text], text
+
+
+@pytest.mark.parametrize("config", DEFAULT_CONFIGS, ids=str)
+def test_embed_many_matches_oracle_on_fixture(big_dataset, config):
+    assert_matches_oracle([r.text for r in big_dataset.store.records], config)
+
+
+@pytest.mark.parametrize("config", DEFAULT_CONFIGS + [SMALL_CONFIG], ids=str)
+def test_embed_many_matches_oracle_on_edge_texts(config):
+    assert_matches_oracle(EDGE_TEXTS, config)
+
+
+@pytest.mark.parametrize("config", DEFAULT_CONFIGS + [SMALL_CONFIG], ids=str)
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.lists(
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=40),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_embed_many_matches_oracle_on_any_unicode(config, texts):
+    assert_matches_oracle(texts, config)
+
+
+def test_rows_do_not_depend_on_batch(big_dataset):
+    texts = [r.text for r in big_dataset.store.records]
+    assert len(texts) > EMBED_CHUNK_ROWS
+    stats = fit_feature_stats(texts, DEFAULT_CONFIGS[0])
+    batch = embed_many(texts, stats)
+    for i, text in enumerate(texts):
+        assert batch[i].tobytes() == embed_many([text], stats)[0].tobytes(), i
 
 
 def test_embed_many_matches_embed(stats):

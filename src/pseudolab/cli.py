@@ -33,7 +33,7 @@ from .artifacts import (
 from .config import ConfigError, RunConfig, load_config
 from .corpus import CorpusStore, InputFileError, LabeledSentence, deduplicate, ingest_corpus, load_labeled, load_store, normalize_sentence, save_store
 from .ensemble import make_fold_plan, save_bundle
-from .features import FeatureStats, embed_many, fit_feature_stats, load_feature_stats, save_feature_stats
+from .features import FeatureStats, embed_many, fit_feature_stats_many, load_feature_stats, save_feature_stats
 from .metrics import render_report_table, save_report
 from .pipeline import RETRIEVAL, Archetype, PipelineContext, embed_labeled, evaluate_settings, fine_tune_ensemble, generate_for_anchors, train_gate_model, train_stage_models
 from .pseudolabel import load_pseudo_labels, pseudo_label_stats, render_stats_table, save_pseudo_labels, save_set_stats
@@ -170,9 +170,9 @@ def _feature_cache(stats: FeatureStats) -> str:
 def cmd_featurize(config: RunConfig, force: bool) -> None:
     stage = _Stage("featurize", config, force)
     store = load_store(stage.require(STORE, "ingest"))
-    stats = {RETRIEVAL: fit_feature_stats(store.records, config.retrieval)}
-    for spec in config.archetypes:
-        stats[spec.name] = fit_feature_stats(store.records, spec.feature_config())
+    configs = {RETRIEVAL: config.retrieval}
+    configs.update((spec.name, spec.feature_config()) for spec in config.archetypes)
+    stats = dict(zip(configs, fit_feature_stats_many(store.records, configs.values())))
     _atomic_save(
         stage.outdir / FEATURE_STATS, lambda tmp: save_feature_stats(stats, tmp)
     )

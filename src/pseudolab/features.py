@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -197,6 +197,25 @@ def fit_feature_stats(corpus: Iterable, config: FeatureConfig) -> FeatureStats:
     return FeatureStats(
         config=config, means=means, stds=stds, fingerprint=config.fingerprint()
     )
+
+
+def fit_feature_stats_many(
+    corpus: Iterable, configs: Iterable[FeatureConfig]
+) -> list[FeatureStats]:
+    """fit_feature_stats for each config, fitting once per distinct max_tokens.
+
+    The surface statistics depend on no other field of the config.
+    """
+    corpus = list(corpus)
+    fitted: dict[int, FeatureStats] = {}
+    result = []
+    for config in configs:
+        if config.max_tokens not in fitted:
+            fitted[config.max_tokens] = fit_feature_stats(corpus, config)
+        result.append(
+            replace(fitted[config.max_tokens], config=config, fingerprint=config.fingerprint())
+        )
+    return result
 
 
 def embed(text: str, stats: FeatureStats) -> np.ndarray:

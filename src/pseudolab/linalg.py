@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+
+# Bound to the scipy package on the first solve: importing scipy.linalg costs
+# about a third of a second, and most CLI stages never solve.
+scipy = None
 
 JITTER = 1e-10
 MAX_JITTER_RETRIES = 3
@@ -14,6 +17,9 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Retries with A + 1e-10*I up to three times before giving up.
     """
+    global scipy
+    if scipy is None:
+        import scipy.linalg
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise ValueError("non-finite entries in linear system")
     attempt = A

@@ -24,7 +24,7 @@ from .ensemble import (
     score_features,
     train_pseudo_stage,
 )
-from .features import FeatureConfig, FeatureStats, embed_many, fit_feature_stats
+from .features import FeatureConfig, FeatureStats, embed_many, fit_feature_stats_many
 from .metrics import EvalReport, fold_mean, mapped_rmse, rmse
 from .pseudolabel import PseudoLabelSet, generate_pseudo_labels
 from .scorer import HyperParams, ScorerModel, predict, train_iterative, train_ridge
@@ -116,14 +116,12 @@ def build_context(
 ) -> PipelineContext:
     """Fit every featurizer on the store and embed the corpus under each."""
     texts = [r.text for r in store.records]
-    retrieval_stats = fit_feature_stats(store.records, retrieval_config)
+    retrieval_stats, *archetype_stats = fit_feature_stats_many(
+        store.records, [retrieval_config, *(spec.feature_config() for spec in archetype_specs)]
+    )
     archetypes = [
-        Archetype(
-            name=spec.name,
-            stats=fit_feature_stats(store.records, spec.feature_config()),
-            batch_size=spec.batch_size,
-        )
-        for spec in archetype_specs
+        Archetype(name=spec.name, stats=stats, batch_size=spec.batch_size)
+        for spec, stats in zip(archetype_specs, archetype_stats)
     ]
     index = build_index(
         zip((r.id for r in store.records), embed_many(texts, retrieval_stats)),

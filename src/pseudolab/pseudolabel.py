@@ -11,9 +11,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import CorpusStore, LabeledSentence
-from .features import FeatureStats, embed
+from .features import FeatureStats, embed_many
 from .scorer import ScorerModel
-from .simindex import VectorIndex, top_k
+from .simindex import VectorIndex, top_k_many
+
+# Not called here: perfbench/traced_cli.py looks these up on this module to patch them.
+from .features import embed  # noqa: F401
+from .simindex import top_k  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -83,14 +87,13 @@ def generate_pseudo_labels(
     if exclude_texts:
         excluded_ids = {r.id for r in store.records if r.text in exclude_texts}
 
-    # top_k scans in float64: convert the index once here, not once per query
-    scan = VectorIndex(index.ids, index.vectors.astype(np.float64), index.fingerprint)
+    anchors = sorted(anchors, key=lambda a: a.id)
+    queries = embed_many([a.text for a in anchors], feature_stats)
+    hits = top_k_many(index, queries, k, exclude=excluded_ids)
     seen: set[int] = set()
     labels: list[PseudoLabel] = []
-    for anchor in sorted(anchors, key=lambda a: a.id):
-        query = embed(anchor.text, feature_stats)
-        hits = top_k(scan, query, k, exclude=excluded_ids or None)
-        candidate_ids = [h.id for h in hits if h.id not in seen]
+    for anchor, (hit_ids, _) in zip(anchors, hits):
+        candidate_ids = [cid for cid in hit_ids.tolist() if cid not in seen]
         if not candidate_ids:
             continue
         scores = np.array([precomputed_scores[cid] for cid in candidate_ids])

@@ -441,6 +441,21 @@ def test_tracer_finds_every_name_it_patches():
     assert result.returncode == 0, result.stderr
 
 
+def test_cli_imports_scipy_only_to_solve():
+    """The version flag and every import of the CLI leave scipy unloaded."""
+    code = (
+        "import sys; from pseudolab import cli; "
+        "assert 'scipy' not in sys.modules, 'on import'; "
+        "assert cli.main(['--version']) == 0; "
+        "assert 'scipy' not in sys.modules, 'after --version'"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_corrupt_index_under_force_is_artifact_error(tmp_path, capsys):
     dataset = fixtures.make_synthetic_dataset(n_corpus=80, n_train=10, n_test=5, seed=2)
     config_path = _write_config(tmp_path, dataset)

@@ -1,0 +1,106 @@
+"""Fault injection: every artifact a stage reads, truncated or bit-flipped.
+
+Each fault must end in exit 2 (stale or corrupt artifact) with one line on
+stderr naming the artifact, never in an exit-3 traceback.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from pseudolab import cli, fixtures
+from pseudolab.cli import main
+
+TRAINING_STAGES = (
+    "ingest",
+    "featurize",
+    "index",
+    "train-baseline",
+    "pseudolabel",
+    "train-ensemble",
+)
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """The 600-sentence fixture run through train-ensemble with the default featurizers."""
+    directory = tmp_path_factory.mktemp("faults")
+    dataset = fixtures.make_synthetic_dataset(n_corpus=600, n_train=60, n_test=20)
+    config = {
+        "corpora": fixtures.write_corpus_files(dataset.store, directory / "corpus"),
+        "labeled_train": str(directory / "train.tsv"),
+        "labeled_test": str(directory / "test.tsv"),
+        "output_dir": str(directory / "out"),
+        "k": 100,
+    }
+    fixtures.write_labeled_tsv(dataset.labeled_train, directory / "train.tsv")
+    fixtures.write_labeled_tsv(dataset.labeled_test, directory / "test.tsv")
+    config_path = directory / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    for stage in TRAINING_STAGES:
+        assert main([stage, "--config", str(config_path)]) == 0, stage
+    sentences = directory / "sentences.txt"
+    sentences.write_text("".join(s.text + "\n" for s in dataset.labeled_test), encoding="utf-8")
+    return directory / "out", config_path, sentences
+
+
+def _feature_cache(out: Path) -> str:
+    return f"{cli.CORPUS_FEATURES}/{sorted((out / cli.CORPUS_FEATURES).iterdir())[0].name}"
+
+
+def _bundle_model(out: Path) -> str:
+    return f"{cli.BUNDLE}/models/{sorted((out / cli.BUNDLE / 'models').iterdir())[0].name}"
+
+
+# (file, stage that reads it, the artifact name the error must give)
+CASES = [
+    (cli.STORE, "featurize", cli.STORE),
+    (cli.FEATURE_STATS, "index", cli.FEATURE_STATS),
+    (cli.CORPUS_VECTORS, "index", cli.CORPUS_VECTORS),
+    (cli.CORPUS_IDS, "index", cli.CORPUS_IDS),
+    (_feature_cache, "train-ensemble", _feature_cache),
+    (cli.INDEX, "pseudolabel", cli.INDEX),
+    (cli.BASELINE_MODEL, "pseudolabel", cli.BASELINE_MODEL),
+    (cli.PSEUDO_LABELS, "train-ensemble", cli.PSEUDO_LABELS),
+    (f"{cli.BUNDLE}/manifest.json", "predict", cli.BUNDLE),
+    (_bundle_model, "predict", cli.BUNDLE),
+]
+
+
+def _truncate(data: bytes) -> bytes:
+    return data[: len(data) // 2]
+
+
+def _flip_byte(data: bytes) -> bytes:
+    flipped = bytearray(data)
+    flipped[len(data) // 2] ^= 0x01
+    return bytes(flipped)
+
+
+@pytest.mark.parametrize("fault", [_truncate, _flip_byte], ids=["truncated", "bit-flipped"])
+@pytest.mark.parametrize(
+    "relative, stage, artifact",
+    CASES,
+    ids=["store", "feature_stats", "corpus_vectors", "corpus_ids", "corpus_features",
+         "index", "baseline_model", "pseudo_labels", "bundle_manifest", "bundle_model"],
+)
+def test_corrupt_artifact_is_named(trained, capsys, fault, relative, stage, artifact):
+    out, config_path, sentences = trained
+    relative = relative(out) if callable(relative) else relative
+    artifact = artifact(out) if callable(artifact) else artifact
+    path = out / relative
+    original = path.read_bytes()
+    argv = [stage, "--config", str(config_path)]
+    if stage == "predict":
+        argv += ["--input", str(sentences)]
+    capsys.readouterr()
+    try:
+        path.write_bytes(fault(original))
+        code = main(argv)
+    finally:
+        path.write_bytes(original)
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2, lines
+    assert len(lines) == 1, lines
+    assert repr(artifact) in lines[0]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pseudolab import features as features_module
 from pseudolab.features import (
     EMBED_CHUNK_ROWS,
     SURFACE_DIM,
@@ -17,6 +18,7 @@ from pseudolab.features import (
     embed,
     embed_many,
     fit_feature_stats,
+    fit_feature_stats_many,
     fnv1a64,
     load_feature_stats,
     save_feature_stats,
@@ -210,6 +212,28 @@ class TestFitStats:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             fit_feature_stats([], FeatureConfig(hashed_dim=64))
+
+    def test_many_fits_once_per_max_tokens(self, monkeypatch):
+        texts = ["eins zwei drei vier", "fünf, sechs 7", "acht neun zehn elf zwölf dreizehn"]
+        configs = [
+            DEFAULT_RETRIEVAL_CONFIG,
+            *(spec.feature_config() for spec in DEFAULT_ARCHETYPE_SPECS),
+            FeatureConfig(hashed_dim=64, max_tokens=2),
+            FeatureConfig(hashed_dim=32, max_tokens=2),
+        ]
+        expected = [fit_feature_stats(texts, config).to_dict() for config in configs]
+        calls = []
+        original = features_module.fit_feature_stats
+
+        def counting(corpus, config):
+            calls.append(config.max_tokens)
+            return original(corpus, config)
+
+        monkeypatch.setattr(features_module, "fit_feature_stats", counting)
+        fitted = fit_feature_stats_many(iter(texts), configs)
+        assert sorted(calls) == [2, 128]
+        # json.dumps of float lists is exact, so this compares every bit
+        assert json.dumps([s.to_dict() for s in fitted]) == json.dumps(expected)
 
 
 def _cosine(a, b):

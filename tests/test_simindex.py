@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from pseudolab import simindex
 from pseudolab.simindex import (
     MAGIC,
     IndexFormatError,
@@ -12,6 +13,7 @@ from pseudolab.simindex import (
     load_index,
     save_index,
     top_k,
+    top_k_many,
     verify_index,
 )
 
@@ -128,6 +130,97 @@ class TestTopK:
         hits = top_k(index, query, 10, exclude=exclude)
         oracle = brute_force_top_k(_f32_items(items), query, 10, exclude=exclude)
         assert [h.id for h in hits] == [i for i, _ in oracle]
+
+
+def _mixed_batch(rng, n, d, n_queries):
+    """Random rows and queries with exact ties, near-ties and zero vectors.
+
+    Row 0 is repeated exactly, times (1 + 2**-50) (stored as float32, that is
+    row 0 again), times 2 and times 0.5, whose cosines equal row 0's in any
+    summation order; row 5 is zero. Query 0 is zero, query 1 is row 0 and
+    query 3 is query 2 times (1 + 2**-50). Ids are shuffled so that id order
+    is not row order.
+    """
+    rows = rng.normal(size=(n, d))
+    for row, scale in zip(range(1, 5), (1.0, 1.0 + 2.0**-50, 2.0, 0.5)):
+        rows[row] = rows[0] * scale
+    rows[5] = 0.0
+    ids = rng.permutation(3 * n)[:n].tolist()
+    queries = rng.normal(size=(n_queries, d))
+    queries[0] = 0.0
+    queries[1] = rows[0]
+    queries[3] = queries[2] * (1.0 + 2.0**-50)
+    return list(zip(ids, rows)), queries
+
+
+def _near_tie_batch(rng, n=300, d=96, nonzero=40, n_queries=20):
+    """Rows and queries of +-constant entries.
+
+    Many cosines are equal in exact arithmetic and differ only by how their
+    terms were summed, so GEMM and a matrix-vector product order them
+    differently unless near-ties are rescored.
+    """
+    rows = np.zeros((n, d))
+    for row in rows:
+        cols = rng.choice(d, size=nonzero, replace=False)
+        row[cols] = rng.choice([-1.0, 1.0], size=nonzero) / np.sqrt(nonzero)
+    queries = rng.choice([-1.0, 1.0], size=(n_queries, d)) * 0.7310585786300049
+    return build_index(list(enumerate(rows))), queries
+
+
+def _hit_lists(results):
+    return [ids.tolist() for ids, _ in results]
+
+
+class TestTopKMany:
+    def test_matches_top_k_and_oracle(self, rng):
+        for trial in range(8):
+            n = int(rng.integers(8, 150))
+            d = int(rng.integers(2, 24))
+            items, queries = _mixed_batch(rng, n, d, n_queries=6)
+            index = build_index(items)
+            ids = [i for i, _ in items]
+            exclude = set(rng.choice(ids, size=trial, replace=False).tolist())
+            for k in (1, 7, n + 5):
+                results = top_k_many(index, queries, k, exclude=exclude)
+                for query, (hit_ids, sims) in zip(queries, results):
+                    hits = top_k(index, query, k, exclude=exclude)
+                    assert hit_ids.tolist() == [h.id for h in hits]
+                    if not query.any():
+                        assert hit_ids.size == 0
+                        continue
+                    oracle = brute_force_top_k(_f32_items(items), query, k, exclude)
+                    assert hit_ids.tolist() == [i for i, _ in oracle], (trial, k)
+                    np.testing.assert_allclose(sims, [s for _, s in oracle], rtol=0, atol=1e-12)
+
+    def test_exclude_everything(self, rng):
+        index = build_index([(i, rng.normal(size=3)) for i in range(4)])
+        results = top_k_many(index, rng.normal(size=(2, 3)), 3, exclude={0, 1, 2, 3})
+        assert [ids.size for ids, _ in results] == [0, 0]
+
+    def test_query_dimension_mismatch(self):
+        index = build_index([(0, [1.0, 2.0])])
+        with pytest.raises(ValueError, match="dimension"):
+            top_k_many(index, np.ones((2, 3)), 1)
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_hits_do_not_depend_on_block(self, rng, monkeypatch, block):
+        batches = [_near_tie_batch(rng) for _ in range(3)]
+        items, queries = _mixed_batch(rng, 120, 16, n_queries=9)
+        batches.append((build_index(items), queries))
+        expected = [_hit_lists(top_k_many(index, q, 50, exclude={3})) for index, q in batches]
+        monkeypatch.setattr(simindex, "QUERY_BLOCK", block)
+        for (index, queries), want in zip(batches, expected):
+            assert _hit_lists(top_k_many(index, queries, 50, exclude={3})) == want
+            alone = [[h.id for h in top_k(index, q, 50, exclude={3})] for q in queries]
+            assert alone == want
+
+    def test_similarities_never_increase(self, rng):
+        index, queries = _near_tie_batch(rng)
+        items, mixed = _mixed_batch(rng, 200, 8, n_queries=5)
+        for index, queries in ((index, queries), (build_index(items), mixed)):
+            for _, sims in top_k_many(index, queries, 500):
+                assert np.all(np.diff(sims) <= 0.0)
 
 
 class TestPersistence:

@@ -71,7 +71,15 @@ class Manifest:
         self.data: dict = {"tool_version": tool_version, "stages": {}}
         path = self.output_dir / self.FILENAME
         if path.exists():
-            self.data = json.loads(path.read_text(encoding="utf-8"))
+            try:
+                self.data = json.loads(path.read_text(encoding="utf-8"))
+                if not all(isinstance(i["outputs"], dict) for i in self.data["stages"].values()):
+                    raise TypeError("a stage record has no outputs")
+            except (ValueError, TypeError, KeyError, AttributeError) as exc:
+                raise StaleArtifactError(
+                    f"{self.FILENAME!r} in {self.output_dir} is corrupt ({exc!r}); "
+                    "remove it and re-run the stages from 'ingest'"
+                ) from None
             if tool_version:
                 self.data["tool_version"] = tool_version
 

@@ -32,7 +32,7 @@ from .artifacts import (
 )
 from .config import ConfigError, RunConfig, load_config
 from .corpus import CorpusStore, InputFileError, LabeledSentence, deduplicate, ingest_corpus, load_labeled, load_store, normalize_sentence, save_store
-from .ensemble import make_fold_plan, save_bundle
+from .ensemble import FoldPlan, make_fold_plan, save_bundle
 from .features import FeatureStats, embed_many, fit_feature_stats_many, load_feature_stats, save_feature_stats
 from .metrics import render_report_table, save_report
 from .pipeline import RETRIEVAL, Archetype, PipelineContext, embed_labeled, evaluate_settings, fine_tune_ensemble, generate_for_anchors, train_gate_model, train_stage_models
@@ -269,14 +269,24 @@ def cmd_pseudolabel(config: RunConfig, force: bool) -> None:
     stage.finish([PSEUDO_LABELS, PSEUDO_STATS, PSEUDO_TABLE])
 
 
+def _fold_plan(config: RunConfig, labeled: list[LabeledSentence], *, nested: bool) -> FoldPlan:
+    """The fold plan; `nested`: each training fold is split again into `n_folds` folds."""
+    n, k = len(labeled), config.n_folds
+    smallest = n - (n + k - 1) // k if nested else n  # minus the largest fold
+    if smallest < k:
+        what = "sentences in the smallest training fold" if nested else "labeled sentences"
+        raise ConfigError(f"n_folds is {k}, more than the {smallest} {what} of labeled_train")
+    return make_fold_plan(n, k, seed=config.fold_seed)
+
+
 def cmd_train_ensemble(config: RunConfig, force: bool) -> None:
     stage = _Stage("train-ensemble", config, force)
     ctx = _load_context(stage, retrieval=False, features=True)
     pset = load_pseudo_labels(stage.require(PSEUDO_LABELS, "pseudolabel"))
     labeled = stage.labeled(config.labeled_train)
+    plan = _fold_plan(config, labeled, nested=False)
     models9 = train_stage_models(ctx, pset, config, "train-ensemble")
     _log(f"[train-ensemble] pseudo stage: {len(models9)} models")
-    plan = make_fold_plan(len(labeled), config.n_folds, seed=config.fold_seed)
     bundle = fine_tune_ensemble(
         models9, ctx.archetypes, labeled, plan, config,
         features_by_archetype=embed_labeled(ctx.archetypes, labeled),
@@ -293,7 +303,7 @@ def cmd_evaluate(config: RunConfig, force: bool) -> None:
     stage = _Stage("evaluate", config, force)
     ctx = _load_context(stage, retrieval=True, features=True)
     labeled = stage.labeled(config.labeled_train)
-    plan = make_fold_plan(len(labeled), config.n_folds, seed=config.fold_seed)
+    plan = _fold_plan(config, labeled, nested=config.setting.startswith("ensemble"))
     reports = evaluate_settings(ctx, labeled, [config.setting], plan, config)
     report = reports[config.setting]
     _atomic_save(stage.outdir / EVAL_JSON, lambda tmp: save_report(report, tmp))

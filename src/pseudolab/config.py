@@ -161,6 +161,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("n_folds must be at least 2")
     if not cfg.seeds or any(s <= 0 for s in cfg.seeds):
         raise ConfigError("seeds must be positive integers")
+    if len(set(cfg.seeds)) < len(cfg.seeds):  # a seed keys its models and their files
+        raise ConfigError(f"seeds must be distinct, got {list(cfg.seeds)}")
     if not cfg.archetypes:
         raise ConfigError("config lists no archetypes")
     if len({a.name for a in cfg.archetypes}) != len(cfg.archetypes):

@@ -8,7 +8,7 @@ sentence's entry comes from the variant fine-tuned on the folds excluding it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -101,43 +101,40 @@ class EnsembleBundle:
     oof_columns: list[dict] = field(default_factory=list)
 
 
-def _derived_seed(base_seed: int, fold: int, hyper_seed: int) -> int:
+def _derived_seed(base_seed: int, fold: int) -> int:
     # stable RNG seed per (base model, fold) pair
-    return (hyper_seed * 1_000_003 + base_seed * 9_176 + fold) & 0x7FFFFFFF
+    return (base_seed * 9_176 + fold) & 0x7FFFFFFF
 
 
 def train_pseudo_stage(
-    pseudo_texts: Sequence[str],
+    features_by_archetype: Mapping[str, np.ndarray],
     pseudo_scores: Sequence[float],
     archetypes: Sequence[Archetype],
     seeds: Sequence[int],
     hyper: HyperParams,
-    features_by_archetype: Mapping[str, np.ndarray] | None = None,
 ) -> list[ScorerModel]:
-    """Train one model per (archetype, seed) on the pseudo-label pairs."""
-    if not pseudo_texts:
-        raise ValueError("empty pseudo-label training set")
+    """Train one model per (archetype, seed) on the pseudo-label pairs.
+
+    `features_by_archetype` holds each archetype's rows, in `pseudo_scores` order.
+    """
     y = np.asarray(pseudo_scores, dtype=np.float64)
-    models: list[ScorerModel] = []
-    for arch in archetypes:
-        if features_by_archetype is not None and arch.name in features_by_archetype:
-            X = features_by_archetype[arch.name]
-        else:
-            X = embed_many(list(pseudo_texts), arch.stats)
-        for seed in seeds:
-            h = replace(hyper, seed=seed, batch_size=arch.batch_size)
-            models.append(
-                train_iterative(
-                    None,
-                    X,
-                    y,
-                    h,
-                    fingerprint=arch.stats.fingerprint,
-                    stage="pseudo_tuned",
-                    archetype=arch.name,
-                )
-            )
-    return models
+    if not y.size:
+        raise ValueError("empty pseudo-label training set")
+    return [
+        train_iterative(
+            None,
+            features_by_archetype[arch.name],
+            y,
+            hyper,
+            seed=seed,
+            batch_size=arch.batch_size,
+            fingerprint=arch.stats.fingerprint,
+            stage="pseudo_tuned",
+            archetype=arch.name,
+        )
+        for arch in archetypes
+        for seed in seeds
+    ]
 
 
 def cv_fine_tune(
@@ -168,16 +165,13 @@ def cv_fine_tune(
         X = features_by_archetype[base.archetype]
         for f in range(plan.n_folds):
             train_idx = plan.train_indices(f)
-            h = replace(
-                hyper,
-                seed=_derived_seed(base.seed, f, hyper.seed),
-                batch_size=arch.batch_size,
-            )
             tuned = train_iterative(
                 base,
                 X[train_idx],
                 y[train_idx],
-                h,
+                hyper,
+                seed=_derived_seed(base.seed, f),
+                batch_size=arch.batch_size,
                 fingerprint=arch.stats.fingerprint,
                 stage="final",
                 archetype=base.archetype,

@@ -54,7 +54,7 @@ class FeatureConfig:
         if self.hashed_dim <= 0:
             raise ValueError("hashed_dim must be positive")
         if not 1 <= self.ngram_min <= self.ngram_max:
-            raise ValueError("invalid n-gram range")
+            raise ValueError("ngram_min and ngram_max must satisfy 1 <= ngram_min <= ngram_max")
         if self.max_tokens <= 0:
             raise ValueError("max_tokens must be positive")
 

@@ -108,8 +108,18 @@ def mapped_rmse(pred, gold) -> tuple[float, MappingCoeffs]:
     return rmse(apply_mapping(mapping, pred), gold), mapping
 
 
+def render_table(header: list[str], body: list[list[str]]) -> str:
+    """Aligned text table: first column left-justified, the rest right-justified."""
+    widths = [max([len(h), *(len(row[i]) for row in body)]) for i, h in enumerate(header)]
+    return "".join(
+        "  ".join([row[0].ljust(widths[0]), *(c.rjust(w) for c, w in zip(row[1:], widths[1:]))])
+        + "\n"
+        for row in [header, *body]
+    )
+
+
 def render_report_table(reports: list[EvalReport]) -> str:
-    """Aligned text table: one row per setting, per-fold columns plus the mean."""
+    """One row per setting, per-fold columns plus the mean."""
     if not reports:
         return ""
     n_folds = len(reports[0].per_fold_rmse)
@@ -118,21 +128,7 @@ def render_report_table(reports: list[EvalReport]) -> str:
         [r.setting] + [f"{v:.3f}" for v in r.per_fold_rmse] + [f"{r.fold_mean_rmse:.3f}"]
         for r in reports
     ]
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in body)) for i in range(len(header))
-    ]
-    lines = [
-        header[0].ljust(widths[0])
-        + "  "
-        + "  ".join(h.rjust(w) for h, w in zip(header[1:], widths[1:]))
-    ]
-    for row in body:
-        lines.append(
-            row[0].ljust(widths[0])
-            + "  "
-            + "  ".join(c.rjust(w) for c, w in zip(row[1:], widths[1:]))
-        )
-    return "\n".join(lines) + "\n"
+    return render_table(header, body)
 
 
 def save_report(report: EvalReport, path: str | Path) -> None:

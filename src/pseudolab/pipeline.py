@@ -43,6 +43,11 @@ class ArchetypeSpec:
     ngram_max: int
     batch_size: int = 32
 
+    def __post_init__(self):
+        self.feature_config()  # raises on a featurizer setting FeatureConfig rejects
+        if self.batch_size <= 0:
+            raise ValueError("batch_size must be positive")
+
     def feature_config(self) -> FeatureConfig:
         return FeatureConfig(
             hashed_dim=self.hashed_dim,
@@ -200,12 +205,11 @@ def train_stage_models(
             "nothing to train on (raise k or check the labeled set)"
         )
     return train_pseudo_stage(
-        [lab.text for lab in pset.labels],
+        _pseudo_features(ctx, pset),
         [lab.predicted_score for lab in pset.labels],
         ctx.archetypes,
         cfg.seeds,
         cfg.hyper_pseudo,
-        features_by_archetype=_pseudo_features(ctx, pset),
     )
 
 
@@ -309,14 +313,13 @@ def evaluate_settings(
                 preds = np.asarray(predictor_override(setting, fold_test), dtype=np.float64)
             elif setting == "baseline":
                 arch0 = ctx.archetypes[0]
-                h = replace(
-                    cfg.hyper_baseline, seed=plan.seed * 7919 + f, batch_size=arch0.batch_size
-                )
                 model = train_iterative(
                     None,
                     x_labeled[arch0.name][train_idx],
                     y[train_idx],
-                    h,
+                    cfg.hyper_baseline,
+                    seed=plan.seed * 7919 + f,
+                    batch_size=arch0.batch_size,
                     fingerprint=arch0.stats.fingerprint,
                     stage="baseline",
                     archetype=arch0.name,

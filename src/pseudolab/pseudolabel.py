@@ -12,6 +12,7 @@ import numpy as np
 
 from .corpus import CorpusStore, LabeledSentence
 from .features import FeatureStats, embed_many
+from .metrics import render_table
 from .scorer import ScorerModel
 from .simindex import VectorIndex, top_k_many
 
@@ -141,21 +142,12 @@ def pseudo_label_stats(pset: PseudoLabelSet) -> list[tuple[str, int, float, floa
 
 def render_stats_table(rows: Iterable[tuple[str, int, float, float]]) -> str:
     """Aligned text table: source, sentence count, average length, average score."""
-    header = ("Data Source", "#Sentences", "AvgLength", "AvgMOS")
-    body = [(source, f"{count:,}", f"{length:.0f}", f"{score:.1f}") for source, count, length, score in rows]
-    widths = [max(len(h), *(len(r[i]) for r in body)) if body else len(h) for i, h in enumerate(header)]
-    lines = [
-        header[0].ljust(widths[0])
-        + "  "
-        + "  ".join(h.rjust(w) for h, w in zip(header[1:], widths[1:]))
+    header = ["Data Source", "#Sentences", "AvgLength", "AvgMOS"]
+    body = [
+        [source, f"{count:,}", f"{length:.0f}", f"{score:.1f}"]
+        for source, count, length, score in rows
     ]
-    for row in body:
-        lines.append(
-            row[0].ljust(widths[0])
-            + "  "
-            + "  ".join(c.rjust(w) for c, w in zip(row[1:], widths[1:]))
-        )
-    return "\n".join(lines) + "\n"
+    return render_table(header, body)
 
 
 def save_pseudo_labels(pset: PseudoLabelSet, path: str | Path) -> None:
@@ -179,7 +171,7 @@ def save_pseudo_labels(pset: PseudoLabelSet, path: str | Path) -> None:
             )
 
 
-def load_pseudo_labels(path: str | Path, config: dict | None = None) -> PseudoLabelSet:
+def load_pseudo_labels(path: str | Path) -> PseudoLabelSet:
     labels: list[PseudoLabel] = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -198,9 +190,7 @@ def load_pseudo_labels(path: str | Path, config: dict | None = None) -> PseudoLa
                     anchor_std=float(obj["anchor_std"]),
                 )
             )
-    return PseudoLabelSet(
-        labels=labels, config=config or {}, stats=compute_set_stats(labels)
-    )
+    return PseudoLabelSet(labels=labels, stats=compute_set_stats(labels))
 
 
 def save_set_stats(pset: PseudoLabelSet, path: str | Path) -> None:

@@ -18,24 +18,19 @@ from .linalg import clamp_scores, solve_spd
 @dataclass
 class HyperParams:
     learning_rate: float = 0.2
-    schedule: str = "linear"
     warmup_fraction: float = 0.1
-    batch_size: int = 32
     max_epochs: int = 30
     early_stopping: bool = False
     early_stopping_holdout_fraction: float = 0.2
     ridge_lambda: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if self.schedule != "linear":
-            raise ValueError(f"unsupported schedule: {self.schedule!r}")
         if not 0 <= self.warmup_fraction < 1:
             raise ValueError("warmup_fraction must be in [0, 1)")
-        if self.batch_size <= 0 or self.max_epochs <= 0:
-            raise ValueError("batch_size and max_epochs must be positive")
+        if self.max_epochs <= 0:
+            raise ValueError("max_epochs must be positive")
         if not 0 < self.early_stopping_holdout_fraction < 1:
             raise ValueError("early_stopping_holdout_fraction must be in (0, 1)")
         if self.ridge_lambda < 0:
@@ -104,7 +99,6 @@ def train_ridge(
     ridge_lambda: float = 0.0,
     *,
     fingerprint: str = "",
-    seed: int = 0,
     stage: str = "baseline",
     archetype: str = "",
 ) -> ScorerModel:
@@ -123,7 +117,6 @@ def train_ridge(
         weights=w,
         intercept=intercept,
         fingerprint=fingerprint,
-        seed=seed,
         stage=stage,
         archetype=archetype,
     )
@@ -148,6 +141,8 @@ def train_iterative(
     y: np.ndarray,
     hyper: HyperParams,
     *,
+    seed: int,
+    batch_size: int,
     fingerprint: str = "",
     stage: str = "pseudo_tuned",
     archetype: str = "",
@@ -155,9 +150,11 @@ def train_iterative(
     """Mini-batch gradient descent on squared error plus a ridge penalty.
 
     Linear warmup then linear decay to zero; data reshuffled each epoch from
-    a generator seeded by hyper.seed, so runs are bitwise reproducible.
+    a generator seeded by `seed`, so runs are bitwise reproducible.
     """
     X, y = _validate_training_inputs(X, y)
+    if batch_size <= 0:
+        raise ValueError("batch_size must be positive")
     n, d = X.shape
     if init is not None:
         if fingerprint and init.fingerprint and init.fingerprint != fingerprint:
@@ -172,20 +169,19 @@ def train_iterative(
         w = np.zeros(d, dtype=np.float64)
         b = 0.0
 
-    rng = np.random.default_rng(hyper.seed)
+    rng = np.random.default_rng(seed)
     holdout_idx = np.zeros(0, dtype=np.int64)
-    train_idx = np.arange(n)
+    Xt, yt = X, y  # rows are gathered only when a holdout is split off
     if hyper.early_stopping:
         order = rng.permutation(n)
         n_hold = int(round(n * hyper.early_stopping_holdout_fraction))
         if 1 <= n_hold < n:
             holdout_idx = order[n - n_hold :]
             train_idx = order[: n - n_hold]
-
-    Xt, yt = X[train_idx], y[train_idx]
+            Xt, yt = X[train_idx], y[train_idx]
     Xh, yh = X[holdout_idx], y[holdout_idx]
     nt = Xt.shape[0]
-    n_batches = (nt + hyper.batch_size - 1) // hyper.batch_size
+    n_batches = (nt + batch_size - 1) // batch_size
     total_steps = hyper.max_epochs * n_batches
 
     best = (np.inf, w.copy(), b)
@@ -193,8 +189,8 @@ def train_iterative(
     step = 0
     for epoch in range(hyper.max_epochs):
         perm = rng.permutation(nt)
-        for start in range(0, nt, hyper.batch_size):
-            batch = perm[start : start + hyper.batch_size]
+        for start in range(0, nt, batch_size):
+            batch = perm[start : start + batch_size]
             Xb, yb = Xt[batch], yt[batch]
             err = Xb @ w + b - yb
             if not np.all(np.isfinite(err)):
@@ -220,7 +216,7 @@ def train_iterative(
         weights=w,
         intercept=b,
         fingerprint=fingerprint,
-        seed=hyper.seed,
+        seed=seed,
         stage=stage,
         archetype=archetype,
     )

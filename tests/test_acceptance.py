@@ -121,7 +121,9 @@ def test_criterion_03_ridge_correctness(acceptance, rng):
         None,
         X,
         y,
-        HyperParams(learning_rate=0.3, max_epochs=300, batch_size=32, ridge_lambda=0.1),
+        HyperParams(learning_rate=0.3, max_epochs=300, ridge_lambda=0.1),
+        seed=0,
+        batch_size=32,
     )
     l2 = float(
         np.linalg.norm(
@@ -262,8 +264,9 @@ def test_criterion_07_cardinality_and_hygiene(acceptance, rng):
         Archetype("c", fit_feature_stats(texts, FeatureConfig(hashed_dim=48, ngram_min=4, ngram_max=6)), 20),
     ]
     scores = rng.uniform(2, 6, size=len(texts))
+    features = {a.name: embed_many(texts, a.stats) for a in archetypes}
     models = train_pseudo_stage(
-        texts, scores, archetypes, (1, 2, 3), HyperParams(learning_rate=0.2, max_epochs=2)
+        features, scores, archetypes, (1, 2, 3), HyperParams(learning_rate=0.2, max_epochs=2)
     )
     assert len(models) == 9
     labeled = [
@@ -273,7 +276,7 @@ def test_criterion_07_cardinality_and_hygiene(acceptance, rng):
     plan = make_fold_plan(len(labeled), 5, seed=4)
     bundle = cv_fine_tune(
         models, archetypes, labeled, plan, HyperParams(max_epochs=2),
-        features_by_archetype={a.name: embed_many(texts, a.stats) for a in archetypes},
+        features_by_archetype=features,
     )
     assert len(bundle.fold_models) == 45
     assert bundle.oof.shape == (len(labeled), 9)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -278,6 +279,33 @@ class TestValidation:
         # a nested value is named by its path, e.g. archetypes[0].hashed_dim
         assert re.match(rf"error: {key}(\[\d+\])?(\.\w+)? must be ", line), line
 
+    @pytest.mark.parametrize("section", ["hyper_pseudo", "hyper_fine", "hyper_baseline"])
+    @pytest.mark.parametrize("key, value", [("schedule", "linear"), ("batch_size", 32), ("seed", 0)])
+    def test_removed_hyper_key(self, tmp_path, capsys, section, key, value):
+        # each fit's seed comes from seeds or fold_seed, its batch size from its archetype
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        config_path = _write_config(tmp_path, dataset, {section: {key: value}})
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == f"error: {section} has unknown key {key!r}"
+
+    def test_repeated_seed_rejected(self, tmp_path, capsys):
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        config_path = _write_config(tmp_path, dataset, {"seeds": [1, 2, 1]})
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == "error: seeds must be distinct, got [1, 2, 1]"
+
+    @pytest.mark.parametrize("key", ["hashed_dim", "ngram_min", "batch_size"])
+    def test_archetype_value_rejected(self, tmp_path, capsys, key):
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        archetype = {"name": "a", "hashed_dim": 64, "ngram_min": 2, "ngram_max": 4, key: 0}
+        config_path = _write_config(tmp_path, dataset, {"archetypes": [archetype]})
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("error: invalid archetypes[0]: "), line
+        assert key in line
+
     def test_archetype_named_retrieval_rejected(self, tmp_path, capsys):
         dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
         archetype = {"name": "retrieval", "hashed_dim": 64, "ngram_min": 2, "ngram_max": 4}
@@ -415,6 +443,26 @@ def test_nothing_admitted_names_the_stage_and_fold(tmp_path, capsys):
         assert main([command, "--config", str(config_path)]) == 1, command
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line.startswith(f"error: {where}: no pseudo-labels were admitted"), line
+
+
+@pytest.mark.parametrize(
+    "stage, extra_folds",
+    # evaluate splits each training fold again into n_folds inner folds
+    [("train-ensemble", 1), ("evaluate", 0)],
+)
+def test_n_folds_beyond_labeled_set(pipeline, tmp_path, capsys, stage, extra_folds):
+    directory, config_path, dataset = pipeline
+    shutil.copytree(directory / "out", tmp_path / "out")
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    n_folds = len(dataset.labeled_train) + extra_folds
+    config.update(output_dir=str(tmp_path / "out"), n_folds=n_folds)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    assert main([stage, "--config", str(path)]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith(f"error: n_folds is {n_folds}, more than the "), line
+    assert "labeled_train" in line
 
 
 def test_archetype_changed_after_featurize_is_stale(tmp_path, capsys):

@@ -73,7 +73,8 @@ class TestPseudoStage:
         archetypes, texts = toy_archetypes
         scores = rng.uniform(2, 6, size=len(texts))
         hyper = HyperParams(learning_rate=0.1, max_epochs=2)
-        models = train_pseudo_stage(texts, scores, archetypes, (1, 2, 3), hyper)
+        features = {a.name: embed_many(texts, a.stats) for a in archetypes}
+        models = train_pseudo_stage(features, scores, archetypes, (1, 2, 3), hyper)
         assert len(models) == 9
         keys = {(m.archetype, m.seed) for m in models}
         assert len(keys) == 9
@@ -83,7 +84,11 @@ class TestPseudoStage:
         archetypes, texts = toy_archetypes
         scores = rng.uniform(2, 6, size=len(texts))
         models = train_pseudo_stage(
-            texts, scores, archetypes[:1], (7,), HyperParams(max_epochs=1)
+            {"a": embed_many(texts, archetypes[0].stats)},
+            scores,
+            archetypes[:1],
+            (7,),
+            HyperParams(max_epochs=1),
         )
         assert len(models) == 1
         assert models[0].fingerprint == archetypes[0].stats.fingerprint
@@ -92,14 +97,21 @@ class TestPseudoStage:
         archetypes, texts = toy_archetypes
         scores = rng.uniform(2, 6, size=len(texts))
         hyper = HyperParams(learning_rate=0.1, max_epochs=2)
-        a = train_pseudo_stage(texts, scores, archetypes, (1, 2), hyper)
-        b = train_pseudo_stage(texts, scores, archetypes, (1, 2), hyper)
+        features = {a.name: embed_many(texts, a.stats) for a in archetypes}
+        a = train_pseudo_stage(features, scores, archetypes, (1, 2), hyper)
+        b = train_pseudo_stage(features, scores, archetypes, (1, 2), hyper)
         assert [model_to_json(m) for m in a] == [model_to_json(m) for m in b]
 
     def test_empty_rejected(self, toy_archetypes):
         archetypes, _ = toy_archetypes
         with pytest.raises(ValueError, match="empty"):
-            train_pseudo_stage([], [], archetypes, (1,), HyperParams())
+            train_pseudo_stage(
+                {a.name: embed_many([], a.stats) for a in archetypes},
+                [],
+                archetypes,
+                (1,),
+                HyperParams(),
+            )
 
 
 def _labeled_from(texts, y):
@@ -114,14 +126,14 @@ def tuned_bundle(toy_archetypes, request):
     archetypes, texts = toy_archetypes
     rng = np.random.default_rng(5)
     scores = rng.uniform(2, 6, size=len(texts))
+    features = {a.name: embed_many(texts, a.stats) for a in archetypes}
     base = train_pseudo_stage(
-        texts, scores, archetypes, (1, 2, 3), HyperParams(learning_rate=0.2, max_epochs=3)
+        features, scores, archetypes, (1, 2, 3), HyperParams(learning_rate=0.2, max_epochs=3)
     )
     y = np.clip(2.0 + 0.04 * np.array([len(t) for t in texts]) + rng.normal(scale=0.2, size=len(texts)), 1, 7)
     labeled = _labeled_from(texts, y)
     plan = make_fold_plan(len(labeled), n_folds=5, seed=11)
     hyper = HyperParams(learning_rate=0.1, max_epochs=10, early_stopping=True)
-    features = {a.name: embed_many(texts, a.stats) for a in archetypes}
     bundle = cv_fine_tune(
         base, archetypes, labeled, plan, hyper, features_by_archetype=features
     )
@@ -149,7 +161,11 @@ class TestCvFineTune:
         archetypes, texts = toy_archetypes
         y = np.full(len(texts), 3.0)
         base = train_pseudo_stage(
-            texts, y, archetypes[:1], (1,), HyperParams(max_epochs=1)
+            {"a": embed_many(texts, archetypes[0].stats)},
+            y,
+            archetypes[:1],
+            (1,),
+            HyperParams(max_epochs=1),
         )
         labeled = _labeled_from(texts, y)
         plan = make_fold_plan(len(labeled), n_folds=5, seed=1)

@@ -104,3 +104,25 @@ def test_corrupt_artifact_is_named(trained, capsys, fault, relative, stage, arti
     assert code == 2, lines
     assert len(lines) == 1, lines
     assert repr(artifact) in lines[0]
+
+
+@pytest.mark.parametrize("force", [False, True], ids=["no-force", "force"])
+@pytest.mark.parametrize(
+    "fault",
+    [_truncate, lambda data: b"\xff" + data, lambda data: b"[]\n"],
+    ids=["truncated", "unparseable", "not-a-record"],
+)
+def test_corrupt_run_manifest_is_named(trained, capsys, fault, force):
+    out, config_path, _ = trained
+    path = out / "manifest.json"
+    original = path.read_bytes()
+    capsys.readouterr()
+    try:
+        path.write_bytes(fault(original))
+        code = main(["index", "--config", str(config_path), *(["--force"] if force else [])])
+    finally:
+        path.write_bytes(original)
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2, lines
+    assert len(lines) == 1, lines
+    assert "'manifest.json'" in lines[0]

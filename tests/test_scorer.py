@@ -78,15 +78,15 @@ class TestIterative:
     def test_single_sample_fit(self):
         X = np.array([[0.5, -0.2]])
         y = np.array([3.4])
-        hyper = HyperParams(learning_rate=0.3, max_epochs=200, batch_size=1)
-        model = train_iterative(None, X, y, hyper)
+        hyper = HyperParams(learning_rate=0.3, max_epochs=200)
+        model = train_iterative(None, X, y, hyper, seed=0, batch_size=1)
         assert predict(model, X)[0] == pytest.approx(3.4, abs=1e-3)
 
     def test_seed_determinism_bitwise(self, rng):
         X, y = _random_problem(rng)
-        hyper = HyperParams(seed=42, early_stopping=True)
-        a = train_iterative(None, X, y, hyper)
-        b = train_iterative(None, X, y, hyper)
+        hyper = HyperParams(early_stopping=True)
+        a = train_iterative(None, X, y, hyper, seed=42, batch_size=32)
+        b = train_iterative(None, X, y, hyper, seed=42, batch_size=32)
         assert np.array_equal(a.weights, b.weights)
         assert a.intercept == b.intercept
         assert model_to_json(a) == model_to_json(b)
@@ -98,10 +98,8 @@ class TestIterative:
         y = np.clip(4.0 + X @ w_true, 1.0, 7.0)
         lam = 0.1
         ridge = train_ridge(X, y, lam)
-        hyper = HyperParams(
-            learning_rate=0.3, max_epochs=300, batch_size=32, ridge_lambda=lam
-        )
-        model = train_iterative(None, X, y, hyper)
+        hyper = HyperParams(learning_rate=0.3, max_epochs=300, ridge_lambda=lam)
+        model = train_iterative(None, X, y, hyper, seed=0, batch_size=32)
         delta = np.linalg.norm(
             np.append(model.weights, model.intercept)
             - np.append(ridge.weights, ridge.intercept)
@@ -111,7 +109,7 @@ class TestIterative:
     def test_convergence_at_default_hyperparams(self, rng):
         X = rng.normal(size=(150, 5)) * 0.5
         y = np.clip(4.0 + X @ (rng.normal(size=5) * 0.3), 1.0, 7.0)
-        model = train_iterative(None, X, y, HyperParams())
+        model = train_iterative(None, X, y, HyperParams(), seed=0, batch_size=32)
         rmse = float(np.sqrt(np.mean((X @ model.weights + model.intercept - y) ** 2)))
         assert rmse < 1e-2
 
@@ -119,7 +117,9 @@ class TestIterative:
         X, y = _random_problem(rng)
         init = train_ridge(X, y, 1.0, fingerprint="fp1")
         hyper = HyperParams(learning_rate=0.01, max_epochs=2)
-        model = train_iterative(init, X, y, hyper, fingerprint="fp1", stage="final")
+        model = train_iterative(
+            init, X, y, hyper, seed=0, batch_size=32, fingerprint="fp1", stage="final"
+        )
         assert model.stage == "final"
         assert model.fingerprint == "fp1"
 
@@ -127,18 +127,20 @@ class TestIterative:
         X, y = _random_problem(rng)
         init = train_ridge(X, y, 1.0, fingerprint="fp1")
         with pytest.raises(ValueError, match="fingerprint"):
-            train_iterative(init, X, y, HyperParams(), fingerprint="fp2")
+            train_iterative(
+                init, X, y, HyperParams(), seed=0, batch_size=32, fingerprint="fp2"
+            )
 
     def test_empty_training_set(self):
         with pytest.raises(ValueError):
-            train_iterative(None, np.zeros((0, 3)), np.zeros(0), HyperParams())
+            train_iterative(
+                None, np.zeros((0, 3)), np.zeros(0), HyperParams(), seed=0, batch_size=32
+            )
 
     def test_early_stopping_returns_best_epoch(self, rng):
         X, y = _random_problem(rng, n=60, d=4, noise=0.5)
-        hyper = HyperParams(
-            learning_rate=0.5, max_epochs=50, early_stopping=True, seed=3
-        )
-        model = train_iterative(None, X, y, hyper)
+        hyper = HyperParams(learning_rate=0.5, max_epochs=50, early_stopping=True)
+        model = train_iterative(None, X, y, hyper, seed=3, batch_size=32)
         assert np.all(np.isfinite(model.weights))
 
 
@@ -203,7 +205,5 @@ def test_hyperparams_validation():
         HyperParams(learning_rate=0.0)
     with pytest.raises(ValueError):
         HyperParams(warmup_fraction=1.0)
-    with pytest.raises(ValueError):
-        HyperParams(schedule="cosine")
     with pytest.raises(ValueError):
         HyperParams(early_stopping_holdout_fraction=0.0)

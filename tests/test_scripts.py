@@ -1,0 +1,64 @@
+"""Smoke tests of the scripts in scripts/: each runs as a subprocess, as from a shell."""
+
+import hashlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from pseudolab.pipeline import SETTINGS
+
+ROOT = Path(__file__).resolve().parents[1]
+
+FLOAT = r"\d+\.\d{3}"
+
+
+def _run(script: str, *args: str) -> list[str]:
+    """Run a script with the package on its path; its stdout lines."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
+def test_compare_settings_prints_one_row_per_setting():
+    lines = _run("compare_settings.py", "--n-corpus", "300", "--n-train", "40", "--k", "50")
+    assert re.fullmatch(r"context built in \d+\.\ds", lines[0]), lines[0]
+    assert lines[1].split() == ["Setting", "1", "2", "3", "4", "5", "mean"]
+    rows = [line.split() for line in lines[2 : 2 + len(SETTINGS)]]
+    assert [row[0] for row in rows] == list(SETTINGS)
+    for row in rows:
+        assert all(re.fullmatch(FLOAT, cell) for cell in row[1:]), row
+    summaries = [line for line in lines if ": raw " in line]
+    assert [line.split(":")[0] for line in summaries] == list(SETTINGS)
+    for line in summaries:
+        assert re.fullmatch(rf"\w+: raw {FLOAT}  mapped {FLOAT}", line), line
+    assert re.fullmatch(r"total \d+\.\ds", lines[-1]), lines[-1]
+
+
+def test_artifact_digests_of_a_pipeline_run(tmp_path):
+    _run("make_fixture.py", str(tmp_path), "--n-corpus", "300", "--n-train", "20",
+         "--n-test", "5", "--k", "20")
+    _run("run_pipeline.py", "--config", str(tmp_path / "config.json"))
+    out = tmp_path / "out"
+    lines = _run("artifact_digests.py", str(out))
+
+    files = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert [line.split("  ", 1)[1] for line in lines] == files
+    for line in lines:
+        assert re.fullmatch(r"[0-9a-f]{64}  \S+", line), line
+    digests = dict(reversed(line.split("  ", 1)) for line in lines)
+    for name in ("store.jsonl", "bundle/manifest.json", "eval_report.txt"):
+        assert digests[name] == hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+    # the run manifest's timings do not enter its digest
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    for info in manifest["stages"].values():
+        info["wall_seconds"] += 1.0
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert _run("artifact_digests.py", str(out)) == lines

@@ -1,4 +1,4 @@
-"""Run manifests, artifact digests, atomic writes, and output-dir locking."""
+"""Run manifests, artifact reads and digests, atomic writes, and output-dir locking."""
 
 from __future__ import annotations
 
@@ -9,10 +9,34 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable, TypeVar
+
+from .corpus import InputFileError
+
+T = TypeVar("T")
 
 
 class StaleArtifactError(RuntimeError):
     """An upstream artifact is missing or its digest no longer matches."""
+
+
+def read_artifact(
+    path: str | Path, name: str, producing_stage: str, load: Callable[[Path], T]
+) -> T:
+    """`load(path)`, with a truncated or malformed artifact raised as StaleArtifactError.
+
+    Every stage reads its .npy, JSON and JSONL artifacts (and the index) this
+    way, so a corrupt file read under --force is named, not a traceback.
+    """
+    try:
+        return load(Path(path))
+    except InputFileError:
+        raise  # the store is read like an input file: a bad line exits 1, naming it
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError, EOFError) as exc:
+        raise StaleArtifactError(
+            f"artifact {name!r} is corrupt or truncated ({type(exc).__name__}: {exc}); "
+            f"re-run the {producing_stage!r} stage"
+        ) from None
 
 
 def sha256_bytes(data: bytes) -> str:

@@ -27,6 +27,7 @@ from .artifacts import (
     artifact_digest,
     atomic_write_text,
     output_lock,
+    read_artifact,
     sha256_bytes,
     sha256_file,
 )
@@ -116,11 +117,12 @@ class _Stage:
         self.inputs: dict[str, str] = {}
         self.started = time.monotonic()
 
-    def require(self, artifact: str, producing_stage: str) -> Path:
+    def read(self, artifact: str, producing_stage: str, load):
+        """Check an upstream artifact is fresh, record its digest, and `load` it."""
         self.inputs[artifact] = self.manifest.require(
             artifact, producing_stage, force=self.force
         )
-        return self.outdir / artifact
+        return read_artifact(self.outdir / artifact, artifact, producing_stage, load)
 
     def external_input(self, path: str | Path) -> Path:
         self.inputs[str(path)] = sha256_file(path)
@@ -128,6 +130,13 @@ class _Stage:
 
     def labeled(self, path: str) -> list[LabeledSentence]:
         return load_labeled(self.external_input(path), self.config.default_rating_std)
+
+    def labeled_train(self) -> list[LabeledSentence]:
+        """The training sentences; every stage that reads them needs at least one."""
+        labeled = self.labeled(self.config.labeled_train)
+        if not labeled:
+            raise InputFileError(f"labeled_train {self.config.labeled_train}: no labeled sentences")
+        return labeled
 
     def finish(self, outputs: list[str]) -> None:
         digests = {name: artifact_digest(self.outdir / name) for name in outputs}
@@ -169,7 +178,7 @@ def _feature_cache(stats: FeatureStats) -> str:
 
 def cmd_featurize(config: RunConfig, force: bool) -> None:
     stage = _Stage("featurize", config, force)
-    store = load_store(stage.require(STORE, "ingest"))
+    store = stage.read(STORE, "ingest", load_store)
     configs = {RETRIEVAL: config.retrieval}
     configs.update((spec.name, spec.feature_config()) for spec in config.archetypes)
     stats = dict(zip(configs, fit_feature_stats_many(store.records, configs.values())))
@@ -197,7 +206,7 @@ def _load_context(stage: _Stage, *, retrieval: bool, features: bool) -> Pipeline
     `retrieval` loads the store and the index; `features` loads the cached
     archetype corpus matrices and their row order.
     """
-    stats = load_feature_stats(stage.require(FEATURE_STATS, "featurize"))
+    stats = stage.read(FEATURE_STATS, "featurize", load_feature_stats)
     archetypes = []
     for spec in stage.config.archetypes:
         if spec.name not in stats or stats[spec.name].config != spec.feature_config():
@@ -217,23 +226,25 @@ def _load_context(stage: _Stage, *, retrieval: bool, features: bool) -> Pipeline
         row_of_id={},
     )
     if retrieval:
-        ctx.store = load_store(stage.require(STORE, "ingest"))
-        ctx.index = load_index(stage.require(INDEX, "index"))
+        ctx.store = stage.read(STORE, "ingest", load_store)
+        ctx.index = stage.read(INDEX, "index", load_index)
     if features:
-        ids = np.load(stage.require(CORPUS_IDS, "featurize"))
+        ids = stage.read(CORPUS_IDS, "featurize", np.load)
         ctx.row_of_id = {i: row for row, i in enumerate(ids.tolist())}
-        ctx.corpus_features = {
-            arch.name: np.load(stage.require(_feature_cache(arch.stats), "featurize"))
-            for arch in archetypes
+        # archetypes with the same featurizer config share one matrix
+        caches = {arch.name: _feature_cache(arch.stats) for arch in archetypes}
+        matrices = {
+            name: stage.read(name, "featurize", np.load) for name in dict.fromkeys(caches.values())
         }
+        ctx.corpus_features = {arch: matrices[name] for arch, name in caches.items()}
     return ctx
 
 
 def cmd_index(config: RunConfig, force: bool) -> None:
     stage = _Stage("index", config, force)
-    stats = load_feature_stats(stage.require(FEATURE_STATS, "featurize"))
-    vectors = np.load(stage.require(CORPUS_VECTORS, "featurize"))
-    ids = np.load(stage.require(CORPUS_IDS, "featurize"))
+    stats = stage.read(FEATURE_STATS, "featurize", load_feature_stats)
+    vectors = stage.read(CORPUS_VECTORS, "featurize", np.load)
+    ids = stage.read(CORPUS_IDS, "featurize", np.load)
     index = build_index(
         zip(ids.tolist(), vectors), fingerprint=stats[RETRIEVAL].fingerprint
     )
@@ -245,8 +256,8 @@ def cmd_index(config: RunConfig, force: bool) -> None:
 
 def cmd_train_baseline(config: RunConfig, force: bool) -> None:
     stage = _Stage("train-baseline", config, force)
-    stats = load_feature_stats(stage.require(FEATURE_STATS, "featurize"))
-    model = train_gate_model(stats[RETRIEVAL], stage.labeled(config.labeled_train), config)
+    stats = stage.read(FEATURE_STATS, "featurize", load_feature_stats)
+    model = train_gate_model(stats[RETRIEVAL], stage.labeled_train(), config)
     atomic_write_text(stage.outdir / BASELINE_MODEL, model_to_json(model))
     stage.finish([BASELINE_MODEL])
 
@@ -254,8 +265,8 @@ def cmd_train_baseline(config: RunConfig, force: bool) -> None:
 def cmd_pseudolabel(config: RunConfig, force: bool) -> None:
     stage = _Stage("pseudolabel", config, force)
     ctx = _load_context(stage, retrieval=True, features=False)
-    gate = load_model(stage.require(BASELINE_MODEL, "train-baseline"))
-    anchors = stage.labeled(config.labeled_train)
+    gate = stage.read(BASELINE_MODEL, "train-baseline", load_model)
+    anchors = stage.labeled_train()
     exclude = {s.text for s in anchors}
     if config.labeled_test:
         exclude |= {s.text for s in stage.labeled(config.labeled_test)}
@@ -282,8 +293,8 @@ def _fold_plan(config: RunConfig, labeled: list[LabeledSentence], *, nested: boo
 def cmd_train_ensemble(config: RunConfig, force: bool) -> None:
     stage = _Stage("train-ensemble", config, force)
     ctx = _load_context(stage, retrieval=False, features=True)
-    pset = load_pseudo_labels(stage.require(PSEUDO_LABELS, "pseudolabel"))
-    labeled = stage.labeled(config.labeled_train)
+    pset = stage.read(PSEUDO_LABELS, "pseudolabel", load_pseudo_labels)
+    labeled = stage.labeled_train()
     plan = _fold_plan(config, labeled, nested=False)
     models9 = train_stage_models(ctx, pset, config, "train-ensemble")
     _log(f"[train-ensemble] pseudo stage: {len(models9)} models")
@@ -302,7 +313,7 @@ def cmd_train_ensemble(config: RunConfig, force: bool) -> None:
 def cmd_evaluate(config: RunConfig, force: bool) -> None:
     stage = _Stage("evaluate", config, force)
     ctx = _load_context(stage, retrieval=True, features=True)
-    labeled = stage.labeled(config.labeled_train)
+    labeled = stage.labeled_train()
     plan = _fold_plan(config, labeled, nested=config.setting.startswith("ensemble"))
     reports = evaluate_settings(ctx, labeled, [config.setting], plan, config)
     report = reports[config.setting]
@@ -321,7 +332,7 @@ def cmd_predict(config: RunConfig, force: bool, input_path: str | None = None) -
     stage = _Stage("predict", config, force)
     from .ensemble import load_bundle, predict_ensemble_batch
 
-    bundle = load_bundle(stage.require(BUNDLE, "train-ensemble"))
+    bundle = stage.read(BUNDLE, "train-ensemble", load_bundle)
     in_path = stage.external_input(input_path)
     texts = []
     with open(in_path, encoding="utf-8") as fh:

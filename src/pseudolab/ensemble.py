@@ -112,10 +112,13 @@ def train_pseudo_stage(
     archetypes: Sequence[Archetype],
     seeds: Sequence[int],
     hyper: HyperParams,
+    rows: np.ndarray | None = None,
 ) -> list[ScorerModel]:
     """Train one model per (archetype, seed) on the pseudo-label pairs.
 
-    `features_by_archetype` holds each archetype's rows, in `pseudo_scores` order.
+    `features_by_archetype` holds each archetype's rows, in `pseudo_scores`
+    order; with `rows`, each holds a shared matrix, such as the corpus
+    feature cache, that the fits read in place at `rows`.
     """
     y = np.asarray(pseudo_scores, dtype=np.float64)
     if not y.size:
@@ -128,6 +131,7 @@ def train_pseudo_stage(
             hyper,
             seed=seed,
             batch_size=arch.batch_size,
+            rows=rows,
             fingerprint=arch.stats.fingerprint,
             stage="pseudo_tuned",
             archetype=arch.name,

@@ -28,7 +28,7 @@ from .features import FeatureConfig, FeatureStats, embed_many, fit_feature_stats
 from .metrics import EvalReport, fold_mean, mapped_rmse, rmse
 from .pseudolabel import PseudoLabelSet, generate_pseudo_labels
 from .scorer import HyperParams, ScorerModel, predict, train_iterative, train_ridge
-from .simindex import VectorIndex, build_index
+from .simindex import VectorIndex, build_index, map_row_blocks
 
 SETTINGS = ("baseline", "pseudo_only", "ensemble_mean", "ensemble_stacker")
 
@@ -160,7 +160,7 @@ def train_gate_model(
 
 def corpus_score_map(ctx: PipelineContext, gate: ScorerModel) -> dict[int, float]:
     """The gate's score of every corpus sentence, by id, on the index vectors."""
-    scores = predict(gate, ctx.index.vectors)
+    scores = map_row_blocks(lambda block: predict(gate, block), ctx.index.vectors)
     return dict(zip(ctx.index.ids.tolist(), scores.tolist()))
 
 
@@ -183,19 +183,11 @@ def generate_for_anchors(
     )
 
 
-def _pseudo_features(
-    ctx: PipelineContext, pset: PseudoLabelSet
-) -> dict[str, np.ndarray]:
-    rows = [ctx.row_of_id[lab.sentence_id] for lab in pset.labels]
-    return {
-        arch.name: ctx.corpus_features[arch.name][rows] for arch in ctx.archetypes
-    }
-
-
 def train_stage_models(
     ctx: PipelineContext, pset: PseudoLabelSet, cfg: PipelineConfig, where: str
 ) -> list[ScorerModel]:
-    """The pseudo stage: one model per (archetype, seed) on the cached features.
+    """The pseudo stage: one model per (archetype, seed), trained in place on
+    the cached corpus features at the admitted labels' rows.
 
     `where` names the stage or fold in the error raised when nothing was admitted.
     """
@@ -205,11 +197,12 @@ def train_stage_models(
             "nothing to train on (raise k or check the labeled set)"
         )
     return train_pseudo_stage(
-        _pseudo_features(ctx, pset),
+        ctx.corpus_features,
         [lab.predicted_score for lab in pset.labels],
         ctx.archetypes,
         cfg.seeds,
         cfg.hyper_pseudo,
+        rows=np.array([ctx.row_of_id[lab.sentence_id] for lab in pset.labels], dtype=np.int64),
     )
 
 

@@ -135,6 +135,27 @@ def _rmse(pred: np.ndarray, gold: np.ndarray) -> float:
     return float(np.sqrt(np.mean((pred - gold) ** 2)))
 
 
+def _fit_rows(X: np.ndarray, y: np.ndarray, rows) -> np.ndarray:
+    """A fit's row indices into X, with y aligned to them; all of X without `rows`."""
+    if X.ndim != 2 or y.ndim != 1:
+        raise ValueError(f"inconsistent training shapes {X.shape} vs {y.shape}")
+    if rows is None:
+        rows = np.arange(X.shape[0])
+    else:
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer):
+            raise ValueError(f"rows must be a 1-D integer array, not {rows.dtype} {rows.shape}")
+        if rows.size and (rows.min() < 0 or rows.max() >= X.shape[0]):
+            raise ValueError(f"rows out of range for a matrix of {X.shape[0]} rows")
+    if rows.shape[0] != y.shape[0]:
+        raise ValueError(f"{rows.shape[0]} training rows but {y.shape[0]} targets")
+    if rows.shape[0] < 1:
+        raise ValueError("empty training set")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("non-finite training inputs")
+    return rows
+
+
 def train_iterative(
     init: ScorerModel | None,
     X: np.ndarray,
@@ -143,6 +164,7 @@ def train_iterative(
     *,
     seed: int,
     batch_size: int,
+    rows: np.ndarray | None = None,
     fingerprint: str = "",
     stage: str = "pseudo_tuned",
     archetype: str = "",
@@ -151,11 +173,18 @@ def train_iterative(
 
     Linear warmup then linear decay to zero; data reshuffled each epoch from
     a generator seeded by `seed`, so runs are bitwise reproducible.
+
+    With `rows`, the training rows are X[rows], with y aligned to `rows`, and
+    the model is bitwise the one trained on X[rows]; X is read in place, one
+    mini-batch (and the holdout) at a time. Each training row is checked for
+    finiteness when the first epoch gathers it.
     """
-    X, y = _validate_training_inputs(X, y)
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    rows = _fit_rows(X, y, rows)
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
-    n, d = X.shape
+    n, d = rows.shape[0], X.shape[1]
     if init is not None:
         if fingerprint and init.fingerprint and init.fingerprint != fingerprint:
             raise ValueError("init model fingerprint does not match training features")
@@ -170,17 +199,18 @@ def train_iterative(
         b = 0.0
 
     rng = np.random.default_rng(seed)
-    holdout_idx = np.zeros(0, dtype=np.int64)
-    Xt, yt = X, y  # rows are gathered only when a holdout is split off
+    holdout = np.zeros(0, dtype=np.int64)  # positions in rows and y
+    train_rows, yt = rows, y
     if hyper.early_stopping:
         order = rng.permutation(n)
         n_hold = int(round(n * hyper.early_stopping_holdout_fraction))
         if 1 <= n_hold < n:
-            holdout_idx = order[n - n_hold :]
-            train_idx = order[: n - n_hold]
-            Xt, yt = X[train_idx], y[train_idx]
-    Xh, yh = X[holdout_idx], y[holdout_idx]
-    nt = Xt.shape[0]
+            holdout = order[n - n_hold :]
+            train_rows, yt = rows[order[: n - n_hold]], y[order[: n - n_hold]]
+    Xh, yh = X[rows[holdout]], y[holdout]
+    if not np.all(np.isfinite(Xh)):
+        raise ValueError("non-finite training inputs")
+    nt = train_rows.shape[0]
     n_batches = (nt + batch_size - 1) // batch_size
     total_steps = hyper.max_epochs * n_batches
 
@@ -191,7 +221,9 @@ def train_iterative(
         perm = rng.permutation(nt)
         for start in range(0, nt, batch_size):
             batch = perm[start : start + batch_size]
-            Xb, yb = Xt[batch], yt[batch]
+            Xb, yb = X[train_rows[batch]], yt[batch]
+            if epoch == 0 and not np.all(np.isfinite(Xb)):
+                raise ValueError("non-finite training inputs")
             err = Xb @ w + b - yb
             if not np.all(np.isfinite(err)):
                 raise ValueError(f"non-finite loss at step {step}")
@@ -201,7 +233,7 @@ def train_iterative(
             w -= lr * gw
             b -= lr * gb
             step += 1
-        if holdout_idx.size:
+        if holdout.size:
             score = _rmse(Xh @ w + b, yh)
             if score < best[0]:
                 best = (score, w.copy(), b)
@@ -210,7 +242,7 @@ def train_iterative(
                 epochs_since_improvement += 1
                 if epochs_since_improvement > 1:  # patience of one epoch
                     break
-    if holdout_idx.size:
+    if holdout.size:
         _, w, b = best
     return ScorerModel(
         weights=w,

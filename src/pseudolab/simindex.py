@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -16,6 +17,13 @@ VERSION = 1
 # Queries per GEMM in top_k_many: the block's similarities take
 # QUERY_BLOCK x N x 8 bytes (2.6 MB at 5k sentences, 113 MB at 220k).
 QUERY_BLOCK = 64
+
+# Index rows converted to float64 at a time: ROW_BLOCK x d x 8 bytes (8 MB at
+# d = 1024) whatever N is, so no float64 copy of the whole index is made.
+# Keep it a multiple of 64: a BLAS matrix-vector kernel sums a few rows at a
+# time (OpenBLAS takes 4), and blocks that start at a multiple of that group
+# give every row the bitwise result of one product over the whole matrix.
+ROW_BLOCK = 1024
 
 # Hits whose similarities lie within TIE_MARGIN of each other are rescored so
 # that their order does not depend on how BLAS summed the GEMM. Two summation
@@ -42,7 +50,7 @@ class VectorIndex:
         self.ids = ids
         self.vectors = vectors
         self.fingerprint = fingerprint
-        self.norms = np.linalg.norm(np.asarray(vectors, dtype=np.float64), axis=1)
+        self.norms = map_row_blocks(lambda block: np.linalg.norm(block, axis=1), vectors)
 
     @property
     def dimension(self) -> int:
@@ -51,6 +59,18 @@ class VectorIndex:
     @property
     def count(self) -> int:
         return int(self.vectors.shape[0])
+
+
+def map_row_blocks(fn: Callable[[np.ndarray], np.ndarray], vectors: np.ndarray) -> np.ndarray:
+    """fn of each ROW_BLOCK rows of vectors as float64, concatenated.
+
+    For a row-wise fn, the same as fn of the whole matrix in float64.
+    """
+    parts = [
+        fn(np.asarray(vectors[start : start + ROW_BLOCK], dtype=np.float64))
+        for start in range(0, len(vectors), ROW_BLOCK)
+    ]
+    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 def build_index(
@@ -95,23 +115,34 @@ def top_k_many(
         raise ValueError(
             f"query dimension {queries.shape[1:]} does not match index dimension {index.dimension}"
         )
-    keep = slice(None)
+    kept = None  # index rows that may be hits; None for all
     if exclude:
-        keep = ~np.isin(index.ids, np.fromiter(exclude, dtype=np.int64, count=len(exclude)))
-    ids, norms = index.ids[keep], index.norms[keep]
-    vectors = np.asarray(index.vectors[keep], dtype=np.float64)
+        excluded = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
+        kept = np.flatnonzero(~np.isin(index.ids, excluded))
+    ids = index.ids if kept is None else index.ids[kept]
+    norms = index.norms if kept is None else index.norms[kept]
     qnorms = np.linalg.norm(queries, axis=1)
     no_hits = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
     results = []
     for start in range(0, len(queries), QUERY_BLOCK):
         block = queries[start : start + QUERY_BLOCK]
-        dots = block @ vectors.T
+        dots = np.empty((len(block), index.count))
+        for first in range(0, index.count, ROW_BLOCK):
+            vectors = np.asarray(index.vectors[first : first + ROW_BLOCK], dtype=np.float64)
+            dots[:, first : first + len(vectors)] = block @ vectors.T
+        if kept is not None:
+            dots = dots[:, kept]
         for query, qnorm, row in zip(block, qnorms[start : start + len(block)], dots):
             if qnorm == 0.0 or ids.size == 0:
                 results.append(no_hits)
-            else:
-                sims = _cosines(row, norms * qnorm)
-                results.append(_select(ids, vectors, norms, query, qnorm, sims, k))
+                continue
+
+            def rescore(hits, query=query, qnorm=qnorm):
+                at = hits if kept is None else kept[hits]
+                tied = np.asarray(index.vectors[at], dtype=np.float64)
+                return _cosines(np.add.reduce(tied * query, axis=1), norms[hits] * qnorm)
+
+            results.append(_select(ids, _cosines(row, norms * qnorm), k, rescore))
     return results
 
 
@@ -119,15 +150,16 @@ def _cosines(dots: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
 
 
-def _select(ids, vectors, norms, query, qnorm, sims, k) -> tuple[np.ndarray, np.ndarray]:
+def _select(ids, sims, k, rescore) -> tuple[np.ndarray, np.ndarray]:
     """The k best of one query's GEMM similarities, in the canonical order.
 
     Every item within TIE_MARGIN of the k-th similarity stays in the pool.
     Items whose similarities chain within TIE_MARGIN of each other are
-    rescored by a per-row reduction that depends only on the two vectors.
-    A GEMM similarity is within TIE_MARGIN / 2 of the rescored one, so items
-    more than TIE_MARGIN apart already compare as rescored ones would, and
-    the order is that of (-rescored similarity, id) whatever BLAS did.
+    rescored by `rescore`, a per-row reduction that depends only on the two
+    vectors. A GEMM similarity is within TIE_MARGIN / 2 of the rescored one,
+    so items more than TIE_MARGIN apart already compare as rescored ones
+    would, and the order is that of (-rescored similarity, id) whatever BLAS
+    did.
     """
     pool = np.arange(sims.size)
     if k < sims.size:
@@ -138,8 +170,7 @@ def _select(ids, vectors, norms, query, qnorm, sims, k) -> tuple[np.ndarray, np.
     close = ranked[:-1] - ranked[1:] <= TIE_MARGIN
     tied = np.flatnonzero(np.append(close, False) | np.insert(close, 0, False))
     if tied.size:
-        rows = order[tied]
-        ranked[tied] = _cosines(np.add.reduce(vectors[rows] * query, axis=1), norms[rows] * qnorm)
+        ranked[tied] = rescore(order[tied])
         resort = np.lexsort((ids[order], -ranked))
         order, ranked = order[resort], ranked[resort]
     return ids[order[:k]], ranked[:k]
@@ -158,57 +189,71 @@ def top_k(
 
 def save_index(index: VectorIndex, path: str | Path) -> None:
     fp = index.fingerprint.encode("utf-8")
-    ids_bytes = index.ids.astype("<i8").tobytes()
-    vec_bytes = index.vectors.astype("<f4").tobytes()
-    digest = hashlib.sha256(ids_bytes + vec_bytes).digest()
+    ids = np.ascontiguousarray(index.ids, dtype="<i8")
+    vectors = np.ascontiguousarray(index.vectors, dtype="<f4")
+    digest = _payload_digest(ids, vectors)
     header = MAGIC + struct.pack(
         "<IIQI", VERSION, index.dimension, index.count, len(fp)
     ) + fp + digest
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(ids_bytes)
-        fh.write(vec_bytes)
+        fh.write(_bytes_of(ids))
+        fh.write(_bytes_of(vectors))
 
 
-def _read_index_file(path: Path) -> tuple[int, int, str, bytes]:
-    """Check header bounds, version and payload checksum; return (dim, count, fp, payload)."""
-    data = path.read_bytes()
-    if data[:4] != MAGIC:
-        raise IndexFormatError(f"{path}: not an index file (bad magic)")
-    if len(data) < 24:
-        raise IndexFormatError(f"{path}: truncated header")
-    version, dim, count, fp_len = struct.unpack("<IIQI", data[4:24])
-    if version != VERSION:
-        raise IndexFormatError(f"{path}: unsupported index version {version}")
-    offset = 24 + fp_len + 32
-    if len(data) < offset:
-        raise IndexFormatError(f"{path}: truncated header")
-    try:
-        fp = data[24 : 24 + fp_len].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise IndexFormatError(f"{path}: fingerprint is not valid UTF-8") from exc
-    digest = data[24 + fp_len : offset]
-    payload = data[offset:]
-    if len(payload) != count * 8 + count * dim * 4:
-        raise IndexFormatError(f"{path}: truncated or oversized payload")
-    if hashlib.sha256(payload).digest() != digest:
+def _bytes_of(array: np.ndarray) -> np.ndarray:
+    """A C-contiguous array's bytes, as a uint8 view of it."""
+    return array.reshape(-1).view(np.uint8)
+
+
+def _payload_digest(ids: np.ndarray, vectors: np.ndarray) -> bytes:
+    digest = hashlib.sha256(_bytes_of(ids))
+    digest.update(_bytes_of(vectors))
+    return digest.digest()
+
+
+def _read_index_file(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
+    """Check header bounds, version and payload checksum; return (fp, ids, vectors).
+
+    The payload is read straight into the two arrays, so they are the only
+    copy of it that is made.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(24)
+        if head[:4] != MAGIC:
+            raise IndexFormatError(f"{path}: not an index file (bad magic)")
+        if len(head) < 24:
+            raise IndexFormatError(f"{path}: truncated header")
+        version, dim, count, fp_len = struct.unpack("<IIQI", head[4:])
+        if version != VERSION:
+            raise IndexFormatError(f"{path}: unsupported index version {version}")
+        offset = 24 + fp_len + 32
+        if size < offset:
+            raise IndexFormatError(f"{path}: truncated header")
+        try:
+            fp = fh.read(fp_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise IndexFormatError(f"{path}: fingerprint is not valid UTF-8") from exc
+        digest = fh.read(32)
+        if size - offset != count * 8 + count * dim * 4:
+            raise IndexFormatError(f"{path}: truncated or oversized payload")
+        ids = np.empty(count, dtype="<i8")
+        vectors = np.empty((count, dim), dtype="<f4")
+        for array in (ids, vectors):
+            if fh.readinto(_bytes_of(array)) != array.nbytes:
+                raise IndexFormatError(f"{path}: truncated or oversized payload")
+    if _payload_digest(ids, vectors) != digest:
         raise IndexFormatError(f"{path}: payload checksum mismatch (corrupted)")
-    return dim, count, fp, payload
+    return fp, ids, vectors
 
 
 def load_index(path: str | Path) -> VectorIndex:
-    dim, count, fp, payload = _read_index_file(Path(path))
-    ids_size = count * 8
-    ids = np.frombuffer(payload[:ids_size], dtype="<i8").astype(np.int64)
-    vectors = (
-        np.frombuffer(payload[ids_size:], dtype="<f4")
-        .astype(np.float32)
-        .reshape(count, dim)
-    )
-    return VectorIndex(ids, vectors, fp)
+    fp, ids, vectors = _read_index_file(Path(path))
+    return VectorIndex(ids.astype(np.int64, copy=False), vectors.astype(np.float32, copy=False), fp)
 
 
 def verify_index(path: str | Path) -> dict:
     """Check header and payload integrity; returns index metadata."""
-    dim, count, fp, _ = _read_index_file(Path(path))
-    return {"dimension": dim, "count": count, "fingerprint": fp}
+    fp, _, vectors = _read_index_file(Path(path))
+    return {"dimension": vectors.shape[1], "count": vectors.shape[0], "fingerprint": fp}

@@ -417,6 +417,13 @@ class TestBadInputFiles:
         line = self._one_line_error(capsys, "train-baseline", config_path)
         assert f"id {dataset.labeled_train[-1].id} already used" in line
 
+    def test_labeled_train_with_only_a_header(self, featurized, capsys):
+        directory, config_path, _ = featurized
+        train = directory / "train.tsv"
+        train.write_text(train.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+        line = self._one_line_error(capsys, "train-baseline", config_path)
+        assert f"labeled_train {train}: no labeled sentences" in line
+
     def test_store_record_without_text(self, featurized, capsys):
         directory, config_path, _ = featurized
         store = directory / "out" / cli.STORE

@@ -114,6 +114,30 @@ class TestPseudoStage:
             )
 
 
+def test_fixture_pseudo_stage_in_place_matches_gathered_rows(
+    small_context, small_dataset, small_pipeline_config
+):
+    """train_stage_models reads the cached corpus matrices in place; the models
+    are bitwise those trained on copies of the admitted rows."""
+    from pseudolab import pipeline
+
+    ctx, cfg = small_context, small_pipeline_config
+    anchors = small_dataset.labeled_train
+    gate = pipeline.train_gate_model(ctx.retrieval_stats, anchors, cfg)
+    pset = pipeline.generate_for_anchors(ctx, anchors, gate, cfg, {a.text for a in anchors})
+    rows = [ctx.row_of_id[lab.sentence_id] for lab in pset.labels]
+    assert 0 < len(rows) < len(ctx.row_of_id)
+    gathered = train_pseudo_stage(
+        {name: matrix[rows] for name, matrix in ctx.corpus_features.items()},
+        [lab.predicted_score for lab in pset.labels],
+        ctx.archetypes,
+        cfg.seeds,
+        cfg.hyper_pseudo,
+    )
+    in_place = pipeline.train_stage_models(ctx, pset, cfg, "test")
+    assert [model_to_json(m) for m in in_place] == [model_to_json(m) for m in gathered]
+
+
 def _labeled_from(texts, y):
     return [
         LabeledSentence(id=i, text=t, mos=float(v), rating_std=0.3)

@@ -106,6 +106,42 @@ def test_corrupt_artifact_is_named(trained, capsys, fault, relative, stage, arti
     assert repr(artifact) in lines[0]
 
 
+@pytest.mark.parametrize(
+    "relative, stage, artifact",
+    CASES,
+    ids=["store", "feature_stats", "corpus_vectors", "corpus_ids", "corpus_features",
+         "index", "baseline_model", "pseudo_labels", "bundle_manifest", "bundle_model"],
+)
+def test_truncated_artifact_under_force_is_named(trained, capsys, relative, stage, artifact):
+    """--force skips the digest check, so the reader itself must name the artifact.
+
+    The store is read like an input file: a cut line exits 1 and names the
+    file and line (see TestBadInputFiles in test_cli.py).
+    """
+    out, config_path, sentences = trained
+    relative = relative(out) if callable(relative) else relative
+    artifact = artifact(out) if callable(artifact) else artifact
+    path = out / relative
+    original = path.read_bytes()
+    argv = [stage, "--config", str(config_path), "--force"]
+    if stage == "predict":
+        argv += ["--input", str(sentences)]
+    capsys.readouterr()
+    try:
+        path.write_bytes(_truncate(original))
+        code = main(argv)
+    finally:
+        path.write_bytes(original)
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    if relative == cli.STORE:
+        assert code == 1, lines
+        assert f"{cli.STORE}: line " in lines[0]
+    else:
+        assert code == 2, lines
+        assert repr(artifact) in lines[0]
+
+
 @pytest.mark.parametrize("force", [False, True], ids=["no-force", "force"])
 @pytest.mark.parametrize(
     "fault",

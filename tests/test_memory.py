@@ -1,0 +1,79 @@
+"""Memory guards: no corpus-sized copy in the pseudo stage, the scan or the index load.
+
+numpy reports its array buffers to tracemalloc, so the traced peak of a call
+is what it allocates on top of its inputs, which are made before tracing.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from pseudolab import pipeline
+from pseudolab.ensemble import Archetype, train_pseudo_stage
+from pseudolab.features import FeatureConfig, fit_feature_stats
+from pseudolab.scorer import HyperParams, ScorerModel
+from pseudolab.simindex import build_index, load_index, save_index, top_k_many
+
+N, D = 6000, 512  # the index's float64 size is 24.6 MB
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+@pytest.fixture(scope="module")
+def index():
+    rng = np.random.default_rng(4)
+    return build_index(zip(range(0, 3 * N, 3), rng.normal(size=(N, D))), fingerprint="fp")
+
+
+@pytest.mark.parametrize("early_stopping", [False, True], ids=["no-early-stop", "early-stop"])
+def test_pseudo_stage_reads_the_shared_matrices_in_place(early_stopping):
+    rng = np.random.default_rng(5)
+    stats = fit_feature_stats(["ein kurzer satz", "noch ein satz"], FeatureConfig(hashed_dim=64))
+    archetypes = [Archetype("a", stats, 32), Archetype("b", stats, 20)]
+    matrices = {"a": rng.normal(size=(4000, D)) * 0.05, "b": rng.normal(size=(4000, D)) * 0.05}
+    rows = rng.choice(4000, size=3600, replace=False)
+    y = rng.uniform(2.0, 6.0, size=rows.size)
+    hyper = HyperParams(learning_rate=0.1, max_epochs=2, early_stopping=early_stopping)
+    peak, models = _traced_peak(
+        lambda: train_pseudo_stage(matrices, y, archetypes, (1, 2), hyper, rows=rows)
+    )
+    assert len(models) == 4
+    assert peak < matrices["a"].nbytes / 4, peak
+
+
+def test_top_k_many_makes_no_float64_copy_of_the_index(index):
+    rng = np.random.default_rng(6)
+    queries = rng.normal(size=(100, D))
+    exclude = set(index.ids[::97].tolist())
+    peak, results = _traced_peak(lambda: top_k_many(index, queries, 500, exclude=exclude))
+    assert len(results) == 100
+    assert peak < N * D * 8, peak
+
+
+def test_corpus_score_map_makes_no_float64_copy_of_the_index(index):
+    rng = np.random.default_rng(7)
+    ctx = pipeline.PipelineContext(
+        store=None, retrieval_stats=None, archetypes=[], index=index,
+        corpus_features={}, row_of_id={},
+    )
+    gate = ScorerModel(weights=rng.normal(size=D) * 0.01, intercept=4.0, fingerprint="fp")
+    peak, scores = _traced_peak(lambda: pipeline.corpus_score_map(ctx, gate))
+    assert len(scores) == N
+    assert peak < N * D * 8, peak
+
+
+def test_load_index_copies_the_payload_once(index, tmp_path):
+    path = tmp_path / "index.bin"
+    save_index(index, path)
+    peak, loaded = _traced_peak(lambda: load_index(path))
+    assert np.array_equal(loaded.vectors, index.vectors)
+    assert peak < 2 * path.stat().st_size, peak

@@ -159,6 +159,27 @@ def generated(small_context, small_dataset):
     return pset, anchors, exclude, scores
 
 
+@pytest.mark.parametrize("row_block", [64, 128, 4096], ids=["64", "128", "more-than-n"])
+def test_corpus_score_map_equals_whole_matrix_predict(
+    small_context, small_dataset, monkeypatch, row_block
+):
+    """Scored ROW_BLOCK index rows at a time, every score is bitwise the one
+    predict gives on the whole index in float64 (see simindex.ROW_BLOCK)."""
+    from pseudolab import pipeline, simindex
+    from pseudolab.scorer import predict
+
+    ctx = small_context
+    gate = pipeline.train_gate_model(
+        ctx.retrieval_stats, small_dataset.labeled_train, pipeline.PipelineConfig()
+    )
+    monkeypatch.setattr(simindex, "ROW_BLOCK", row_block)
+    scores = pipeline.corpus_score_map(ctx, gate)
+    whole = predict(gate, ctx.index.vectors.astype(np.float64))
+    assert ctx.index.count % 64 != 0
+    assert list(scores) == ctx.index.ids.tolist()
+    assert np.array_equal(np.array(list(scores.values())), whole)
+
+
 class TestRandomizedProperties:
     def test_soundness(self, generated):
         pset, _, _, scores = generated

@@ -144,6 +144,74 @@ class TestIterative:
         assert np.all(np.isfinite(model.weights))
 
 
+class TestSharedRows:
+    """A fit on `rows` of a shared matrix is bitwise the fit on the gathered rows."""
+
+    @pytest.mark.parametrize("early_stopping", [False, True], ids=["no-early-stop", "early-stop"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_bitwise_equal_to_gathered_rows(self, rng, warm, early_stopping):
+        X, y_all = _random_problem(rng, n=300, d=12)
+        # unordered, with repeats, and leaving rows of X out
+        rows = rng.integers(0, 300, size=170)
+        y = y_all[rows] + rng.normal(scale=0.05, size=rows.size)
+        init = train_ridge(X[rows], y, 1.0, fingerprint="fp") if warm else None
+        hyper = HyperParams(
+            learning_rate=0.1, max_epochs=12, early_stopping=early_stopping, ridge_lambda=0.5
+        )
+        for batch_size in (1, 20, 32):
+            shared = train_iterative(
+                init, X, y, hyper, seed=9, batch_size=batch_size, rows=rows, fingerprint="fp"
+            )
+            gathered = train_iterative(
+                init, X[rows], y, hyper, seed=9, batch_size=batch_size, fingerprint="fp"
+            )
+            assert model_to_json(shared) == model_to_json(gathered)
+
+    def test_rows_of_the_whole_matrix(self, rng):
+        X, y = _random_problem(rng, n=80, d=5)
+        hyper = HyperParams(max_epochs=3, early_stopping=True)
+        whole = train_iterative(None, X, y, hyper, seed=1, batch_size=16)
+        indexed = train_iterative(None, X, y, hyper, seed=1, batch_size=16, rows=np.arange(80))
+        assert model_to_json(whole) == model_to_json(indexed)
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            (np.array([0, 1, 40]), "out of range"),
+            (np.array([0, -1, 2]), "out of range"),
+            (np.array([[0, 1, 2]]), "1-D integer"),
+            (np.array([0.0, 1.0, 2.0]), "1-D integer"),
+            (np.array([True, False, True]), "1-D integer"),
+            (np.array([0, 1]), "2 training rows but 3 targets"),
+        ],
+        ids=["past-end", "negative", "2-D", "float", "bool", "length"],
+    )
+    def test_bad_rows_rejected(self, rng, rows, match):
+        X, _ = _random_problem(rng, n=40, d=3)
+        with pytest.raises(ValueError, match=match):
+            train_iterative(
+                None, X, np.full(3, 4.0), HyperParams(), seed=0, batch_size=2, rows=rows
+            )
+
+    @pytest.mark.parametrize("early_stopping", [False, True], ids=["no-early-stop", "early-stop"])
+    def test_non_finite_training_row_rejected(self, rng, early_stopping):
+        X, _ = _random_problem(rng, n=40, d=3)
+        rows = np.arange(0, 40, 2)
+        hyper = HyperParams(max_epochs=2, early_stopping=early_stopping)
+        for bad in rows:
+            X_bad = X.copy()
+            X_bad[bad, 1] = np.nan
+            with pytest.raises(ValueError, match="non-finite training inputs"):
+                train_iterative(
+                    None, X_bad, np.full(rows.size, 4.0), hyper, seed=0, batch_size=3, rows=rows
+                )
+        X_bad = X.copy()
+        X_bad[1] = np.inf  # not a training row
+        train_iterative(
+            None, X_bad, np.full(rows.size, 4.0), hyper, seed=0, batch_size=3, rows=rows
+        )
+
+
 class TestPredict:
     def test_constant_model(self):
         model = ScorerModel(weights=np.zeros(3), intercept=3.0)

@@ -223,6 +223,44 @@ class TestTopKMany:
                 assert np.all(np.diff(sims) <= 0.0)
 
 
+class TestRowBlocks:
+    """The index is read ROW_BLOCK rows at a time; no result depends on the block."""
+
+    @pytest.mark.parametrize("row_block", [7, 64, 4096], ids=["7", "64", "more-than-n"])
+    def test_blocked_scan_matches_oracle(self, rng, monkeypatch, row_block):
+        monkeypatch.setattr(simindex, "ROW_BLOCK", row_block)
+        for trial, n in enumerate((150, 171, 300)):  # none a multiple of 7 or 64
+            items, queries = _mixed_batch(rng, n, 16, n_queries=6)
+            index = build_index(items)
+            ids = [i for i, _ in items]
+            exclude = set(rng.choice(ids, size=3 * trial, replace=False).tolist())
+            for k in (1, 9, n + 5):
+                for query, (hit_ids, sims) in zip(
+                    queries, top_k_many(index, queries, k, exclude=exclude)
+                ):
+                    if not query.any():
+                        assert hit_ids.size == 0
+                        continue
+                    oracle = brute_force_top_k(_f32_items(items), query, k, exclude)
+                    assert hit_ids.tolist() == [i for i, _ in oracle], (n, k)
+                    np.testing.assert_allclose(sims, [s for _, s in oracle], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("row_block", [7, 64])
+    def test_near_tie_hits_do_not_depend_on_block(self, rng, monkeypatch, row_block):
+        batches = [_near_tie_batch(rng) for _ in range(3)]  # 300 rows each
+        expected = [_hit_lists(top_k_many(index, q, 50, exclude={3, 8})) for index, q in batches]
+        monkeypatch.setattr(simindex, "ROW_BLOCK", row_block)
+        for (index, queries), want in zip(batches, expected):
+            assert _hit_lists(top_k_many(index, queries, 50, exclude={3, 8})) == want
+
+    @pytest.mark.parametrize("row_block", [7, 64, 4096])
+    def test_norms_equal_whole_matrix(self, rng, monkeypatch, row_block):
+        monkeypatch.setattr(simindex, "ROW_BLOCK", row_block)
+        index = build_index([(i, rng.normal(size=33)) for i in range(300)])
+        whole = np.linalg.norm(index.vectors.astype(np.float64), axis=1)
+        assert np.array_equal(index.norms, whole)
+
+
 class TestPersistence:
     def _index(self, rng):
         return build_index(

@@ -32,7 +32,7 @@ from .artifacts import (
     sha256_file,
 )
 from .config import ConfigError, RunConfig, load_config
-from .corpus import CorpusStore, InputFileError, LabeledSentence, deduplicate, ingest_corpus, load_labeled, load_store, normalize_sentence, save_store
+from .corpus import CorpusStore, InputFileError, LabeledSentence, deduplicate, ingest_corpus, load_labeled, load_store, normalize_sentence, open_text, save_store
 from .ensemble import FoldPlan, make_fold_plan, save_bundle
 from .features import FeatureStats, embed_many, fit_feature_stats_many, load_feature_stats, save_feature_stats
 from .metrics import render_report_table, save_report
@@ -125,7 +125,10 @@ class _Stage:
         return read_artifact(self.outdir / artifact, artifact, producing_stage, load)
 
     def external_input(self, path: str | Path) -> Path:
-        self.inputs[str(path)] = sha256_file(path)
+        try:
+            self.inputs[str(path)] = sha256_file(path)
+        except OSError as exc:
+            raise InputFileError(f"cannot read input {path}: {exc.strerror}") from exc
         return Path(path)
 
     def labeled(self, path: str) -> list[LabeledSentence]:
@@ -335,7 +338,7 @@ def cmd_predict(config: RunConfig, force: bool, input_path: str | None = None) -
     bundle = stage.read(BUNDLE, "train-ensemble", load_bundle)
     in_path = stage.external_input(input_path)
     texts = []
-    with open(in_path, encoding="utf-8") as fh:
+    with open_text(in_path) as fh:
         for line in fh:
             text = normalize_sentence(line)
             if text:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -72,6 +73,8 @@ def _check_kind(name: str, value, kind: str) -> None:
     kinds, kind_name = _JSON_KINDS[kind]
     if isinstance(value, bool) != (kind == "bool") or not isinstance(value, kinds):
         raise ConfigError(f"{name} must be {kind_name}, got {value!r}")
+    if kind == "float" and not math.isfinite(value):  # json.loads reads NaN and Infinity
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 def _build(cls, value, name: str, defaults: dict | None = None):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -21,6 +23,24 @@ MOS_MAX = 7.0
 
 class InputFileError(ValueError):
     """A corpus file, labeled set or stored corpus is malformed."""
+
+
+@contextmanager
+def open_text(path: str | Path, **kwargs):
+    """Open a UTF-8 text file; a byte that is not UTF-8 raises InputFileError naming its line."""
+    try:
+        with open(path, encoding="utf-8", **kwargs) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:  # offsets into the whole file, not a read chunk
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise InputFileError(
+                f"{path}: line {line}: not UTF-8 text (byte {data[exc.start]:#04x})"
+            ) from exc
+        raise
 
 
 @dataclass(frozen=True)
@@ -87,7 +107,7 @@ def ingest_corpus(
     path = Path(source_path)
     next_id = store.next_id() if store is not None else 0
     records: list[SentenceRecord] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if format == PLAIN_LINES:
                 text = normalize_sentence(line)
@@ -144,7 +164,7 @@ def load_labeled(
     """Load a tab-separated labeled set with columns id, text, mos[, rating_std]."""
     path = Path(path)
     out: list[LabeledSentence] = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh, delimiter="\t")
         try:
             header = next(reader)
@@ -169,6 +189,8 @@ def load_labeled(
                 raise InputFileError(
                     f"{path}: row {rowno}: mos {mos} outside [{MOS_MIN}, {MOS_MAX}]"
                 )
+            if not math.isfinite(std):
+                raise InputFileError(f"{path}: row {rowno}: non-finite rating_std {std}")
             if std < 0:
                 raise InputFileError(f"{path}: row {rowno}: negative rating_std {std}")
             if sid in row_of_id:
@@ -201,7 +223,7 @@ def save_store(store: CorpusStore, path: str | Path) -> None:
 
 def load_store(path: str | Path) -> CorpusStore:
     store = CorpusStore()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

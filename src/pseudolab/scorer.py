@@ -8,6 +8,7 @@ desk-scale stand-in for the fine-tuning stages.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,16 +26,16 @@ class HyperParams:
     ridge_lambda: float = 0.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
         if not 0 <= self.warmup_fraction < 1:
             raise ValueError("warmup_fraction must be in [0, 1)")
         if self.max_epochs <= 0:
             raise ValueError("max_epochs must be positive")
         if not 0 < self.early_stopping_holdout_fraction < 1:
             raise ValueError("early_stopping_holdout_fraction must be in (0, 1)")
-        if self.ridge_lambda < 0:
-            raise ValueError("ridge_lambda must be >= 0")
+        if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0):
+            raise ValueError("ridge_lambda must be finite and >= 0")
 
 
 @dataclass
@@ -217,21 +218,34 @@ def train_iterative(
     best = (np.inf, w.copy(), b)
     epochs_since_improvement = 0
     step = 0
+    # err = Xb @ w + b - yb; w -= lr * (2 (Xb.T @ err) / m + 2 lambda / n * w);
+    # b -= lr * 2 mean(err): computed in place, in that IEEE order, bit for bit
+    shrink_scale = 2.0 * hyper.ridge_lambda / n
+    gw, shrink = np.empty(d), np.empty(d)
     for epoch in range(hyper.max_epochs):
         perm = rng.permutation(nt)
+        epoch_rows, epoch_y = train_rows[perm], yt[perm]
         for start in range(0, nt, batch_size):
-            batch = perm[start : start + batch_size]
-            Xb, yb = X[train_rows[batch]], yt[batch]
+            Xb = X.take(epoch_rows[start : start + batch_size], axis=0)
             if epoch == 0 and not np.all(np.isfinite(Xb)):
                 raise ValueError("non-finite training inputs")
-            err = Xb @ w + b - yb
-            if not np.all(np.isfinite(err)):
+            m = Xb.shape[0]
+            err = Xb @ w
+            err += b
+            err -= epoch_y[start : start + batch_size]
+            total = np.add.reduce(err)  # what err.mean() sums
+            # a finite sum has only finite terms; finite errors may still overflow it
+            if not (math.isfinite(total) or np.all(np.isfinite(err))):
                 raise ValueError(f"non-finite loss at step {step}")
             lr = _learning_rate_at(step, total_steps, hyper)
-            gw = 2.0 * (Xb.T @ err) / len(batch) + 2.0 * hyper.ridge_lambda / n * w
-            gb = 2.0 * float(err.mean())
-            w -= lr * gw
-            b -= lr * gb
+            np.matmul(Xb.T, err, out=gw)
+            gw *= 2.0
+            gw /= m
+            np.multiply(shrink_scale, w, out=shrink)
+            gw += shrink
+            gw *= lr
+            w -= gw
+            b -= lr * (2.0 * float(total / m))
             step += 1
         if holdout.size:
             score = _rmse(Xh @ w + b, yh)

@@ -279,6 +279,23 @@ class TestValidation:
         # a nested value is named by its path, e.g. archetypes[0].hashed_dim
         assert re.match(rf"error: {key}(\[\d+\])?(\.\w+)? must be ", line), line
 
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [
+            ({"hyper_pseudo": {"learning_rate": float("nan")}}, "hyper_pseudo.learning_rate"),
+            ({"hyper_fine": {"ridge_lambda": float("inf")}}, "hyper_fine.ridge_lambda"),
+            ({"ridge_lambda_baseline": float("inf")}, "ridge_lambda_baseline"),
+            ({"default_rating_std": float("nan")}, "default_rating_std"),
+        ],
+    )
+    def test_non_finite_number(self, tmp_path, capsys, overrides, name):
+        # json.loads reads NaN and Infinity, which pass every comparison-based check
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        config_path = _write_config(tmp_path, dataset, overrides)
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert re.fullmatch(rf"error: {re.escape(name)} must be a finite number, got (nan|inf)", line)
+
     @pytest.mark.parametrize("section", ["hyper_pseudo", "hyper_fine", "hyper_baseline"])
     @pytest.mark.parametrize("key, value", [("schedule", "linear"), ("batch_size", 32), ("seed", 0)])
     def test_removed_hyper_key(self, tmp_path, capsys, section, key, value):
@@ -383,6 +400,9 @@ class TestStaleness:
         assert main(["featurize", "--config", str(config_path)]) == 0
 
 
+LATIN1_SENTENCE = "Grüße aus Köln.".encode("latin-1")
+
+
 class TestBadInputFiles:
     """A malformed input file ends in exit 1 with a one-line message."""
 
@@ -423,6 +443,44 @@ class TestBadInputFiles:
         train.write_text(train.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
         line = self._one_line_error(capsys, "train-baseline", config_path)
         assert f"labeled_train {train}: no labeled sentences" in line
+
+    def test_labeled_train_not_utf8(self, featurized, capsys):
+        directory, config_path, _ = featurized
+        train = directory / "train.tsv"
+        lines = train.read_bytes().splitlines(keepends=True)
+        with open(train, "ab") as fh:
+            fh.write(b"999\t" + LATIN1_SENTENCE + b"\t3.0\t0.5\n")
+        line = self._one_line_error(capsys, "train-baseline", config_path)
+        assert f"{train}: line {len(lines) + 1}: not UTF-8 text (byte 0xfc)" in line
+
+    def test_corpus_file_not_utf8(self, featurized, capsys):
+        _, config_path, _ = featurized
+        corpus = Path(json.loads(config_path.read_text(encoding="utf-8"))["corpora"][0]["path"])
+        lines = corpus.read_bytes().splitlines(keepends=True)
+        corpus.write_bytes(b"".join([*lines[:2], LATIN1_SENTENCE + b"\n", *lines[2:]]))
+        line = self._one_line_error(capsys, "ingest", config_path)
+        assert f"{corpus}: line 3: not UTF-8 text (byte 0xfc)" in line
+
+    def test_predict_input_not_utf8(self, pipeline, tmp_path, capsys):
+        _, config_path, _ = pipeline
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"Ein Satz.\n" + LATIN1_SENTENCE + b"\n")
+        line = self._one_line_error(capsys, "predict", config_path, "--input", str(path))
+        assert f"{path}: line 2: not UTF-8 text (byte 0xfc)" in line
+
+    def test_predict_input_missing(self, pipeline, tmp_path, capsys):
+        _, config_path, _ = pipeline
+        path = tmp_path / "nonexistent.txt"
+        line = self._one_line_error(capsys, "predict", config_path, "--input", str(path))
+        assert line == f"error: cannot read input {path}: No such file or directory"
+
+    def test_non_finite_rating_std(self, featurized, capsys):
+        directory, config_path, dataset = featurized
+        rows = dataset.labeled_train
+        bad = [*rows[:3], dataclasses.replace(rows[3], rating_std=float("nan")), *rows[4:]]
+        fixtures.write_labeled_tsv(bad, directory / "train.tsv")
+        line = self._one_line_error(capsys, "train-baseline", config_path)
+        assert "row 5: non-finite rating_std nan" in line
 
     def test_store_record_without_text(self, featurized, capsys):
         directory, config_path, _ = featurized

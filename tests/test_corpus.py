@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from pseudolab.corpus import (
     CorpusStore,
+    InputFileError,
     SentenceRecord,
     deduplicate,
     ingest_corpus,
@@ -83,8 +84,9 @@ class TestIngest:
     def test_invalid_utf8_is_hard_error(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"valide zeile\n\xff\xfe kaputt\n")
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(InputFileError, match=r"line 2: not UTF-8 text \(byte 0xff\)") as info:
             ingest_corpus(path, "wiki")
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
@@ -186,6 +188,12 @@ class TestLoadLabeled:
     def test_negative_std_rejected(self, tmp_path):
         path = self._write(tmp_path, ["1\tx\t3.0\t-0.2"])
         with pytest.raises(ValueError, match="negative"):
+            load_labeled(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_std_rejected(self, tmp_path, value):
+        path = self._write(tmp_path, ["1\tx\t3.0\t0.2", f"2\ty\t3.0\t{value}"])
+        with pytest.raises(ValueError, match=f"row 3: non-finite rating_std {value}"):
             load_labeled(path)
 
     def test_text_is_normalized(self, tmp_path):

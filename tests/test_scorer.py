@@ -3,6 +3,8 @@ import pytest
 
 from pseudolab.scorer import (
     HyperParams,
+    _fit_rows,
+    _learning_rate_at,
     ScorerModel,
     gradient_check,
     load_model,
@@ -212,6 +214,122 @@ class TestSharedRows:
         )
 
 
+# The mini-batch loop the in-place step replaced, kept as the reference.
+def oracle_train_iterative(init, X, y, hyper, *, seed, batch_size, rows=None):
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    rows = _fit_rows(X, y, rows)
+    n, d = rows.shape[0], X.shape[1]
+    if init is not None:
+        w = init.weights.copy()
+        b = float(init.intercept)
+    else:
+        w = np.zeros(d, dtype=np.float64)
+        b = 0.0
+    rng = np.random.default_rng(seed)
+    holdout = np.zeros(0, dtype=np.int64)
+    train_rows, yt = rows, y
+    if hyper.early_stopping:
+        order = rng.permutation(n)
+        n_hold = int(round(n * hyper.early_stopping_holdout_fraction))
+        if 1 <= n_hold < n:
+            holdout = order[n - n_hold :]
+            train_rows, yt = rows[order[: n - n_hold]], y[order[: n - n_hold]]
+    Xh, yh = X[rows[holdout]], y[holdout]
+    nt = train_rows.shape[0]
+    n_batches = (nt + batch_size - 1) // batch_size
+    total_steps = hyper.max_epochs * n_batches
+
+    best = (np.inf, w.copy(), b)
+    epochs_since_improvement = 0
+    step = 0
+    for epoch in range(hyper.max_epochs):
+        perm = rng.permutation(nt)
+        for start in range(0, nt, batch_size):
+            batch = perm[start : start + batch_size]
+            Xb, yb = X[train_rows[batch]], yt[batch]
+            err = Xb @ w + b - yb
+            if not np.all(np.isfinite(err)):
+                raise ValueError(f"non-finite loss at step {step}")
+            lr = _learning_rate_at(step, total_steps, hyper)
+            gw = 2.0 * (Xb.T @ err) / len(batch) + 2.0 * hyper.ridge_lambda / n * w
+            gb = 2.0 * float(err.mean())
+            w -= lr * gw
+            b -= lr * gb
+            step += 1
+        if holdout.size:
+            score = float(np.sqrt(np.mean((Xh @ w + b - yh) ** 2)))
+            if score < best[0]:
+                best = (score, w.copy(), b)
+                epochs_since_improvement = 0
+            else:
+                epochs_since_improvement += 1
+                if epochs_since_improvement > 1:
+                    break
+    if holdout.size:
+        _, w, b = best
+    return w, b
+
+
+def _fit_outcome(train, *args, **kwargs):
+    """A fit's weight bytes and intercept, or the message it raised."""
+    try:
+        result = train(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    w, b = (result.weights, result.intercept) if isinstance(result, ScorerModel) else result
+    return w.tobytes(), float(b).hex()
+
+
+class TestStepMatchesOracle:
+    """The in-place step trains bitwise the model of the reference loop."""
+
+    @pytest.mark.parametrize("with_rows", [False, True], ids=["all-rows", "repeated-rows"])
+    @pytest.mark.parametrize("early_stopping", [False, True], ids=["no-early-stop", "early-stop"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("d", [1, 2054])
+    def test_bitwise_equal(self, rng, d, warm, early_stopping, with_rows):
+        X = rng.normal(size=(60, d))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)  # unit rows, as the featurizer writes
+        n = 45  # a multiple of none of the batch sizes
+        rows = rng.integers(0, 60, size=n) if with_rows else None
+        y = rng.uniform(1.0, 7.0, size=n)
+        init = ScorerModel(weights=rng.normal(size=d) * 0.1, intercept=3.5) if warm else None
+        for ridge_lambda in (0.0, 1.0):
+            hyper = HyperParams(
+                learning_rate=0.3,
+                max_epochs=6,
+                early_stopping=early_stopping,
+                ridge_lambda=ridge_lambda,
+            )
+            for batch_size in (1, 7, 20, 32, 64):
+                args = (init, X if with_rows else X[:n], y, hyper)
+                kwargs = dict(seed=5, batch_size=batch_size, rows=rows)
+                expected = _fit_outcome(oracle_train_iterative, *args, **kwargs)
+                assert isinstance(expected, tuple)
+                assert _fit_outcome(train_iterative, *args, **kwargs) == expected
+
+    def test_divergence_fails_at_the_oracle_step(self, rng):
+        X, y = _random_problem(rng, n=50, d=8)
+        hyper = HyperParams(learning_rate=1e4, max_epochs=20)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = _fit_outcome(oracle_train_iterative, None, X, y, hyper, seed=2, batch_size=7)
+            got = _fit_outcome(train_iterative, None, X, y, hyper, seed=2, batch_size=7)
+        assert isinstance(expected, str) and expected.startswith("non-finite loss at step ")
+        assert got == expected
+
+    def test_overflowing_sum_of_finite_errors(self, rng):
+        # every first-step error is about -1e308, finite, but a batch's sum overflows
+        X, _ = _random_problem(rng, n=40, d=5)
+        y = np.full(40, 1e308)
+        hyper = HyperParams(learning_rate=0.1, max_epochs=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = _fit_outcome(oracle_train_iterative, None, X, y, hyper, seed=4, batch_size=8)
+            got = _fit_outcome(train_iterative, None, X, y, hyper, seed=4, batch_size=8)
+        assert got == expected
+        assert got != "non-finite loss at step 0"
+
+
 class TestPredict:
     def test_constant_model(self):
         model = ScorerModel(weights=np.zeros(3), intercept=3.0)
@@ -271,6 +389,11 @@ def test_model_json_roundtrip_bit_exact(tmp_path, rng):
 def test_hyperparams_validation():
     with pytest.raises(ValueError):
         HyperParams(learning_rate=0.0)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            HyperParams(learning_rate=value)
+        with pytest.raises(ValueError, match="ridge_lambda must be finite"):
+            HyperParams(ridge_lambda=value)
     with pytest.raises(ValueError):
         HyperParams(warmup_fraction=1.0)
     with pytest.raises(ValueError):

@@ -125,7 +125,11 @@ def ingest_corpus(
                     raise InputFileError(
                         f"{path}: line {lineno}: jsonl record missing 'text' key"
                     )
-                text = normalize_sentence(str(obj["text"]))
+                if not isinstance(obj["text"], str):
+                    raise InputFileError(
+                        f"{path}: line {lineno}: jsonl record 'text' is not a string"
+                    )
+                text = normalize_sentence(obj["text"])
             if not text:
                 continue
             records.append(

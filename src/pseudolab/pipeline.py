@@ -7,6 +7,8 @@ linear-stacker aggregation, all evaluated by k-fold cross-validation.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -241,6 +243,81 @@ def fine_tune_ensemble(
     return bundle
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# The fold function of the running `map_folds`. It is set before the pool
+# forks, so the workers inherit it and the closure is never pickled.
+_fold_task: Callable[[int], dict[str, np.ndarray]] | None = None
+
+
+def _run_fold_task(f: int) -> dict[str, np.ndarray]:
+    return _fold_task(f)
+
+
+def map_folds(
+    run_fold: Callable[[int], dict[str, np.ndarray]], n_folds: int, workers: int
+) -> list[dict[str, np.ndarray]]:
+    """`[run_fold(f) for f in range(n_folds)]`, run in `workers` forked processes.
+
+    With fewer than two workers, or where `fork` is unavailable, the folds run
+    in this process. Workers are forked, not spawned, so they share the loaded
+    store, index and feature caches copy-on-write, and only fold numbers and
+    results are pickled (the pipeline starts no thread of its own that a fork
+    could copy mid-operation). Folds start in order, at most one per worker
+    at a time. After a failure no further fold starts, the running ones
+    finish, and the exception of the lowest-numbered failing fold is raised,
+    as the serial loop would raise it.
+    """
+    import multiprocessing
+
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [run_fold(f) for f in range(n_folds)]
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    global _fold_task
+    _fold_task = run_fold
+    results: dict[int, dict[str, np.ndarray]] = {}
+    errors: dict[int, BaseException] = {}
+    # a forked worker flushes the stream buffers it inherited when it exits
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            running = {}
+            next_fold = 0
+            while True:
+                while next_fold < n_folds and len(running) < workers and not errors:
+                    running[pool.submit(_run_fold_task, next_fold)] = next_fold
+                    next_fold += 1
+                if not running:
+                    break
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    f = running.pop(future)
+                    exc = future.exception()
+                    if exc is None:
+                        results[f] = future.result()
+                    else:
+                        errors[f] = exc
+    finally:
+        _fold_task = None
+    if errors:
+        error = errors[min(errors)]
+        if isinstance(error, BrokenProcessPool):  # it names no fold
+            raise ChildProcessError("a fold worker process died") from error
+        raise error
+    return [results[f] for f in range(n_folds)]
+
+
 def evaluate_settings(
     ctx: PipelineContext,
     labeled: Sequence[LabeledSentence],
@@ -265,10 +342,7 @@ def evaluate_settings(
         s != "baseline" for s in settings
     )
 
-    per_fold: dict[str, list[float]] = {s: [] for s in settings}
-    pooled_pred: dict[str, np.ndarray] = {s: np.zeros(len(labeled)) for s in settings}
-
-    for f in range(plan.n_folds):
+    def run_fold(f: int) -> dict[str, np.ndarray]:
         train_idx = plan.train_indices(f)
         test_idx = plan.fold_indices(f)
         fold_train = [labeled[i] for i in train_idx]
@@ -301,6 +375,7 @@ def evaluate_settings(
                 },
             )
 
+        fold_preds: dict[str, np.ndarray] = {}
         for setting in settings:
             if predictor_override is not None:
                 preds = np.asarray(predictor_override(setting, fold_test), dtype=np.float64)
@@ -324,8 +399,18 @@ def evaluate_settings(
                 preds = score_features(bundle, x_test)
             else:  # ensemble_stacker
                 preds = score_features(replace(bundle, aggregation="stacker"), x_test)
-            per_fold[setting].append(rmse(preds, y[test_idx]))
-            pooled_pred[setting][test_idx] = preds
+            fold_preds[setting] = preds
+        return fold_preds
+
+    per_fold: dict[str, list[float]] = {s: [] for s in settings}
+    pooled_pred: dict[str, np.ndarray] = {s: np.zeros(len(labeled)) for s in settings}
+    # a fold that trains no pseudo stage is one small fit: forking costs more
+    workers = min(usable_cpus(), plan.n_folds) if need_pseudo else 1
+    for f, fold_preds in enumerate(map_folds(run_fold, plan.n_folds, workers)):
+        test_idx = plan.fold_indices(f)
+        for setting in settings:
+            per_fold[setting].append(rmse(fold_preds[setting], y[test_idx]))
+            pooled_pred[setting][test_idx] = fold_preds[setting]
 
     reports: dict[str, EvalReport] = {}
     for setting in settings:

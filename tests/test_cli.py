@@ -158,6 +158,8 @@ class TestFullPipeline:
 
             return wrapper
 
+        # the counts live in this process, so the folds must run in it too
+        monkeypatch.setattr(pipeline_module, "usable_cpus", lambda: 1)
         for module in (cli, pipeline_module, ensemble_module):
             monkeypatch.setattr(module, "embed_many", counting(features.embed_many, False))
         monkeypatch.setattr(pseudolabel, "embed", counting(features.embed, True))
@@ -492,8 +494,9 @@ class TestBadInputFiles:
         assert "line 3: store record has no 'text' field" in line
 
 
-def test_nothing_admitted_names_the_stage_and_fold(tmp_path, capsys):
+def test_nothing_admitted_names_the_stage_and_fold(tmp_path, capsys, monkeypatch):
     """With rating std 0 no candidate is admitted; training stages exit 1, naming where."""
+    monkeypatch.setattr(pipeline_module, "usable_cpus", lambda: 2)
     dataset = fixtures.make_synthetic_dataset(n_corpus=80, n_train=10, n_test=5, seed=2)
     config_path = _write_config(tmp_path, dataset)
     fixtures.write_labeled_tsv(
@@ -508,6 +511,27 @@ def test_nothing_admitted_names_the_stage_and_fold(tmp_path, capsys):
         assert main([command, "--config", str(config_path)]) == 1, command
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line.startswith(f"error: {where}: no pseudo-labels were admitted"), line
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (RuntimeError("fold step failed"), 1),
+        (cli.StaleArtifactError("fold step read a stale artifact"), 2),
+        (KeyError("fold step"), 3),
+    ],
+)
+def test_fold_worker_errors_keep_their_exit_code(pipeline, monkeypatch, capsys, error, code):
+    _, config_path, _ = pipeline
+    monkeypatch.setattr(pipeline_module, "usable_cpus", lambda: 2)
+
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(pipeline_module, "fine_tune_ensemble", failing)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config_path)]) == code
+    assert capsys.readouterr().err.strip().splitlines()[-1].endswith(str(error))
 
 
 @pytest.mark.parametrize(

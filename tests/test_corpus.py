@@ -70,6 +70,17 @@ class TestIngest:
         with pytest.raises(ValueError, match="text"):
             ingest_corpus(path, "news", format="jsonl")
 
+    @pytest.mark.parametrize("value", [None, 5, ["a"]])
+    def test_jsonl_text_not_a_string(self, tmp_path, value):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            json.dumps({"text": "ok"}) + "\n" + json.dumps({"text": value}) + "\n",
+            encoding="utf-8",
+        )
+        message = r"bad\.jsonl: line 2: jsonl record 'text' is not a string"
+        with pytest.raises(InputFileError, match=message):
+            ingest_corpus(path, "news", format="jsonl")
+
     def test_ids_continue_from_store(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"

@@ -288,6 +288,7 @@ def test_leakage_guard_names_fold(monkeypatch, small_context, small_dataset):
         return pset
 
     monkeypatch.setattr(pipeline, "generate_for_anchors", leaky)
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
     plan = make_fold_plan(len(labeled), n_folds=5, seed=1)
     with pytest.raises(RuntimeError, match="fold 0: pseudo-labels anchored on test-fold ids"):
         pipeline.evaluate_settings(

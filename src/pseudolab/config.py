@@ -1,13 +1,18 @@
-"""Declarative run configuration for the CLI (single JSON document)."""
+"""Declarative run configuration for the CLI (single JSON document).
+
+The type of each key is its dataclass annotation, read by one parser.
+"""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
-from .corpus import FORMATS
+from .corpus import DEFAULT_RATING_STD, FORMATS
 from .features import FeatureConfig
 from .pipeline import (
     DEFAULT_ARCHETYPE_SPECS,
@@ -17,7 +22,6 @@ from .pipeline import (
     ArchetypeSpec,
     PipelineConfig,
 )
-from .scorer import HyperParams
 
 
 class ConfigError(ValueError):
@@ -43,59 +47,61 @@ class RunConfig(PipelineConfig):
     )
     fold_seed: int = 1
     setting: str = "ensemble_mean"
-    default_rating_std: float = 0.5
+    default_rating_std: float = DEFAULT_RATING_STD
 
     def canonical_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
-# JSON type of each declared field type; bool is rejected even where int is allowed
-_JSON_KINDS = {
-    "int": (int, "an integer"),
-    "float": ((int, float), "a number"),
-    "str": (str, "a string"),
-    "bool": (bool, "a boolean"),
+# the JSON values each scalar annotation accepts; bool is rejected even where int is allowed
+_SCALARS = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+    bool: (bool, "a boolean"),
 }
 
-_SCALAR_KINDS = (
-    ("labeled_train", "str"),
-    ("output_dir", "str"),
-    ("k", "int"),
-    ("n_folds", "int"),
-    ("fold_seed", "int"),
-    ("ridge_lambda_baseline", "float"),
-    ("default_rating_std", "float"),
-    ("setting", "str"),
-)
 
+def _parse(tp, value, name: str, default=None):
+    """Read the JSON `value` of config key `name` as its annotation `tp`.
 
-def _check_kind(name: str, value, kind: str) -> None:
-    kinds, kind_name = _JSON_KINDS[kind]
-    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, kinds):
+    A nested config object may leave fields out: they keep the values of
+    `default`, or the class defaults where `default` is None.
+    """
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):  # T | None
+        (inner,) = [a for a in args if a is not type(None)]
+        return None if value is None else _parse(inner, value, name, default)
+    if origin in (list, tuple):  # list[T] or tuple[T, ...]
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return origin(_parse(args[0], item, f"{name}[{i}]") for i, item in enumerate(value))
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be an object, got {value!r}")
+        hints = get_type_hints(tp)
+        parsed = {}
+        for key, item in value.items():
+            if key not in hints:
+                raise ConfigError(f"{name} has unknown key {key!r}")
+            parsed[key] = _parse(hints[key], item, f"{name}.{key}", getattr(default, key, None))
+        try:
+            return tp(**parsed) if default is None else replace(default, **parsed)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid {name}: {exc}") from exc
+    kinds, kind_name = _SCALARS[tp]
+    if isinstance(value, bool) != (tp is bool) or not isinstance(value, kinds):
         raise ConfigError(f"{name} must be {kind_name}, got {value!r}")
-    if kind == "float" and not math.isfinite(value):  # json.loads reads NaN and Infinity
+    if tp is float and not math.isfinite(value):  # json.loads reads NaN and Infinity
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return value
 
 
-def _build(cls, value, name: str, defaults: dict | None = None):
-    """Build a config dataclass from a JSON object, checking each field's type."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be an object, got {value!r}")
-    declared = {f.name: f.type for f in fields(cls)}
-    for key, item in value.items():
-        if key not in declared:
-            raise ConfigError(f"{name} has unknown key {key!r}")
-        _check_kind(f"{name}.{key}", item, declared[key])
-    try:
-        return cls(**{**(defaults or {}), **value})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {name}: {exc}") from exc
-
-
-def _build_list(cls, value, name: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list, got {value!r}")
-    return [_build(cls, item, f"{name}[{i}]") for i, item in enumerate(value)]
+def _default(f: Field):
+    """The default value of a dataclass field, or None where it has none."""
+    if f.default_factory is not MISSING:
+        return f.default_factory()
+    return None if f.default is MISSING else f.default
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -108,40 +114,23 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    unknown = sorted(set(raw) - {f.name for f in fields(RunConfig)})
+    declared = {f.name: f for f in fields(RunConfig)}
+    unknown = sorted(set(raw) - set(declared))
     if unknown:
         raise ConfigError(f"config {path} has unknown key(s): {', '.join(unknown)}")
-    missing = [key for key in ("corpora", "labeled_train", "output_dir") if key not in raw]
+    missing = [
+        key for key, f in declared.items()
+        if key not in raw and f.default is MISSING and f.default_factory is MISSING
+    ]
     if missing:
         raise ConfigError(f"config {path} missing required field(s): {', '.join(missing)}")
-
-    for key, kind in _SCALAR_KINDS:
-        if key in raw:
-            _check_kind(key, raw[key], kind)
-    labeled_test = raw.get("labeled_test")
-    if labeled_test is not None:
-        _check_kind("labeled_test", labeled_test, "str")
-
+    hints = get_type_hints(RunConfig)
     cfg = RunConfig(
-        corpora=_build_list(CorpusEntry, raw["corpora"], "corpora"),
-        **{key: raw[key] for key, _ in _SCALAR_KINDS if key in raw},
-        labeled_test=labeled_test,
+        **{
+            key: _parse(hints[key], value, key, _default(declared[key]))
+            for key, value in raw.items()
+        }
     )
-    if "seeds" in raw:
-        seeds = raw["seeds"]
-        if not isinstance(seeds, list) or not seeds:
-            raise ConfigError(f"seeds must be a non-empty list of integers, got {seeds!r}")
-        for i, seed in enumerate(seeds):
-            _check_kind(f"seeds[{i}]", seed, "int")
-        cfg.seeds = tuple(seeds)
-    if "retrieval" in raw:
-        cfg.retrieval = _build(FeatureConfig, raw["retrieval"], "retrieval")
-    if "archetypes" in raw:
-        cfg.archetypes = _build_list(ArchetypeSpec, raw["archetypes"], "archetypes")
-    for key in ("hyper_pseudo", "hyper_fine", "hyper_baseline"):
-        if key in raw:
-            defaults = asdict(getattr(cfg, key))
-            setattr(cfg, key, _build(HyperParams, raw[key], key, defaults))
     validate_config(cfg)
     return cfg
 
@@ -163,7 +152,9 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.n_folds < 2:
         raise ConfigError("n_folds must be at least 2")
     if not cfg.seeds or any(s <= 0 for s in cfg.seeds):
-        raise ConfigError("seeds must be positive integers")
+        raise ConfigError(
+            f"seeds must be a non-empty list of positive integers, got {list(cfg.seeds)}"
+        )
     if len(set(cfg.seeds)) < len(cfg.seeds):  # a seed keys its models and their files
         raise ConfigError(f"seeds must be distinct, got {list(cfg.seeds)}")
     if not cfg.archetypes:

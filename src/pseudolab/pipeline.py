@@ -324,7 +324,6 @@ def evaluate_settings(
     settings: Sequence[str],
     plan: FoldPlan,
     cfg: PipelineConfig,
-    predictor_override: Callable[[str, list[LabeledSentence]], np.ndarray] | None = None,
 ) -> dict[str, EvalReport]:
     """Cross-validate the requested settings on the labeled set.
 
@@ -338,9 +337,7 @@ def evaluate_settings(
     y = np.array([s.mos for s in labeled])
     exclude = {s.text for s in labeled}
     x_labeled = embed_labeled(ctx.archetypes, labeled)
-    need_pseudo = predictor_override is None and any(
-        s != "baseline" for s in settings
-    )
+    need_pseudo = any(s != "baseline" for s in settings)
 
     def run_fold(f: int) -> dict[str, np.ndarray]:
         train_idx = plan.train_indices(f)
@@ -362,9 +359,7 @@ def evaluate_settings(
             models9 = train_stage_models(ctx, pset, cfg, f"fold {f}")
 
         bundle: EnsembleBundle | None = None
-        if predictor_override is None and any(
-            s in ("ensemble_mean", "ensemble_stacker") for s in settings
-        ):
+        if any(s in ("ensemble_mean", "ensemble_stacker") for s in settings):
             inner_plan = make_fold_plan(
                 len(train_idx), cfg.n_folds, seed=plan.seed * 1009 + f
             )
@@ -377,9 +372,7 @@ def evaluate_settings(
 
         fold_preds: dict[str, np.ndarray] = {}
         for setting in settings:
-            if predictor_override is not None:
-                preds = np.asarray(predictor_override(setting, fold_test), dtype=np.float64)
-            elif setting == "baseline":
+            if setting == "baseline":
                 arch0 = ctx.archetypes[0]
                 model = train_iterative(
                     None,

@@ -16,8 +16,7 @@ from .metrics import render_table
 from .scorer import ScorerModel
 from .simindex import VectorIndex, top_k_many
 
-# Not called here: perfbench/traced_cli.py looks these up on this module to patch them.
-from .features import embed  # noqa: F401
+# Not called here: perfbench/traced_cli.py looks it up on this module to patch it.
 from .simindex import top_k  # noqa: F401
 
 

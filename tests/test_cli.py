@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pseudolab import cli, features, fixtures, pseudolabel
+from pseudolab import cli, features, fixtures
 from pseudolab import ensemble as ensemble_module
 from pseudolab import pipeline as pipeline_module
 from pseudolab.cli import main
@@ -150,10 +150,10 @@ class TestFullPipeline:
         # (text, featurizer fingerprint) of every row embedded, counted where called
         embedded: list[tuple[str, str]] = []
 
-        def counting(original, one_text):
+        def counting(original):
             def wrapper(texts, stats):
-                rows = [texts] if one_text else list(texts)
-                embedded.extend((t, stats.fingerprint) for t in rows)
+                texts = list(texts)
+                embedded.extend((t, stats.fingerprint) for t in texts)
                 return original(texts, stats)
 
             return wrapper
@@ -161,8 +161,7 @@ class TestFullPipeline:
         # the counts live in this process, so the folds must run in it too
         monkeypatch.setattr(pipeline_module, "usable_cpus", lambda: 1)
         for module in (cli, pipeline_module, ensemble_module):
-            monkeypatch.setattr(module, "embed_many", counting(features.embed_many, False))
-        monkeypatch.setattr(pseudolabel, "embed", counting(features.embed, True))
+            monkeypatch.setattr(module, "embed_many", counting(features.embed_many))
         labeled = {s.text for s in dataset.labeled_train}
         n_archetypes = len(config.archetypes)
         retrieval = config.retrieval.fingerprint()
@@ -308,6 +307,13 @@ class TestValidation:
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line == f"error: {section} has unknown key {key!r}"
 
+    def test_empty_seeds_rejected(self, tmp_path, capsys):
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        config_path = _write_config(tmp_path, dataset, {"seeds": []})
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == "error: seeds must be a non-empty list of positive integers, got []"
+
     def test_repeated_seed_rejected(self, tmp_path, capsys):
         dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
         config_path = _write_config(tmp_path, dataset, {"seeds": [1, 2, 1]})
@@ -360,6 +366,52 @@ class TestValidation:
 
     def test_unknown_command(self):
         assert main(["frobnicate", "--config", "x.json"]) == 1
+
+
+class TestConfigParse:
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            (
+                "retrieval",
+                {"ngram_max": 4},
+                dataclasses.replace(pipeline_module.DEFAULT_RETRIEVAL_CONFIG, ngram_max=4),
+            ),
+            (
+                "hyper_pseudo",
+                {"max_epochs": 2},
+                dataclasses.replace(pipeline_module.default_pseudo_hyper(), max_epochs=2),
+            ),
+        ],
+    )
+    def test_partial_object_keeps_defaults_of_omitted_fields(
+        self, tmp_path, key, value, expected
+    ):
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        config = load_config(_write_config(tmp_path, dataset, {key: value}))
+        assert getattr(config, key) == expected
+
+    @pytest.mark.parametrize("every_section", [False, True])
+    def test_config_snapshot_loads_back(self, tmp_path, every_section):
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        config_path = _write_config(
+            tmp_path,
+            dataset,
+            {
+                "fold_seed": 4,
+                "setting": "pseudo_only",
+                "default_rating_std": 0.25,
+                "ridge_lambda_baseline": 0.5,
+                "hyper_baseline": {"early_stopping": False, "learning_rate": 0.05},
+            },
+        )
+        if not every_section:  # only the required keys: every other one is a default
+            raw = json.loads(config_path.read_text(encoding="utf-8"))
+            required = {key: raw[key] for key in ("corpora", "labeled_train", "output_dir")}
+            config_path.write_text(json.dumps(required), encoding="utf-8")
+        config = load_config(config_path)
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        assert load_config(tmp_path / "out" / "config_snapshot.json") == config
 
 
 class TestStaleness:

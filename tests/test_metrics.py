@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pseudolab import pipeline
 from pseudolab.ensemble import make_fold_plan
 from pseudolab.pipeline import evaluate_settings
 from pseudolab.metrics import (
@@ -119,20 +120,21 @@ class TestMapping:
         assert val == pytest.approx(1.0 + 0.5 * 2 - 0.1 * 4 + 0.01 * 8)
 
 
-def test_cross_validate_with_perfect_oracle(small_context, small_dataset, small_pipeline_config):
+def test_cross_validate_with_perfect_oracle(
+    small_context, small_dataset, small_pipeline_config, monkeypatch
+):
     labeled = small_dataset.labeled_train
     plan = make_fold_plan(len(labeled), n_folds=5, seed=1)
-
-    def oracle(setting, fold_test):
-        return np.array([s.mos for s in fold_test])
+    # every labeled row's one feature is its gold score, and the model predicts it
+    monkeypatch.setattr(
+        pipeline,
+        "embed_labeled",
+        lambda archetypes, rows: {a.name: np.array([[s.mos] for s in rows]) for a in archetypes},
+    )
+    monkeypatch.setattr(pipeline, "predict", lambda model, x: x[:, 0])
 
     report = evaluate_settings(
-        small_context,
-        labeled,
-        ["baseline"],
-        plan,
-        small_pipeline_config,
-        predictor_override=oracle,
+        small_context, labeled, ["baseline"], plan, small_pipeline_config
     )["baseline"]
     assert report.per_fold_rmse == [0.0] * 5
     assert report.fold_mean_rmse == 0.0

@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 validation error, 2 stale or corrupt artifact, 3 intern
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
 import io
 import json
 import os
@@ -17,6 +19,7 @@ import time
 import traceback
 from dataclasses import asdict
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .artifacts import (
 from .config import ConfigError, RunConfig, load_config
 from .corpus import CorpusStore, InputFileError, LabeledSentence, deduplicate, ingest_corpus, load_labeled, load_store, normalize_sentence, open_text, save_store
 from .ensemble import FoldPlan, make_fold_plan, save_bundle
-from .features import FeatureStats, embed_many, fit_feature_stats_many, load_feature_stats, save_feature_stats
+from .features import FeatureStats, embed_chunks, fit_feature_stats_many, load_feature_stats, save_feature_stats
 from .metrics import render_report_table, save_report
 from .pipeline import RETRIEVAL, Archetype, PipelineContext, embed_labeled, evaluate_settings, fine_tune_ensemble, generate_for_anchors, train_gate_model, train_stage_models
 from .pseudolabel import load_pseudo_labels, pseudo_label_stats, render_stats_table, save_pseudo_labels, save_set_stats
@@ -93,12 +96,51 @@ def _atomic_save_dir(path: Path, save_fn) -> None:
         raise
 
 
-def _save_npy(path: Path, array: np.ndarray) -> None:
-    def save(tmp):
-        with open(tmp, "wb") as fh:
-            np.save(fh, array)
+def _stream_npy(
+    outputs: list[tuple[Path, np.typing.DTypeLike, tuple[int, ...]]],
+    blocks: Iterable[Sequence[np.ndarray]],
+) -> list[str]:
+    """Write one .npy file per (path, dtype, shape) from blocks of its rows.
 
-    _atomic_save(path, save)
+    `blocks` yields one row block per output at a time, cast to the output's
+    dtype on write. Each file holds the bytes np.save of the whole matrix
+    writes, without the matrix ever being held; the files are renamed into
+    place only when every block has been written. Returns each file's
+    sha256, hashed as it was written.
+    """
+    tmps: list[str] = []
+    try:
+        with contextlib.ExitStack() as files:
+            handles, hashers = [], []
+            for path, dtype, shape in outputs:
+                fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+                tmps.append(tmp)
+                handles.append(files.enter_context(os.fdopen(fd, "wb")))
+                header = io.BytesIO()
+                np.lib.format.write_array_header_1_0(header, {
+                    "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+                    "fortran_order": False,
+                    "shape": tuple(map(int, shape)),
+                })
+                handles[-1].write(header.getvalue())
+                hashers.append(hashlib.sha256(header.getvalue()))
+            for row_blocks in blocks:
+                for fh, h, (_, dtype, _), block in zip(handles, hashers, outputs, row_blocks):
+                    data = np.ascontiguousarray(block, dtype=dtype)
+                    data.tofile(fh)
+                    h.update(data)
+        for tmp, (path, _, _) in zip(tmps, outputs):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        raise
+    return [h.hexdigest() for h in hashers]
+
+
+def _save_npy(path: Path, array: np.ndarray) -> str:
+    return _stream_npy([(path, array.dtype, array.shape)], [[array]])[0]
 
 
 class _Stage:
@@ -141,8 +183,10 @@ class _Stage:
             raise InputFileError(f"labeled_train {self.config.labeled_train}: no labeled sentences")
         return labeled
 
-    def finish(self, outputs: list[str]) -> None:
-        digests = {name: artifact_digest(self.outdir / name) for name in outputs}
+    def finish(self, outputs: list[str], known: dict[str, str] | None = None) -> None:
+        """Record the stage with each output's digest; `known` holds digests already taken."""
+        known = known or {}
+        digests = {name: known.get(name) or artifact_digest(self.outdir / name) for name in outputs}
         self.manifest.record_stage(
             self.name,
             self.config_digest,
@@ -188,19 +232,29 @@ def cmd_featurize(config: RunConfig, force: bool) -> None:
     _atomic_save(
         stage.outdir / FEATURE_STATS, lambda tmp: save_feature_stats(stats, tmp)
     )
-    texts = [r.text for r in store.records]
-    vectors = embed_many(texts, stats[RETRIEVAL]).astype(np.float32)
-    _save_npy(stage.outdir / CORPUS_VECTORS, vectors)
-    _save_npy(
-        stage.outdir / CORPUS_IDS,
-        np.array([r.id for r in store.records], dtype=np.int64),
+    digests = {
+        CORPUS_IDS: _save_npy(
+            stage.outdir / CORPUS_IDS, np.array([r.id for r in store.records], dtype=np.int64)
+        )
+    }
+    # the float32 retrieval rows, then one float64 matrix per distinct archetype
+    # featurizer (archetypes with the same config share one), in one pass
+    outputs = {CORPUS_VECTORS: (stats[RETRIEVAL], np.float32)}
+    outputs.update(
+        (_feature_cache(stats[spec.name]), (stats[spec.name], np.float64))
+        for spec in config.archetypes
     )
-    # archetypes with the same featurizer config share one matrix
-    caches = {_feature_cache(stats[spec.name]): stats[spec.name] for spec in config.archetypes}
     (stage.outdir / CORPUS_FEATURES).mkdir(exist_ok=True)
-    for name, arch_stats in caches.items():
-        _save_npy(stage.outdir / name, embed_many(texts, arch_stats))
-    stage.finish([FEATURE_STATS, CORPUS_VECTORS, CORPUS_IDS, *caches])
+    texts = [r.text for r in store.records]
+    streamed = _stream_npy(
+        [
+            (stage.outdir / name, dtype, (len(texts), s.config.dimension))
+            for name, (s, dtype) in outputs.items()
+        ],
+        embed_chunks(texts, [s for s, _ in outputs.values()]),
+    )
+    digests.update(zip(outputs, streamed))
+    stage.finish([FEATURE_STATS, *digests], digests)
 
 
 def _load_context(stage: _Stage, *, retrieval: bool, features: bool) -> PipelineContext:

@@ -263,11 +263,8 @@ def score_features(
 
 def predict_ensemble_batch(bundle: EnsembleBundle, texts: Sequence[str]) -> np.ndarray:
     """Predict scores for a batch of normalized sentences."""
-    x_by_arch = {
-        name: embed_many(list(texts), arch.stats)
-        for name, arch in bundle.archetypes.items()
-    }
-    return score_features(bundle, x_by_arch)
+    matrices = embed_many(list(texts), [arch.stats for arch in bundle.archetypes.values()])
+    return score_features(bundle, dict(zip(bundle.archetypes, matrices)))
 
 
 def audit_oof_hygiene(bundle: EnsembleBundle) -> bool:

@@ -32,7 +32,7 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _FNV64_PRIME = np.uint64(FNV64_PRIME)
 
 # Rows featurized at a time, so that peak memory does not grow with the batch.
-EMBED_CHUNK_ROWS = 1024
+EMBED_CHUNK_ROWS = 256
 
 
 def fnv1a64(data: bytes) -> int:
@@ -104,6 +104,11 @@ class FeatureStats:
         )
         if stats.fingerprint != config.fingerprint():
             raise ValueError("feature stats fingerprint does not match its config")
+        for name, values in (("means", stats.means), ("stds", stats.stds)):
+            if values.shape != (SURFACE_DIM,) or not np.all(np.isfinite(values)):
+                raise ValueError(f"feature stats {name} must be {SURFACE_DIM} finite numbers")
+        if not np.all(stats.stds >= STD_FLOOR):
+            raise ValueError(f"feature stats stds must be at least {STD_FLOOR}")
         return stats
 
 
@@ -129,43 +134,51 @@ def _fnv1a64_windows(text: str, n_max: int) -> Iterator[np.ndarray]:
     widths = np.diff(starts, append=raw.size)
     padded = np.concatenate([raw, np.zeros(3, dtype=np.uint8)])
     pad = np.zeros(n_max, dtype=np.uint8)
-    # byte k of every character, zero and masked out past its width
+    # byte k of every character, zero and masked out past its width; byte
+    # positions that no character has (all but the first, in ASCII) are skipped
     char_bytes = [np.concatenate([padded[starts + k], pad]) for k in range(4)]
     has_byte = [np.concatenate([widths > k, pad.astype(bool)]) for k in range(4)]
+    later = [k for k in range(1, 4) if has_byte[k].any()]
     h = np.full(n_chars, FNV64_OFFSET, dtype=np.uint64)
     for n in range(n_max):
         window = slice(n, n + n_chars)
-        h = (h ^ char_bytes[0][window]) * _FNV64_PRIME  # every character has a first byte
-        for k in range(1, 4):
-            h = np.where(has_byte[k][window], (h ^ char_bytes[k][window]) * _FNV64_PRIME, h)
+        h = h ^ char_bytes[0][window]  # every character has a first byte
+        h *= _FNV64_PRIME
+        for k in later:
+            step = h ^ char_bytes[k][window]
+            step *= _FNV64_PRIME
+            np.copyto(h, step, where=has_byte[k][window])
         yield h
 
 
-def _hashed_block(texts: Sequence[str], config: FeatureConfig) -> np.ndarray:
-    """Feature-hashed character n-grams, one L2-normalized row per text.
+def _ngram_hashes(
+    texts: Sequence[str], n_min: int, n_max: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every character n-gram of texts for n_min <= n <= n_max, grouped by n.
 
-    Each bucket sums +-1 per n-gram (the sign is the hash's top bit), so it
-    holds an exact integer and the row does not depend on the other texts.
-    A text with no n-gram gets a zero row.
+    Returns (rows, hashes, signs, bounds): gram i lies in texts[rows[i]], has
+    FNV-1a 64 hash hashes[i] and sign signs[i] (+-1, the hash's top bit);
+    the grams of length n are those from bounds[n - 1] to bounds[n].
     """
-    dim = config.hashed_dim
     lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-    rows = np.repeat(np.arange(len(texts)), lengths)
+    text_of = np.repeat(np.arange(len(texts)), lengths)
     # characters from each position to the end of its own text
-    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(rows.size)
-    keys, signs = [], []
-    for n, h in enumerate(_fnv1a64_windows("".join(texts), config.ngram_max), start=1):
-        if n < config.ngram_min:
-            continue
-        valid = room >= n
-        h = h[valid]
-        keys.append(rows[valid] * dim + (h % dim).astype(np.int64))
-        signs.append(np.where(h >> 63 == 0, 1.0, -1.0))
-    block = np.bincount(
-        np.concatenate(keys), weights=np.concatenate(signs), minlength=len(texts) * dim
-    ).reshape(len(texts), dim)
-    norms = np.sqrt(np.einsum("ij,ij->i", block, block))
-    return block / np.where(norms > 0.0, norms, 1.0)[:, None]
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(text_of.size)
+    # a text of L characters has max(L - n + 1, 0) grams of length n
+    sizes = [
+        np.maximum(lengths - (n - 1), 0).sum() if n >= n_min else 0 for n in range(1, n_max + 1)
+    ]
+    bounds = np.cumsum([0] + sizes)
+    rows = np.empty(bounds[-1], dtype=np.int64)
+    hashes = np.empty(bounds[-1], dtype=np.uint64)
+    for n, h in enumerate(_fnv1a64_windows("".join(texts), n_max), start=1):
+        if n >= n_min:
+            valid = room >= n
+            np.compress(valid, text_of, out=rows[bounds[n - 1] : bounds[n]])
+            np.compress(valid, h, out=hashes[bounds[n - 1] : bounds[n]])
+    # the sign is the hash's top bit, which is the sign bit of its int64 view
+    signs = np.copysign(1.0, hashes.view(np.int64))
+    return rows, hashes, signs, bounds
 
 
 def _surface_block(texts: Sequence[str]) -> np.ndarray:
@@ -220,28 +233,80 @@ def fit_feature_stats_many(
 
 def embed(text: str, stats: FeatureStats) -> np.ndarray:
     """Map a normalized sentence to its fixed-dimension feature vector."""
-    return embed_many([text], stats)[0]
+    return embed_many([text], [stats])[0][0]
 
 
-def embed_many(texts: Sequence[str], stats: FeatureStats) -> np.ndarray:
-    """One feature row per text: the hashed block, then the z-scored surface block.
+def _write_features(
+    block: np.ndarray, grams: tuple, surface: np.ndarray, stats: FeatureStats
+) -> None:
+    """Fill one featurizer's rows: the hashed block, then the z-scored surface block.
 
-    Texts are featurized EMBED_CHUNK_ROWS at a time, so peak memory does not
-    grow with the batch; a row does not depend on which texts share its chunk.
+    `grams` is _ngram_hashes' result. Each hashed bucket sums +-1 per n-gram,
+    so it holds an exact integer and the row does not depend on the other
+    texts; a text with no n-gram gets a zero hashed block.
     """
     config = stats.config
-    if stats.fingerprint != config.fingerprint():
-        raise ValueError("feature stats fingerprint does not match its config")
-    out = np.empty((len(texts), config.dimension), dtype=np.float64)
-    for start in range(0, len(texts), EMBED_CHUNK_ROWS):
-        chunk = [
-            truncate_tokens(t, config.max_tokens)
-            for t in texts[start : start + EMBED_CHUNK_ROWS]
+    dim = config.hashed_dim
+    rows, hashes, signs, bounds = grams
+    own = slice(bounds[config.ngram_min - 1], bounds[config.ngram_max])
+    keys = rows[own] * dim + (hashes[own] % dim).astype(np.int64)
+    counts = np.bincount(keys, weights=signs[own], minlength=len(block) * dim)
+    counts = counts.reshape(len(block), dim)
+    norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
+    np.divide(counts, np.where(norms > 0.0, norms, 1.0)[:, None], out=block[:, :dim])
+    z = (surface - stats.means) / stats.stds
+    np.divide(z, np.sqrt(SURFACE_DIM), out=block[:, dim:])
+
+
+def embed_chunks(
+    texts: Sequence[str],
+    stats_list: Sequence[FeatureStats],
+    out: Sequence[np.ndarray] | None = None,
+) -> Iterator[list[np.ndarray]]:
+    """Featurize texts under every featurizer in one pass, EMBED_CHUNK_ROWS rows at a time.
+
+    Yields, per chunk of texts in order, one block per featurizer: blocks[j]
+    holds the chunk's feature rows under stats_list[j]. Per chunk, the token
+    truncation, the surface block and the n-gram hashes are computed once
+    per distinct max_tokens, up to the largest ngram_max; only the bucketing
+    and the normalization run per featurizer. With `out` (one array of
+    len(texts) rows per featurizer) the blocks are views of the chunk's rows
+    of out[j]; without it they are buffers that the next chunk overwrites,
+    so peak memory does not grow with the batch.
+    """
+    stats_list = list(stats_list)
+    by_max_tokens: dict[int, list[int]] = {}
+    for j, stats in enumerate(stats_list):
+        if stats.fingerprint != stats.config.fingerprint():
+            raise ValueError("feature stats fingerprint does not match its config")
+        by_max_tokens.setdefault(stats.config.max_tokens, []).append(j)
+    if out is None:
+        buffers = [
+            np.empty((min(len(texts), EMBED_CHUNK_ROWS), s.config.dimension))
+            for s in stats_list
         ]
-        rows = slice(start, start + len(chunk))
-        out[rows, : config.hashed_dim] = _hashed_block(chunk, config)
-        surface = (_surface_block(chunk) - stats.means) / stats.stds
-        out[rows, config.hashed_dim :] = surface / np.sqrt(SURFACE_DIM)
+    for start in range(0, len(texts), EMBED_CHUNK_ROWS):
+        chunk = texts[start : start + EMBED_CHUNK_ROWS]
+        if out is None:
+            blocks = [buffer[: len(chunk)] for buffer in buffers]
+        else:
+            blocks = [matrix[start : start + len(chunk)] for matrix in out]
+        for max_tokens, members in by_max_tokens.items():
+            truncated = [truncate_tokens(t, max_tokens) for t in chunk]
+            surface = _surface_block(truncated)
+            configs = [stats_list[j].config for j in members]
+            n_min, n_max = min(c.ngram_min for c in configs), max(c.ngram_max for c in configs)
+            grams = _ngram_hashes(truncated, n_min, n_max)
+            for j in members:
+                _write_features(blocks[j], grams, surface, stats_list[j])
+        yield blocks
+
+
+def embed_many(texts: Sequence[str], stats_list: Sequence[FeatureStats]) -> list[np.ndarray]:
+    """One feature matrix per featurizer, one row per text, from one embed_chunks pass."""
+    out = [np.empty((len(texts), s.config.dimension)) for s in stats_list]
+    for _ in embed_chunks(texts, stats_list, out):
+        pass
     return out
 
 

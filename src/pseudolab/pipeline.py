@@ -130,8 +130,10 @@ def build_context(
         Archetype(name=spec.name, stats=stats, batch_size=spec.batch_size)
         for spec, stats in zip(archetype_specs, archetype_stats)
     ]
+    matrices = embed_many(texts, [retrieval_stats, *(arch.stats for arch in archetypes)])
+    # the float64 retrieval matrix lives only until the index holds its float32 copy
     index = build_index(
-        zip((r.id for r in store.records), embed_many(texts, retrieval_stats)),
+        zip((r.id for r in store.records), matrices.pop(0)),
         fingerprint=retrieval_stats.fingerprint,
     )
     return PipelineContext(
@@ -139,7 +141,7 @@ def build_context(
         retrieval_stats=retrieval_stats,
         archetypes=archetypes,
         index=index,
-        corpus_features={arch.name: embed_many(texts, arch.stats) for arch in archetypes},
+        corpus_features={arch.name: x for arch, x in zip(archetypes, matrices)},
         row_of_id={r.id: row for row, r in enumerate(store.records)},
     )
 
@@ -148,7 +150,7 @@ def train_gate_model(
     retrieval_stats: FeatureStats, anchors: Sequence[LabeledSentence], cfg: PipelineConfig
 ) -> ScorerModel:
     """Closed-form ridge baseline used to score pseudo-label candidates."""
-    X = embed_many([a.text for a in anchors], retrieval_stats)
+    X = embed_many([a.text for a in anchors], [retrieval_stats])[0]
     y = np.array([a.mos for a in anchors])
     return train_ridge(
         X,
@@ -212,8 +214,8 @@ def embed_labeled(
     archetypes: Sequence[Archetype], labeled: Sequence[LabeledSentence]
 ) -> dict[str, np.ndarray]:
     """Each archetype's features of the labeled sentences, row for row."""
-    texts = [s.text for s in labeled]
-    return {arch.name: embed_many(texts, arch.stats) for arch in archetypes}
+    matrices = embed_many([s.text for s in labeled], [arch.stats for arch in archetypes])
+    return {arch.name: x for arch, x in zip(archetypes, matrices)}
 
 
 def fine_tune_ensemble(

@@ -88,7 +88,7 @@ def generate_pseudo_labels(
         excluded_ids = {r.id for r in store.records if r.text in exclude_texts}
 
     anchors = sorted(anchors, key=lambda a: a.id)
-    queries = embed_many([a.text for a in anchors], feature_stats)
+    queries = embed_many([a.text for a in anchors], [feature_stats])[0]
     hits = top_k_many(index, queries, k, exclude=excluded_ids)
     seen: set[int] = set()
     labels: list[PseudoLabel] = []

@@ -264,7 +264,7 @@ def test_criterion_07_cardinality_and_hygiene(acceptance, rng):
         Archetype("c", fit_feature_stats(texts, FeatureConfig(hashed_dim=48, ngram_min=4, ngram_max=6)), 20),
     ]
     scores = rng.uniform(2, 6, size=len(texts))
-    features = {a.name: embed_many(texts, a.stats) for a in archetypes}
+    features = {a.name: embed_many(texts, [a.stats])[0] for a in archetypes}
     models = train_pseudo_stage(
         features, scores, archetypes, (1, 2, 3), HyperParams(learning_rate=0.2, max_epochs=2)
     )

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import io
 import json
 import os
 import re
@@ -7,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pseudolab import cli, features, fixtures
@@ -15,6 +18,7 @@ from pseudolab import pipeline as pipeline_module
 from pseudolab.cli import main
 from pseudolab.config import load_config
 from pseudolab.corpus import load_labeled, load_store
+from pseudolab.features import embed_many, load_feature_stats
 from pseudolab.pseudolabel import load_pseudo_labels
 from pseudolab.scorer import model_to_json
 
@@ -128,6 +132,20 @@ class TestFullPipeline:
             assert 1.0 <= float(score) <= 7.0
             assert len(score.split(".")[1]) == 3
 
+    def test_predict_embeds_in_one_pass(self, pipeline, monkeypatch):
+        """All archetypes share max_tokens, so each chunk is hashed once."""
+        directory, config_path, dataset = pipeline
+        input_path = directory / "sentences.txt"
+        input_path.write_text(
+            "".join(s.text + "\n" for s in dataset.labeled_test[:5]), encoding="utf-8"
+        )
+        passes, windows = _count_embedding(monkeypatch, features)
+        monkeypatch.setattr(features, "EMBED_CHUNK_ROWS", 2)
+        argv = ["predict", "--config", str(config_path), "--input", str(input_path)]
+        assert main(argv) == 0
+        assert len(passes) == 1
+        assert len(windows) == 3  # chunks of 2, 2 and 1 sentences
+
     def test_predict_requires_input(self, pipeline):
         _, config_path, _ = pipeline
         assert main(["predict", "--config", str(config_path)]) == 1
@@ -151,16 +169,16 @@ class TestFullPipeline:
         embedded: list[tuple[str, str]] = []
 
         def counting(original):
-            def wrapper(texts, stats):
+            def wrapper(texts, stats_list):
                 texts = list(texts)
-                embedded.extend((t, stats.fingerprint) for t in texts)
-                return original(texts, stats)
+                embedded.extend((t, s.fingerprint) for s in stats_list for t in texts)
+                return original(texts, stats_list)
 
             return wrapper
 
         # the counts live in this process, so the folds must run in it too
         monkeypatch.setattr(pipeline_module, "usable_cpus", lambda: 1)
-        for module in (cli, pipeline_module, ensemble_module):
+        for module in (pipeline_module, ensemble_module):
             monkeypatch.setattr(module, "embed_many", counting(features.embed_many))
         labeled = {s.text for s in dataset.labeled_train}
         n_archetypes = len(config.archetypes)
@@ -604,6 +622,83 @@ def test_n_folds_beyond_labeled_set(pipeline, tmp_path, capsys, stage, extra_fol
     (line,) = capsys.readouterr().err.strip().splitlines()
     assert line.startswith(f"error: n_folds is {n_folds}, more than the "), line
     assert "labeled_train" in line
+
+
+def _count_embedding(monkeypatch, module):
+    """Record each embed_chunks call `module` makes and each n-gram hashing."""
+    passes, windows = [], []
+    embed_chunks, fnv_windows = features.embed_chunks, features._fnv1a64_windows
+
+    def counting_chunks(texts, stats_list, out=None):
+        passes.append(len(stats_list))
+        return embed_chunks(texts, stats_list, out)
+
+    def counting_windows(text, n_max):
+        windows.append(n_max)
+        return fnv_windows(text, n_max)
+
+    monkeypatch.setattr(module, "embed_chunks", counting_chunks)
+    monkeypatch.setattr(features, "_fnv1a64_windows", counting_windows)
+    return passes, windows
+
+
+class TestFeaturizeStreams:
+    @pytest.fixture
+    def ingested(self, tmp_path, monkeypatch):
+        """80 sentences, featurized 7 rows at a time; archetype 'd' repeats 'a'."""
+        dataset = fixtures.make_synthetic_dataset(n_corpus=80, n_train=10, n_test=5, seed=2)
+        config_path = _write_config(tmp_path, dataset)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config["archetypes"].append(dict(config["archetypes"][0], name="d"))
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        monkeypatch.setattr(features, "EMBED_CHUNK_ROWS", 7)
+        return tmp_path / "out", config_path
+
+    def test_streamed_matrices_equal_np_save(self, ingested, monkeypatch):
+        out, config_path = ingested
+        passes, windows = _count_embedding(monkeypatch, cli)
+        assert main(["featurize", "--config", str(config_path)]) == 0
+        # one pass over the corpus: the retrieval rows and three distinct archetypes
+        assert passes == [4]
+        assert len(windows) == 12  # 80 rows in chunks of 7, one max_tokens
+        stats = load_feature_stats(out / cli.FEATURE_STATS)
+        texts = [r.text for r in load_store(out / cli.STORE).records]
+        retrieval = embed_many(texts, [stats["retrieval"]])[0]
+        expected = {cli.CORPUS_VECTORS: retrieval.astype(np.float32)}
+        for name in ("a", "b", "c", "d"):
+            expected[cli._feature_cache(stats[name])] = embed_many(texts, [stats[name]])[0]
+        assert len(expected) == 4
+        assert sorted((out / cli.CORPUS_FEATURES).iterdir()) == sorted(
+            out / name for name in expected if name != cli.CORPUS_VECTORS
+        )
+        recorded = json.loads((out / "manifest.json").read_text())["stages"]["featurize"]
+        for name, matrix in expected.items():
+            buffer = io.BytesIO()
+            np.save(buffer, matrix)
+            assert (out / name).read_bytes() == buffer.getvalue(), name
+            # hashed as written, equal to a digest of the file
+            assert recorded["outputs"][name] == hashlib.sha256(buffer.getvalue()).hexdigest()
+
+    def test_failure_mid_stream_leaves_no_partial_output(self, ingested, monkeypatch):
+        out, config_path = ingested
+        surface = features._surface_block
+        chunks = []
+
+        def failing_surface(texts):
+            chunks.append(len(texts))
+            if len(chunks) == 4:  # the stats fit, then the third chunk
+                raise OSError(28, "No space left on device")
+            return surface(texts)
+
+        monkeypatch.setattr(features, "_surface_block", failing_surface)
+        assert main(["featurize", "--config", str(config_path)]) == 3
+        assert chunks == [80, 7, 7, 7]
+        assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
+        assert not (out / cli.CORPUS_VECTORS).exists()
+        assert not list((out / cli.CORPUS_FEATURES).iterdir())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "featurize" not in manifest["stages"]
 
 
 def test_archetype_changed_after_featurize_is_stale(tmp_path, capsys):

@@ -73,7 +73,7 @@ class TestPseudoStage:
         archetypes, texts = toy_archetypes
         scores = rng.uniform(2, 6, size=len(texts))
         hyper = HyperParams(learning_rate=0.1, max_epochs=2)
-        features = {a.name: embed_many(texts, a.stats) for a in archetypes}
+        features = {a.name: embed_many(texts, [a.stats])[0] for a in archetypes}
         models = train_pseudo_stage(features, scores, archetypes, (1, 2, 3), hyper)
         assert len(models) == 9
         keys = {(m.archetype, m.seed) for m in models}
@@ -84,7 +84,7 @@ class TestPseudoStage:
         archetypes, texts = toy_archetypes
         scores = rng.uniform(2, 6, size=len(texts))
         models = train_pseudo_stage(
-            {"a": embed_many(texts, archetypes[0].stats)},
+            {"a": embed_many(texts, [archetypes[0].stats])[0]},
             scores,
             archetypes[:1],
             (7,),
@@ -97,7 +97,7 @@ class TestPseudoStage:
         archetypes, texts = toy_archetypes
         scores = rng.uniform(2, 6, size=len(texts))
         hyper = HyperParams(learning_rate=0.1, max_epochs=2)
-        features = {a.name: embed_many(texts, a.stats) for a in archetypes}
+        features = {a.name: embed_many(texts, [a.stats])[0] for a in archetypes}
         a = train_pseudo_stage(features, scores, archetypes, (1, 2), hyper)
         b = train_pseudo_stage(features, scores, archetypes, (1, 2), hyper)
         assert [model_to_json(m) for m in a] == [model_to_json(m) for m in b]
@@ -106,7 +106,7 @@ class TestPseudoStage:
         archetypes, _ = toy_archetypes
         with pytest.raises(ValueError, match="empty"):
             train_pseudo_stage(
-                {a.name: embed_many([], a.stats) for a in archetypes},
+                {a.name: embed_many([], [a.stats])[0] for a in archetypes},
                 [],
                 archetypes,
                 (1,),
@@ -150,7 +150,7 @@ def tuned_bundle(toy_archetypes, request):
     archetypes, texts = toy_archetypes
     rng = np.random.default_rng(5)
     scores = rng.uniform(2, 6, size=len(texts))
-    features = {a.name: embed_many(texts, a.stats) for a in archetypes}
+    features = {a.name: embed_many(texts, [a.stats])[0] for a in archetypes}
     base = train_pseudo_stage(
         features, scores, archetypes, (1, 2, 3), HyperParams(learning_rate=0.2, max_epochs=3)
     )
@@ -185,7 +185,7 @@ class TestCvFineTune:
         archetypes, texts = toy_archetypes
         y = np.full(len(texts), 3.0)
         base = train_pseudo_stage(
-            {"a": embed_many(texts, archetypes[0].stats)},
+            {"a": embed_many(texts, [archetypes[0].stats])[0]},
             y,
             archetypes[:1],
             (1,),
@@ -197,7 +197,7 @@ class TestCvFineTune:
         with pytest.raises(ValueError, match=r"seed 1, 5 folds.*2 out-of-fold rows"):
             cv_fine_tune(
                 base, archetypes[:1], labeled, plan, HyperParams(max_epochs=1),
-                features_by_archetype={"a": embed_many(texts, archetypes[0].stats)},
+                features_by_archetype={"a": embed_many(texts, [archetypes[0].stats])[0]},
             )
 
     def test_plan_size_mismatch(self, toy_archetypes):
@@ -215,7 +215,7 @@ class TestCvFineTune:
         with pytest.raises(ValueError, match="fold plan"):
             cv_fine_tune(
                 base, archetypes, labeled, plan, HyperParams(),
-                features_by_archetype={"a": embed_many(texts[:10], archetypes[0].stats)},
+                features_by_archetype={"a": embed_many(texts[:10], [archetypes[0].stats])[0]},
             )
 
     def test_recovers_exact_linear_target(self, toy_archetypes):
@@ -223,7 +223,7 @@ class TestCvFineTune:
         # warm-started fine-tune should land near it out of fold
         archetypes, texts = toy_archetypes
         arch = archetypes[0]
-        X = embed_many(texts, arch.stats)
+        X = embed_many(texts, [arch.stats])[0]
         rng = np.random.default_rng(8)
         w_true = rng.normal(size=X.shape[1]) * 0.2
         y = np.clip(4.0 + X @ w_true, 1.5, 6.5)
@@ -351,7 +351,7 @@ class TestPredictEnsemble:
         archetypes, _ = toy_archetypes
         texts = [s.text for s in labeled[:20]]
         got = predict_ensemble_batch(bundle, texts)
-        x_by_arch = {a.name: embed_many(texts, a.stats) for a in archetypes}
+        x_by_arch = {a.name: embed_many(texts, [a.stats])[0] for a in archetypes}
         from pseudolab.scorer import predict
 
         acc = np.zeros(len(texts))

@@ -11,6 +11,7 @@ import pytest
 
 from pseudolab import cli, fixtures
 from pseudolab.cli import main
+from pseudolab.features import SURFACE_DIM
 
 TRAINING_STAGES = (
     "ingest",
@@ -162,3 +163,60 @@ def test_corrupt_run_manifest_is_named(trained, capsys, fault, force):
     assert code == 2, lines
     assert len(lines) == 1, lines
     assert "'manifest.json'" in lines[0]
+
+
+def _set_feature_stats(relative: str, field: str, value):
+    """Rewrite every featurizer's `field` in feature_stats.json or the bundle manifest."""
+
+    def rewrite(payload):
+        if relative == cli.FEATURE_STATS:
+            entries = payload.values()
+        else:
+            entries = [spec["stats"] for spec in payload["archetypes"].values()]
+        for entry in entries:
+            entry[field] = value
+        return payload
+
+    return rewrite
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("means", [0.0] * (SURFACE_DIM - 1)),
+        ("stds", [1.0] * (SURFACE_DIM + 1)),
+        ("stds", [0.0] * SURFACE_DIM),
+        ("means", [float("nan")] * SURFACE_DIM),
+    ],
+    ids=["short-means", "long-stds", "zero-stds", "nan-means"],
+)
+@pytest.mark.parametrize(
+    "relative, stage, artifact",
+    [
+        (cli.FEATURE_STATS, "train-baseline", cli.FEATURE_STATS),
+        (f"{cli.BUNDLE}/manifest.json", "predict", cli.BUNDLE),
+    ],
+    ids=["feature_stats", "bundle_manifest"],
+)
+def test_parseable_bad_feature_stats_under_force_are_named(
+    trained, capsys, relative, stage, artifact, field, value
+):
+    """Stats that still parse but cannot standardize a row are a corrupt artifact."""
+    out, config_path, sentences = trained
+    path = out / relative
+    original = path.read_bytes()
+    argv = [stage, "--config", str(config_path), "--force"]
+    if stage == "predict":
+        argv += ["--input", str(sentences)]
+    capsys.readouterr()
+    try:
+        payload = _set_feature_stats(relative, field, value)(json.loads(original))
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code = main(argv)
+    finally:
+        path.write_bytes(original)
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2, lines
+    assert len(lines) == 1, lines
+    assert repr(artifact) in lines[0]
+    assert f"feature stats {field}" in lines[0]

@@ -87,13 +87,29 @@ def assert_matches_oracle(texts, config: FeatureConfig) -> None:
     assert stats.means.tobytes() == means.tobytes()
     assert stats.stds.tobytes() == stds.tobytes()
     expected = np.stack([oracle_embed(t, stats) for t in texts])
-    assert embed_many(texts, stats).tobytes() == expected.tobytes()
+    assert embed_many(texts, [stats])[0].tobytes() == expected.tobytes()
+
+
+def assert_shared_pass_matches(texts, configs) -> None:
+    """Each matrix of one embed_many call over all configs equals, bit for bit,
+    its one-featurizer call and the per-text reference."""
+    stats_list = [fit_feature_stats(texts, config) for config in configs]
+    shared = embed_many(texts, stats_list)
+    assert len(shared) == len(stats_list)
+    for matrix, stats in zip(shared, stats_list):
+        assert matrix.shape == (len(texts), stats.config.dimension)
+        assert matrix.tobytes() == embed_many(texts, [stats])[0].tobytes()
+        expected = [oracle_embed(t, stats) for t in texts]
+        assert matrix.tobytes() == np.array(expected).reshape(matrix.shape).tobytes()
 
 
 DEFAULT_CONFIGS = [DEFAULT_RETRIEVAL_CONFIG] + [
     spec.feature_config() for spec in DEFAULT_ARCHETYPE_SPECS
 ]
 SMALL_CONFIG = FeatureConfig(hashed_dim=16, ngram_min=1, ngram_max=2, max_tokens=3)
+# another max_tokens, the widest n-gram range and a hashed_dim that is no power of two
+ODD_CONFIG = FeatureConfig(hashed_dim=100, ngram_min=1, ngram_max=7, max_tokens=9)
+SHARED_CONFIGS = DEFAULT_CONFIGS + [SMALL_CONFIG, ODD_CONFIG]
 
 EDGE_TEXTS = [
     "Der Hund läuft schnell über die Straße, und 3 Kinder spielen 2025.",
@@ -301,14 +317,14 @@ def test_rows_do_not_depend_on_batch(big_dataset):
     texts = [r.text for r in big_dataset.store.records]
     assert len(texts) > EMBED_CHUNK_ROWS
     stats = fit_feature_stats(texts, DEFAULT_CONFIGS[0])
-    batch = embed_many(texts, stats)
+    batch = embed_many(texts, [stats])[0]
     for i, text in enumerate(texts):
-        assert batch[i].tobytes() == embed_many([text], stats)[0].tobytes(), i
+        assert batch[i].tobytes() == embed_many([text], [stats])[0][0].tobytes(), i
 
 
 def test_embed_many_matches_embed(stats):
     texts = ["eins", "zwei drei", ""]
-    mat = embed_many(texts, stats)
+    mat = embed_many(texts, [stats])[0]
     for row, text in zip(mat, texts):
         assert np.array_equal(row, embed(text, stats))
 
@@ -330,3 +346,62 @@ def test_stats_load_rejects_tampered_fingerprint(tmp_path, stats):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="fingerprint"):
         load_feature_stats(path)
+
+
+def test_shared_pass_matches_on_edge_texts():
+    assert_shared_pass_matches(EDGE_TEXTS, SHARED_CONFIGS)
+
+
+def test_shared_pass_matches_with_a_repeated_config():
+    assert_shared_pass_matches(EDGE_TEXTS, [ODD_CONFIG, DEFAULT_CONFIGS[1], ODD_CONFIG])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.lists(
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=40),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_shared_pass_matches_on_any_unicode(texts):
+    assert_shared_pass_matches(texts, SHARED_CONFIGS)
+
+
+def test_shared_pass_matches_across_chunks(big_dataset):
+    texts = [r.text for r in big_dataset.store.records][: 2 * EMBED_CHUNK_ROWS + 7]
+    assert_shared_pass_matches(texts, SHARED_CONFIGS)
+
+
+def test_shared_pass_of_no_texts():
+    stats_list = [fit_feature_stats(EDGE_TEXTS, config) for config in SHARED_CONFIGS]
+    matrices = embed_many([], stats_list)
+    assert [m.shape for m in matrices] == [(0, c.dimension) for c in SHARED_CONFIGS]
+    assert embed_many(EDGE_TEXTS, []) == []
+
+
+def test_shared_pass_hashes_once_per_chunk_and_max_tokens(monkeypatch):
+    """The n-gram hashes and surface features of a chunk are computed once per
+    distinct max_tokens, however many featurizers share it."""
+    calls = {"windows": [], "surface": []}
+    windows, surface = features_module._fnv1a64_windows, features_module._surface_block
+
+    def counting_windows(text, n_max):
+        calls["windows"].append(n_max)
+        return windows(text, n_max)
+
+    def counting_surface(texts):
+        calls["surface"].append(len(texts))
+        return surface(texts)
+
+    monkeypatch.setattr(features_module, "_fnv1a64_windows", counting_windows)
+    monkeypatch.setattr(features_module, "_surface_block", counting_surface)
+    monkeypatch.setattr(features_module, "EMBED_CHUNK_ROWS", 4)
+    texts = EDGE_TEXTS + ["noch ein satz"]  # ten texts: chunks of 4, 4 and 2
+    stats_list = [fit_feature_stats(texts, config) for config in SHARED_CONFIGS]
+    calls["surface"].clear()
+    embed_many(texts, stats_list)
+    # six featurizers, three distinct max_tokens (128, 3 and 9), three chunks
+    assert calls["surface"] == [4, 4, 4, 4, 4, 4, 2, 2, 2]
+    # each max_tokens hashes up to its largest ngram_max: 6, 2 and 7
+    assert sorted(calls["windows"]) == [2, 2, 2, 6, 6, 6, 7, 7, 7]

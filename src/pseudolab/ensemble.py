@@ -15,8 +15,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import LabeledSentence
-from .features import FeatureStats, embed_many
-from .linalg import clamp_scores, solve_spd
+from .features import FeatureStats, embed_chunks
+from .linalg import clamp_scores, gram, solve_spd
 from .scorer import (
     HyperParams,
     ScorerModel,
@@ -213,8 +213,8 @@ def fit_stacker(oof: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool
     if not (np.all(np.isfinite(oof)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite stacker inputs")
     A = np.column_stack([oof, np.ones(oof.shape[0])])
-    G = A.T @ A
-    c = A.T @ y
+    G = gram(A)
+    c = gram(A, y)
     fallback = False
     cond = np.linalg.cond(G)
     if not np.isfinite(cond) or cond > STACKER_CONDITION_LIMIT:
@@ -262,9 +262,17 @@ def score_features(
 
 
 def predict_ensemble_batch(bundle: EnsembleBundle, texts: Sequence[str]) -> np.ndarray:
-    """Predict scores for a batch of normalized sentences."""
-    matrices = embed_many(list(texts), [arch.stats for arch in bundle.archetypes.values()])
-    return score_features(bundle, dict(zip(bundle.archetypes, matrices)))
+    """Predict scores for a batch of normalized sentences, one embed_chunks block at a time.
+
+    Memory is bounded by the chunk, not the batch, and the scores are bitwise
+    those of score_features on the whole matrices (see EMBED_CHUNK_ROWS).
+    """
+    stats = [arch.stats for arch in bundle.archetypes.values()]
+    scores = [
+        score_features(bundle, dict(zip(bundle.archetypes, blocks)))
+        for blocks in embed_chunks(list(texts), stats)
+    ]
+    return np.concatenate(scores) if scores else np.zeros(0)
 
 
 def audit_oof_hygiene(bundle: EnsembleBundle) -> bool:

@@ -32,6 +32,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _FNV64_PRIME = np.uint64(FNV64_PRIME)
 
 # Rows featurized at a time, so that peak memory does not grow with the batch.
+# Keep it a multiple of 64, so that a model scored on each chunk gives every
+# row the bits it gets on the whole matrix (the rule of simindex.ROW_BLOCK).
 EMBED_CHUNK_ROWS = 256
 
 

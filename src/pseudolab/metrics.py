@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import solve_spd
+from .linalg import gram, solve_spd
 
 MAX_MAPPING_ORDER = 3
 
@@ -81,7 +81,7 @@ def fit_third_order_mapping(pred, gold) -> MappingCoeffs:
     scale = float(pred.std()) or 1.0
     q = (pred - shift) / scale
     A = np.column_stack([q**p for p in range(order + 1)])
-    coeffs = solve_spd(A.T @ A, A.T @ gold)
+    coeffs = solve_spd(gram(A), gram(A, gold))
     composed = np.polynomial.Polynomial(coeffs)(
         np.polynomial.Polynomial([-shift / scale, 1.0 / scale])
     )

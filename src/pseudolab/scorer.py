@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import clamp_scores, solve_spd
+from .linalg import clamp_scores, gram, solve_spd
 
 @dataclass
 class HyperParams:
@@ -103,7 +103,14 @@ def train_ridge(
     stage: str = "baseline",
     archetype: str = "",
 ) -> ScorerModel:
-    """Closed-form ridge on mean-centered data; the intercept is not penalized."""
+    """Closed-form ridge on mean-centered data; the intercept is not penalized.
+
+    With fewer rows than features (n < d) it solves the n x n dual system
+    (Xc Xc.T + lambda I) alpha = yc and takes w = Xc.T alpha, which is the
+    primal (Xc.T Xc + lambda I) w = Xc.T yc solution. Every product is
+    summed in a fixed order without BLAS, so the model has the same bits
+    whatever the BLAS thread count.
+    """
     X, y = _validate_training_inputs(X, y)
     if ridge_lambda < 0:
         raise ValueError("ridge_lambda must be >= 0")
@@ -111,9 +118,13 @@ def train_ridge(
     y_mean = float(y.mean())
     Xc = X - x_mean
     yc = y - y_mean
-    A = Xc.T @ Xc + ridge_lambda * np.eye(X.shape[1])
-    w = solve_spd(A, Xc.T @ yc)
-    intercept = y_mean - float(x_mean @ w)
+    n, d = X.shape
+    if n < d:
+        alpha = solve_spd(gram(Xc.T) + ridge_lambda * np.eye(n), yc)
+        w = gram(Xc, alpha)
+    else:
+        w = solve_spd(gram(Xc) + ridge_lambda * np.eye(d), gram(Xc, yc))
+    intercept = y_mean - float(gram(x_mean, w))
     return ScorerModel(
         weights=w,
         intercept=intercept,

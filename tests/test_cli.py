@@ -139,7 +139,7 @@ class TestFullPipeline:
         input_path.write_text(
             "".join(s.text + "\n" for s in dataset.labeled_test[:5]), encoding="utf-8"
         )
-        passes, windows = _count_embedding(monkeypatch, features)
+        passes, windows = _count_embedding(monkeypatch, ensemble_module)
         monkeypatch.setattr(features, "EMBED_CHUNK_ROWS", 2)
         argv = ["predict", "--config", str(config_path), "--input", str(input_path)]
         assert main(argv) == 0
@@ -178,8 +178,8 @@ class TestFullPipeline:
 
         # the counts live in this process, so the folds must run in it too
         monkeypatch.setattr(pipeline_module, "usable_cpus", lambda: 1)
-        for module in (pipeline_module, ensemble_module):
-            monkeypatch.setattr(module, "embed_many", counting(features.embed_many))
+        monkeypatch.setattr(pipeline_module, "embed_many", counting(features.embed_many))
+        monkeypatch.setattr(ensemble_module, "embed_chunks", counting(features.embed_chunks))
         labeled = {s.text for s in dataset.labeled_train}
         n_archetypes = len(config.archetypes)
         retrieval = config.retrieval.fingerprint()
@@ -725,19 +725,23 @@ def test_tracer_finds_every_name_it_patches():
     assert result.returncode == 0, result.stderr
 
 
-def test_cli_imports_scipy_only_to_solve():
-    """The version flag and every import of the CLI leave scipy unloaded."""
+def test_cli_never_imports_scipy(tmp_path):
+    """No stage imports scipy, the three that solve linear systems included."""
+    dataset = fixtures.make_synthetic_dataset(n_corpus=80, n_train=10, n_test=5, seed=2)
+    config_path = _write_config(tmp_path, dataset)
     code = (
         "import sys; from pseudolab import cli; "
-        "assert 'scipy' not in sys.modules, 'on import'; "
         "assert cli.main(['--version']) == 0; "
-        "assert 'scipy' not in sys.modules, 'after --version'"
+        f"stages = {[*STAGES, 'evaluate']!r}; "
+        f"assert all(cli.main([s, '--config', {str(config_path)!r}]) == 0 for s in stages); "
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
     )
     assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out" / cli.EVAL_JSON).exists()
 
 
 def test_corrupt_index_under_force_is_artifact_error(tmp_path, capsys):

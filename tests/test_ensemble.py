@@ -5,6 +5,7 @@ from pseudolab.corpus import LabeledSentence
 from pseudolab.ensemble import (
     Archetype,
     EnsembleBundle,
+    FoldModel,
     FoldPlan,
     audit_oof_hygiene,
     cv_fine_tune,
@@ -13,9 +14,10 @@ from pseudolab.ensemble import (
     make_fold_plan,
     predict_ensemble_batch,
     save_bundle,
+    score_features,
     train_pseudo_stage,
 )
-from pseudolab.features import FeatureConfig, embed_many, fit_feature_stats
+from pseudolab.features import EMBED_CHUNK_ROWS, FeatureConfig, embed_many, fit_feature_stats
 from pseudolab.scorer import HyperParams, ScorerModel, model_to_json, train_ridge
 
 
@@ -288,8 +290,6 @@ class TestStacker:
 def _constant_bundle(archetypes, intercepts, aggregation="mean", **kw):
     fold_models = []
     base_keys = []
-    from pseudolab.ensemble import FoldModel
-
     for arch, icpt in zip(archetypes, intercepts):
         base_keys.append((arch.name, 1))
         dim = arch.stats.config.hashed_dim + 6
@@ -359,6 +359,54 @@ class TestPredictEnsemble:
             acc += predict(fm.model, x_by_arch[fm.archetype])
         expected = np.clip(acc / len(bundle.fold_models), 1.0, 7.0)
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+def test_embed_chunk_rows_keeps_chunked_scores_bitwise():
+    """A BLAS matrix-vector kernel sums a few rows at a time (OpenBLAS takes 4);
+    chunks that start at a multiple of 64 rows give every row its whole-matrix bits."""
+    assert EMBED_CHUNK_ROWS % 64 == 0
+
+
+@pytest.mark.parametrize("aggregation", ["mean", "stacker"])
+def test_chunked_predict_bitwise_equals_whole_matrix_scores(aggregation):
+    rng = np.random.default_rng(21)
+    words = ["haus", "baum", "schule", "fenster", "strasse", "wolke", "licht", "garten"]
+    texts = [
+        " ".join(rng.choice(words, size=int(rng.integers(2, 30)))) + f" {i}."
+        for i in range(2 * EMBED_CHUNK_ROWS + 7)  # the last chunk is partial
+    ]
+    configs = {
+        "wide": FeatureConfig(hashed_dim=2048),
+        "mid": FeatureConfig(hashed_dim=1024, ngram_min=2, ngram_max=4),
+        "narrow": FeatureConfig(hashed_dim=512, ngram_min=4, ngram_max=6),
+    }
+    archetypes = {
+        name: Archetype(name, fit_feature_stats(texts[:100], config), 32)
+        for name, config in configs.items()
+    }
+    fold_models = [
+        FoldModel(name, seed, fold, ScorerModel(
+            weights=rng.normal(scale=0.5, size=arch.stats.config.dimension),
+            intercept=4.0,
+            fingerprint=arch.stats.fingerprint,
+            archetype=name,
+        ))
+        for name, arch in archetypes.items() for seed in (1, 2) for fold in range(2)
+    ]
+    bundle = EnsembleBundle(
+        fold_models=fold_models,
+        plan=make_fold_plan(4, n_folds=2, seed=0),
+        base_keys=[(name, seed) for name in archetypes for seed in (1, 2)],
+        archetypes=archetypes,
+        aggregation=aggregation,
+        stacker_weights=rng.uniform(0.1, 0.4, size=6),
+        stacker_intercept=0.3,
+    )
+    got = predict_ensemble_batch(bundle, texts)
+    whole = dict(zip(archetypes, embed_many(texts, [a.stats for a in archetypes.values()])))
+    expected = score_features(bundle, whole)
+    assert np.count_nonzero((expected > 1.0) & (expected < 7.0)) > len(texts) // 2
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_bundle_roundtrip(tmp_path, tuned_bundle):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from pseudolab import linalg, scorer
+from pseudolab.linalg import MAX_JITTER_RETRIES, solve_spd
 from pseudolab.scorer import (
     HyperParams,
     _fit_rows,
@@ -74,6 +76,72 @@ class TestRidge:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             train_ridge(np.zeros((0, 2)), np.zeros(0), 0.0)
+
+
+class TestSolveSpd:
+    @pytest.mark.parametrize("n", [1, 10, 200])
+    def test_agrees_with_numpy_solve(self, n):
+        rng = np.random.default_rng(n)
+        M = rng.normal(size=(n + 3, n))
+        A = M.T @ M + 0.1 * np.eye(n)
+        b = rng.normal(size=n)
+        np.testing.assert_allclose(solve_spd(A, b), np.linalg.solve(A, b), rtol=1e-9, atol=1e-12)
+
+    def _count_factorizations(self, monkeypatch):
+        calls = []
+        factor = linalg._cholesky
+
+        def counted(A):
+            calls.append(A.copy())
+            return factor(A)
+
+        monkeypatch.setattr(linalg, "_cholesky", counted)
+        return calls
+
+    def test_singular_psd_succeeds_after_jitter(self, monkeypatch):
+        calls = self._count_factorizations(monkeypatch)
+        A = np.ones((2, 2))  # rank 1: the second pivot is exactly 0
+        x = solve_spd(A, np.array([1.0, 1.0]))
+        assert len(calls) == 2
+        np.testing.assert_allclose(A @ x, [1.0, 1.0], rtol=1e-6)
+
+    def test_indefinite_raises_after_every_retry(self, monkeypatch):
+        calls = self._count_factorizations(monkeypatch)
+        with pytest.raises(np.linalg.LinAlgError, match="jitter"):
+            solve_spd(np.diag([1.0, -1.0]), np.ones(2))
+        assert len(calls) == MAX_JITTER_RETRIES + 1
+        for retry, A in enumerate(calls):
+            assert A[1, 1] == -1.0 + retry * linalg.JITTER
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["A", "b"])
+    def test_rejects_non_finite(self, bad, where):
+        A, b = np.eye(3), np.ones(3)
+        (A if where == "A" else b)[-1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_spd(A, b)
+
+
+@pytest.mark.parametrize("n, d", [(20, 60), (60, 20)])
+def test_dual_and_primal_ridge_match_oracle(monkeypatch, n, d):
+    """n < d solves the n x n dual system, n >= d the d x d primal; both give
+    the normal-equations ridge at the criterion-3 tolerance."""
+    sizes = []
+    solve = scorer.solve_spd
+
+    def recorded(A, b):
+        sizes.append(A.shape)
+        return solve(A, b)
+
+    monkeypatch.setattr(scorer, "solve_spd", recorded)
+    rng = np.random.default_rng(n * d)
+    X = rng.normal(size=(n, d))
+    y = rng.uniform(1, 7, size=n)
+    model = train_ridge(X, y, 0.7)
+    assert sizes == [(min(n, d), min(n, d))]
+    w_ref, b_ref = ridge_oracle(X, y, 0.7)
+    got, ref = np.append(model.weights, model.intercept), np.append(w_ref, b_ref)
+    assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-12)) <= 1e-8
 
 
 class TestIterative:

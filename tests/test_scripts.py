@@ -15,11 +15,12 @@ ROOT = Path(__file__).resolve().parents[1]
 FLOAT = r"\d+\.\d{3}"
 
 
-def _run(script: str, *args: str) -> list[str]:
-    """Run a script with the package on its path; its stdout lines."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def _run(script: str, *args: str, env: dict[str, str] | None = None) -> list[str]:
+    """Run a script (or `-m module`) with the package on its path; its stdout lines."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **(env or {}))
+    target = [script] if script == "-m" else [str(ROOT / "scripts" / script)]
     result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
+        [sys.executable, *target, *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
@@ -62,3 +63,32 @@ def test_artifact_digests_of_a_pipeline_run(tmp_path):
         info["wall_seconds"] += 1.0
     (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     assert _run("artifact_digests.py", str(out)) == lines
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """All seven stages and predict, on 1 and on 2 OpenBLAS threads, write the same bytes."""
+    runs = {}
+    for threads in ("1", "2"):
+        env = {"OPENBLAS_NUM_THREADS": threads}
+        fixture = tmp_path / f"threads_{threads}"
+        _run("make_fixture.py", str(fixture), "--n-corpus", "600", "--n-train", "60",
+             "--n-test", "20", "--k", "100", env=env)
+        config = str(fixture / "config.json")
+        _run("run_pipeline.py", "--config", config, env=env)
+        texts = fixture / "input.txt"
+        texts.write_text(
+            "".join(p.read_text(encoding="utf-8") for p in sorted(fixture.glob("corpus/*"))),
+            encoding="utf-8",
+        )
+        _run("-m", "pseudolab.cli", "predict", "--config", config, "--input", str(texts), env=env)
+        lines = _run("artifact_digests.py", str(fixture / "out"))
+        runs[threads] = {
+            path: digest
+            for digest, path in (line.split("  ", 1) for line in lines)
+            # the only artifacts that record the run's own paths
+            if path not in ("config_snapshot.json", "manifest.json")
+        }
+    assert "predictions.tsv" in runs["1"]
+    differing = sorted(p for p in runs["1"].keys() | runs["2"].keys()
+                       if runs["1"].get(p) != runs["2"].get(p))
+    assert differing == []

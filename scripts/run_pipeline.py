@@ -6,15 +6,7 @@ import sys
 
 from pseudolab import cli
 
-STAGES = (
-    "ingest",
-    "featurize",
-    "index",
-    "train-baseline",
-    "pseudolabel",
-    "train-ensemble",
-    "evaluate",
-)
+STAGES = tuple(name for name in cli.COMMANDS if name != "predict")
 
 
 def main() -> int:

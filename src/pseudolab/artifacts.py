@@ -6,10 +6,11 @@ import contextlib
 import hashlib
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from .corpus import InputFileError
 
@@ -67,22 +68,44 @@ def artifact_digest(path: str | Path) -> str:
     return sha256_tree(path) if path.is_dir() else sha256_file(path)
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a temp file plus rename so a crash never leaves partial output."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+@contextlib.contextmanager
+def atomic_paths(*targets: str | Path) -> Iterator[list[Path]]:
+    """Yield one temp path per target; when the block succeeds, move each onto its target.
+
+    Each temp path has its target's name inside its own hidden
+    `.<name>.XXXX.tmp` directory beside the target, so the block may create a
+    file or a directory there. If the block raises, every temp is removed and
+    no target changes. An existing directory target is first moved aside into
+    its temp directory (and put back if the new one cannot move in), so the
+    old tree stays on disk until the new one replaces it.
+    """
+    targets = [Path(t) for t in targets]
+    tmp_dirs: list[Path] = []
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        for target in targets:
+            tmp_dirs.append(
+                Path(tempfile.mkdtemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"))
+            )
+        yield [tmp_dir / target.name for tmp_dir, target in zip(tmp_dirs, targets)]
+        for tmp_dir, target in zip(tmp_dirs, targets):
+            old = tmp_dir / ".old"
+            if target.is_dir():
+                os.replace(target, old)
+            try:
+                os.replace(tmp_dir / target.name, target)
+            except OSError:
+                if old.exists():
+                    os.replace(old, target)
+                raise
+    finally:
+        for tmp_dir in tmp_dirs:
+            shutil.rmtree(tmp_dir, ignore_errors=True)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    """Write UTF-8 text so that a crash never leaves a partial file at `path`."""
+    with atomic_paths(path) as (tmp,):
+        tmp.write_bytes(text.encode("utf-8"))
 
 
 class Manifest:

@@ -11,10 +11,7 @@ import contextlib
 import hashlib
 import io
 import json
-import os
-import shutil
 import sys
-import tempfile
 import time
 import traceback
 from dataclasses import asdict
@@ -28,6 +25,7 @@ from .artifacts import (
     Manifest,
     StaleArtifactError,
     artifact_digest,
+    atomic_paths,
     atomic_write_text,
     output_lock,
     read_artifact,
@@ -72,28 +70,13 @@ def _log(msg: str) -> None:
 
 
 def _atomic_save(path: Path, save_fn) -> None:
-    """Run a saver against a temp path, then rename into place."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    os.close(fd)
-    try:
+    """Run a saver against a temp path (a file or a directory), then move it into place."""
+    with atomic_paths(path) as (tmp,):
         save_fn(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
-def _atomic_save_dir(path: Path, save_fn) -> None:
-    tmp = Path(tempfile.mkdtemp(dir=path.parent, prefix=f".{path.name}."))
-    try:
-        save_fn(tmp)
-        if path.exists():
-            shutil.rmtree(path)
-        os.replace(tmp, path)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
+# perfbench/traced_cli.py times writes under this name too
+_atomic_save_dir = _atomic_save
 
 
 def _stream_npy(
@@ -108,39 +91,24 @@ def _stream_npy(
     place only when every block has been written. Returns each file's
     sha256, hashed as it was written.
     """
-    tmps: list[str] = []
-    try:
-        with contextlib.ExitStack() as files:
-            handles, hashers = [], []
-            for path, dtype, shape in outputs:
-                fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-                tmps.append(tmp)
-                handles.append(files.enter_context(os.fdopen(fd, "wb")))
-                header = io.BytesIO()
-                np.lib.format.write_array_header_1_0(header, {
-                    "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
-                    "fortran_order": False,
-                    "shape": tuple(map(int, shape)),
-                })
-                handles[-1].write(header.getvalue())
-                hashers.append(hashlib.sha256(header.getvalue()))
-            for row_blocks in blocks:
-                for fh, h, (_, dtype, _), block in zip(handles, hashers, outputs, row_blocks):
-                    data = np.ascontiguousarray(block, dtype=dtype)
-                    data.tofile(fh)
-                    h.update(data)
-        for tmp, (path, _, _) in zip(tmps, outputs):
-            os.replace(tmp, path)
-    except BaseException:
-        for tmp in tmps:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-        raise
+    with atomic_paths(*(path for path, _, _ in outputs)) as tmps, contextlib.ExitStack() as files:
+        handles, hashers = [], []
+        for tmp, (_, dtype, shape) in zip(tmps, outputs):
+            handles.append(files.enter_context(open(tmp, "wb")))
+            header = io.BytesIO()
+            np.lib.format.write_array_header_1_0(header, {
+                "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+                "fortran_order": False,
+                "shape": tuple(map(int, shape)),
+            })
+            handles[-1].write(header.getvalue())
+            hashers.append(hashlib.sha256(header.getvalue()))
+        for row_blocks in blocks:
+            for fh, h, (_, dtype, _), block in zip(handles, hashers, outputs, row_blocks):
+                data = np.ascontiguousarray(block, dtype=dtype)
+                data.tofile(fh)
+                h.update(data)
     return [h.hexdigest() for h in hashers]
-
-
-def _save_npy(path: Path, array: np.ndarray) -> str:
-    return _stream_npy([(path, array.dtype, array.shape)], [[array]])[0]
 
 
 class _Stage:
@@ -157,6 +125,7 @@ class _Stage:
         atomic_write_text(self.outdir / "config_snapshot.json", snapshot)
         self.manifest = Manifest(self.outdir, tool_version=__version__)
         self.inputs: dict[str, str] = {}
+        self.outputs: dict[str, str] = {}
         self.started = time.monotonic()
 
     def read(self, artifact: str, producing_stage: str, load):
@@ -183,15 +152,23 @@ class _Stage:
             raise InputFileError(f"labeled_train {self.config.labeled_train}: no labeled sentences")
         return labeled
 
-    def finish(self, outputs: list[str], known: dict[str, str] | None = None) -> None:
-        """Record the stage with each output's digest; `known` holds digests already taken."""
-        known = known or {}
-        digests = {name: known.get(name) or artifact_digest(self.outdir / name) for name in outputs}
+    def write(self, artifact: str, save) -> None:
+        """Save an output atomically with `save(temp_path)`, then record its digest."""
+        path = self.outdir / artifact
+        _atomic_save(path, save)
+        self.outputs[artifact] = artifact_digest(path)
+
+    def write_text(self, artifact: str, text: str) -> None:
+        atomic_write_text(self.outdir / artifact, text)
+        self.outputs[artifact] = sha256_bytes(text.encode("utf-8"))
+
+    def finish(self) -> None:
+        """Record the stage with the digest of each output it wrote."""
         self.manifest.record_stage(
             self.name,
             self.config_digest,
             self.inputs,
-            digests,
+            self.outputs,
             time.monotonic() - self.started,
         )
         self.manifest.save()
@@ -210,12 +187,9 @@ def cmd_ingest(config: RunConfig, force: bool) -> None:
     _log(
         f"[ingest] total {stats.total_sentences}, distinct {stats.distinct_sentences}"
     )
-    _atomic_save(stage.outdir / STORE, lambda tmp: save_store(store, tmp))
-    atomic_write_text(
-        stage.outdir / CORPUS_STATS,
-        json.dumps(asdict(stats), indent=2, sort_keys=True) + "\n",
-    )
-    stage.finish([STORE, CORPUS_STATS])
+    stage.write(STORE, lambda tmp: save_store(store, tmp))
+    stage.write_text(CORPUS_STATS, json.dumps(asdict(stats), indent=2, sort_keys=True) + "\n")
+    stage.finish()
 
 
 def _feature_cache(stats: FeatureStats) -> str:
@@ -229,14 +203,9 @@ def cmd_featurize(config: RunConfig, force: bool) -> None:
     configs = {RETRIEVAL: config.retrieval}
     configs.update((spec.name, spec.feature_config()) for spec in config.archetypes)
     stats = dict(zip(configs, fit_feature_stats_many(store.records, configs.values())))
-    _atomic_save(
-        stage.outdir / FEATURE_STATS, lambda tmp: save_feature_stats(stats, tmp)
-    )
-    digests = {
-        CORPUS_IDS: _save_npy(
-            stage.outdir / CORPUS_IDS, np.array([r.id for r in store.records], dtype=np.int64)
-        )
-    }
+    stage.write(FEATURE_STATS, lambda tmp: save_feature_stats(stats, tmp))
+    ids = np.array([r.id for r in store.records], dtype=np.int64)
+    stage.write(CORPUS_IDS, lambda tmp: np.save(tmp, ids))
     # the float32 retrieval rows, then one float64 matrix per distinct archetype
     # featurizer (archetypes with the same config share one), in one pass
     outputs = {CORPUS_VECTORS: (stats[RETRIEVAL], np.float32)}
@@ -244,7 +213,8 @@ def cmd_featurize(config: RunConfig, force: bool) -> None:
         (_feature_cache(stats[spec.name]), (stats[spec.name], np.float64))
         for spec in config.archetypes
     )
-    (stage.outdir / CORPUS_FEATURES).mkdir(exist_ok=True)
+    cache_dir = stage.outdir / CORPUS_FEATURES
+    cache_dir.mkdir(exist_ok=True)
     texts = [r.text for r in store.records]
     streamed = _stream_npy(
         [
@@ -253,8 +223,13 @@ def cmd_featurize(config: RunConfig, force: bool) -> None:
         ],
         embed_chunks(texts, [s for s, _ in outputs.values()]),
     )
-    digests.update(zip(outputs, streamed))
-    stage.finish([FEATURE_STATS, *digests], digests)
+    stage.outputs.update(zip(outputs, streamed))
+    # a cache is named by its featurizer's fingerprint, so one this run did not
+    # write belongs to a featurizer no longer configured: no stage can read it
+    for path in cache_dir.glob("*.npy"):
+        if f"{CORPUS_FEATURES}/{path.name}" not in outputs:
+            path.unlink()
+    stage.finish()
 
 
 def _load_context(stage: _Stage, *, retrieval: bool, features: bool) -> PipelineContext:
@@ -305,18 +280,18 @@ def cmd_index(config: RunConfig, force: bool) -> None:
     index = build_index(
         zip(ids.tolist(), vectors), fingerprint=stats[RETRIEVAL].fingerprint
     )
-    _atomic_save(stage.outdir / INDEX, lambda tmp: save_index(index, tmp))
+    stage.write(INDEX, lambda tmp: save_index(index, tmp))
     info = verify_index(stage.outdir / INDEX)
     _log(f"[index] built and verified: N={info['count']} D={info['dimension']}")
-    stage.finish([INDEX])
+    stage.finish()
 
 
 def cmd_train_baseline(config: RunConfig, force: bool) -> None:
     stage = _Stage("train-baseline", config, force)
     stats = stage.read(FEATURE_STATS, "featurize", load_feature_stats)
     model = train_gate_model(stats[RETRIEVAL], stage.labeled_train(), config)
-    atomic_write_text(stage.outdir / BASELINE_MODEL, model_to_json(model))
-    stage.finish([BASELINE_MODEL])
+    stage.write_text(BASELINE_MODEL, model_to_json(model))
+    stage.finish()
 
 
 def cmd_pseudolabel(config: RunConfig, force: bool) -> None:
@@ -329,12 +304,10 @@ def cmd_pseudolabel(config: RunConfig, force: bool) -> None:
         exclude |= {s.text for s in stage.labeled(config.labeled_test)}
     pset = generate_for_anchors(ctx, anchors, gate, config, exclude)
     _log(f"[pseudolabel] admitted {len(pset.labels)} pseudo-labels")
-    _atomic_save(stage.outdir / PSEUDO_LABELS, lambda tmp: save_pseudo_labels(pset, tmp))
-    _atomic_save(stage.outdir / PSEUDO_STATS, lambda tmp: save_set_stats(pset, tmp))
-    atomic_write_text(
-        stage.outdir / PSEUDO_TABLE, render_stats_table(pseudo_label_stats(pset))
-    )
-    stage.finish([PSEUDO_LABELS, PSEUDO_STATS, PSEUDO_TABLE])
+    stage.write(PSEUDO_LABELS, lambda tmp: save_pseudo_labels(pset, tmp))
+    stage.write(PSEUDO_STATS, lambda tmp: save_set_stats(pset, tmp))
+    stage.write_text(PSEUDO_TABLE, render_stats_table(pseudo_label_stats(pset)))
+    stage.finish()
 
 
 def _fold_plan(config: RunConfig, labeled: list[LabeledSentence], *, nested: bool) -> FoldPlan:
@@ -363,8 +336,8 @@ def cmd_train_ensemble(config: RunConfig, force: bool) -> None:
     bundle.aggregation = (
         "stacker" if config.setting == "ensemble_stacker" else "mean"
     )
-    _atomic_save_dir(stage.outdir / BUNDLE, lambda tmp: save_bundle(bundle, tmp))
-    stage.finish([BUNDLE])
+    stage.write(BUNDLE, lambda tmp: save_bundle(bundle, tmp))
+    stage.finish()
 
 
 def cmd_evaluate(config: RunConfig, force: bool) -> None:
@@ -374,13 +347,13 @@ def cmd_evaluate(config: RunConfig, force: bool) -> None:
     plan = _fold_plan(config, labeled, nested=config.setting.startswith("ensemble"))
     reports = evaluate_settings(ctx, labeled, [config.setting], plan, config)
     report = reports[config.setting]
-    _atomic_save(stage.outdir / EVAL_JSON, lambda tmp: save_report(report, tmp))
-    atomic_write_text(stage.outdir / EVAL_TABLE, render_report_table([report]))
+    stage.write(EVAL_JSON, lambda tmp: save_report(report, tmp))
+    stage.write_text(EVAL_TABLE, render_report_table([report]))
     _log(
         f"[evaluate] {config.setting}: fold-mean RMSE {report.fold_mean_rmse:.3f} "
         f"(raw {report.rmse_raw:.3f}, mapped {report.rmse_mapped:.3f})"
     )
-    stage.finish([EVAL_JSON, EVAL_TABLE])
+    stage.finish()
 
 
 def cmd_predict(config: RunConfig, force: bool, input_path: str | None = None) -> None:
@@ -401,9 +374,9 @@ def cmd_predict(config: RunConfig, force: bool, input_path: str | None = None) -
     buf = io.StringIO()
     for i, score in enumerate(scores, start=1):
         buf.write(f"{i}\t{score:.3f}\n")
-    atomic_write_text(stage.outdir / PREDICTIONS, buf.getvalue())
+    stage.write_text(PREDICTIONS, buf.getvalue())
     _log(f"[predict] scored {len(texts)} sentences")
-    stage.finish([PREDICTIONS])
+    stage.finish()
 
 
 COMMANDS = {

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import clamp_scores, gram, solve_spd
+from .metrics import rmse
 
 @dataclass
 class HyperParams:
@@ -143,10 +144,6 @@ def _learning_rate_at(step: int, total_steps: int, hyper: HyperParams) -> float:
     return hyper.learning_rate * (total_steps - step) / (total_steps - warmup_steps)
 
 
-def _rmse(pred: np.ndarray, gold: np.ndarray) -> float:
-    return float(np.sqrt(np.mean((pred - gold) ** 2)))
-
-
 def _fit_rows(X: np.ndarray, y: np.ndarray, rows) -> np.ndarray:
     """A fit's row indices into X, with y aligned to them; all of X without `rows`."""
     if X.ndim != 2 or y.ndim != 1:
@@ -259,7 +256,7 @@ def train_iterative(
             b -= lr * (2.0 * float(total / m))
             step += 1
         if holdout.size:
-            score = _rmse(Xh @ w + b, yh)
+            score = rmse(Xh @ w + b, yh)
             if score < best[0]:
                 best = (score, w.copy(), b)
                 epochs_since_improvement = 0

@@ -96,7 +96,7 @@ class TestFullPipeline:
         ):
             assert (out / name).exists(), name
         assert not (out / ".lock").exists()
-        assert not list(out.glob("*.tmp"))
+        assert not list(out.rglob("*.tmp"))
 
     def test_manifest_records_all_stages(self, pipeline):
         directory, _, _ = pipeline
@@ -679,6 +679,19 @@ class TestFeaturizeStreams:
             assert (out / name).read_bytes() == buffer.getvalue(), name
             # hashed as written, equal to a digest of the file
             assert recorded["outputs"][name] == hashlib.sha256(buffer.getvalue()).hexdigest()
+
+    def test_refeaturize_deletes_caches_of_featurizers_no_longer_configured(self, ingested):
+        out, config_path = ingested
+        assert main(["featurize", "--config", str(config_path)]) == 0
+        before = set((out / cli.CORPUS_FEATURES).iterdir())
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        config["archetypes"][1]["hashed_dim"] = 256  # 'b'; 'a' and 'd' keep sharing one
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["featurize", "--config", str(config_path)]) == 0
+        recorded = json.loads((out / "manifest.json").read_text())["stages"]["featurize"]
+        caches = {out / name for name in recorded["outputs"] if name.startswith(cli.CORPUS_FEATURES)}
+        assert set((out / cli.CORPUS_FEATURES).iterdir()) == caches
+        assert len(caches) == 3 and len(before - caches) == 1 and len(caches - before) == 1
 
     def test_failure_mid_stream_leaves_no_partial_output(self, ingested, monkeypatch):
         out, config_path = ingested

@@ -1,4 +1,4 @@
-"""Run manifests, artifact reads and digests, atomic writes, and output-dir locking."""
+"""Artifact digests, the JSON artifact format, atomic writes, and output-dir locking."""
 
 from __future__ import annotations
 
@@ -10,34 +10,16 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
-
-from .corpus import InputFileError
-
-T = TypeVar("T")
+from typing import Iterator
 
 
 class StaleArtifactError(RuntimeError):
     """An upstream artifact is missing or its digest no longer matches."""
 
 
-def read_artifact(
-    path: str | Path, name: str, producing_stage: str, load: Callable[[Path], T]
-) -> T:
-    """`load(path)`, with a truncated or malformed artifact raised as StaleArtifactError.
-
-    Every stage reads its .npy, JSON and JSONL artifacts (and the index) this
-    way, so a corrupt file read under --force is named, not a traceback.
-    """
-    try:
-        return load(Path(path))
-    except InputFileError:
-        raise  # the store is read like an input file: a bad line exits 1, naming it
-    except (ValueError, KeyError, TypeError, IndexError, AttributeError, EOFError) as exc:
-        raise StaleArtifactError(
-            f"artifact {name!r} is corrupt or truncated ({type(exc).__name__}: {exc}); "
-            f"re-run the {producing_stage!r} stage"
-        ) from None
+def json_text(value) -> str:
+    """The one format of every JSON artifact: sorted keys, indent 2, a final newline."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -106,81 +88,6 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     """Write UTF-8 text so that a crash never leaves a partial file at `path`."""
     with atomic_paths(path) as (tmp,):
         tmp.write_bytes(text.encode("utf-8"))
-
-
-class Manifest:
-    """Per-output-directory record of stage runs and artifact digests."""
-
-    FILENAME = "manifest.json"
-
-    def __init__(self, output_dir: str | Path, tool_version: str = ""):
-        self.output_dir = Path(output_dir)
-        self.data: dict = {"tool_version": tool_version, "stages": {}}
-        path = self.output_dir / self.FILENAME
-        if path.exists():
-            try:
-                self.data = json.loads(path.read_text(encoding="utf-8"))
-                if not all(isinstance(i["outputs"], dict) for i in self.data["stages"].values()):
-                    raise TypeError("a stage record has no outputs")
-            except (ValueError, TypeError, KeyError, AttributeError) as exc:
-                raise StaleArtifactError(
-                    f"{self.FILENAME!r} in {self.output_dir} is corrupt ({exc!r}); "
-                    "remove it and re-run the stages from 'ingest'"
-                ) from None
-            if tool_version:
-                self.data["tool_version"] = tool_version
-
-    def record_stage(
-        self,
-        stage: str,
-        config_digest: str,
-        inputs: dict[str, str],
-        outputs: dict[str, str],
-        wall_seconds: float,
-    ) -> None:
-        self.data.setdefault("stages", {})[stage] = {
-            "config_digest": config_digest,
-            "inputs": inputs,
-            "outputs": outputs,
-            "wall_seconds": round(wall_seconds, 3),
-        }
-
-    def save(self) -> None:
-        atomic_write_text(
-            self.output_dir / self.FILENAME,
-            json.dumps(self.data, indent=2, sort_keys=True) + "\n",
-        )
-
-    def recorded_output(self, artifact: str) -> tuple[str, str] | None:
-        """Return (producing stage, digest) for an artifact name, if recorded."""
-        for stage, info in self.data.get("stages", {}).items():
-            if artifact in info.get("outputs", {}):
-                return stage, info["outputs"][artifact]
-        return None
-
-    def require(self, artifact: str, producing_stage: str, force: bool = False) -> str:
-        """Check an upstream artifact exists and is fresh; return its digest.
-
-        With force, an unrecorded or modified artifact is accepted as it is.
-        """
-        path = self.output_dir / artifact
-        if not path.exists():
-            raise StaleArtifactError(
-                f"missing artifact {artifact!r}; run the {producing_stage!r} stage first"
-            )
-        recorded = self.recorded_output(artifact)
-        if recorded is None and not force:
-            raise StaleArtifactError(
-                f"artifact {artifact!r} is not recorded in the manifest; "
-                f"re-run the {producing_stage!r} stage (or pass --force)"
-            )
-        digest = artifact_digest(path)
-        if recorded is not None and not force and digest != recorded[1]:
-            raise StaleArtifactError(
-                f"artifact {artifact!r} was modified after the {producing_stage!r} "
-                f"stage produced it; re-run {producing_stage!r} (or pass --force)"
-            )
-        return digest
 
 
 def _dead_lock_holder(lock_path: Path) -> int | None:

@@ -22,23 +22,22 @@ import numpy as np
 
 from . import __version__
 from .artifacts import (
-    Manifest,
     StaleArtifactError,
     artifact_digest,
     atomic_paths,
     atomic_write_text,
+    json_text,
     output_lock,
-    read_artifact,
     sha256_bytes,
     sha256_file,
 )
 from .config import ConfigError, RunConfig, load_config
 from .corpus import CorpusStore, InputFileError, LabeledSentence, deduplicate, ingest_corpus, load_labeled, load_store, normalize_sentence, open_text, save_store
 from .ensemble import FoldPlan, make_fold_plan, save_bundle
-from .features import FeatureStats, embed_chunks, fit_feature_stats_many, load_feature_stats, save_feature_stats
-from .metrics import render_report_table, save_report
+from .features import FeatureStats, embed_chunks, fit_feature_stats_many, load_feature_stats
+from .metrics import render_report_table
 from .pipeline import RETRIEVAL, Archetype, PipelineContext, embed_labeled, evaluate_settings, fine_tune_ensemble, generate_for_anchors, train_gate_model, train_stage_models
-from .pseudolabel import load_pseudo_labels, pseudo_label_stats, render_stats_table, save_pseudo_labels, save_set_stats
+from .pseudolabel import load_pseudo_labels, pseudo_label_stats, render_stats_table, save_pseudo_labels
 from .scorer import load_model, model_to_json
 from .simindex import IndexFormatError, build_index, load_index, save_index, verify_index
 
@@ -48,6 +47,8 @@ from .pipeline import build_context  # noqa: F401
 from .pseudolabel import generate_pseudo_labels  # noqa: F401
 from .scorer import predict, train_ridge  # noqa: F401
 
+MANIFEST = "manifest.json"
+CONFIG_SNAPSHOT = "config_snapshot.json"
 STORE = "store.jsonl"
 CORPUS_STATS = "corpus_stats.json"
 FEATURE_STATS = "feature_stats.json"
@@ -112,28 +113,77 @@ def _stream_npy(
 
 
 class _Stage:
-    """Shared per-command plumbing: config snapshot, manifest, timing."""
+    """One command's stage: config snapshot, run manifest, checked reads, recorded writes.
+
+    `manifest.json` records, for each stage run, the config digest, the digest
+    of every input read and every output written, and the wall time.
+    """
 
     def __init__(self, name: str, config: RunConfig, force: bool):
         self.name = name
         self.config = config
         self.force = force
         self.outdir = Path(config.output_dir)
-        self.outdir.mkdir(parents=True, exist_ok=True)
         snapshot = config.canonical_json()
         self.config_digest = sha256_bytes(snapshot.encode("utf-8"))
-        atomic_write_text(self.outdir / "config_snapshot.json", snapshot)
-        self.manifest = Manifest(self.outdir, tool_version=__version__)
+        atomic_write_text(self.outdir / CONFIG_SNAPSHOT, snapshot)
+        self.manifest = {"tool_version": __version__, "stages": {}}
+        path = self.outdir / MANIFEST
+        if path.exists():
+            try:
+                self.manifest = json.loads(path.read_text(encoding="utf-8"))
+                records = self.manifest["stages"].values()
+                if not all(isinstance(info["outputs"], dict) for info in records):
+                    raise TypeError("a stage record has no outputs")
+            except (ValueError, TypeError, KeyError, AttributeError) as exc:
+                raise StaleArtifactError(
+                    f"{MANIFEST!r} in {self.outdir} is corrupt ({exc!r}); "
+                    "remove it and re-run the stages from 'ingest'"
+                ) from None
+            self.manifest["tool_version"] = __version__
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
         self.started = time.monotonic()
 
     def read(self, artifact: str, producing_stage: str, load):
-        """Check an upstream artifact is fresh, record its digest, and `load` it."""
-        self.inputs[artifact] = self.manifest.require(
-            artifact, producing_stage, force=self.force
+        """Check an upstream artifact is fresh, record its digest, and return `load(path)`.
+
+        The artifact must exist and, unless --force, be recorded in the manifest
+        with the digest it has now. A truncated or malformed artifact is raised
+        as StaleArtifactError, so a corrupt file read under --force is named,
+        not a traceback.
+        """
+        path = self.outdir / artifact
+        if not path.exists():
+            raise StaleArtifactError(
+                f"missing artifact {artifact!r}; run the {producing_stage!r} stage first"
+            )
+        recorded = next(
+            (info["outputs"][artifact] for info in self.manifest["stages"].values()
+             if artifact in info["outputs"]),
+            None,
         )
-        return read_artifact(self.outdir / artifact, artifact, producing_stage, load)
+        if recorded is None and not self.force:
+            raise StaleArtifactError(
+                f"artifact {artifact!r} is not recorded in the manifest; "
+                f"re-run the {producing_stage!r} stage (or pass --force)"
+            )
+        digest = artifact_digest(path)
+        if recorded is not None and not self.force and digest != recorded:
+            raise StaleArtifactError(
+                f"artifact {artifact!r} was modified after the {producing_stage!r} "
+                f"stage produced it; re-run {producing_stage!r} (or pass --force)"
+            )
+        self.inputs[artifact] = digest
+        try:
+            return load(path)
+        except InputFileError:
+            raise  # the store is read like an input file: a bad line exits 1, naming it
+        except (ValueError, KeyError, TypeError, IndexError, AttributeError, EOFError) as exc:
+            raise StaleArtifactError(
+                f"artifact {artifact!r} is corrupt or truncated ({type(exc).__name__}: {exc}); "
+                f"re-run the {producing_stage!r} stage"
+            ) from None
 
     def external_input(self, path: str | Path) -> Path:
         try:
@@ -162,16 +212,18 @@ class _Stage:
         atomic_write_text(self.outdir / artifact, text)
         self.outputs[artifact] = sha256_bytes(text.encode("utf-8"))
 
+    def write_json(self, artifact: str, value) -> None:
+        self.write_text(artifact, json_text(value))
+
     def finish(self) -> None:
-        """Record the stage with the digest of each output it wrote."""
-        self.manifest.record_stage(
-            self.name,
-            self.config_digest,
-            self.inputs,
-            self.outputs,
-            time.monotonic() - self.started,
-        )
-        self.manifest.save()
+        """Record the stage with the digest of each input and output, and save the manifest."""
+        self.manifest["stages"][self.name] = {
+            "config_digest": self.config_digest,
+            "inputs": self.inputs,
+            "outputs": self.outputs,
+            "wall_seconds": round(time.monotonic() - self.started, 3),
+        }
+        atomic_write_text(self.outdir / MANIFEST, json_text(self.manifest))
         _log(f"[{self.name}] done in {time.monotonic() - self.started:.1f}s")
 
 
@@ -187,8 +239,11 @@ def cmd_ingest(config: RunConfig, force: bool) -> None:
     _log(
         f"[ingest] total {stats.total_sentences}, distinct {stats.distinct_sentences}"
     )
+    if not store.records:
+        paths = ", ".join(entry.path for entry in config.corpora)
+        raise InputFileError(f"the corpora hold no sentences: {paths}")
     stage.write(STORE, lambda tmp: save_store(store, tmp))
-    stage.write_text(CORPUS_STATS, json.dumps(asdict(stats), indent=2, sort_keys=True) + "\n")
+    stage.write_json(CORPUS_STATS, asdict(stats))
     stage.finish()
 
 
@@ -203,7 +258,7 @@ def cmd_featurize(config: RunConfig, force: bool) -> None:
     configs = {RETRIEVAL: config.retrieval}
     configs.update((spec.name, spec.feature_config()) for spec in config.archetypes)
     stats = dict(zip(configs, fit_feature_stats_many(store.records, configs.values())))
-    stage.write(FEATURE_STATS, lambda tmp: save_feature_stats(stats, tmp))
+    stage.write_json(FEATURE_STATS, {name: s.to_dict() for name, s in stats.items()})
     ids = np.array([r.id for r in store.records], dtype=np.int64)
     stage.write(CORPUS_IDS, lambda tmp: np.save(tmp, ids))
     # the float32 retrieval rows, then one float64 matrix per distinct archetype
@@ -305,7 +360,7 @@ def cmd_pseudolabel(config: RunConfig, force: bool) -> None:
     pset = generate_for_anchors(ctx, anchors, gate, config, exclude)
     _log(f"[pseudolabel] admitted {len(pset.labels)} pseudo-labels")
     stage.write(PSEUDO_LABELS, lambda tmp: save_pseudo_labels(pset, tmp))
-    stage.write(PSEUDO_STATS, lambda tmp: save_set_stats(pset, tmp))
+    stage.write_json(PSEUDO_STATS, {"config": pset.config, "stats": pset.stats})
     stage.write_text(PSEUDO_TABLE, render_stats_table(pseudo_label_stats(pset)))
     stage.finish()
 
@@ -347,7 +402,7 @@ def cmd_evaluate(config: RunConfig, force: bool) -> None:
     plan = _fold_plan(config, labeled, nested=config.setting.startswith("ensemble"))
     reports = evaluate_settings(ctx, labeled, [config.setting], plan, config)
     report = reports[config.setting]
-    stage.write(EVAL_JSON, lambda tmp: save_report(report, tmp))
+    stage.write_json(EVAL_JSON, report.to_dict())
     stage.write_text(EVAL_TABLE, render_report_table([report]))
     _log(
         f"[evaluate] {config.setting}: fold-mean RMSE {report.fold_mean_rmse:.3f} "
@@ -418,7 +473,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         config = load_config(args.config)
-        with output_lock_dir(config):
+        try:
+            Path(config.output_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create output_dir {config.output_dir}: {exc.strerror}"
+            ) from None
+        with output_lock(config.output_dir):
             if args.command == "predict":
                 COMMANDS[args.command](config, args.force, args.input)
             else:
@@ -437,12 +498,6 @@ def main(argv=None) -> int:
         traceback.print_exc(file=sys.stderr)
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-
-
-def output_lock_dir(config: RunConfig):
-    outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return output_lock(outdir)
 
 
 if __name__ == "__main__":

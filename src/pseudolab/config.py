@@ -12,6 +12,7 @@ from pathlib import Path
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
+from .artifacts import json_text
 from .corpus import DEFAULT_RATING_STD, FORMATS
 from .features import FeatureConfig
 from .pipeline import (
@@ -50,7 +51,7 @@ class RunConfig(PipelineConfig):
     default_rating_std: float = DEFAULT_RATING_STD
 
     def canonical_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        return json_text(asdict(self))
 
 
 # the JSON values each scalar annotation accepts; bool is rejected even where int is allowed
@@ -151,6 +152,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("k must be a positive integer")
     if cfg.n_folds < 2:
         raise ConfigError("n_folds must be at least 2")
+    if cfg.fold_seed < 0:  # it seeds np.random.default_rng
+        raise ConfigError(f"fold_seed must be a non-negative integer, got {cfg.fold_seed}")
     if not cfg.seeds or any(s <= 0 for s in cfg.seeds):
         raise ConfigError(
             f"seeds must be a non-empty list of positive integers, got {list(cfg.seeds)}"

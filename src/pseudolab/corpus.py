@@ -185,9 +185,14 @@ def load_labeled(
                 continue
             try:
                 sid = int(row[cols["id"]])
+                text = row[cols["text"]]
                 mos = float(row[cols["mos"]])
                 std = float(row[cols["rating_std"]]) if has_std else default_rating_std
-            except (ValueError, IndexError) as exc:
+            except IndexError:
+                raise InputFileError(
+                    f"{path}: row {rowno}: {len(row)} fields, fewer than the header's {len(header)}"
+                ) from None
+            except ValueError as exc:
                 raise InputFileError(f"{path}: row {rowno}: non-numeric field: {exc}") from exc
             if not MOS_MIN <= mos <= MOS_MAX:
                 raise InputFileError(
@@ -205,7 +210,7 @@ def load_labeled(
             out.append(
                 LabeledSentence(
                     id=sid,
-                    text=normalize_sentence(row[cols["text"]]),
+                    text=normalize_sentence(text),
                     mos=mos,
                     rating_std=std,
                 )

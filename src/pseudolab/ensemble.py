@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .artifacts import json_text
 from .corpus import LabeledSentence
 from .features import FeatureStats, embed_chunks
 from .linalg import clamp_scores, gram, solve_spd
@@ -312,9 +313,7 @@ def save_bundle(bundle: EnsembleBundle, directory: str | Path) -> None:
             for fm in bundle.fold_models
         ],
     }
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (directory / "manifest.json").write_text(json_text(manifest), encoding="utf-8")
     if bundle.oof is not None:
         header = ",".join(f"{c['archetype']}_s{c['seed']}" for c in bundle.oof_columns)
         lines = [header]

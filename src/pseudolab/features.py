@@ -312,13 +312,6 @@ def embed_many(texts: Sequence[str], stats_list: Sequence[FeatureStats]) -> list
     return out
 
 
-def save_feature_stats(stats_by_name: dict[str, FeatureStats], path) -> None:
-    payload = {name: s.to_dict() for name, s in sorted(stats_by_name.items())}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_feature_stats(path) -> dict[str, FeatureStats]:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -129,9 +127,3 @@ def render_report_table(reports: list[EvalReport]) -> str:
         for r in reports
     ]
     return render_table(header, body)
-
-
-def save_report(report: EvalReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )

@@ -190,9 +190,3 @@ def load_pseudo_labels(path: str | Path) -> PseudoLabelSet:
                 )
             )
     return PseudoLabelSet(labels=labels, stats=compute_set_stats(labels))
-
-
-def save_set_stats(pset: PseudoLabelSet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"config": pset.config, "stats": pset.stats}, fh, indent=2, sort_keys=True)
-        fh.write("\n")

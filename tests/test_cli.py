@@ -339,6 +339,26 @@ class TestValidation:
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line == "error: seeds must be distinct, got [1, 2, 1]"
 
+    def test_negative_fold_seed_rejected(self, tmp_path, capsys):
+        # it seeds np.random.default_rng, which takes no negative seed
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        config_path = _write_config(tmp_path, dataset, {"fold_seed": -1})
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == "error: fold_seed must be a non-negative integer, got -1"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("output_dir", ["blocker", "blocker/out"])
+    def test_output_dir_that_cannot_be_created(self, tmp_path, capsys, output_dir):
+        # a file stands where output_dir, or its parent, would be a directory
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        (tmp_path / "blocker").write_text("", encoding="utf-8")
+        path = tmp_path / output_dir
+        config_path = _write_config(tmp_path, dataset, {"output_dir": str(path)})
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith(f"error: cannot create output_dir {path}: "), line
+
     @pytest.mark.parametrize("key", ["hashed_dim", "ngram_min", "batch_size"])
     def test_archetype_value_rejected(self, tmp_path, capsys, key):
         dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
@@ -553,6 +573,27 @@ class TestBadInputFiles:
         fixtures.write_labeled_tsv(bad, directory / "train.tsv")
         line = self._one_line_error(capsys, "train-baseline", config_path)
         assert "row 5: non-finite rating_std nan" in line
+
+    def test_labeled_row_missing_a_field(self, featurized, capsys):
+        directory, config_path, _ = featurized
+        train = directory / "train.tsv"
+        train.write_text("id\tmos\ttext\n1\t2.0\n", encoding="utf-8")
+        line = self._one_line_error(capsys, "train-baseline", config_path)
+        assert f"{train}: row 2: 2 fields, fewer than the header's 3" in line
+
+    def test_corpora_with_no_sentences(self, tmp_path, capsys):
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        config_path = _write_config(tmp_path, dataset)
+        paths = [e["path"] for e in json.loads(config_path.read_text(encoding="utf-8"))["corpora"]]
+        for path in paths:
+            Path(path).write_text("\n  \n\t\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        # after ingest's per-file progress lines, one error line
+        *progress, line = capsys.readouterr().err.strip().splitlines()
+        assert all(p.startswith("[ingest] ") for p in progress), progress
+        assert line == f"error: the corpora hold no sentences: {', '.join(paths)}"
+        assert not (tmp_path / "out" / cli.STORE).exists()
 
     def test_store_record_without_text(self, featurized, capsys):
         directory, config_path, _ = featurized

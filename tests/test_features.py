@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudolab import features as features_module
+from pseudolab.artifacts import json_text
 from pseudolab.features import (
     EMBED_CHUNK_ROWS,
     SURFACE_DIM,
@@ -21,7 +22,6 @@ from pseudolab.features import (
     fit_feature_stats_many,
     fnv1a64,
     load_feature_stats,
-    save_feature_stats,
     truncate_tokens,
 )
 from pseudolab.pipeline import DEFAULT_ARCHETYPE_SPECS, DEFAULT_RETRIEVAL_CONFIG
@@ -331,7 +331,7 @@ def test_embed_many_matches_embed(stats):
 
 def test_stats_roundtrip(tmp_path, stats):
     path = tmp_path / "stats.json"
-    save_feature_stats({"main": stats}, path)
+    path.write_text(json_text({"main": stats.to_dict()}), encoding="utf-8")
     loaded = load_feature_stats(path)["main"]
     assert loaded.fingerprint == stats.fingerprint
     np.testing.assert_array_equal(loaded.means, stats.means)
@@ -340,7 +340,7 @@ def test_stats_roundtrip(tmp_path, stats):
 
 def test_stats_load_rejects_tampered_fingerprint(tmp_path, stats):
     path = tmp_path / "stats.json"
-    save_feature_stats({"main": stats}, path)
+    path.write_text(json_text({"main": stats.to_dict()}), encoding="utf-8")
     payload = json.loads(path.read_text())
     payload["main"]["fingerprint"] = "f" * 16
     path.write_text(json.dumps(payload))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pseudolab import pipeline
+from pseudolab.artifacts import json_text
 from pseudolab.ensemble import make_fold_plan
 from pseudolab.pipeline import evaluate_settings
 from pseudolab.metrics import (
@@ -16,7 +17,6 @@ from pseudolab.metrics import (
     mapped_rmse,
     render_report_table,
     rmse,
-    save_report,
 )
 
 
@@ -179,6 +179,6 @@ def test_save_report_roundtrip(tmp_path):
         details={"n_labeled": 60},
     )
     path = tmp_path / "report.json"
-    save_report(report, path)
+    path.write_text(json_text(report.to_dict()), encoding="utf-8")
     loaded = json.loads(path.read_text())
     assert loaded == report.to_dict()

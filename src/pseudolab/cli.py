@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation error, 2 stale or corrupt artifact, 3 intern
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import io
 import json
@@ -16,7 +15,7 @@ import time
 import traceback
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -34,9 +33,9 @@ from .artifacts import (
 from .config import ConfigError, RunConfig, load_config
 from .corpus import CorpusStore, InputFileError, LabeledSentence, deduplicate, ingest_corpus, load_labeled, load_store, normalize_sentence, open_text, save_store
 from .ensemble import FoldPlan, make_fold_plan, save_bundle
-from .features import FeatureStats, embed_chunks, fit_feature_stats_many, load_feature_stats
+from .features import embed_chunks, fit_feature_stats_many, load_feature_stats
 from .metrics import render_report_table
-from .pipeline import RETRIEVAL, Archetype, PipelineContext, embed_labeled, evaluate_settings, fine_tune_ensemble, generate_for_anchors, train_gate_model, train_stage_models
+from .pipeline import RETRIEVAL, Archetype, PipelineContext, embed_corpus, embed_labeled, evaluate_settings, fine_tune_ensemble, generate_for_anchors, train_gate_model, train_stage_models
 from .pseudolabel import load_pseudo_labels, pseudo_label_stats, render_stats_table, save_pseudo_labels
 from .scorer import load_model, model_to_json
 from .simindex import IndexFormatError, build_index, load_index, save_index, verify_index
@@ -54,7 +53,6 @@ CORPUS_STATS = "corpus_stats.json"
 FEATURE_STATS = "feature_stats.json"
 CORPUS_VECTORS = "corpus_vectors.npy"
 CORPUS_IDS = "corpus_ids.npy"
-CORPUS_FEATURES = "corpus_features"
 INDEX = "index.bin"
 BASELINE_MODEL = "baseline_model.json"
 PSEUDO_LABELS = "pseudo_labels.jsonl"
@@ -81,35 +79,29 @@ _atomic_save_dir = _atomic_save
 
 
 def _stream_npy(
-    outputs: list[tuple[Path, np.typing.DTypeLike, tuple[int, ...]]],
-    blocks: Iterable[Sequence[np.ndarray]],
-) -> list[str]:
-    """Write one .npy file per (path, dtype, shape) from blocks of its rows.
+    path: Path, dtype: np.typing.DTypeLike, shape: tuple[int, ...], blocks: Iterable[np.ndarray]
+) -> str:
+    """Write a .npy file of `dtype` and `shape` from blocks of its rows.
 
-    `blocks` yields one row block per output at a time, cast to the output's
-    dtype on write. Each file holds the bytes np.save of the whole matrix
-    writes, without the matrix ever being held; the files are renamed into
-    place only when every block has been written. Returns each file's
+    The file holds the bytes np.save of the whole matrix writes, without the
+    matrix ever being held; each block is cast to `dtype` on write, and the
+    file is renamed into place only after the last block. Returns the file's
     sha256, hashed as it was written.
     """
-    with atomic_paths(*(path for path, _, _ in outputs)) as tmps, contextlib.ExitStack() as files:
-        handles, hashers = [], []
-        for tmp, (_, dtype, shape) in zip(tmps, outputs):
-            handles.append(files.enter_context(open(tmp, "wb")))
-            header = io.BytesIO()
-            np.lib.format.write_array_header_1_0(header, {
-                "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
-                "fortran_order": False,
-                "shape": tuple(map(int, shape)),
-            })
-            handles[-1].write(header.getvalue())
-            hashers.append(hashlib.sha256(header.getvalue()))
-        for row_blocks in blocks:
-            for fh, h, (_, dtype, _), block in zip(handles, hashers, outputs, row_blocks):
-                data = np.ascontiguousarray(block, dtype=dtype)
-                data.tofile(fh)
-                h.update(data)
-    return [h.hexdigest() for h in hashers]
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+        "fortran_order": False,
+        "shape": tuple(map(int, shape)),
+    })
+    digest = hashlib.sha256(header.getvalue())
+    with atomic_paths(path) as (tmp,), open(tmp, "wb") as fh:
+        fh.write(header.getvalue())
+        for block in blocks:
+            data = np.ascontiguousarray(block, dtype=dtype)
+            data.tofile(fh)
+            digest.update(data)
+    return digest.hexdigest()
 
 
 class _Stage:
@@ -247,11 +239,6 @@ def cmd_ingest(config: RunConfig, force: bool) -> None:
     stage.finish()
 
 
-def _feature_cache(stats: FeatureStats) -> str:
-    """Artifact name of a featurizer's float64 corpus matrix, rows in corpus_ids order."""
-    return f"{CORPUS_FEATURES}/{stats.fingerprint}.npy"
-
-
 def cmd_featurize(config: RunConfig, force: bool) -> None:
     stage = _Stage("featurize", config, force)
     store = stage.read(STORE, "ingest", load_store)
@@ -261,37 +248,22 @@ def cmd_featurize(config: RunConfig, force: bool) -> None:
     stage.write_json(FEATURE_STATS, {name: s.to_dict() for name, s in stats.items()})
     ids = np.array([r.id for r in store.records], dtype=np.int64)
     stage.write(CORPUS_IDS, lambda tmp: np.save(tmp, ids))
-    # the float32 retrieval rows, then one float64 matrix per distinct archetype
-    # featurizer (archetypes with the same config share one), in one pass
-    outputs = {CORPUS_VECTORS: (stats[RETRIEVAL], np.float32)}
-    outputs.update(
-        (_feature_cache(stats[spec.name]), (stats[spec.name], np.float64))
-        for spec in config.archetypes
-    )
-    cache_dir = stage.outdir / CORPUS_FEATURES
-    cache_dir.mkdir(exist_ok=True)
     texts = [r.text for r in store.records]
-    streamed = _stream_npy(
-        [
-            (stage.outdir / name, dtype, (len(texts), s.config.dimension))
-            for name, (s, dtype) in outputs.items()
-        ],
-        embed_chunks(texts, [s for s, _ in outputs.values()]),
+    retrieval = stats[RETRIEVAL]
+    stage.outputs[CORPUS_VECTORS] = _stream_npy(
+        stage.outdir / CORPUS_VECTORS,
+        np.float32,
+        (len(texts), retrieval.config.dimension),
+        (blocks[0] for blocks in embed_chunks(texts, [retrieval])),
     )
-    stage.outputs.update(zip(outputs, streamed))
-    # a cache is named by its featurizer's fingerprint, so one this run did not
-    # write belongs to a featurizer no longer configured: no stage can read it
-    for path in cache_dir.glob("*.npy"):
-        if f"{CORPUS_FEATURES}/{path.name}" not in outputs:
-            path.unlink()
     stage.finish()
 
 
 def _load_context(stage: _Stage, *, retrieval: bool, features: bool) -> PipelineContext:
-    """Build the pipeline context from featurize's artifacts, requiring only what is read.
+    """Build the pipeline context from the store and featurize's stats.
 
-    `retrieval` loads the store and the index; `features` loads the cached
-    archetype corpus matrices and their row order.
+    `retrieval` also loads the index; `features` embeds the corpus under
+    every archetype.
     """
     stats = stage.read(FEATURE_STATS, "featurize", load_feature_stats)
     archetypes = []
@@ -305,7 +277,7 @@ def _load_context(stage: _Stage, *, retrieval: bool, features: bool) -> Pipeline
             Archetype(name=spec.name, stats=stats[spec.name], batch_size=spec.batch_size)
         )
     ctx = PipelineContext(
-        store=None,
+        store=stage.read(STORE, "ingest", load_store),
         retrieval_stats=stats[RETRIEVAL],
         archetypes=archetypes,
         index=None,
@@ -313,17 +285,9 @@ def _load_context(stage: _Stage, *, retrieval: bool, features: bool) -> Pipeline
         row_of_id={},
     )
     if retrieval:
-        ctx.store = stage.read(STORE, "ingest", load_store)
         ctx.index = stage.read(INDEX, "index", load_index)
     if features:
-        ids = stage.read(CORPUS_IDS, "featurize", np.load)
-        ctx.row_of_id = {i: row for row, i in enumerate(ids.tolist())}
-        # archetypes with the same featurizer config share one matrix
-        caches = {arch.name: _feature_cache(arch.stats) for arch in archetypes}
-        matrices = {
-            name: stage.read(name, "featurize", np.load) for name in dict.fromkeys(caches.values())
-        }
-        ctx.corpus_features = {arch: matrices[name] for arch, name in caches.items()}
+        ctx.corpus_features, ctx.row_of_id = embed_corpus(ctx.store, archetypes)
     return ctx
 
 

@@ -118,8 +118,8 @@ def train_pseudo_stage(
     """Train one model per (archetype, seed) on the pseudo-label pairs.
 
     `features_by_archetype` holds each archetype's rows, in `pseudo_scores`
-    order; with `rows`, each holds a shared matrix, such as the corpus
-    feature cache, that the fits read in place at `rows`.
+    order; with `rows`, each holds a shared matrix, such as a corpus
+    matrix from pipeline.embed_corpus, that the fits read in place at `rows`.
     """
     y = np.asarray(pseudo_scores, dtype=np.float64)
     if not y.size:

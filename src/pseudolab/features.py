@@ -208,7 +208,10 @@ def fit_feature_stats(corpus: Iterable, config: FeatureConfig) -> FeatureStats:
         raise ValueError("cannot fit feature stats on an empty corpus")
     rows = _surface_block([truncate_tokens(t, config.max_tokens) for t in texts])
     means = rows.mean(axis=0)
-    stds = np.maximum(rows.std(axis=0), STD_FLOOR)
+    stds = rows.std(axis=0)
+    # a column (near) constant on the corpus is centred but not scaled: dividing
+    # by a floored std would blow any other value up to about 1 / STD_FLOOR
+    stds[stds < STD_FLOOR] = 1.0
     return FeatureStats(
         config=config, means=means, stds=stds, fingerprint=config.fingerprint()
     )

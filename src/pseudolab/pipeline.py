@@ -100,12 +100,12 @@ class PipelineConfig:
 
 @dataclass
 class PipelineContext:
-    """Fold-independent state: store, featurizers, index, cached corpus features.
+    """Fold-independent state: store, featurizers, index, corpus features.
 
     The index's float32 vectors are the one retrieval matrix. `corpus_features`
     holds each archetype's float64 corpus matrix; `row_of_id` maps a corpus id
-    to its row. A CLI stage loads only the parts it reads and leaves `store`
-    and `index`, or the features, empty.
+    to its row. A CLI stage builds only the parts it reads and leaves `index`,
+    or the features, empty.
     """
 
     store: CorpusStore | None
@@ -116,13 +116,27 @@ class PipelineContext:
     row_of_id: dict[int, int]
 
 
+def embed_corpus(
+    store: CorpusStore, archetypes: Sequence[Archetype]
+) -> tuple[dict[str, np.ndarray], dict[int, int]]:
+    """Each archetype's float64 corpus matrix, rows in store order, and the row of each id.
+
+    The corpus is embedded once per distinct featurizer, so archetypes with
+    equal featurizer configs share one matrix.
+    """
+    texts = [r.text for r in store.records]
+    distinct = {arch.stats.fingerprint: arch.stats for arch in archetypes}
+    matrices = dict(zip(distinct, embed_many(texts, list(distinct.values()))))
+    corpus_features = {arch.name: matrices[arch.stats.fingerprint] for arch in archetypes}
+    return corpus_features, {r.id: row for row, r in enumerate(store.records)}
+
+
 def build_context(
     store: CorpusStore,
     retrieval_config: FeatureConfig = DEFAULT_RETRIEVAL_CONFIG,
     archetype_specs: Sequence[ArchetypeSpec] = DEFAULT_ARCHETYPE_SPECS,
 ) -> PipelineContext:
-    """Fit every featurizer on the store and embed the corpus under each."""
-    texts = [r.text for r in store.records]
+    """Fit every featurizer on the store, index its retrieval vectors and embed its archetypes."""
     retrieval_stats, *archetype_stats = fit_feature_stats_many(
         store.records, [retrieval_config, *(spec.feature_config() for spec in archetype_specs)]
     )
@@ -130,19 +144,21 @@ def build_context(
         Archetype(name=spec.name, stats=stats, batch_size=spec.batch_size)
         for spec, stats in zip(archetype_specs, archetype_stats)
     ]
-    matrices = embed_many(texts, [retrieval_stats, *(arch.stats for arch in archetypes)])
-    # the float64 retrieval matrix lives only until the index holds its float32 copy
     index = build_index(
-        zip((r.id for r in store.records), matrices.pop(0)),
+        zip(
+            (r.id for r in store.records),
+            embed_many([r.text for r in store.records], [retrieval_stats])[0],
+        ),
         fingerprint=retrieval_stats.fingerprint,
     )
+    corpus_features, row_of_id = embed_corpus(store, archetypes)
     return PipelineContext(
         store=store,
         retrieval_stats=retrieval_stats,
         archetypes=archetypes,
         index=index,
-        corpus_features={arch.name: x for arch, x in zip(archetypes, matrices)},
-        row_of_id={r.id: row for row, r in enumerate(store.records)},
+        corpus_features=corpus_features,
+        row_of_id=row_of_id,
     )
 
 
@@ -191,7 +207,7 @@ def train_stage_models(
     ctx: PipelineContext, pset: PseudoLabelSet, cfg: PipelineConfig, where: str
 ) -> list[ScorerModel]:
     """The pseudo stage: one model per (archetype, seed), trained in place on
-    the cached corpus features at the admitted labels' rows.
+    the corpus features at the admitted labels' rows.
 
     `where` names the stage or fold in the error raised when nothing was admitted.
     """
@@ -269,7 +285,7 @@ def map_folds(
 
     With fewer than two workers, or where `fork` is unavailable, the folds run
     in this process. Workers are forked, not spawned, so they share the loaded
-    store, index and feature caches copy-on-write, and only fold numbers and
+    store, index and corpus features copy-on-write, and only fold numbers and
     results are pickled (the pipeline starts no thread of its own that a fork
     could copy mid-operation). Folds start in order, at most one per worker
     at a time. After a failure no further fold starts, the running ones

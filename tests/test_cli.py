@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -160,9 +161,11 @@ class TestFullPipeline:
         table = (directory / "out" / cli.EVAL_TABLE).read_text()
         assert table.startswith("Setting")
 
-    def test_train_ensemble_and_evaluate_embed_only_labeled_texts(
+    def test_train_ensemble_and_evaluate_embed_corpus_and_labeled_texts_once(
         self, pipeline, monkeypatch
     ):
+        """Each stage embeds the corpus once per distinct archetype featurizer and
+        the labeled set once per archetype; the folds reuse both."""
         directory, config_path, dataset = pipeline
         config = load_config(config_path)
         # (text, featurizer fingerprint) of every row embedded, counted where called
@@ -181,20 +184,19 @@ class TestFullPipeline:
         monkeypatch.setattr(pipeline_module, "embed_many", counting(features.embed_many))
         monkeypatch.setattr(ensemble_module, "embed_chunks", counting(features.embed_chunks))
         labeled = {s.text for s in dataset.labeled_train}
-        n_archetypes = len(config.archetypes)
+        corpus = [r.text for r in load_store(directory / "out" / cli.STORE).records]
+        fingerprints = [spec.feature_config().fingerprint() for spec in config.archetypes]
+        expected = Counter((t, fp) for fp in set(fingerprints) for t in corpus)
+        expected.update((s.text, fp) for fp in fingerprints for s in dataset.labeled_train)
         retrieval = config.retrieval.fingerprint()
 
         assert main(["train-ensemble", "--config", str(config_path)]) == 0
-        assert len(embedded) == len(dataset.labeled_train) * n_archetypes
-        assert {t for t, _ in embedded} <= labeled
+        assert Counter(embedded) == expected
         embedded.clear()
         assert main(["evaluate", "--config", str(config_path)]) == 0
-        assert embedded
-        assert {t for t, _ in embedded} <= labeled
-        # the archetype features of the labeled set are embedded once, and
-        # every fold's fine-tuning reuses them
-        archetype_rows = [t for t, fp in embedded if fp != retrieval]
-        assert len(archetype_rows) == len(dataset.labeled_train) * n_archetypes
+        assert Counter(e for e in embedded if e[1] != retrieval) == expected
+        # the gates embed only labeled texts
+        assert {t for t, fp in embedded if fp == retrieval} <= labeled
 
     def test_pseudolabel_matches_in_process_pipeline(self, pipeline):
         directory, config_path, _ = pipeline
@@ -699,40 +701,49 @@ class TestFeaturizeStreams:
     def test_streamed_matrices_equal_np_save(self, ingested, monkeypatch):
         out, config_path = ingested
         passes, windows = _count_embedding(monkeypatch, cli)
+        before = set(out.iterdir())
         assert main(["featurize", "--config", str(config_path)]) == 0
-        # one pass over the corpus: the retrieval rows and three distinct archetypes
-        assert passes == [4]
-        assert len(windows) == 12  # 80 rows in chunks of 7, one max_tokens
+        # one pass over the corpus, with the retrieval featurizer only
+        assert passes == [1]
+        assert len(windows) == 12  # 80 rows in chunks of 7
+        written = {cli.FEATURE_STATS, cli.CORPUS_IDS, cli.CORPUS_VECTORS}
+        assert {p.name for p in set(out.iterdir()) - before} == written
+        recorded = json.loads((out / "manifest.json").read_text())["stages"]["featurize"]
+        assert set(recorded["outputs"]) == written
         stats = load_feature_stats(out / cli.FEATURE_STATS)
         texts = [r.text for r in load_store(out / cli.STORE).records]
-        retrieval = embed_many(texts, [stats["retrieval"]])[0]
-        expected = {cli.CORPUS_VECTORS: retrieval.astype(np.float32)}
-        for name in ("a", "b", "c", "d"):
-            expected[cli._feature_cache(stats[name])] = embed_many(texts, [stats[name]])[0]
-        assert len(expected) == 4
-        assert sorted((out / cli.CORPUS_FEATURES).iterdir()) == sorted(
-            out / name for name in expected if name != cli.CORPUS_VECTORS
-        )
-        recorded = json.loads((out / "manifest.json").read_text())["stages"]["featurize"]
-        for name, matrix in expected.items():
-            buffer = io.BytesIO()
-            np.save(buffer, matrix)
-            assert (out / name).read_bytes() == buffer.getvalue(), name
-            # hashed as written, equal to a digest of the file
-            assert recorded["outputs"][name] == hashlib.sha256(buffer.getvalue()).hexdigest()
+        buffer = io.BytesIO()
+        np.save(buffer, embed_many(texts, [stats["retrieval"]])[0].astype(np.float32))
+        assert (out / cli.CORPUS_VECTORS).read_bytes() == buffer.getvalue()
+        # hashed as written, equal to a digest of the file
+        digest = hashlib.sha256(buffer.getvalue()).hexdigest()
+        assert recorded["outputs"][cli.CORPUS_VECTORS] == digest
 
-    def test_refeaturize_deletes_caches_of_featurizers_no_longer_configured(self, ingested):
+    def test_evaluate_context_equals_build_context(self, ingested, monkeypatch):
+        """The CLI embeds the corpus as the in-process pipeline does, bit for bit."""
         out, config_path = ingested
-        assert main(["featurize", "--config", str(config_path)]) == 0
-        before = set((out / cli.CORPUS_FEATURES).iterdir())
-        config = json.loads(config_path.read_text(encoding="utf-8"))
-        config["archetypes"][1]["hashed_dim"] = 256  # 'b'; 'a' and 'd' keep sharing one
-        config_path.write_text(json.dumps(config), encoding="utf-8")
-        assert main(["featurize", "--config", str(config_path)]) == 0
-        recorded = json.loads((out / "manifest.json").read_text())["stages"]["featurize"]
-        caches = {out / name for name in recorded["outputs"] if name.startswith(cli.CORPUS_FEATURES)}
-        assert set((out / cli.CORPUS_FEATURES).iterdir()) == caches
-        assert len(caches) == 3 and len(before - caches) == 1 and len(caches - before) == 1
+        for command in ("featurize", "index"):
+            assert main([command, "--config", str(config_path)]) == 0, command
+        contexts = []
+
+        def capture(ctx, *args):
+            contexts.append(ctx)
+            return pipeline_module.evaluate_settings(ctx, *args)
+
+        monkeypatch.setattr(cli, "evaluate_settings", capture)
+        assert main(["evaluate", "--config", str(config_path)]) == 0
+        (ctx,) = contexts
+        config = load_config(config_path)
+        store = load_store(out / cli.STORE)
+        expected = pipeline_module.build_context(store, config.retrieval, config.archetypes)
+        stats = load_feature_stats(out / cli.FEATURE_STATS)
+        for arch in expected.archetypes:
+            assert arch.stats.to_dict() == stats[arch.name].to_dict()
+        assert list(ctx.corpus_features) == ["a", "b", "c", "d"]
+        for name, matrix in expected.corpus_features.items():
+            assert ctx.corpus_features[name].tobytes() == matrix.tobytes(), name
+        assert ctx.corpus_features["d"] is ctx.corpus_features["a"]
+        assert ctx.row_of_id == expected.row_of_id
 
     def test_failure_mid_stream_leaves_no_partial_output(self, ingested, monkeypatch):
         out, config_path = ingested
@@ -750,9 +761,29 @@ class TestFeaturizeStreams:
         assert chunks == [80, 7, 7, 7]
         assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
         assert not (out / cli.CORPUS_VECTORS).exists()
-        assert not list((out / cli.CORPUS_FEATURES).iterdir())
         manifest = json.loads((out / "manifest.json").read_text())
         assert "featurize" not in manifest["stages"]
+
+
+@pytest.mark.parametrize("corpus", ["comma_free", "one_sentence", "two_sentences"])
+def test_corpus_with_a_constant_surface_column_runs_through_evaluate(tmp_path, corpus):
+    """A surface feature constant on the corpus (no commas; one sentence) is
+    centred but not scaled, so a labeled sentence that differs there keeps a
+    small z-score and the ridge solves stay well posed."""
+    dataset = fixtures.make_synthetic_dataset(n_corpus=600, n_train=60, n_test=20)
+    texts = {
+        "comma_free": [r.text for r in dataset.store.records if "," not in r.text][:300],
+        "one_sentence": [dataset.store.records[0].text],
+        "two_sentences": ["Ab cd.", "Ef gh."],
+    }[corpus]
+    assert any("," in s.text for s in dataset.labeled_train)
+    path = tmp_path / "constant.txt"
+    path.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
+    config_path = _write_config(
+        tmp_path, dataset, {"corpora": [{"path": str(path), "source": "news"}]}
+    )
+    for command in (*STAGES, "evaluate"):
+        assert main([command, "--config", str(config_path)]) == 0, command
 
 
 def test_archetype_changed_after_featurize_is_stale(tmp_path, capsys):

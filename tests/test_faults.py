@@ -46,10 +46,6 @@ def trained(tmp_path_factory):
     return directory / "out", config_path, sentences
 
 
-def _feature_cache(out: Path) -> str:
-    return f"{cli.CORPUS_FEATURES}/{sorted((out / cli.CORPUS_FEATURES).iterdir())[0].name}"
-
-
 def _bundle_model(out: Path) -> str:
     return f"{cli.BUNDLE}/models/{sorted((out / cli.BUNDLE / 'models').iterdir())[0].name}"
 
@@ -60,7 +56,7 @@ CASES = [
     (cli.FEATURE_STATS, "index", cli.FEATURE_STATS),
     (cli.CORPUS_VECTORS, "index", cli.CORPUS_VECTORS),
     (cli.CORPUS_IDS, "index", cli.CORPUS_IDS),
-    (_feature_cache, "train-ensemble", _feature_cache),
+    (cli.STORE, "train-ensemble", cli.STORE),
     (cli.INDEX, "pseudolabel", cli.INDEX),
     (cli.BASELINE_MODEL, "pseudolabel", cli.BASELINE_MODEL),
     (cli.PSEUDO_LABELS, "train-ensemble", cli.PSEUDO_LABELS),
@@ -83,7 +79,7 @@ def _flip_byte(data: bytes) -> bytes:
 @pytest.mark.parametrize(
     "relative, stage, artifact",
     CASES,
-    ids=["store", "feature_stats", "corpus_vectors", "corpus_ids", "corpus_features",
+    ids=["store", "feature_stats", "corpus_vectors", "corpus_ids", "store_at_train_ensemble",
          "index", "baseline_model", "pseudo_labels", "bundle_manifest", "bundle_model"],
 )
 def test_corrupt_artifact_is_named(trained, capsys, fault, relative, stage, artifact):
@@ -110,7 +106,7 @@ def test_corrupt_artifact_is_named(trained, capsys, fault, relative, stage, arti
 @pytest.mark.parametrize(
     "relative, stage, artifact",
     CASES,
-    ids=["store", "feature_stats", "corpus_vectors", "corpus_ids", "corpus_features",
+    ids=["store", "feature_stats", "corpus_vectors", "corpus_ids", "store_at_train_ensemble",
          "index", "baseline_model", "pseudo_labels", "bundle_manifest", "bundle_model"],
 )
 def test_truncated_artifact_under_force_is_named(trained, capsys, relative, stage, artifact):

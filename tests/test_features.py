@@ -68,7 +68,8 @@ def oracle_stats(texts, config: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
     rows = np.stack(
         [surface_features(truncate_tokens(t, config.max_tokens)) for t in texts]
     )
-    return rows.mean(axis=0), np.maximum(rows.std(axis=0), 1e-9)
+    stds = rows.std(axis=0)
+    return rows.mean(axis=0), np.where(stds < 1e-9, 1.0, stds)
 
 
 def oracle_embed(text: str, stats: FeatureStats) -> np.ndarray:
@@ -199,8 +200,11 @@ class TestEmbed:
 
 class TestFitStats:
     def test_zero_variance_floored(self):
+        """A constant column is centred but not scaled: its std is 1, not the floor."""
         stats = fit_feature_stats(["gleicher satz"] * 10, FeatureConfig(hashed_dim=64))
-        assert np.all(stats.stds == 1e-9)
+        assert np.all(stats.stds == 1.0)
+        (row,) = embed_many(["gleicher satz, 123"], [stats])[0][:, 64:]
+        assert np.all(np.abs(row) < 10.0), row
 
     def test_char_count_mean(self):
         stats = fit_feature_stats(["a" * 10, "b" * 30], FeatureConfig(hashed_dim=64))
@@ -221,7 +225,8 @@ class TestFitStats:
             col = [r[j] for r in rows]
             mean = math.fsum(col) / len(col)
             var = math.fsum((x - mean) ** 2 for x in col) / len(col)
-            std = max(math.sqrt(var), 1e-9)
+            std = math.sqrt(var)
+            std = std if std >= 1e-9 else 1.0
             assert stats.means[j] == pytest.approx(mean, rel=1e-12)
             assert stats.stds[j] == pytest.approx(std, rel=1e-12)
 

@@ -1,4 +1,5 @@
-"""Memory guards: no corpus-sized copy in the pseudo stage, the scan or the index load.
+"""Memory guards: no corpus-sized copy in the corpus embedding, the pseudo stage,
+the scan or the index load.
 
 numpy reports its array buffers to tracemalloc, so the traced peak of a call
 is what it allocates on top of its inputs, which are made before tracing.
@@ -11,7 +12,7 @@ import pytest
 
 from pseudolab import pipeline
 from pseudolab.ensemble import Archetype, train_pseudo_stage
-from pseudolab.features import FeatureConfig, fit_feature_stats
+from pseudolab.features import FeatureConfig, fit_feature_stats, fit_feature_stats_many
 from pseudolab.scorer import HyperParams, ScorerModel
 from pseudolab.simindex import build_index, load_index, save_index, top_k_many
 
@@ -32,6 +33,21 @@ def _traced_peak(fn):
 def index():
     rng = np.random.default_rng(4)
     return build_index(zip(range(0, 3 * N, 3), rng.normal(size=(N, D))), fingerprint="fp")
+
+
+def test_embed_corpus_holds_only_its_output_matrices(big_dataset):
+    """Beyond the matrices it returns, embed_corpus holds only chunk-sized buffers."""
+    store = big_dataset.store
+    wide, narrow = fit_feature_stats_many(
+        store.records,
+        [FeatureConfig(hashed_dim=2048), FeatureConfig(hashed_dim=1024, ngram_min=2, ngram_max=4)],
+    )
+    archetypes = [Archetype("a", wide), Archetype("b", narrow), Archetype("d", wide)]
+    peak, (matrices, row_of_id) = _traced_peak(lambda: pipeline.embed_corpus(store, archetypes))
+    assert matrices["d"] is matrices["a"]
+    assert len(row_of_id) == matrices["b"].shape[0] == len(store.records)
+    outputs = matrices["a"].nbytes + matrices["b"].nbytes
+    assert peak - outputs < matrices["b"].nbytes / 2, (peak, outputs)
 
 
 @pytest.mark.parametrize("early_stopping", [False, True], ids=["no-early-stop", "early-stop"])

@@ -37,7 +37,7 @@ from .features import embed_chunks, fit_feature_stats_many, load_feature_stats
 from .metrics import render_report_table
 from .pipeline import RETRIEVAL, Archetype, PipelineContext, embed_corpus, embed_labeled, evaluate_settings, fine_tune_ensemble, generate_for_anchors, train_gate_model, train_stage_models
 from .pseudolabel import load_pseudo_labels, pseudo_label_stats, render_stats_table, save_pseudo_labels
-from .scorer import load_model, model_to_json
+from .scorer import DivergedError, load_model, model_to_json
 from .simindex import IndexFormatError, build_index, load_index, save_index, verify_index
 
 # Not called here: perfbench/traced_cli.py looks these up on this module to patch them.
@@ -348,7 +348,7 @@ def cmd_train_ensemble(config: RunConfig, force: bool) -> None:
     models9 = train_stage_models(ctx, pset, config, "train-ensemble")
     _log(f"[train-ensemble] pseudo stage: {len(models9)} models")
     bundle = fine_tune_ensemble(
-        models9, ctx.archetypes, labeled, plan, config,
+        models9, ctx.archetypes, labeled, plan, config, "train-ensemble",
         features_by_archetype=embed_labeled(ctx.archetypes, labeled),
     )
     _log(f"[train-ensemble] fine-tuned {len(bundle.fold_models)} fold models")
@@ -449,7 +449,7 @@ def main(argv=None) -> int:
             else:
                 COMMANDS[args.command](config, args.force)
         return 0
-    except (ConfigError, InputFileError) as exc:
+    except (ConfigError, InputFileError, DivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (StaleArtifactError, IndexFormatError) as exc:

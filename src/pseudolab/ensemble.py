@@ -19,6 +19,7 @@ from .corpus import LabeledSentence
 from .features import FeatureStats, embed_chunks
 from .linalg import clamp_scores, gram, solve_spd
 from .scorer import (
+    DivergedError,
     HyperParams,
     ScorerModel,
     load_model,
@@ -120,26 +121,31 @@ def train_pseudo_stage(
     `features_by_archetype` holds each archetype's rows, in `pseudo_scores`
     order; with `rows`, each holds a shared matrix, such as a corpus
     matrix from pipeline.embed_corpus, that the fits read in place at `rows`.
+    A fit that diverges raises DivergedError naming its archetype and seed.
     """
     y = np.asarray(pseudo_scores, dtype=np.float64)
     if not y.size:
         raise ValueError("empty pseudo-label training set")
-    return [
-        train_iterative(
-            None,
-            features_by_archetype[arch.name],
-            y,
-            hyper,
-            seed=seed,
-            batch_size=arch.batch_size,
-            rows=rows,
-            fingerprint=arch.stats.fingerprint,
-            stage="pseudo_tuned",
-            archetype=arch.name,
-        )
-        for arch in archetypes
-        for seed in seeds
-    ]
+    models = []
+    for arch in archetypes:
+        for seed in seeds:
+            try:
+                model = train_iterative(
+                    None,
+                    features_by_archetype[arch.name],
+                    y,
+                    hyper,
+                    seed=seed,
+                    batch_size=arch.batch_size,
+                    rows=rows,
+                    fingerprint=arch.stats.fingerprint,
+                    stage="pseudo_tuned",
+                    archetype=arch.name,
+                )
+            except DivergedError as exc:
+                raise DivergedError(f"{exc} (archetype {arch.name!r}, seed {seed})") from None
+            models.append(model)
+    return models
 
 
 def cv_fine_tune(
@@ -154,7 +160,8 @@ def cv_fine_tune(
     """Fine-tune each base model per fold; fill the out-of-fold matrix.
 
     `features_by_archetype` holds each archetype's features of `labeled`, row
-    for row.
+    for row. A fit that diverges raises DivergedError naming its archetype,
+    seed and fold.
     """
     if len(labeled) != plan.assignment.shape[0]:
         raise ValueError("fold plan does not cover the labeled set")
@@ -170,17 +177,23 @@ def cv_fine_tune(
         X = features_by_archetype[base.archetype]
         for f in range(plan.n_folds):
             train_idx = plan.train_indices(f)
-            tuned = train_iterative(
-                base,
-                X[train_idx],
-                y[train_idx],
-                hyper,
-                seed=_derived_seed(base.seed, f),
-                batch_size=arch.batch_size,
-                fingerprint=arch.stats.fingerprint,
-                stage="final",
-                archetype=base.archetype,
-            )
+            try:
+                tuned = train_iterative(
+                    base,
+                    X[train_idx],
+                    y[train_idx],
+                    hyper,
+                    seed=_derived_seed(base.seed, f),
+                    batch_size=arch.batch_size,
+                    fingerprint=arch.stats.fingerprint,
+                    stage="final",
+                    archetype=base.archetype,
+                )
+            except DivergedError as exc:
+                raise DivergedError(
+                    f"{exc} (archetype {base.archetype!r}, seed {base.seed}, "
+                    f"fine-tuning fold {f})"
+                ) from None
             tuned.seed = base.seed
             fold_models.append(
                 FoldModel(archetype=base.archetype, seed=base.seed, fold=f, model=tuned)

@@ -307,9 +307,19 @@ def embed_chunks(
         yield blocks
 
 
-def embed_many(texts: Sequence[str], stats_list: Sequence[FeatureStats]) -> list[np.ndarray]:
-    """One feature matrix per featurizer, one row per text, from one embed_chunks pass."""
-    out = [np.empty((len(texts), s.config.dimension)) for s in stats_list]
+def embed_many(
+    texts: Sequence[str],
+    stats_list: Sequence[FeatureStats],
+    *,
+    dtype: np.typing.DTypeLike = np.float64,
+) -> list[np.ndarray]:
+    """One feature matrix per featurizer, one row per text, from one embed_chunks pass.
+
+    The features are computed in float64 and rounded once as they are written
+    into matrices of `dtype`, so a float32 matrix is bitwise the float64 one
+    cast with astype, and no float64 copy of it is held.
+    """
+    out = [np.empty((len(texts), s.config.dimension), dtype) for s in stats_list]
     for _ in embed_chunks(texts, stats_list, out):
         pass
     return out

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -29,7 +30,14 @@ from .ensemble import (
 from .features import FeatureConfig, FeatureStats, embed_many, fit_feature_stats_many
 from .metrics import EvalReport, fold_mean, mapped_rmse, rmse
 from .pseudolabel import PseudoLabelSet, generate_pseudo_labels
-from .scorer import HyperParams, ScorerModel, predict, train_iterative, train_ridge
+from .scorer import (
+    DivergedError,
+    HyperParams,
+    ScorerModel,
+    predict,
+    train_iterative,
+    train_ridge,
+)
 from .simindex import VectorIndex, build_index, map_row_blocks
 
 SETTINGS = ("baseline", "pseudo_only", "ensemble_mean", "ensemble_stacker")
@@ -103,7 +111,7 @@ class PipelineContext:
     """Fold-independent state: store, featurizers, index, corpus features.
 
     The index's float32 vectors are the one retrieval matrix. `corpus_features`
-    holds each archetype's float64 corpus matrix; `row_of_id` maps a corpus id
+    holds each archetype's float32 corpus matrix; `row_of_id` maps a corpus id
     to its row. A CLI stage builds only the parts it reads and leaves `index`,
     or the features, empty.
     """
@@ -119,14 +127,14 @@ class PipelineContext:
 def embed_corpus(
     store: CorpusStore, archetypes: Sequence[Archetype]
 ) -> tuple[dict[str, np.ndarray], dict[int, int]]:
-    """Each archetype's float64 corpus matrix, rows in store order, and the row of each id.
+    """Each archetype's float32 corpus matrix, rows in store order, and the row of each id.
 
     The corpus is embedded once per distinct featurizer, so archetypes with
     equal featurizer configs share one matrix.
     """
     texts = [r.text for r in store.records]
     distinct = {arch.stats.fingerprint: arch.stats for arch in archetypes}
-    matrices = dict(zip(distinct, embed_many(texts, list(distinct.values()))))
+    matrices = dict(zip(distinct, embed_many(texts, list(distinct.values()), dtype=np.float32)))
     corpus_features = {arch.name: matrices[arch.stats.fingerprint] for arch in archetypes}
     return corpus_features, {r.id: row for row, r in enumerate(store.records)}
 
@@ -203,34 +211,53 @@ def generate_for_anchors(
     )
 
 
+@contextmanager
+def _naming_divergence(cfg: PipelineConfig, key: str, where: str):
+    """Re-raise a DivergedError naming the stage or fold and the config key of
+    the fit's hyperparameters, whose learning rate is too large."""
+    try:
+        yield
+    except DivergedError as exc:
+        raise DivergedError(
+            f"{exc} in {where}: the fit diverged; lower {key}.learning_rate "
+            f"(now {getattr(cfg, key).learning_rate:g})"
+        ) from None
+
+
 def train_stage_models(
     ctx: PipelineContext, pset: PseudoLabelSet, cfg: PipelineConfig, where: str
 ) -> list[ScorerModel]:
     """The pseudo stage: one model per (archetype, seed), trained in place on
     the corpus features at the admitted labels' rows.
 
-    `where` names the stage or fold in the error raised when nothing was admitted.
+    `where` names the stage or fold in the error raised when nothing was
+    admitted or a fit diverged.
     """
     if not pset.labels:
         raise RuntimeError(
             f"{where}: no pseudo-labels were admitted, so the pseudo stage has "
             "nothing to train on (raise k or check the labeled set)"
         )
-    return train_pseudo_stage(
-        ctx.corpus_features,
-        [lab.predicted_score for lab in pset.labels],
-        ctx.archetypes,
-        cfg.seeds,
-        cfg.hyper_pseudo,
-        rows=np.array([ctx.row_of_id[lab.sentence_id] for lab in pset.labels], dtype=np.int64),
-    )
+    with _naming_divergence(cfg, "hyper_pseudo", where):
+        return train_pseudo_stage(
+            ctx.corpus_features,
+            [lab.predicted_score for lab in pset.labels],
+            ctx.archetypes,
+            cfg.seeds,
+            cfg.hyper_pseudo,
+            rows=np.array(
+                [ctx.row_of_id[lab.sentence_id] for lab in pset.labels], dtype=np.int64
+            ),
+        )
 
 
 def embed_labeled(
     archetypes: Sequence[Archetype], labeled: Sequence[LabeledSentence]
 ) -> dict[str, np.ndarray]:
-    """Each archetype's features of the labeled sentences, row for row."""
-    matrices = embed_many([s.text for s in labeled], [arch.stats for arch in archetypes])
+    """Each archetype's float32 features of the labeled sentences, row for row."""
+    matrices = embed_many(
+        [s.text for s in labeled], [arch.stats for arch in archetypes], dtype=np.float32
+    )
     return {arch.name: x for arch, x in zip(archetypes, matrices)}
 
 
@@ -240,19 +267,22 @@ def fine_tune_ensemble(
     labeled: Sequence[LabeledSentence],
     plan: FoldPlan,
     cfg: PipelineConfig,
+    where: str,
     *,
     features_by_archetype: dict[str, np.ndarray],
 ) -> EnsembleBundle:
     """Fine-tune every pseudo-stage model per fold, then fit the stacker on the OOF matrix.
 
     `features_by_archetype` holds each archetype's features of `labeled`, row
-    for row. The bundle aggregates by mean; set `aggregation` to "stacker" to
+    for row. `where` names the stage or fold in the error raised when a fit
+    diverged. The bundle aggregates by mean; set `aggregation` to "stacker" to
     use the stacker.
     """
-    bundle = cv_fine_tune(
-        models, archetypes, labeled, plan, cfg.hyper_fine,
-        features_by_archetype=features_by_archetype,
-    )
+    with _naming_divergence(cfg, "hyper_fine", where):
+        bundle = cv_fine_tune(
+            models, archetypes, labeled, plan, cfg.hyper_fine,
+            features_by_archetype=features_by_archetype,
+        )
     y = np.array([s.mos for s in labeled])
     weights, intercept, fallback = fit_stacker(bundle.oof, y)
     bundle.stacker_weights = weights
@@ -382,7 +412,7 @@ def evaluate_settings(
                 len(train_idx), cfg.n_folds, seed=plan.seed * 1009 + f
             )
             bundle = fine_tune_ensemble(
-                models9, ctx.archetypes, fold_train, inner_plan, cfg,
+                models9, ctx.archetypes, fold_train, inner_plan, cfg, f"fold {f}",
                 features_by_archetype={
                     name: feats[train_idx] for name, feats in x_labeled.items()
                 },
@@ -392,17 +422,19 @@ def evaluate_settings(
         for setting in settings:
             if setting == "baseline":
                 arch0 = ctx.archetypes[0]
-                model = train_iterative(
-                    None,
-                    x_labeled[arch0.name][train_idx],
-                    y[train_idx],
-                    cfg.hyper_baseline,
-                    seed=plan.seed * 7919 + f,
-                    batch_size=arch0.batch_size,
-                    fingerprint=arch0.stats.fingerprint,
-                    stage="baseline",
-                    archetype=arch0.name,
-                )
+                where = f"fold {f}, archetype {arch0.name!r}"
+                with _naming_divergence(cfg, "hyper_baseline", where):
+                    model = train_iterative(
+                        None,
+                        x_labeled[arch0.name][train_idx],
+                        y[train_idx],
+                        cfg.hyper_baseline,
+                        seed=plan.seed * 7919 + f,
+                        batch_size=arch0.batch_size,
+                        fingerprint=arch0.stats.fingerprint,
+                        stage="baseline",
+                        archetype=arch0.name,
+                    )
                 preds = predict(model, x_test[arch0.name])
             elif setting == "pseudo_only":
                 preds = mean_prediction(models9, x_test)

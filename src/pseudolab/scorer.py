@@ -165,6 +165,16 @@ def _fit_rows(X: np.ndarray, y: np.ndarray, rows) -> np.ndarray:
     return rows
 
 
+class DivergedError(ValueError):
+    """An SGD fit whose loss became non-finite: its learning rate is too large for its data.
+
+    The message starts "non-finite loss at step N"; callers that know the
+    config key of the fit's hyperparameters re-raise it with that key named.
+    """
+
+
+# a diverging fit overflows before its loss is seen to be non-finite
+@np.errstate(over="ignore", invalid="ignore")
 def train_iterative(
     init: ScorerModel | None,
     X: np.ndarray,
@@ -178,18 +188,25 @@ def train_iterative(
     stage: str = "pseudo_tuned",
     archetype: str = "",
 ) -> ScorerModel:
-    """Mini-batch gradient descent on squared error plus a ridge penalty.
+    """Mini-batch gradient descent on squared error plus a ridge penalty, in float32.
 
     Linear warmup then linear decay to zero; data reshuffled each epoch from
     a generator seeded by `seed`, so runs are bitwise reproducible.
 
+    X, y, the weights and every per-step buffer are float32; the intercept and
+    the learning rate are Python floats. A float32 X is read in place; any
+    other X is converted once, so the fit is bitwise the one on
+    X.astype(np.float32). The model's float64 weights hold the float32 values
+    exactly.
+
     With `rows`, the training rows are X[rows], with y aligned to `rows`, and
     the model is bitwise the one trained on X[rows]; X is read in place, one
     mini-batch (and the holdout) at a time. Each training row is checked for
-    finiteness when the first epoch gathers it.
+    finiteness when the first epoch gathers it. A fit whose loss becomes
+    non-finite raises DivergedError.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float32)
+    y = np.asarray(y, dtype=np.float32)
     rows = _fit_rows(X, y, rows)
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
@@ -199,12 +216,12 @@ def train_iterative(
             raise ValueError("init model fingerprint does not match training features")
         if init.weights.shape[0] != d:
             raise ValueError("init model dimension does not match training features")
-        w = init.weights.copy()
+        w = init.weights.astype(np.float32)
         b = float(init.intercept)
         fingerprint = fingerprint or init.fingerprint
         archetype = archetype or init.archetype
     else:
-        w = np.zeros(d, dtype=np.float64)
+        w = np.zeros(d, dtype=np.float32)
         b = 0.0
 
     rng = np.random.default_rng(seed)
@@ -229,7 +246,7 @@ def train_iterative(
     # err = Xb @ w + b - yb; w -= lr * (2 (Xb.T @ err) / m + 2 lambda / n * w);
     # b -= lr * 2 mean(err): computed in place, in that IEEE order, bit for bit
     shrink_scale = 2.0 * hyper.ridge_lambda / n
-    gw, shrink = np.empty(d), np.empty(d)
+    gw, shrink = np.empty(d, dtype=np.float32), np.empty(d, dtype=np.float32)
     for epoch in range(hyper.max_epochs):
         perm = rng.permutation(nt)
         epoch_rows, epoch_y = train_rows[perm], yt[perm]
@@ -244,7 +261,7 @@ def train_iterative(
             total = np.add.reduce(err)  # what err.mean() sums
             # a finite sum has only finite terms; finite errors may still overflow it
             if not (math.isfinite(total) or np.all(np.isfinite(err))):
-                raise ValueError(f"non-finite loss at step {step}")
+                raise DivergedError(f"non-finite loss at step {step}")
             lr = _learning_rate_at(step, total_steps, hyper)
             np.matmul(Xb.T, err, out=gw)
             gw *= 2.0
@@ -266,8 +283,11 @@ def train_iterative(
                     break
     if holdout.size:
         _, w, b = best
+    # the last step may overflow the weights that no later step would use
+    if not (math.isfinite(b) and np.all(np.isfinite(w))):
+        raise DivergedError(f"non-finite loss at step {step}")
     return ScorerModel(
-        weights=w,
+        weights=w.astype(np.float64),
         intercept=b,
         fingerprint=fingerprint,
         seed=seed,

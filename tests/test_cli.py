@@ -172,10 +172,10 @@ class TestFullPipeline:
         embedded: list[tuple[str, str]] = []
 
         def counting(original):
-            def wrapper(texts, stats_list):
+            def wrapper(texts, stats_list, **kwargs):
                 texts = list(texts)
                 embedded.extend((t, s.fingerprint) for s in stats_list for t in texts)
-                return original(texts, stats_list)
+                return original(texts, stats_list, **kwargs)
 
             return wrapper
 
@@ -645,6 +645,36 @@ def test_fold_worker_errors_keep_their_exit_code(pipeline, monkeypatch, capsys, 
     capsys.readouterr()
     assert main(["evaluate", "--config", str(config_path)]) == code
     assert capsys.readouterr().err.strip().splitlines()[-1].endswith(str(error))
+
+
+@pytest.mark.parametrize("key", ["hyper_pseudo", "hyper_fine"])
+@pytest.mark.parametrize(
+    "stage, where", [("train-ensemble", "train-ensemble"), ("evaluate", "fold 0")]
+)
+def test_diverging_fit_exits_1_naming_its_config_key(
+    pipeline, tmp_path, monkeypatch, capsys, key, stage, where
+):
+    """A learning rate far too large makes an SGD loss non-finite. The stage
+    exits 1 with one error line that names where, the archetype and seed, and
+    the config key, also when the fit ran in a fold worker; no warning is printed."""
+    directory, config_path, _ = pipeline
+    monkeypatch.setattr(pipeline_module, "usable_cpus", lambda: 2)
+    shutil.copytree(directory / "out", tmp_path / "out")
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["output_dir"] = str(tmp_path / "out")
+    config[key] = dict(config[key], learning_rate=1e100)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    assert main([stage, "--config", str(path)]) == 1
+    *progress, line = capsys.readouterr().err.strip().splitlines()
+    assert all(p.startswith(f"[{stage}] ") for p in progress), progress
+    fine_tuning = r", fine-tuning fold \d" if key == "hyper_fine" else ""
+    assert re.fullmatch(
+        rf"error: non-finite loss at step \d+ \(archetype '\w+', seed \d+{fine_tuning}\) "
+        rf"in {where}: the fit diverged; lower {key}\.learning_rate \(now 1e\+100\)",
+        line,
+    ), line
 
 
 @pytest.mark.parametrize(

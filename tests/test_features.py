@@ -378,6 +378,33 @@ def test_shared_pass_matches_across_chunks(big_dataset):
     assert_shared_pass_matches(texts, SHARED_CONFIGS)
 
 
+def assert_float32_is_float64_rounded(texts, configs) -> None:
+    """A float32 embed_many matrix is bitwise its float64 matrix cast with astype."""
+    stats_list = [fit_feature_stats(texts, config) for config in configs]
+    wide = embed_many(texts, stats_list)
+    narrow = embed_many(texts, stats_list, dtype=np.float32)
+    for w, n in zip(wide, narrow, strict=True):
+        assert n.dtype == np.float32
+        assert n.tobytes() == w.astype(np.float32).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    texts=st.lists(
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=40),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_float32_matrices_are_the_float64_ones_rounded(texts):
+    assert_float32_is_float64_rounded(texts, SHARED_CONFIGS)
+
+
+def test_float32_matrices_are_the_float64_ones_rounded_across_chunks(big_dataset):
+    texts = [r.text for r in big_dataset.store.records][: 2 * EMBED_CHUNK_ROWS + 7]
+    assert_float32_is_float64_rounded(texts, SHARED_CONFIGS)
+
+
 def test_shared_pass_of_no_texts():
     stats_list = [fit_feature_stats(EDGE_TEXTS, config) for config in SHARED_CONFIGS]
     matrices = embed_many([], stats_list)

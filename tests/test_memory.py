@@ -47,7 +47,19 @@ def test_embed_corpus_holds_only_its_output_matrices(big_dataset):
     assert matrices["d"] is matrices["a"]
     assert len(row_of_id) == matrices["b"].shape[0] == len(store.records)
     outputs = matrices["a"].nbytes + matrices["b"].nbytes
+    # float32: N x (sum of the distinct dimensions) x 4 bytes
+    assert outputs == len(store.records) * (wide.config.dimension + narrow.config.dimension) * 4
     assert peak - outputs < matrices["b"].nbytes / 2, (peak, outputs)
+
+
+def test_archetype_features_are_float32(small_context, small_dataset):
+    labeled = pipeline.embed_labeled(small_context.archetypes, small_dataset.labeled_train)
+    for arch in small_context.archetypes:
+        assert small_context.corpus_features[arch.name].dtype == np.float32
+        assert labeled[arch.name].dtype == np.float32
+        assert labeled[arch.name].shape == (
+            len(small_dataset.labeled_train), arch.stats.config.dimension
+        )
 
 
 @pytest.mark.parametrize("early_stopping", [False, True], ids=["no-early-stop", "early-stop"])
@@ -55,7 +67,10 @@ def test_pseudo_stage_reads_the_shared_matrices_in_place(early_stopping):
     rng = np.random.default_rng(5)
     stats = fit_feature_stats(["ein kurzer satz", "noch ein satz"], FeatureConfig(hashed_dim=64))
     archetypes = [Archetype("a", stats, 32), Archetype("b", stats, 20)]
-    matrices = {"a": rng.normal(size=(4000, D)) * 0.05, "b": rng.normal(size=(4000, D)) * 0.05}
+    # float32, as pipeline.embed_corpus returns them
+    matrices = {
+        name: (rng.normal(size=(4000, D)) * 0.05).astype(np.float32) for name in ("a", "b")
+    }
     rows = rng.choice(4000, size=3600, replace=False)
     y = rng.uniform(2.0, 6.0, size=rows.size)
     hyper = HyperParams(learning_rate=0.1, max_epochs=2, early_stopping=early_stopping)

@@ -4,6 +4,7 @@ import pytest
 from pseudolab import linalg, scorer
 from pseudolab.linalg import MAX_JITTER_RETRIES, solve_spd
 from pseudolab.scorer import (
+    DivergedError,
     HyperParams,
     _fit_rows,
     _learning_rate_at,
@@ -282,17 +283,53 @@ class TestSharedRows:
         )
 
 
-# The mini-batch loop the in-place step replaced, kept as the reference.
+class TestFloat32:
+    """The SGD step runs in float32: a float64 X is rounded once, up front."""
+
+    @pytest.mark.parametrize("with_rows", [False, True], ids=["all-rows", "repeated-rows"])
+    @pytest.mark.parametrize("early_stopping", [False, True], ids=["no-early-stop", "early-stop"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_float64_input_trains_the_float32_model(self, rng, warm, early_stopping, with_rows):
+        X = rng.normal(size=(60, 40))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        n = 45
+        rows = rng.integers(0, 60, size=n) if with_rows else None
+        y = rng.uniform(1.0, 7.0, size=n)
+        init = ScorerModel(weights=rng.normal(size=40) * 0.1, intercept=3.5) if warm else None
+        hyper = HyperParams(
+            learning_rate=0.3, max_epochs=6, early_stopping=early_stopping, ridge_lambda=1.0
+        )
+        X = X if with_rows else X[:n]
+        wide = train_iterative(init, X, y, hyper, seed=5, batch_size=7, rows=rows)
+        narrow = train_iterative(
+            init, X.astype(np.float32), y, hyper, seed=5, batch_size=7, rows=rows
+        )
+        assert model_to_json(wide) == model_to_json(narrow)
+        # float64 weights that hold float32 values exactly
+        assert wide.weights.dtype == np.float64
+        exact = wide.weights.astype(np.float32).astype(np.float64)
+        assert exact.tobytes() == wide.weights.tobytes()
+
+    def test_overflow_at_the_last_step_is_divergence(self, rng):
+        # one step: the loss it sees is finite, the weights it writes overflow float32
+        X, y = _random_problem(rng, n=8, d=3)
+        hyper = HyperParams(learning_rate=1e38, max_epochs=1)
+        with pytest.raises(DivergedError, match="^non-finite loss at step 1$"):
+            train_iterative(None, X, y, hyper, seed=0, batch_size=8)
+
+
+# The mini-batch loop the in-place step replaced, kept as the reference: X, y
+# and w in float32, the intercept and the learning rate Python floats.
 def oracle_train_iterative(init, X, y, hyper, *, seed, batch_size, rows=None):
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float32)
+    y = np.asarray(y, dtype=np.float32)
     rows = _fit_rows(X, y, rows)
     n, d = rows.shape[0], X.shape[1]
     if init is not None:
-        w = init.weights.copy()
+        w = init.weights.astype(np.float32)
         b = float(init.intercept)
     else:
-        w = np.zeros(d, dtype=np.float64)
+        w = np.zeros(d, dtype=np.float32)
         b = 0.0
     rng = np.random.default_rng(seed)
     holdout = np.zeros(0, dtype=np.int64)
@@ -326,7 +363,8 @@ def oracle_train_iterative(init, X, y, hyper, *, seed, batch_size, rows=None):
             b -= lr * gb
             step += 1
         if holdout.size:
-            score = float(np.sqrt(np.mean((Xh @ w + b - yh) ** 2)))
+            pred = (Xh @ w + b).astype(np.float64)
+            score = float(np.sqrt(np.mean((pred - yh.astype(np.float64)) ** 2)))
             if score < best[0]:
                 best = (score, w.copy(), b)
                 epochs_since_improvement = 0
@@ -336,7 +374,7 @@ def oracle_train_iterative(init, X, y, hyper, *, seed, batch_size, rows=None):
                     break
     if holdout.size:
         _, w, b = best
-    return w, b
+    return w.astype(np.float64), b
 
 
 def _fit_outcome(train, *args, **kwargs):
@@ -387,14 +425,19 @@ class TestStepMatchesOracle:
         assert got == expected
 
     def test_overflowing_sum_of_finite_errors(self, rng):
-        # every first-step error is about -1e308, finite, but a batch's sum overflows
+        # every first-step error is about -3e38, finite in float32, but a batch's sum overflows
         X, _ = _random_problem(rng, n=40, d=5)
-        y = np.full(40, 1e308)
+        y = np.full(40, 3e38)
+        assert np.all(np.isfinite(y.astype(np.float32)))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.add.reduce(np.full(8, -y[0], dtype=np.float32)))
         hyper = HyperParams(learning_rate=0.1, max_epochs=3)
         with np.errstate(over="ignore", invalid="ignore"):
             expected = _fit_outcome(oracle_train_iterative, None, X, y, hyper, seed=4, batch_size=8)
             got = _fit_outcome(train_iterative, None, X, y, hyper, seed=4, batch_size=8)
         assert got == expected
+        # it passes input validation and trains past the step whose sum overflows
+        assert isinstance(got, str) and got.startswith("non-finite loss at step "), got
         assert got != "non-finite loss at step 0"
 
 

@@ -35,7 +35,7 @@ from .corpus import CorpusStore, InputFileError, LabeledSentence, deduplicate, i
 from .ensemble import FoldPlan, make_fold_plan, save_bundle
 from .features import embed_chunks, fit_feature_stats_many, load_feature_stats
 from .metrics import render_report_table
-from .pipeline import RETRIEVAL, Archetype, PipelineContext, embed_corpus, embed_labeled, evaluate_settings, fine_tune_ensemble, generate_for_anchors, train_gate_model, train_stage_models
+from .pipeline import RETRIEVAL, Archetype, PipelineContext, embed_corpus, embed_labeled, evaluate_settings, fine_tune_ensemble, fold_pseudo_labels, generate_for_anchors, train_gate_model, train_stage_models
 from .pseudolabel import load_pseudo_labels, pseudo_label_stats, render_stats_table, save_pseudo_labels
 from .scorer import DivergedError, load_model, model_to_json
 from .simindex import IndexFormatError, build_index, load_index, save_index, verify_index
@@ -259,12 +259,9 @@ def cmd_featurize(config: RunConfig, force: bool) -> None:
     stage.finish()
 
 
-def _load_context(stage: _Stage, *, retrieval: bool, features: bool) -> PipelineContext:
-    """Build the pipeline context from the store and featurize's stats.
-
-    `retrieval` also loads the index; `features` embeds the corpus under
-    every archetype.
-    """
+def _load_context(stage: _Stage) -> PipelineContext:
+    """The pipeline context of the store and featurize's stats, with no index
+    and no corpus features: a stage loads or embeds those where it needs them."""
     stats = stage.read(FEATURE_STATS, "featurize", load_feature_stats)
     archetypes = []
     for spec in stage.config.archetypes:
@@ -276,19 +273,11 @@ def _load_context(stage: _Stage, *, retrieval: bool, features: bool) -> Pipeline
         archetypes.append(
             Archetype(name=spec.name, stats=stats[spec.name], batch_size=spec.batch_size)
         )
-    ctx = PipelineContext(
+    return PipelineContext(
         store=stage.read(STORE, "ingest", load_store),
         retrieval_stats=stats[RETRIEVAL],
         archetypes=archetypes,
-        index=None,
-        corpus_features={},
-        row_of_id={},
     )
-    if retrieval:
-        ctx.index = stage.read(INDEX, "index", load_index)
-    if features:
-        ctx.corpus_features, ctx.row_of_id = embed_corpus(ctx.store, archetypes)
-    return ctx
 
 
 def cmd_index(config: RunConfig, force: bool) -> None:
@@ -315,7 +304,8 @@ def cmd_train_baseline(config: RunConfig, force: bool) -> None:
 
 def cmd_pseudolabel(config: RunConfig, force: bool) -> None:
     stage = _Stage("pseudolabel", config, force)
-    ctx = _load_context(stage, retrieval=True, features=False)
+    ctx = _load_context(stage)
+    ctx.index = stage.read(INDEX, "index", load_index)
     gate = stage.read(BASELINE_MODEL, "train-baseline", load_model)
     anchors = stage.labeled_train()
     exclude = {s.text for s in anchors}
@@ -341,10 +331,11 @@ def _fold_plan(config: RunConfig, labeled: list[LabeledSentence], *, nested: boo
 
 def cmd_train_ensemble(config: RunConfig, force: bool) -> None:
     stage = _Stage("train-ensemble", config, force)
-    ctx = _load_context(stage, retrieval=False, features=True)
+    ctx = _load_context(stage)
     pset = stage.read(PSEUDO_LABELS, "pseudolabel", load_pseudo_labels)
     labeled = stage.labeled_train()
     plan = _fold_plan(config, labeled, nested=False)
+    ctx.corpus_features, ctx.row_of_id = embed_corpus(ctx.store, ctx.archetypes)
     models9 = train_stage_models(ctx, pset, config, "train-ensemble")
     _log(f"[train-ensemble] pseudo stage: {len(models9)} models")
     bundle = fine_tune_ensemble(
@@ -361,10 +352,20 @@ def cmd_train_ensemble(config: RunConfig, force: bool) -> None:
 
 def cmd_evaluate(config: RunConfig, force: bool) -> None:
     stage = _Stage("evaluate", config, force)
-    ctx = _load_context(stage, retrieval=True, features=True)
+    ctx = _load_context(stage)
     labeled = stage.labeled_train()
     plan = _fold_plan(config, labeled, nested=config.setting.startswith("ensemble"))
-    reports = evaluate_settings(ctx, labeled, [config.setting], plan, config)
+    pseudo_sets = None
+    if config.setting != "baseline":
+        # Pseudo-label every fold while the index is loaded, and drop it before
+        # the archetype matrices are embedded, so the two are never held at once.
+        ctx.index = stage.read(INDEX, "index", load_index)
+        pseudo_sets = fold_pseudo_labels(ctx, labeled, plan, config)
+        ctx.index = None
+        ctx.corpus_features, ctx.row_of_id = embed_corpus(ctx.store, ctx.archetypes)
+    reports = evaluate_settings(
+        ctx, labeled, [config.setting], plan, config, pseudo_sets=pseudo_sets
+    )
     report = reports[config.setting]
     stage.write_json(EVAL_JSON, report.to_dict())
     stage.write_text(EVAL_TABLE, render_report_table([report]))

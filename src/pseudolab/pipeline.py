@@ -29,7 +29,7 @@ from .ensemble import (
 )
 from .features import FeatureConfig, FeatureStats, embed_many, fit_feature_stats_many
 from .metrics import EvalReport, fold_mean, mapped_rmse, rmse
-from .pseudolabel import PseudoLabelSet, generate_pseudo_labels
+from .pseudolabel import PseudoLabelSet, generate_pseudo_labels, retrieve_candidates
 from .scorer import (
     DivergedError,
     HyperParams,
@@ -113,15 +113,16 @@ class PipelineContext:
     The index's float32 vectors are the one retrieval matrix. `corpus_features`
     holds each archetype's float32 corpus matrix; `row_of_id` maps a corpus id
     to its row. A CLI stage builds only the parts it reads and leaves `index`,
-    or the features, empty.
+    or the features, empty; `evaluate` drops the index before it embeds the
+    features.
     """
 
     store: CorpusStore | None
     retrieval_stats: FeatureStats
     archetypes: list[Archetype]
-    index: VectorIndex | None
-    corpus_features: dict[str, np.ndarray]
-    row_of_id: dict[int, int]
+    index: VectorIndex | None = None
+    corpus_features: dict[str, np.ndarray] = field(default_factory=dict)
+    row_of_id: dict[int, int] = field(default_factory=dict)
 
 
 def embed_corpus(
@@ -199,16 +200,48 @@ def generate_for_anchors(
     cfg: PipelineConfig,
     exclude_texts: set[str],
 ) -> PseudoLabelSet:
-    return generate_pseudo_labels(
-        anchors,
-        ctx.index,
-        ctx.store,
-        gate,
-        ctx.retrieval_stats,
-        k=cfg.k,
-        exclude_texts=exclude_texts,
-        precomputed_scores=corpus_score_map(ctx, gate),
+    """Retrieve the anchors' candidates and admit them on the gate's corpus scores."""
+    candidates = retrieve_candidates(
+        anchors, ctx.index, ctx.store, ctx.retrieval_stats, k=cfg.k, exclude_texts=exclude_texts
     )
+    return generate_pseudo_labels(
+        anchors, candidates, ctx.store, gate, precomputed_scores=corpus_score_map(ctx, gate)
+    )
+
+
+def fold_pseudo_labels(
+    ctx: PipelineContext,
+    labeled: Sequence[LabeledSentence],
+    plan: FoldPlan,
+    cfg: PipelineConfig,
+) -> list[PseudoLabelSet]:
+    """Every fold's pseudo-label set, from its training-fold anchors only.
+
+    No labeled text is admitted. That exclude set is the same in every fold,
+    so all labeled anchors are retrieved once, in one `top_k_many` call. Each
+    fold then admits from its anchors' candidates with its own gate's corpus
+    scores, so its set equals `generate_for_anchors(ctx, fold_train, gate,
+    cfg, labeled texts)` label for label.
+    """
+    labeled = list(labeled)
+    candidates = retrieve_candidates(
+        labeled, ctx.index, ctx.store, ctx.retrieval_stats, k=cfg.k,
+        exclude_texts={s.text for s in labeled},
+    )
+    psets = []
+    for f in range(plan.n_folds):
+        fold_train = [labeled[i] for i in plan.train_indices(f)]
+        gate = train_gate_model(ctx.retrieval_stats, fold_train, cfg)
+        pset = generate_pseudo_labels(
+            fold_train, candidates, ctx.store, gate,
+            precomputed_scores=corpus_score_map(ctx, gate),
+        )
+        test_ids = {labeled[i].id for i in plan.fold_indices(f)}
+        leaked = sorted({lab.anchor_id for lab in pset.labels} & test_ids)
+        if leaked:
+            raise RuntimeError(f"fold {f}: pseudo-labels anchored on test-fold ids {leaked[:5]}")
+        psets.append(pset)
+    return psets
 
 
 @contextmanager
@@ -315,12 +348,12 @@ def map_folds(
 
     With fewer than two workers, or where `fork` is unavailable, the folds run
     in this process. Workers are forked, not spawned, so they share the loaded
-    store, index and corpus features copy-on-write, and only fold numbers and
-    results are pickled (the pipeline starts no thread of its own that a fork
-    could copy mid-operation). Folds start in order, at most one per worker
-    at a time. After a failure no further fold starts, the running ones
-    finish, and the exception of the lowest-numbered failing fold is raised,
-    as the serial loop would raise it.
+    store, corpus features and pseudo-labels copy-on-write, and only fold
+    numbers and results are pickled (the pipeline starts no thread of its own
+    that a fork could copy mid-operation). Folds start in order, at most one
+    per worker at a time. After a failure no further fold starts, the running
+    ones finish, and the exception of the lowest-numbered failing fold is
+    raised, as the serial loop would raise it.
     """
     import multiprocessing
 
@@ -372,39 +405,35 @@ def evaluate_settings(
     settings: Sequence[str],
     plan: FoldPlan,
     cfg: PipelineConfig,
+    *,
+    pseudo_sets: Sequence[PseudoLabelSet] | None = None,
 ) -> dict[str, EvalReport]:
     """Cross-validate the requested settings on the labeled set.
 
-    Pseudo-labels are regenerated per fold from training-fold anchors only,
-    and no labeled text is ever admitted as a pseudo-label.
+    The pseudo stage of fold f trains on `pseudo_sets[f]`, as
+    `fold_pseudo_labels` makes them; when they are not given, they are made
+    here from `ctx.index`. Only the baseline setting needs no pseudo-labels,
+    and no index or corpus features.
     """
     for setting in settings:
         if setting not in SETTINGS:
             raise ValueError(f"unknown setting {setting!r}; expected one of {SETTINGS}")
     labeled = list(labeled)
     y = np.array([s.mos for s in labeled])
-    exclude = {s.text for s in labeled}
-    x_labeled = embed_labeled(ctx.archetypes, labeled)
     need_pseudo = any(s != "baseline" for s in settings)
+    if need_pseudo and pseudo_sets is None:
+        pseudo_sets = fold_pseudo_labels(ctx, labeled, plan, cfg)
+    x_labeled = embed_labeled(ctx.archetypes, labeled)
 
     def run_fold(f: int) -> dict[str, np.ndarray]:
         train_idx = plan.train_indices(f)
         test_idx = plan.fold_indices(f)
         fold_train = [labeled[i] for i in train_idx]
-        fold_test = [labeled[i] for i in test_idx]
         x_test = {name: feats[test_idx] for name, feats in x_labeled.items()}
 
         models9: list[ScorerModel] | None = None
         if need_pseudo:
-            gate = train_gate_model(ctx.retrieval_stats, fold_train, cfg)
-            pset = generate_for_anchors(ctx, fold_train, gate, cfg, exclude)
-            test_ids = {s.id for s in fold_test}
-            leaked = sorted({lab.anchor_id for lab in pset.labels} & test_ids)
-            if leaked:
-                raise RuntimeError(
-                    f"fold {f}: pseudo-labels anchored on test-fold ids {leaked[:5]}"
-                )
-            models9 = train_stage_models(ctx, pset, cfg, f"fold {f}")
+            models9 = train_stage_models(ctx, pseudo_sets[f], cfg, f"fold {f}")
 
         bundle: EnsembleBundle | None = None
         if any(s in ("ensemble_mean", "ensemble_stacker") for s in settings):

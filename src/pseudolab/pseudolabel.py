@@ -54,67 +54,106 @@ def compute_set_stats(labels: Sequence[PseudoLabel]) -> dict:
     }
 
 
-def generate_pseudo_labels(
+@dataclass(frozen=True)
+class Candidates:
+    """Each anchor's top-k corpus hits, best first, from one retrieval.
+
+    `hits` maps an anchor id to its hits' rows in `corpus_ids`, the index's
+    ids. A query's hits do not depend on the other queries, so one retrieval
+    serves any subset of its anchors.
+    """
+
+    corpus_ids: np.ndarray
+    hits: dict[int, np.ndarray]
+    k: int
+    exclude_labeled: bool
+    fingerprint: str
+
+
+def retrieve_candidates(
     anchors: Sequence[LabeledSentence],
     index: VectorIndex,
     store: CorpusStore,
-    baseline: ScorerModel,
     feature_stats: FeatureStats,
     k: int = 500,
     exclude_texts: set[str] | None = None,
+) -> Candidates:
+    """Retrieve the k nearest corpus sentences of every anchor in one scan,
+    skipping the corpus sentences whose text is in `exclude_texts`."""
+    if k <= 0:
+        raise ValueError("k must be a positive integer")
+    if not anchors:
+        raise ValueError("anchors must be non-empty")
+    if index.fingerprint and index.fingerprint != feature_stats.fingerprint:
+        raise ValueError("index fingerprint does not match the feature stats fingerprint")
+    excluded_ids: set[int] = set()
+    if exclude_texts:
+        excluded_ids = {r.id for r in store.records if r.text in exclude_texts}
+    queries = embed_many([a.text for a in anchors], [feature_stats])[0]
+    hits = top_k_many(index, queries, k, exclude=excluded_ids)
+    order = np.argsort(index.ids)
+    return Candidates(
+        corpus_ids=index.ids,
+        hits={
+            a.id: order[np.searchsorted(index.ids, hit_ids, sorter=order)]
+            for a, (hit_ids, _) in zip(anchors, hits)
+        },
+        k=k,
+        exclude_labeled=bool(exclude_texts),
+        fingerprint=feature_stats.fingerprint,
+    )
+
+
+def generate_pseudo_labels(
+    anchors: Sequence[LabeledSentence],
+    candidates: Candidates,
+    store: CorpusStore,
+    baseline: ScorerModel,
     *,
     precomputed_scores: Mapping[int, float],
 ) -> PseudoLabelSet:
-    """Generate the filtered pseudo-label set from labeled anchors.
+    """Admit the filtered pseudo-label set from the anchors' retrieved candidates.
 
     Anchors are processed in ascending id order; a candidate admitted by an
     earlier anchor is skipped by later anchors. A candidate is admitted when
     its clamped baseline prediction (precomputed_scores, by corpus id)
     deviates from the anchor's mean opinion score by at most the anchor's
-    rating standard deviation.
+    rating standard deviation. Every anchor must be in `candidates`, and every
+    corpus id in `precomputed_scores`.
     """
-    if k <= 0:
-        raise ValueError("k must be a positive integer")
     if not anchors:
         raise ValueError("anchors must be non-empty")
-    if index.fingerprint and baseline.fingerprint and index.fingerprint != baseline.fingerprint:
-        raise ValueError("index fingerprint does not match baseline model fingerprint")
-    if feature_stats.fingerprint != (baseline.fingerprint or feature_stats.fingerprint):
-        raise ValueError("feature stats fingerprint does not match baseline model")
+    if baseline.fingerprint and baseline.fingerprint != candidates.fingerprint:
+        raise ValueError("candidates fingerprint does not match baseline model fingerprint")
 
     by_id = store.by_id()
-    excluded_ids: set[int] = set()
-    if exclude_texts:
-        excluded_ids = {r.id for r in store.records if r.text in exclude_texts}
-
-    anchors = sorted(anchors, key=lambda a: a.id)
-    queries = embed_many([a.text for a in anchors], [feature_stats])[0]
-    hits = top_k_many(index, queries, k, exclude=excluded_ids)
-    seen: set[int] = set()
+    ids = candidates.corpus_ids
+    corpus_scores = np.fromiter(
+        map(precomputed_scores.__getitem__, ids.tolist()), np.float64, len(ids)
+    )
+    taken = np.zeros(len(ids), dtype=bool)
     labels: list[PseudoLabel] = []
-    for anchor, (hit_ids, _) in zip(anchors, hits):
-        candidate_ids = [cid for cid in hit_ids.tolist() if cid not in seen]
-        if not candidate_ids:
-            continue
-        scores = np.array([precomputed_scores[cid] for cid in candidate_ids])
-        for cid, score in zip(candidate_ids, scores):
-            if abs(float(score) - anchor.mos) <= anchor.rating_std:
-                rec = by_id[cid]
-                labels.append(
-                    PseudoLabel(
-                        sentence_id=cid,
-                        text=rec.text,
-                        source=rec.source,
-                        predicted_score=float(score),
-                        anchor_id=anchor.id,
-                        anchor_mos=anchor.mos,
-                        anchor_std=anchor.rating_std,
-                    )
+    for anchor in sorted(anchors, key=lambda a: a.id):
+        rows = candidates.hits[anchor.id]
+        within = np.abs(corpus_scores[rows] - anchor.mos) <= anchor.rating_std
+        rows = rows[within & ~taken[rows]]
+        taken[rows] = True
+        for cid, score in zip(ids[rows].tolist(), corpus_scores[rows].tolist()):
+            rec = by_id[cid]
+            labels.append(
+                PseudoLabel(
+                    sentence_id=cid,
+                    text=rec.text,
+                    source=rec.source,
+                    predicted_score=score,
+                    anchor_id=anchor.id,
+                    anchor_mos=anchor.mos,
+                    anchor_std=anchor.rating_std,
                 )
-                seen.add(cid)
+            )
     config = {
-        "k": k,
-        "exclude_labeled": bool(exclude_texts),
+        "k": candidates.k,
+        "exclude_labeled": candidates.exclude_labeled,
         "baseline_seed": baseline.seed,
         "fingerprint": baseline.fingerprint,
     }

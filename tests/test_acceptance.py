@@ -27,7 +27,7 @@ from pseudolab.ensemble import (
 from pseudolab.features import FeatureConfig, embed, embed_many, fit_feature_stats
 from pseudolab.metrics import fold_mean, mapped_rmse, rmse
 from pseudolab.pipeline import PipelineConfig
-from pseudolab.pseudolabel import generate_pseudo_labels, pseudo_label_stats
+from pseudolab.pseudolabel import generate_pseudo_labels, pseudo_label_stats, retrieve_candidates
 from pseudolab.scorer import (
     HyperParams,
     ScorerModel,
@@ -157,15 +157,11 @@ def test_criterion_04_pseudo_label_soundness(acceptance, big_dataset, big_contex
     exclude = {s.text for s in big_dataset.labeled_train} | {
         s.text for s in big_dataset.labeled_test
     }
+    candidates = retrieve_candidates(
+        anchors, ctx.index, ctx.store, ctx.retrieval_stats, k=cfg.k, exclude_texts=exclude
+    )
     pset = generate_pseudo_labels(
-        anchors,
-        ctx.index,
-        ctx.store,
-        gate,
-        ctx.retrieval_stats,
-        k=cfg.k,
-        exclude_texts=exclude,
-        precomputed_scores=scores,
+        anchors, candidates, ctx.store, gate, precomputed_scores=scores
     )
 
     # independent replay: same retrieval, scoring, and first-anchor-wins walk
@@ -195,14 +191,7 @@ def test_criterion_04_pseudo_label_soundness(acceptance, big_dataset, big_contex
         for a in anchors
     ]
     strict_set = generate_pseudo_labels(
-        strict,
-        ctx.index,
-        ctx.store,
-        gate,
-        ctx.retrieval_stats,
-        k=cfg.k,
-        exclude_texts=exclude,
-        precomputed_scores=scores,
+        strict, candidates, ctx.store, gate, precomputed_scores=scores
     )
     assert all(l.predicted_score == l.anchor_mos for l in strict_set.labels)
     acceptance(

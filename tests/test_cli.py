@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 from pseudolab import cli, features, fixtures
 from pseudolab import ensemble as ensemble_module
 from pseudolab import pipeline as pipeline_module
+from pseudolab.artifacts import json_text
 from pseudolab.cli import main
 from pseudolab.config import load_config
 from pseudolab.corpus import load_labeled, load_store
@@ -750,19 +752,30 @@ class TestFeaturizeStreams:
         assert recorded["outputs"][cli.CORPUS_VECTORS] == digest
 
     def test_evaluate_context_equals_build_context(self, ingested, monkeypatch):
-        """The CLI embeds the corpus as the in-process pipeline does, bit for bit."""
+        """The CLI embeds the corpus as the in-process pipeline does, bit for bit,
+        and nothing holds the index any more when training starts."""
         out, config_path = ingested
         for command in ("featurize", "index"):
             assert main([command, "--config", str(config_path)]) == 0, command
-        contexts = []
+        contexts, indexes, index_alive = [], [], []
+        real_load_index = cli.load_index
 
-        def capture(ctx, *args):
+        def load_index(path):
+            index = real_load_index(path)
+            indexes.append(weakref.ref(index))
+            return index
+
+        def capture(ctx, *args, **kwargs):
             contexts.append(ctx)
-            return pipeline_module.evaluate_settings(ctx, *args)
+            index_alive.extend(ref() is not None for ref in indexes)
+            return pipeline_module.evaluate_settings(ctx, *args, **kwargs)
 
+        monkeypatch.setattr(cli, "load_index", load_index)
         monkeypatch.setattr(cli, "evaluate_settings", capture)
         assert main(["evaluate", "--config", str(config_path)]) == 0
         (ctx,) = contexts
+        assert ctx.index is None
+        assert index_alive == [False]  # loaded once, and freed before training
         config = load_config(config_path)
         store = load_store(out / cli.STORE)
         expected = pipeline_module.build_context(store, config.retrieval, config.archetypes)
@@ -828,6 +841,38 @@ def test_archetype_changed_after_featurize_is_stale(tmp_path, capsys):
     assert main(["train-ensemble", "--config", str(config_path)]) == 2
     (line,) = capsys.readouterr().err.strip().splitlines()
     assert "archetype 'a'" in line
+
+
+def test_baseline_evaluate_reads_no_index_and_embeds_no_corpus(tmp_path, monkeypatch):
+    """The baseline setting trains on the labeled set only: evaluate runs without
+    an index stage, embeds no corpus, and reports what the in-process pipeline does."""
+    dataset = fixtures.make_synthetic_dataset(n_corpus=300, n_train=30, n_test=10, seed=4)
+    config_path = _write_config(tmp_path, dataset, {"setting": "baseline"})
+    for command in ("ingest", "featurize"):
+        assert main([command, "--config", str(config_path)]) == 0, command
+    calls = []
+    real_embed_corpus = cli.embed_corpus
+
+    def counted(*args):
+        calls.append(args)
+        return real_embed_corpus(*args)
+
+    monkeypatch.setattr(cli, "embed_corpus", counted)
+    assert main(["evaluate", "--config", str(config_path)]) == 0
+    assert calls == []
+    out = tmp_path / "out"
+    assert not (out / cli.INDEX).exists()
+    recorded = json.loads((out / cli.MANIFEST).read_text())["stages"]["evaluate"]
+    assert cli.INDEX not in recorded["inputs"]
+
+    config = load_config(config_path)
+    ctx = pipeline_module.build_context(
+        load_store(out / cli.STORE), config.retrieval, config.archetypes
+    )
+    labeled = load_labeled(config.labeled_train)
+    plan = ensemble_module.make_fold_plan(len(labeled), config.n_folds, seed=config.fold_seed)
+    (report,) = pipeline_module.evaluate_settings(ctx, labeled, ["baseline"], plan, config).values()
+    assert (out / cli.EVAL_JSON).read_text() == json_text(report.to_dict())
 
 
 def test_tracer_finds_every_name_it_patches():

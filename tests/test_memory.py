@@ -1,10 +1,12 @@
 """Memory guards: no corpus-sized copy in the corpus embedding, the pseudo stage,
-the scan or the index load.
+the scan or the index load, and no evaluate that holds the index and the
+archetype matrices at once.
 
 numpy reports its array buffers to tracemalloc, so the traced peak of a call
 is what it allocates on top of its inputs, which are made before tracing.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -108,3 +110,43 @@ def test_load_index_copies_the_payload_once(index, tmp_path):
     peak, loaded = _traced_peak(lambda: load_index(path))
     assert np.array_equal(loaded.vectors, index.vectors)
     assert peak < 2 * path.stat().st_size, peak
+
+
+def test_evaluate_never_holds_the_index_and_the_archetype_matrices_at_once(
+    tmp_path, monkeypatch
+):
+    """evaluate pseudo-labels every fold while the index is loaded and frees it
+    before it embeds the archetype matrices, so its traced peak (folds in this
+    process, where tracemalloc sees them) stays below the two together."""
+    from pseudolab import cli, fixtures
+    from pseudolab.features import load_feature_stats
+
+    dataset = fixtures.make_synthetic_dataset(n_corpus=8000, n_train=60, n_test=10, seed=5)
+    entries = fixtures.write_corpus_files(dataset.store, tmp_path / "corpus")
+    fixtures.write_labeled_tsv(dataset.labeled_train, tmp_path / "train.tsv")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "corpora": entries,
+        "labeled_train": str(tmp_path / "train.tsv"),
+        "output_dir": str(tmp_path / "out"),
+        "retrieval": {"hashed_dim": 1024, "ngram_min": 3, "ngram_max": 5},
+        "archetypes": [
+            {"name": "a", "hashed_dim": 1024, "ngram_min": 3, "ngram_max": 5},
+            {"name": "b", "hashed_dim": 512, "ngram_min": 2, "ngram_max": 4},
+        ],
+        "k": 15,
+        "seeds": [1],
+        "hyper_pseudo": {"max_epochs": 1},
+        "hyper_fine": {"max_epochs": 1},
+    }), encoding="utf-8")
+    for command in ("ingest", "featurize", "index"):
+        assert cli.main([command, "--config", str(config_path)]) == 0, command
+    out = tmp_path / "out"
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
+    peak, code = _traced_peak(lambda: cli.main(["evaluate", "--config", str(config_path)]))
+    assert code == 0
+    index_bytes = load_index(out / cli.INDEX).vectors.nbytes
+    stats = load_feature_stats(out / cli.FEATURE_STATS)
+    n = len(dataset.store.records)
+    matrix_bytes = sum(n * stats[name].config.dimension * 4 for name in ("a", "b"))
+    assert peak < index_bytes + matrix_bytes, (peak, index_bytes, matrix_bytes)

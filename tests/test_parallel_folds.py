@@ -72,6 +72,49 @@ def test_reports_bitwise_equal_with_one_and_two_workers(
         assert json.dumps(reports[2][setting].to_dict(), sort_keys=True) == serial, setting
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_anchors_are_retrieved_once_for_every_fold(
+    monkeypatch, tmp_path, workers, small_context, small_dataset, small_pipeline_config
+):
+    """One top_k_many call serves every fold (counted in the fold workers too,
+    through a file), and each fold's pseudo-labels are those its own anchors
+    would admit alone."""
+    from pseudolab import pseudolabel
+
+    _use_workers(monkeypatch, workers)
+    ctx, cfg, labeled = small_context, small_pipeline_config, small_dataset.labeled_train
+    plan = _plan(small_dataset)
+    calls = tmp_path / "top_k_many_calls"
+    real_top_k_many, real_fold_pseudo_labels = pseudolabel.top_k_many, pipeline.fold_pseudo_labels
+
+    def counted(index, queries, *args, **kwargs):
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"{len(queries)}\n")
+        return real_top_k_many(index, queries, *args, **kwargs)
+
+    made = []
+
+    def recorded(*args, **kwargs):
+        made.append(real_fold_pseudo_labels(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(pseudolabel, "top_k_many", counted)
+    monkeypatch.setattr(pipeline, "fold_pseudo_labels", recorded)
+    pipeline.evaluate_settings(ctx, labeled, pipeline.SETTINGS, plan, cfg)
+    assert calls.read_text().split() == [str(len(labeled))]
+
+    (psets,) = made
+    exclude = {s.text for s in labeled}
+    assert len(psets) == plan.n_folds
+    for f, pset in enumerate(psets):
+        fold_train = [labeled[i] for i in plan.train_indices(f)]
+        gate = pipeline.train_gate_model(ctx.retrieval_stats, fold_train, cfg)
+        alone = pipeline.generate_for_anchors(ctx, fold_train, gate, cfg, exclude)
+        assert pset.labels, f
+        assert pset.labels == alone.labels, f
+        assert pset.config == alone.config and pset.stats == alone.stats, f
+
+
 def test_lowest_failing_fold_is_raised(
     monkeypatch, small_context, small_dataset, small_pipeline_config
 ):

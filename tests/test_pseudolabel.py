@@ -8,6 +8,7 @@ from pseudolab.pseudolabel import (
     load_pseudo_labels,
     pseudo_label_stats,
     render_stats_table,
+    retrieve_candidates,
     save_pseudo_labels,
 )
 from pseudolab.scorer import ScorerModel
@@ -41,13 +42,21 @@ def _setup(texts, scores, sources=None):
     return store, index, model, stats, dict(enumerate(scores))
 
 
+def _generate(anchors, index, store, model, stats, k, exclude_texts=None, *, precomputed_scores):
+    """Retrieve the anchors' candidates, then admit them."""
+    candidates = retrieve_candidates(anchors, index, store, stats, k=k, exclude_texts=exclude_texts)
+    return generate_pseudo_labels(
+        anchors, candidates, store, model, precomputed_scores=precomputed_scores
+    )
+
+
 class TestAdmission:
     TEXTS = ["ein kurzer satz", "noch ein satz hier", "der dritte satz dabei"]
 
     def test_within_band_admitted(self):
         store, index, model, stats, scores = _setup(self.TEXTS, [3.4, 3.6, 3.0])
         anchors = [LabeledSentence(id=100, text="ein satz", mos=3.0, rating_std=0.5)]
-        pset = generate_pseudo_labels(
+        pset = _generate(
             anchors, index, store, model, stats, k=10, precomputed_scores=scores
         )
         got = {l.sentence_id for l in pset.labels}
@@ -56,7 +65,7 @@ class TestAdmission:
     def test_boundary_is_inclusive(self):
         store, index, model, stats, scores = _setup(self.TEXTS, [3.5, 2.5, 3.51])
         anchors = [LabeledSentence(id=100, text="satz", mos=3.0, rating_std=0.5)]
-        pset = generate_pseudo_labels(
+        pset = _generate(
             anchors, index, store, model, stats, k=10, precomputed_scores=scores
         )
         assert {l.sentence_id for l in pset.labels} == {0, 1}
@@ -64,7 +73,7 @@ class TestAdmission:
     def test_zero_std_admits_exact_only(self):
         store, index, model, stats, scores = _setup(self.TEXTS, [3.0, 3.0000001, 2.5])
         anchors = [LabeledSentence(id=100, text="satz", mos=3.0, rating_std=0.0)]
-        pset = generate_pseudo_labels(
+        pset = _generate(
             anchors, index, store, model, stats, k=10, precomputed_scores=scores
         )
         assert {l.sentence_id for l in pset.labels} == {0}
@@ -75,7 +84,7 @@ class TestAdmission:
             LabeledSentence(id=200, text="satz b", mos=3.0, rating_std=1.0),
             LabeledSentence(id=100, text="satz a", mos=3.0, rating_std=1.0),
         ]
-        pset = generate_pseudo_labels(
+        pset = _generate(
             anchors, index, store, model, stats, k=10, precomputed_scores=scores
         )
         # anchors processed in ascending id order, and each sentence is used once
@@ -85,7 +94,7 @@ class TestAdmission:
     def test_label_carries_anchor_metadata(self):
         store, index, model, stats, scores = _setup(self.TEXTS, [3.2, 9.0, 9.0])
         anchors = [LabeledSentence(id=7, text="satz", mos=3.0, rating_std=0.4)]
-        pset = generate_pseudo_labels(
+        pset = _generate(
             anchors, index, store, model, stats, k=10, precomputed_scores=scores
         )
         (lab,) = pset.labels
@@ -96,7 +105,7 @@ class TestAdmission:
     def test_exclude_texts(self):
         store, index, model, stats, scores = _setup(self.TEXTS, [3.0, 3.0, 3.0])
         anchors = [LabeledSentence(id=100, text="satz", mos=3.0, rating_std=1.0)]
-        pset = generate_pseudo_labels(
+        pset = _generate(
             anchors,
             index,
             store,
@@ -109,21 +118,61 @@ class TestAdmission:
         assert {l.sentence_id for l in pset.labels} == {0, 2}
 
 
+def test_index_row_order_does_not_matter():
+    """Candidates are kept as index rows; an index with its ids in another
+    order (here reversed, and not contiguous) admits the same labels."""
+    texts = [f"satz nummer {i} mit etwas text" for i in range(12)]
+    store = CorpusStore(records=[
+        SentenceRecord(id=100 - 7 * i, text=t, source="wiki", char_len=len(t))
+        for i, t in enumerate(texts)
+    ])
+    stats = fit_feature_stats(texts, FeatureConfig(hashed_dim=64))
+    from pseudolab.features import embed
+
+    rows = [(r.id, embed(r.text, stats)) for r in store.records]
+    model = ScorerModel(weights=np.zeros(64 + 6), intercept=4.0, fingerprint=stats.fingerprint)
+    scores = {r.id: 3.0 + 0.1 * (i % 5) for i, r in enumerate(store.records)}
+    anchors = [
+        LabeledSentence(id=2, text="satz nummer mit text", mos=3.2, rating_std=0.15),
+        LabeledSentence(id=1, text="nummer 3 mit etwas", mos=3.0, rating_std=0.1),
+    ]
+    sets = [
+        _generate(
+            anchors, build_index(order, fingerprint=stats.fingerprint), store, model, stats,
+            k=6, precomputed_scores=scores,
+        )
+        for order in (rows, rows[::-1])
+    ]
+    assert sets[0].labels
+    assert sets[1].labels == sets[0].labels
+
+
 class TestErrors:
     def test_k_zero(self):
         store, index, model, stats, scores = _setup(["ein satz"], [3.0])
         anchors = [LabeledSentence(id=1, text="x", mos=3.0, rating_std=0.5)]
         with pytest.raises(ValueError, match="k"):
-            generate_pseudo_labels(
+            _generate(
                 anchors, index, store, model, stats, k=0, precomputed_scores=scores
             )
 
     def test_empty_anchors(self):
         store, index, model, stats, scores = _setup(["ein satz"], [3.0])
         with pytest.raises(ValueError, match="anchors"):
-            generate_pseudo_labels(
+            _generate(
                 [], index, store, model, stats, k=5, precomputed_scores=scores
             )
+        anchors = [LabeledSentence(id=1, text="x", mos=3.0, rating_std=0.5)]
+        candidates = retrieve_candidates(anchors, index, store, stats, k=5)
+        with pytest.raises(ValueError, match="anchors"):
+            generate_pseudo_labels([], candidates, store, model, precomputed_scores=scores)
+
+    def test_index_of_other_featurizer(self):
+        store, index, model, stats, scores = _setup(["ein satz"], [3.0])
+        other = fit_feature_stats(["ein satz"], FeatureConfig(hashed_dim=32))
+        anchors = [LabeledSentence(id=1, text="x", mos=3.0, rating_std=0.5)]
+        with pytest.raises(ValueError, match="fingerprint"):
+            retrieve_candidates(anchors, index, store, other, k=5)
 
     def test_fingerprint_mismatch(self):
         store, index, model, stats, scores = _setup(["ein satz"], [3.0])
@@ -132,7 +181,7 @@ class TestErrors:
         )
         anchors = [LabeledSentence(id=1, text="x", mos=3.0, rating_std=0.5)]
         with pytest.raises(ValueError, match="fingerprint"):
-            generate_pseudo_labels(
+            _generate(
                 anchors, index, store, bad, stats, k=5, precomputed_scores=scores
             )
 
@@ -146,7 +195,7 @@ def generated(small_context, small_dataset):
     baseline = pipeline.train_gate_model(ctx.retrieval_stats, anchors, pipeline.PipelineConfig())
     scores = pipeline.corpus_score_map(ctx, baseline)
     exclude = {a.text for a in anchors} | {a.text for a in small_dataset.labeled_test}
-    pset = generate_pseudo_labels(
+    pset = _generate(
         anchors,
         ctx.index,
         ctx.store,
@@ -204,7 +253,7 @@ class TestRandomizedProperties:
 
     def test_deterministic(self, generated, small_context, small_dataset):
         pset, anchors, exclude, scores = generated
-        again = generate_pseudo_labels(
+        again = _generate(
             anchors,
             small_context.index,
             small_context.store,
@@ -249,7 +298,7 @@ def test_roundtrip(tmp_path):
         sources=["wiki", "news", "wiki"],
     )
     anchors = [LabeledSentence(id=1, text="satz", mos=3.0, rating_std=0.3)]
-    pset = generate_pseudo_labels(
+    pset = _generate(
         anchors, index, store, model, stats, k=10, precomputed_scores=scores
     )
     path = tmp_path / "pseudo.jsonl"
@@ -278,16 +327,17 @@ def test_leakage_guard_names_fold(monkeypatch, small_context, small_dataset):
     from pseudolab.ensemble import make_fold_plan
 
     labeled = small_dataset.labeled_train
-    real = pipeline.generate_for_anchors
+    real = pipeline.generate_pseudo_labels
 
-    def leaky(ctx, anchors, gate, cfg, exclude_texts):
-        pset = real(ctx, anchors, gate, cfg, exclude_texts)
+    def leaky(anchors, *args, **kwargs):
+        """The per-fold admission step, with one label anchored outside the fold."""
+        pset = real(anchors, *args, **kwargs)
         train_ids = {a.id for a in anchors}
         outsider = next(s for s in labeled if s.id not in train_ids)
         pset.labels.append(replace(pset.labels[0], anchor_id=outsider.id))
         return pset
 
-    monkeypatch.setattr(pipeline, "generate_for_anchors", leaky)
+    monkeypatch.setattr(pipeline, "generate_pseudo_labels", leaky)
     monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
     plan = make_fold_plan(len(labeled), n_folds=5, seed=1)
     with pytest.raises(RuntimeError, match="fold 0: pseudo-labels anchored on test-fold ids"):

@@ -16,7 +16,8 @@ import numpy as np
 
 from .artifacts import json_text
 from .corpus import LabeledSentence
-from .features import FeatureStats, embed_chunks
+from . import parallel
+from .features import FeatureStats, chunk_runs, embed_chunks
 from .linalg import clamp_scores, gram, solve_spd
 from .scorer import (
     DivergedError,
@@ -280,13 +281,22 @@ def predict_ensemble_batch(bundle: EnsembleBundle, texts: Sequence[str]) -> np.n
 
     Memory is bounded by the chunk, not the batch, and the scores are bitwise
     those of score_features on the whole matrices (see EMBED_CHUNK_ROWS).
+    Each chunk run (see chunk_runs) is scored in its own forked worker, which
+    returns only its scores.
     """
+    texts = list(texts)
     stats = [arch.stats for arch in bundle.archetypes.values()]
-    scores = [
-        score_features(bundle, dict(zip(bundle.archetypes, blocks)))
-        for blocks in embed_chunks(list(texts), stats)
-    ]
-    return np.concatenate(scores) if scores else np.zeros(0)
+    runs = chunk_runs(len(texts))
+
+    def score_run(part: int) -> np.ndarray:
+        start, stop = runs[part]
+        scores = [
+            score_features(bundle, dict(zip(bundle.archetypes, blocks)))
+            for blocks in embed_chunks(texts[start:stop], stats)
+        ]
+        return np.concatenate(scores) if scores else np.zeros(0)
+
+    return np.concatenate(parallel.map_forked(score_run, len(runs), len(runs), work="scoring"))
 
 
 def audit_oof_hygiene(bundle: EnsembleBundle) -> bool:

@@ -14,6 +14,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import parallel
+
 SURFACE_FEATURES = (
     "char_count",
     "token_count",
@@ -34,6 +36,7 @@ _FNV64_PRIME = np.uint64(FNV64_PRIME)
 # Rows featurized at a time, so that peak memory does not grow with the batch.
 # Keep it a multiple of 64, so that a model scored on each chunk gives every
 # row the bits it gets on the whole matrix (the rule of simindex.ROW_BLOCK).
+# Work split over processes is split at multiples of it (see chunk_runs).
 EMBED_CHUNK_ROWS = 256
 
 
@@ -307,6 +310,20 @@ def embed_chunks(
         yield blocks
 
 
+def chunk_runs(n_rows: int) -> list[tuple[int, int]]:
+    """Split n_rows rows into contiguous (start, stop) runs of whole chunks, one per worker.
+
+    There are parallel.worker_count(chunks) runs of near-equal chunk counts,
+    and each starts at a multiple of EMBED_CHUNK_ROWS, so a run embedded or
+    scored on its own meets the chunks, and gives every row the bits, of one
+    pass over all the rows.
+    """
+    chunks = -(-n_rows // EMBED_CHUNK_ROWS)
+    parts = parallel.worker_count(chunks)
+    bounds = [min(n_rows, EMBED_CHUNK_ROWS * (chunks * p // parts)) for p in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def embed_many(
     texts: Sequence[str],
     stats_list: Sequence[FeatureStats],
@@ -317,11 +334,20 @@ def embed_many(
 
     The features are computed in float64 and rounded once as they are written
     into matrices of `dtype`, so a float32 matrix is bitwise the float64 one
-    cast with astype, and no float64 copy of it is held.
+    cast with astype, and no float64 copy of it is held. With more than one
+    chunk run (see chunk_runs), each run is embedded in a forked worker
+    straight into matrices in shared memory.
     """
-    out = [np.empty((len(texts), s.config.dimension), dtype) for s in stats_list]
-    for _ in embed_chunks(texts, stats_list, out):
-        pass
+    runs = chunk_runs(len(texts))
+    allocate = np.empty if len(runs) == 1 else parallel.shared_array
+    out = [allocate((len(texts), s.config.dimension), dtype) for s in stats_list]
+
+    def fill(part: int) -> None:
+        start, stop = runs[part]
+        for _ in embed_chunks(texts[start:stop], stats_list, [m[start:stop] for m in out]):
+            pass
+
+    parallel.map_forked(fill, len(runs), len(runs), work="embedding")
     return out
 
 

@@ -7,14 +7,13 @@ linear-stacker aggregation, all evaluated by k-fold cross-validation.
 
 from __future__ import annotations
 
-import os
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import parallel
 from .corpus import CorpusStore, LabeledSentence
 from .ensemble import (
     Archetype,
@@ -324,81 +323,6 @@ def fine_tune_ensemble(
     return bundle
 
 
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-# The fold function of the running `map_folds`. It is set before the pool
-# forks, so the workers inherit it and the closure is never pickled.
-_fold_task: Callable[[int], dict[str, np.ndarray]] | None = None
-
-
-def _run_fold_task(f: int) -> dict[str, np.ndarray]:
-    return _fold_task(f)
-
-
-def map_folds(
-    run_fold: Callable[[int], dict[str, np.ndarray]], n_folds: int, workers: int
-) -> list[dict[str, np.ndarray]]:
-    """`[run_fold(f) for f in range(n_folds)]`, run in `workers` forked processes.
-
-    With fewer than two workers, or where `fork` is unavailable, the folds run
-    in this process. Workers are forked, not spawned, so they share the loaded
-    store, corpus features and pseudo-labels copy-on-write, and only fold
-    numbers and results are pickled (the pipeline starts no thread of its own
-    that a fork could copy mid-operation). Folds start in order, at most one
-    per worker at a time. After a failure no further fold starts, the running
-    ones finish, and the exception of the lowest-numbered failing fold is
-    raised, as the serial loop would raise it.
-    """
-    import multiprocessing
-
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [run_fold(f) for f in range(n_folds)]
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    global _fold_task
-    _fold_task = run_fold
-    results: dict[int, dict[str, np.ndarray]] = {}
-    errors: dict[int, BaseException] = {}
-    # a forked worker flushes the stream buffers it inherited when it exits
-    sys.stdout.flush()
-    sys.stderr.flush()
-    try:
-        with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")
-        ) as pool:
-            running = {}
-            next_fold = 0
-            while True:
-                while next_fold < n_folds and len(running) < workers and not errors:
-                    running[pool.submit(_run_fold_task, next_fold)] = next_fold
-                    next_fold += 1
-                if not running:
-                    break
-                done, _ = wait(running, return_when=FIRST_COMPLETED)
-                for future in done:
-                    f = running.pop(future)
-                    exc = future.exception()
-                    if exc is None:
-                        results[f] = future.result()
-                    else:
-                        errors[f] = exc
-    finally:
-        _fold_task = None
-    if errors:
-        error = errors[min(errors)]
-        if isinstance(error, BrokenProcessPool):  # it names no fold
-            raise ChildProcessError("a fold worker process died") from error
-        raise error
-    return [results[f] for f in range(n_folds)]
-
-
 def evaluate_settings(
     ctx: PipelineContext,
     labeled: Sequence[LabeledSentence],
@@ -477,8 +401,9 @@ def evaluate_settings(
     per_fold: dict[str, list[float]] = {s: [] for s in settings}
     pooled_pred: dict[str, np.ndarray] = {s: np.zeros(len(labeled)) for s in settings}
     # a fold that trains no pseudo stage is one small fit: forking costs more
-    workers = min(usable_cpus(), plan.n_folds) if need_pseudo else 1
-    for f, fold_preds in enumerate(map_folds(run_fold, plan.n_folds, workers)):
+    workers = parallel.worker_count(plan.n_folds) if need_pseudo else 1
+    folds = parallel.map_forked(run_fold, plan.n_folds, workers, work="the cross-validation folds")
+    for f, fold_preds in enumerate(folds):
         test_idx = plan.fold_indices(f)
         for setting in settings:
             per_fold[setting].append(rmse(fold_preds[setting], y[test_idx]))

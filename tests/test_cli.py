@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pseudolab import cli, features, fixtures
+from pseudolab import cli, features, fixtures, parallel
 from pseudolab import ensemble as ensemble_module
 from pseudolab import pipeline as pipeline_module
 from pseudolab.artifacts import json_text
@@ -144,6 +144,8 @@ class TestFullPipeline:
         )
         passes, windows = _count_embedding(monkeypatch, ensemble_module)
         monkeypatch.setattr(features, "EMBED_CHUNK_ROWS", 2)
+        # the counts live in this process, so the chunks must be scored in it too
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
         argv = ["predict", "--config", str(config_path), "--input", str(input_path)]
         assert main(argv) == 0
         assert len(passes) == 1
@@ -182,7 +184,7 @@ class TestFullPipeline:
             return wrapper
 
         # the counts live in this process, so the folds must run in it too
-        monkeypatch.setattr(pipeline_module, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
         monkeypatch.setattr(pipeline_module, "embed_many", counting(features.embed_many))
         monkeypatch.setattr(ensemble_module, "embed_chunks", counting(features.embed_chunks))
         labeled = {s.text for s in dataset.labeled_train}
@@ -611,7 +613,7 @@ class TestBadInputFiles:
 
 def test_nothing_admitted_names_the_stage_and_fold(tmp_path, capsys, monkeypatch):
     """With rating std 0 no candidate is admitted; training stages exit 1, naming where."""
-    monkeypatch.setattr(pipeline_module, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     dataset = fixtures.make_synthetic_dataset(n_corpus=80, n_train=10, n_test=5, seed=2)
     config_path = _write_config(tmp_path, dataset)
     fixtures.write_labeled_tsv(
@@ -638,7 +640,7 @@ def test_nothing_admitted_names_the_stage_and_fold(tmp_path, capsys, monkeypatch
 )
 def test_fold_worker_errors_keep_their_exit_code(pipeline, monkeypatch, capsys, error, code):
     _, config_path, _ = pipeline
-    monkeypatch.setattr(pipeline_module, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
 
     def failing(*args, **kwargs):
         raise error
@@ -660,7 +662,7 @@ def test_diverging_fit_exits_1_naming_its_config_key(
     exits 1 with one error line that names where, the archetype and seed, and
     the config key, also when the fit ran in a fold worker; no warning is printed."""
     directory, config_path, _ = pipeline
-    monkeypatch.setattr(pipeline_module, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     shutil.copytree(directory / "out", tmp_path / "out")
     config = json.loads(config_path.read_text(encoding="utf-8"))
     config["output_dir"] = str(tmp_path / "out")
@@ -902,6 +904,91 @@ def test_cli_never_imports_scipy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "out" / cli.EVAL_JSON).exists()
+
+
+def test_version_and_ingest_load_no_process_pool(tmp_path):
+    """The fork map imports multiprocessing and concurrent.futures only when it forks."""
+    dataset = fixtures.make_synthetic_dataset(n_corpus=600, n_train=10, n_test=5, seed=2)
+    config_path = _write_config(tmp_path, dataset)
+    code = (
+        "import sys; from pseudolab import cli; "
+        "assert cli.main(['--version']) == 0; "
+        f"assert cli.main(['ingest', '--config', {str(config_path)!r}]) == 0; "
+        "loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]; "
+        "assert not loaded, loaded"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def _run_all_stages(directory: Path, dataset, texts: Path) -> dict[str, bytes]:
+    """Every stage, evaluate and predict; the bytes of each artifact, bundle files by path."""
+    config = str(_write_config(directory, dataset))
+    for command in (*STAGES, "evaluate"):
+        assert main([command, "--config", config]) == 0, command
+    assert main(["predict", "--config", config, "--input", str(texts)]) == 0
+    out = directory / "out"
+    files = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    # the only artifacts that record the run's own paths
+    del files["config_snapshot.json"], files["manifest.json"]
+    return files
+
+
+def test_artifacts_are_byte_identical_on_one_and_two_workers(tmp_path, monkeypatch):
+    """Corpus embedding, the folds and predict in two workers write the bytes of one."""
+    dataset = fixtures.make_synthetic_dataset(n_corpus=600, n_train=40, n_test=10, seed=6)
+    texts = tmp_path / "input.txt"
+    texts.write_text("".join(r.text + "\n" for r in dataset.store.records), encoding="utf-8")
+    runs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
+        runs[workers] = _run_all_stages(tmp_path / f"workers_{workers}", dataset, texts)
+    for name in (cli.PREDICTIONS, cli.EVAL_JSON, "bundle/manifest.json", "bundle/oof.csv"):
+        assert name in runs[1], name
+    assert len(runs[1][cli.PREDICTIONS].splitlines()) == len(dataset.store.records)
+    assert runs[2].keys() == runs[1].keys()
+    assert [p for p in runs[1] if runs[1][p] != runs[2][p]] == []
+
+
+@pytest.mark.parametrize("dies", [False, True], ids=["raises", "dies"])
+def test_failing_predict_worker_leaves_no_predictions(
+    pipeline, tmp_path, monkeypatch, capsys, dies
+):
+    """A predict worker that raises exits 1 with its message, one that dies exits 3;
+    neither leaves a predictions file."""
+    directory, config_path, dataset = pipeline
+    shutil.copytree(directory / "out", tmp_path / "out")
+    (tmp_path / "out" / cli.PREDICTIONS).unlink(missing_ok=True)
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    texts = [r.text for r in dataset.store.records]
+    input_path = tmp_path / "input.txt"
+    input_path.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    real = features.embed_chunks
+
+    def failing(chunk_texts, *args, **kwargs):
+        if chunk_texts[0] != texts[0]:
+            if dies:
+                os._exit(7)
+            raise RuntimeError("scoring a later run failed")
+        return real(chunk_texts, *args, **kwargs)
+
+    monkeypatch.setattr(ensemble_module, "embed_chunks", failing)
+    capsys.readouterr()
+    code = main(["predict", "--config", str(path), "--input", str(input_path)])
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    if dies:
+        assert (code, last) == (3, "internal error: a worker process died during scoring")
+    else:
+        assert (code, last) == (1, "error: scoring a later run failed")
+    assert not (tmp_path / "out" / cli.PREDICTIONS).exists()
+    assert not list((tmp_path / "out").glob(".*.tmp"))
 
 
 def test_corrupt_index_under_force_is_artifact_error(tmp_path, capsys):

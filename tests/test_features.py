@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudolab import features as features_module
+from pseudolab import parallel
 from pseudolab.artifacts import json_text
 from pseudolab.features import (
     EMBED_CHUNK_ROWS,
@@ -429,6 +430,8 @@ def test_shared_pass_hashes_once_per_chunk_and_max_tokens(monkeypatch):
     monkeypatch.setattr(features_module, "_fnv1a64_windows", counting_windows)
     monkeypatch.setattr(features_module, "_surface_block", counting_surface)
     monkeypatch.setattr(features_module, "EMBED_CHUNK_ROWS", 4)
+    # the counts live in this process, so the chunks must be embedded in it too
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     texts = EDGE_TEXTS + ["noch ein satz"]  # ten texts: chunks of 4, 4 and 2
     stats_list = [fit_feature_stats(texts, config) for config in SHARED_CONFIGS]
     calls["surface"].clear()

@@ -7,14 +7,20 @@ is what it allocates on top of its inputs, which are made before tracing.
 """
 
 import json
+import mmap
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from pseudolab import pipeline
+from pseudolab import parallel, pipeline
 from pseudolab.ensemble import Archetype, train_pseudo_stage
-from pseudolab.features import FeatureConfig, fit_feature_stats, fit_feature_stats_many
+from pseudolab.features import (
+    EMBED_CHUNK_ROWS,
+    FeatureConfig,
+    fit_feature_stats,
+    fit_feature_stats_many,
+)
 from pseudolab.scorer import HyperParams, ScorerModel
 from pseudolab.simindex import build_index, load_index, save_index, top_k_many
 
@@ -37,21 +43,52 @@ def index():
     return build_index(zip(range(0, 3 * N, 3), rng.normal(size=(N, D))), fingerprint="fp")
 
 
-def test_embed_corpus_holds_only_its_output_matrices(big_dataset):
-    """Beyond the matrices it returns, embed_corpus holds only chunk-sized buffers."""
-    store = big_dataset.store
+def _corpus_archetypes(store):
     wide, narrow = fit_feature_stats_many(
         store.records,
         [FeatureConfig(hashed_dim=2048), FeatureConfig(hashed_dim=1024, ngram_min=2, ngram_max=4)],
     )
-    archetypes = [Archetype("a", wide), Archetype("b", narrow), Archetype("d", wide)]
-    peak, (matrices, row_of_id) = _traced_peak(lambda: pipeline.embed_corpus(store, archetypes))
+    return [Archetype("a", wide), Archetype("b", narrow), Archetype("d", wide)]
+
+
+def _check_corpus_matrices(store, archetypes, matrices, row_of_id) -> int:
+    """Check embed_corpus's result; the bytes of its distinct matrices."""
     assert matrices["d"] is matrices["a"]
     assert len(row_of_id) == matrices["b"].shape[0] == len(store.records)
     outputs = matrices["a"].nbytes + matrices["b"].nbytes
     # float32: N x (sum of the distinct dimensions) x 4 bytes
-    assert outputs == len(store.records) * (wide.config.dimension + narrow.config.dimension) * 4
+    dims = archetypes[0].stats.config.dimension + archetypes[1].stats.config.dimension
+    assert outputs == len(store.records) * dims * 4
+    return outputs
+
+
+def test_embed_corpus_holds_only_its_output_matrices(big_dataset, monkeypatch):
+    """Beyond the matrices it returns, embed_corpus holds only chunk-sized buffers
+    (chunks embedded in this process, where tracemalloc sees the matrices)."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    store = big_dataset.store
+    archetypes = _corpus_archetypes(store)
+    peak, (matrices, row_of_id) = _traced_peak(lambda: pipeline.embed_corpus(store, archetypes))
+    outputs = _check_corpus_matrices(store, archetypes, matrices, row_of_id)
     assert peak - outputs < matrices["b"].nbytes / 2, (peak, outputs)
+
+
+def test_forked_embed_corpus_writes_shared_matrices_and_holds_no_chunk(big_dataset, monkeypatch):
+    """With two workers the matrices are in shared memory, which tracemalloc
+    does not see, and this process embeds no chunk of its own."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    store = big_dataset.store
+    archetypes = _corpus_archetypes(store)
+    peak, (matrices, row_of_id) = _traced_peak(lambda: pipeline.embed_corpus(store, archetypes))
+    _check_corpus_matrices(store, archetypes, matrices, row_of_id)
+    for name in ("a", "b"):
+        base = matrices[name]
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap), name
+    # one chunk's float64 block of the wider featurizer (the pool's first
+    # import of concurrent.futures takes about half of it)
+    assert peak < EMBED_CHUNK_ROWS * archetypes[0].stats.config.dimension * 8, peak
 
 
 def test_archetype_features_are_float32(small_context, small_dataset):
@@ -142,7 +179,7 @@ def test_evaluate_never_holds_the_index_and_the_archetype_matrices_at_once(
     for command in ("ingest", "featurize", "index"):
         assert cli.main([command, "--config", str(config_path)]) == 0, command
     out = tmp_path / "out"
-    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     peak, code = _traced_peak(lambda: cli.main(["evaluate", "--config", str(config_path)]))
     assert code == 0
     index_bytes = load_index(out / cli.INDEX).vectors.nbytes

@@ -10,14 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from pseudolab import pipeline
+from pseudolab import parallel, pipeline
 from pseudolab.ensemble import make_fold_plan
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def _use_workers(monkeypatch, n: int) -> None:
-    monkeypatch.setattr(pipeline, "usable_cpus", lambda: n)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: n)
 
 
 def _plan(dataset):
@@ -25,13 +25,17 @@ def _plan(dataset):
 
 
 def test_two_workers_run_folds_in_child_processes():
-    results = pipeline.map_folds(lambda f: {"fold": f, "pid": os.getpid()}, 5, workers=2)
+    results = parallel.map_forked(
+        lambda f: {"fold": f, "pid": os.getpid()}, 5, workers=2, work="folds"
+    )
     assert [r["fold"] for r in results] == list(range(5))
     assert os.getpid() not in {r["pid"] for r in results}
 
 
 def test_one_worker_runs_folds_in_process():
-    results = pipeline.map_folds(lambda f: {"fold": f, "pid": os.getpid()}, 3, workers=1)
+    results = parallel.map_forked(
+        lambda f: {"fold": f, "pid": os.getpid()}, 3, workers=1, work="folds"
+    )
     assert results == [{"fold": f, "pid": os.getpid()} for f in range(3)]
 
 
@@ -165,7 +169,7 @@ def test_dead_worker_ends_evaluate_with_an_error():
         """
         import os
         import sys
-        from pseudolab import fixtures, pipeline
+        from pseudolab import fixtures, parallel, pipeline
         from pseudolab.ensemble import make_fold_plan
         from pseudolab.features import FeatureConfig
 
@@ -183,7 +187,7 @@ def test_dead_worker_ends_evaluate_with_an_error():
             return real(ctx, pset, cfg, where)
 
         pipeline.train_stage_models = dying
-        pipeline.usable_cpus = lambda: 2
+        parallel.usable_cpus = lambda: 2
         plan = make_fold_plan(len(data.labeled_train), n_folds=5, seed=1)
         try:
             pipeline.evaluate_settings(
@@ -199,4 +203,4 @@ def test_dead_worker_ends_evaluate_with_an_error():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 5, result.stderr
-    assert "a fold worker process died" in result.stdout
+    assert "a worker process died during the cross-validation folds" in result.stdout

@@ -323,7 +323,7 @@ def test_render_stats_table():
 def test_leakage_guard_names_fold(monkeypatch, small_context, small_dataset):
     from dataclasses import replace
 
-    from pseudolab import pipeline
+    from pseudolab import parallel, pipeline
     from pseudolab.ensemble import make_fold_plan
 
     labeled = small_dataset.labeled_train
@@ -338,7 +338,7 @@ def test_leakage_guard_names_fold(monkeypatch, small_context, small_dataset):
         return pset
 
     monkeypatch.setattr(pipeline, "generate_pseudo_labels", leaky)
-    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     plan = make_fold_plan(len(labeled), n_folds=5, seed=1)
     with pytest.raises(RuntimeError, match="fold 0: pseudo-labels anchored on test-fold ids"):
         pipeline.evaluate_settings(

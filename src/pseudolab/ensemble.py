@@ -279,10 +279,12 @@ def score_features(
 def predict_ensemble_batch(bundle: EnsembleBundle, texts: Sequence[str]) -> np.ndarray:
     """Predict scores for a batch of normalized sentences, one embed_chunks block at a time.
 
-    Memory is bounded by the chunk, not the batch, and the scores are bitwise
-    those of score_features on the whole matrices (see EMBED_CHUNK_ROWS).
-    Each chunk run (see chunk_runs) is scored in its own forked worker, which
-    returns only its scores.
+    Memory is bounded by the chunk, not the batch: beyond its scores, a
+    process holds one chunk's blocks and their n-gram counts. The scores are
+    bitwise those of score_features on the whole matrices (see
+    EMBED_CHUNK_ROWS). Each chunk run (see chunk_runs; more than
+    CHUNK_RUN_ROWS texts make several) is scored in its own forked worker,
+    which returns only its scores.
     """
     texts = list(texts)
     stats = [arch.stats for arch in bundle.archetypes.values()]

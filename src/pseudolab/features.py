@@ -33,11 +33,17 @@ FNV64_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _FNV64_PRIME = np.uint64(FNV64_PRIME)
 
-# Rows featurized at a time, so that peak memory does not grow with the batch.
-# Keep it a multiple of 64, so that a model scored on each chunk gives every
-# row the bits it gets on the whole matrix (the rule of simindex.ROW_BLOCK).
-# Work split over processes is split at multiples of it (see chunk_runs).
-EMBED_CHUNK_ROWS = 256
+# Rows featurized at a time, so that peak memory does not grow with the batch:
+# at 64 rows a chunk's float64 block of a 2,054-wide featurizer, and its
+# n-gram counts, take about 1 MB each. Keep it a multiple of 64, so that a
+# model scored on each chunk gives every row the bits it gets on the whole
+# matrix (the rule of simindex.ROW_BLOCK). Work split over processes is split
+# at multiples of it (see chunk_runs).
+EMBED_CHUNK_ROWS = 64
+# Rows per process in chunk_runs: one run per CHUNK_RUN_ROWS rows begun, so
+# that 256 texts or fewer are embedded in this process, where a fork costs
+# more than it saves.
+CHUNK_RUN_ROWS = 256
 
 
 def fnv1a64(data: bytes) -> int:
@@ -313,13 +319,13 @@ def embed_chunks(
 def chunk_runs(n_rows: int) -> list[tuple[int, int]]:
     """Split n_rows rows into contiguous (start, stop) runs of whole chunks, one per worker.
 
-    There are parallel.worker_count(chunks) runs of near-equal chunk counts,
-    and each starts at a multiple of EMBED_CHUNK_ROWS, so a run embedded or
-    scored on its own meets the chunks, and gives every row the bits, of one
-    pass over all the rows.
+    There are parallel.worker_count(ceil(n_rows / CHUNK_RUN_ROWS)) runs of
+    near-equal chunk counts, and each starts at a multiple of
+    EMBED_CHUNK_ROWS, so a run embedded or scored on its own meets the
+    chunks, and gives every row the bits, of one pass over all the rows.
     """
     chunks = -(-n_rows // EMBED_CHUNK_ROWS)
-    parts = parallel.worker_count(chunks)
+    parts = parallel.worker_count(-(-n_rows // CHUNK_RUN_ROWS))
     bounds = [min(n_rows, EMBED_CHUNK_ROWS * (chunks * p // parts)) for p in range(parts + 1)]
     return list(zip(bounds, bounds[1:]))
 

@@ -54,6 +54,23 @@ def shared_array(shape: tuple[int, ...], dtype: np.typing.DTypeLike) -> np.ndarr
     return np.frombuffer(mmap.mmap(-1, count * dtype.itemsize), dtype, count).reshape(shape)
 
 
+def _release_free_heap() -> None:
+    """Hand the free pages of the C heap back to the OS, so that no forked worker
+    starts with them in its resident set.
+
+    glibc raises its trim threshold as large blocks are freed, so a stage can
+    keep tens of MB of freed heap (24 MB in `evaluate` on the 5k fixture).
+    Where malloc_trim is missing this does nothing.
+    """
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):  # no C library to load, or not glibc
+        return
+    trim(0)
+
+
 def _enter_worker() -> None:
     global _in_worker
     _in_worker = True
@@ -90,6 +107,7 @@ def map_forked(task: Callable[[int], T], n_tasks: int, workers: int, *, work: st
     # a forked worker flushes the stream buffers it inherited when it exits
     sys.stdout.flush()
     sys.stderr.flush()
+    _release_free_heap()
     try:
         with ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"), initializer=_enter_worker

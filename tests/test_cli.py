@@ -937,20 +937,37 @@ def _run_all_stages(directory: Path, dataset, texts: Path) -> dict[str, bytes]:
     return files
 
 
-def test_artifacts_are_byte_identical_on_one_and_two_workers(tmp_path, monkeypatch):
-    """Corpus embedding, the folds and predict in two workers write the bytes of one."""
+def _assert_same_artifacts(tmp_path, apply, values) -> None:
+    """All stages, evaluate and predict of the 600-sentence fixture write the same
+    bytes under apply(value) for each of the values."""
     dataset = fixtures.make_synthetic_dataset(n_corpus=600, n_train=40, n_test=10, seed=6)
     texts = tmp_path / "input.txt"
     texts.write_text("".join(r.text + "\n" for r in dataset.store.records), encoding="utf-8")
-    runs = {}
-    for workers in (1, 2):
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
-        runs[workers] = _run_all_stages(tmp_path / f"workers_{workers}", dataset, texts)
+    runs = []
+    for value in values:
+        apply(value)
+        runs.append(_run_all_stages(tmp_path / f"run_{value}", dataset, texts))
+    first = runs[0]
     for name in (cli.PREDICTIONS, cli.EVAL_JSON, "bundle/manifest.json", "bundle/oof.csv"):
-        assert name in runs[1], name
-    assert len(runs[1][cli.PREDICTIONS].splitlines()) == len(dataset.store.records)
-    assert runs[2].keys() == runs[1].keys()
-    assert [p for p in runs[1] if runs[1][p] != runs[2][p]] == []
+        assert name in first, name
+    assert len(first[cli.PREDICTIONS].splitlines()) == len(dataset.store.records)
+    for other in runs[1:]:
+        assert other.keys() == first.keys()
+        assert [p for p in first if first[p] != other[p]] == []
+
+
+def test_artifacts_are_byte_identical_on_one_and_two_workers(tmp_path, monkeypatch):
+    """Corpus embedding, the folds and predict in two workers write the bytes of one."""
+    _assert_same_artifacts(
+        tmp_path, lambda n: monkeypatch.setattr(parallel, "usable_cpus", lambda: n), (1, 2)
+    )
+
+
+def test_artifacts_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
+    """64- and 256-row chunks write the same bytes."""
+    _assert_same_artifacts(
+        tmp_path, lambda rows: monkeypatch.setattr(features, "EMBED_CHUNK_ROWS", rows), (64, 256)
+    )
 
 
 @pytest.mark.parametrize("dies", [False, True], ids=["raises", "dies"])

@@ -1,20 +1,30 @@
 """Memory guards: no corpus-sized copy in the corpus embedding, the pseudo stage,
-the scan or the index load, and no evaluate that holds the index and the
-archetype matrices at once.
+the scan or the index load, no evaluate that holds the index and the
+archetype matrices at once, scoring that holds no more than a small chunk, and
+no forked worker that starts with freed heap.
 
 numpy reports its array buffers to tracemalloc, so the traced peak of a call
 is what it allocates on top of its inputs, which are made before tracing.
 """
 
+import ctypes
 import json
 import mmap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pseudolab import parallel, pipeline
-from pseudolab.ensemble import Archetype, train_pseudo_stage
+from pseudolab.ensemble import (
+    Archetype,
+    EnsembleBundle,
+    FoldModel,
+    make_fold_plan,
+    predict_ensemble_batch,
+    train_pseudo_stage,
+)
 from pseudolab.features import (
     EMBED_CHUNK_ROWS,
     FeatureConfig,
@@ -77,6 +87,11 @@ def test_forked_embed_corpus_writes_shared_matrices_and_holds_no_chunk(big_datas
     """With two workers the matrices are in shared memory, which tracemalloc
     does not see, and this process embeds no chunk of its own."""
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    # the pool's first import of these is not the embedding's: 0.6 MB under
+    # pytest and 1.6 MB in a bare interpreter, against the 1.05 MB bound below
+    import concurrent.futures.process  # noqa: F401
+    import multiprocessing  # noqa: F401
+
     store = big_dataset.store
     archetypes = _corpus_archetypes(store)
     peak, (matrices, row_of_id) = _traced_peak(lambda: pipeline.embed_corpus(store, archetypes))
@@ -86,9 +101,62 @@ def test_forked_embed_corpus_writes_shared_matrices_and_holds_no_chunk(big_datas
         while isinstance(base, np.ndarray):
             base = base.base
         assert isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap), name
-    # one chunk's float64 block of the wider featurizer (the pool's first
-    # import of concurrent.futures takes about half of it)
+    # one chunk's float64 block of the wider featurizer
     assert peak < EMBED_CHUNK_ROWS * archetypes[0].stats.config.dimension * 8, peak
+
+
+def test_in_process_scoring_holds_a_small_chunk(big_dataset, monkeypatch):
+    """Scoring 1,000 sentences under the three default archetypes and 45 models
+    holds one chunk's blocks and n-gram counts at a time: about 4.9 MB traced
+    with 64-row chunks, against 18.8 MB with 256-row ones."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    texts = [r.text for r in big_dataset.store.records[:1000]]
+    specs = pipeline.DEFAULT_ARCHETYPE_SPECS
+    stats = fit_feature_stats_many(texts, [spec.feature_config() for spec in specs])
+    archetypes = {
+        spec.name: Archetype(spec.name, s, spec.batch_size) for spec, s in zip(specs, stats)
+    }
+    rng = np.random.default_rng(8)
+    fold_models = [
+        FoldModel(name, seed, fold, ScorerModel(
+            weights=rng.normal(scale=0.1, size=arch.stats.config.dimension),
+            intercept=4.0,
+            fingerprint=arch.stats.fingerprint,
+            archetype=name,
+        ))
+        for name, arch in archetypes.items() for seed in (1, 2, 3) for fold in range(5)
+    ]
+    bundle = EnsembleBundle(
+        fold_models=fold_models,
+        plan=make_fold_plan(10, n_folds=5),
+        base_keys=[(name, seed) for name in archetypes for seed in (1, 2, 3)],
+        archetypes=archetypes,
+    )
+    peak, scores = _traced_peak(lambda: predict_ensemble_batch(bundle, texts))
+    assert scores.shape == (1000,)
+    assert peak < 8 * 2**20, peak
+
+
+def _rss_anon_kb() -> int:
+    status = Path("/proc/self/status").read_text()
+    return int(status.split("RssAnon:")[1].split()[0])
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists() or not hasattr(ctypes.CDLL(None), "malloc_trim"),
+    reason="needs /proc and glibc's malloc_trim",
+)
+def test_forked_workers_do_not_inherit_freed_heap(monkeypatch):
+    """Heap that malloc keeps mapped after a free is handed back before the pool
+    forks, so the workers do not start with it in their resident set."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    # 15 MB freed in 32 KB holes between live blocks, so no free() trims it
+    blocks = [b"x" * (32 << 10) for _ in range(960)]
+    del blocks[::2]
+    freed_kb = 480 * 32
+    before = _rss_anon_kb()
+    workers = parallel.map_forked(lambda i: _rss_anon_kb(), 2, 2, work="a test")
+    assert max(workers) < before - freed_kb // 2, (before, workers)
 
 
 def test_archetype_features_are_float32(small_context, small_dataset):

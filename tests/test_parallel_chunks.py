@@ -20,12 +20,19 @@ from pseudolab.ensemble import (
     make_fold_plan,
     predict_ensemble_batch,
 )
-from pseudolab.features import EMBED_CHUNK_ROWS, FeatureConfig, embed_many, fit_feature_stats
+from pseudolab.features import (
+    CHUNK_RUN_ROWS,
+    EMBED_CHUNK_ROWS,
+    FeatureConfig,
+    embed_many,
+    fit_feature_stats,
+)
 from pseudolab.scorer import ScorerModel
 
 ROOT = Path(__file__).resolve().parents[1]
 
-SIZES = [0, 1, 255, 256, 257, 1000]
+CHUNK, RUN = EMBED_CHUNK_ROWS, CHUNK_RUN_ROWS
+SIZES = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, RUN - 1, RUN, RUN + 1, 1000]
 
 
 def _use_workers(monkeypatch, n: int) -> None:
@@ -83,14 +90,37 @@ def _is_shared(array: np.ndarray) -> bool:
 
 
 def test_chunk_runs_split_at_chunk_bounds(monkeypatch):
+    assert RUN == 4 * CHUNK  # the cases below are written for this ratio
     _use_workers(monkeypatch, 3)
     assert features.chunk_runs(0) == [(0, 0)]
-    assert features.chunk_runs(256) == [(0, 256)]
-    assert features.chunk_runs(257) == [(0, 256), (256, 257)]
-    assert features.chunk_runs(1000) == [(0, 256), (256, 512), (512, 1000)]
-    assert features.chunk_runs(7 * 256) == [(0, 512), (512, 1024), (1024, 1792)]
+    assert features.chunk_runs(1) == [(0, 1)]
+    assert features.chunk_runs(RUN) == [(0, RUN)]
+    assert features.chunk_runs(RUN + 1) == [(0, 2 * CHUNK), (2 * CHUNK, RUN + 1)]
+    assert features.chunk_runs(1000) == [
+        (0, 5 * CHUNK), (5 * CHUNK, 10 * CHUNK), (10 * CHUNK, 1000)
+    ]
+    assert features.chunk_runs(7 * RUN) == [
+        (0, 9 * CHUNK), (9 * CHUNK, 18 * CHUNK), (18 * CHUNK, 7 * RUN)
+    ]
+    _use_workers(monkeypatch, 2)
+    assert features.chunk_runs(2 * RUN) == [(0, RUN), (RUN, 2 * RUN)]
     _use_workers(monkeypatch, 1)
     assert features.chunk_runs(1000) == [(0, 1000)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_chunk_runs_open_one_run_per_run_size_begun(monkeypatch, workers):
+    """min(workers, ceil(n / RUN)) runs of whole chunks, covering the rows in order,
+    whose chunk counts differ by at most one."""
+    _use_workers(monkeypatch, workers)
+    for n in range(4 * RUN + 2):
+        runs = features.chunk_runs(n)
+        assert len(runs) == min(workers, max(1, -(-n // RUN))), n
+        assert runs[0][0] == 0 and runs[-1][1] == n, n
+        assert all(stop == start for (_, stop), (start, _) in zip(runs, runs[1:])), n
+        assert all(start % CHUNK == 0 for start, _ in runs), n
+        chunks = [-(-(stop - start) // CHUNK) for start, stop in runs]
+        assert max(chunks) - min(chunks) <= 1, n
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -105,7 +135,8 @@ def test_embed_many_is_bitwise_equal_on_any_worker_count(monkeypatch, texts, arc
             for a, b in zip(serial, forked):
                 assert a.dtype == b.dtype == dtype and a.shape == b.shape, (n, workers)
                 assert a.tobytes() == b.tobytes(), (n, workers)
-                assert _is_shared(b) == (n > EMBED_CHUNK_ROWS), (n, workers)
+                # only more rows than one run fork, into shared matrices
+                assert _is_shared(b) == (n > RUN), (n, workers)
 
 
 @pytest.mark.parametrize("aggregation", ["mean", "stacker"])
@@ -120,6 +151,25 @@ def test_predict_is_bitwise_equal_on_any_worker_count(monkeypatch, texts, archet
             assert predict_ensemble_batch(bundle, texts[:n]).tobytes() == serial.tobytes(), (
                 n, workers,
             )
+
+
+def test_a_run_may_end_inside_a_run_sized_group(monkeypatch, texts, archetypes):
+    """RUN + 1 rows make two runs that meet at a chunk bound inside the first RUN
+    rows, and embed and score to the same bits on 1, 2 and 3 workers."""
+    n = RUN + 1
+    _use_workers(monkeypatch, 2)
+    (_, bound), _ = features.chunk_runs(n)
+    assert bound % CHUNK == 0 and 0 < bound < RUN
+    stats = [a.stats for a in archetypes.values()]
+    bundle = _bundle(archetypes, "stacker")
+    results = {}
+    for workers in (1, 2, 3):
+        _use_workers(monkeypatch, workers)
+        assert len(features.chunk_runs(n)) == min(workers, 2)
+        results[workers] = [m.tobytes() for m in embed_many(texts[:n], stats)] + [
+            predict_ensemble_batch(bundle, texts[:n]).tobytes()
+        ]
+    assert results[2] == results[1] and results[3] == results[1]
 
 
 def test_a_map_inside_a_worker_never_forks(monkeypatch):

@@ -8,12 +8,21 @@ print the same lines and can be compared with `diff`:
     python scripts/artifact_digests.py run_a/out > a.txt
     python scripts/artifact_digests.py run_b/out > b.txt
     diff a.txt b.txt
+
+With --portable the lines also leave out what records where the run's files
+lie, so runs of the same inputs in different directories compare equal:
+`config_snapshot.json` is not listed, and each stage record of `manifest.json`
+drops its `config_digest` (the snapshot's digest) and the inputs that are not
+artifacts of the run (the corpus files and labeled sets, keyed by their paths).
 """
 
 import argparse
 import hashlib
 import json
 from pathlib import Path
+
+# the one artifact that holds the run's paths
+CONFIG_SNAPSHOT = "config_snapshot.json"
 
 
 def _without_timings(value):
@@ -24,12 +33,31 @@ def _without_timings(value):
     return value
 
 
-def file_digest(output_dir: Path, relative: str) -> str:
+def _without_paths(manifest: dict) -> dict:
+    stages = manifest["stages"].values()
+    artifacts = {name for info in stages for name in info["outputs"]}
+    for info in stages:
+        info.pop("config_digest", None)
+        info["inputs"] = {k: v for k, v in info["inputs"].items() if k in artifacts}
+    return manifest
+
+
+def file_digest(output_dir: Path, relative: str, portable: bool = False) -> str:
     data = (output_dir / relative).read_bytes()
     if relative == "manifest.json":
         manifest = _without_timings(json.loads(data))
+        if portable:
+            manifest = _without_paths(manifest)
         data = json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8")
     return hashlib.sha256(data).hexdigest()
+
+
+def digest_lines(output_dir: Path, portable: bool = False) -> list[str]:
+    """The `sha256  relative/path` line of every file under output_dir, sorted by path."""
+    paths = sorted(p.relative_to(output_dir).as_posix() for p in output_dir.rglob("*") if p.is_file())
+    if portable:
+        paths.remove(CONFIG_SNAPSHOT)
+    return [f"{file_digest(output_dir, relative, portable)}  {relative}" for relative in paths]
 
 
 def main() -> None:
@@ -37,12 +65,12 @@ def main() -> None:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("output_dir", type=Path, help="the run's output directory")
-    args = parser.parse_args()
-    paths = sorted(
-        p.relative_to(args.output_dir).as_posix() for p in args.output_dir.rglob("*") if p.is_file()
+    parser.add_argument(
+        "--portable", action="store_true", help="leave out what records the run's paths"
     )
-    for relative in paths:
-        print(f"{file_digest(args.output_dir, relative)}  {relative}")
+    args = parser.parse_args()
+    for line in digest_lines(args.output_dir, args.portable):
+        print(line)
 
 
 if __name__ == "__main__":

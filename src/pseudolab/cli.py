@@ -335,7 +335,7 @@ def cmd_train_ensemble(config: RunConfig, force: bool) -> None:
     pset = stage.read(PSEUDO_LABELS, "pseudolabel", load_pseudo_labels)
     labeled = stage.labeled_train()
     plan = _fold_plan(config, labeled, nested=False)
-    ctx.corpus_features, ctx.row_of_id = embed_corpus(ctx.store, ctx.archetypes)
+    ctx.corpus_features = embed_corpus(ctx.store, ctx.archetypes)
     models9 = train_stage_models(ctx, pset, config, "train-ensemble")
     _log(f"[train-ensemble] pseudo stage: {len(models9)} models")
     bundle = fine_tune_ensemble(
@@ -362,7 +362,7 @@ def cmd_evaluate(config: RunConfig, force: bool) -> None:
         ctx.index = stage.read(INDEX, "index", load_index)
         pseudo_sets = fold_pseudo_labels(ctx, labeled, plan, config)
         ctx.index = None
-        ctx.corpus_features, ctx.row_of_id = embed_corpus(ctx.store, ctx.archetypes)
+        ctx.corpus_features = embed_corpus(ctx.store, ctx.archetypes)
     reports = evaluate_settings(
         ctx, labeled, [config.setting], plan, config, pseudo_sets=pseudo_sets
     )

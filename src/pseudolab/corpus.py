@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 PLAIN_LINES = "plain-lines"
 JSONL = "jsonl"
 FORMATS = (PLAIN_LINES, JSONL)
@@ -87,8 +89,23 @@ class CorpusStore:
     def __len__(self) -> int:
         return len(self.records)
 
-    def by_id(self) -> dict[int, SentenceRecord]:
-        return {r.id: r for r in self.records}
+    def ids(self) -> np.ndarray:
+        return np.fromiter((r.id for r in self.records), np.int64, len(self.records))
+
+
+def rows_of(ids: np.ndarray, wanted: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The row in `ids` of each id in `wanted`; either may be in any order.
+
+    Raises ValueError naming the first wanted id that `ids` lacks.
+    """
+    wanted = np.asarray(wanted, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    pos = np.searchsorted(ids, wanted, sorter=order)
+    found = pos < len(ids)
+    found[found] = ids[order[pos[found]]] == wanted[found]
+    if not found.all():
+        raise ValueError(f"id {wanted[~found][0]} not found")
+    return order[pos]
 
 
 def ingest_corpus(

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import parallel
-from .corpus import CorpusStore, LabeledSentence
+from .corpus import CorpusStore, LabeledSentence, rows_of
 from .ensemble import (
     Archetype,
     EnsembleBundle,
@@ -110,24 +110,20 @@ class PipelineContext:
     """Fold-independent state: store, featurizers, index, corpus features.
 
     The index's float32 vectors are the one retrieval matrix. `corpus_features`
-    holds each archetype's float32 corpus matrix; `row_of_id` maps a corpus id
-    to its row. A CLI stage builds only the parts it reads and leaves `index`,
-    or the features, empty; `evaluate` drops the index before it embeds the
-    features.
+    holds each archetype's float32 corpus matrix, rows in store order. A CLI
+    stage builds only the parts it reads and leaves `index`, or the features,
+    empty; `evaluate` drops the index before it embeds the features.
     """
 
-    store: CorpusStore | None
+    store: CorpusStore
     retrieval_stats: FeatureStats
     archetypes: list[Archetype]
     index: VectorIndex | None = None
     corpus_features: dict[str, np.ndarray] = field(default_factory=dict)
-    row_of_id: dict[int, int] = field(default_factory=dict)
 
 
-def embed_corpus(
-    store: CorpusStore, archetypes: Sequence[Archetype]
-) -> tuple[dict[str, np.ndarray], dict[int, int]]:
-    """Each archetype's float32 corpus matrix, rows in store order, and the row of each id.
+def embed_corpus(store: CorpusStore, archetypes: Sequence[Archetype]) -> dict[str, np.ndarray]:
+    """Each archetype's float32 corpus matrix, rows in store order.
 
     The corpus is embedded once per distinct featurizer, so archetypes with
     equal featurizer configs share one matrix.
@@ -135,8 +131,7 @@ def embed_corpus(
     texts = [r.text for r in store.records]
     distinct = {arch.stats.fingerprint: arch.stats for arch in archetypes}
     matrices = dict(zip(distinct, embed_many(texts, list(distinct.values()), dtype=np.float32)))
-    corpus_features = {arch.name: matrices[arch.stats.fingerprint] for arch in archetypes}
-    return corpus_features, {r.id: row for row, r in enumerate(store.records)}
+    return {arch.name: matrices[arch.stats.fingerprint] for arch in archetypes}
 
 
 def build_context(
@@ -159,14 +154,12 @@ def build_context(
         ),
         fingerprint=retrieval_stats.fingerprint,
     )
-    corpus_features, row_of_id = embed_corpus(store, archetypes)
     return PipelineContext(
         store=store,
         retrieval_stats=retrieval_stats,
         archetypes=archetypes,
         index=index,
-        corpus_features=corpus_features,
-        row_of_id=row_of_id,
+        corpus_features=embed_corpus(store, archetypes),
     )
 
 
@@ -186,10 +179,9 @@ def train_gate_model(
     )
 
 
-def corpus_score_map(ctx: PipelineContext, gate: ScorerModel) -> dict[int, float]:
-    """The gate's score of every corpus sentence, by id, on the index vectors."""
-    scores = map_row_blocks(lambda block: predict(gate, block), ctx.index.vectors)
-    return dict(zip(ctx.index.ids.tolist(), scores.tolist()))
+def corpus_score_map(index: VectorIndex, gate: ScorerModel) -> np.ndarray:
+    """The gate's score of every corpus sentence, by index row, on the index vectors."""
+    return map_row_blocks(lambda block: predict(gate, block), index.vectors)
 
 
 def generate_for_anchors(
@@ -204,7 +196,7 @@ def generate_for_anchors(
         anchors, ctx.index, ctx.store, ctx.retrieval_stats, k=cfg.k, exclude_texts=exclude_texts
     )
     return generate_pseudo_labels(
-        anchors, candidates, ctx.store, gate, precomputed_scores=corpus_score_map(ctx, gate)
+        anchors, candidates, ctx.store, gate, corpus_scores=corpus_score_map(ctx.index, gate)
     )
 
 
@@ -233,7 +225,7 @@ def fold_pseudo_labels(
         gate = train_gate_model(ctx.retrieval_stats, fold_train, cfg)
         pset = generate_pseudo_labels(
             fold_train, candidates, ctx.store, gate,
-            precomputed_scores=corpus_score_map(ctx, gate),
+            corpus_scores=corpus_score_map(ctx.index, gate),
         )
         test_ids = {labeled[i].id for i in plan.fold_indices(f)}
         leaked = sorted({lab.anchor_id for lab in pset.labels} & test_ids)
@@ -277,9 +269,7 @@ def train_stage_models(
             ctx.archetypes,
             cfg.seeds,
             cfg.hyper_pseudo,
-            rows=np.array(
-                [ctx.row_of_id[lab.sentence_id] for lab in pset.labels], dtype=np.int64
-            ),
+            rows=rows_of(ctx.store.ids(), [lab.sentence_id for lab in pset.labels]),
         )
 
 

@@ -6,11 +6,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import CorpusStore, LabeledSentence
+from .corpus import CorpusStore, LabeledSentence, rows_of
 from .features import FeatureStats, embed_many
 from .metrics import render_table
 from .scorer import ScorerModel
@@ -90,14 +90,13 @@ def retrieve_candidates(
     if exclude_texts:
         excluded_ids = {r.id for r in store.records if r.text in exclude_texts}
     queries = embed_many([a.text for a in anchors], [feature_stats])[0]
-    hits = top_k_many(index, queries, k, exclude=excluded_ids)
-    order = np.argsort(index.ids)
+    hit_ids = [ids for ids, _ in top_k_many(index, queries, k, exclude=excluded_ids)]
+    # every anchor's hits in one lookup, split back per anchor
+    rows = rows_of(index.ids, np.concatenate(hit_ids))
+    rows = np.split(rows, np.cumsum([len(ids) for ids in hit_ids])[:-1])
     return Candidates(
         corpus_ids=index.ids,
-        hits={
-            a.id: order[np.searchsorted(index.ids, hit_ids, sorter=order)]
-            for a, (hit_ids, _) in zip(anchors, hits)
-        },
+        hits=dict(zip([a.id for a in anchors], rows)),
         k=k,
         exclude_labeled=bool(exclude_texts),
         fingerprint=feature_stats.fingerprint,
@@ -110,27 +109,26 @@ def generate_pseudo_labels(
     store: CorpusStore,
     baseline: ScorerModel,
     *,
-    precomputed_scores: Mapping[int, float],
+    corpus_scores: np.ndarray,
 ) -> PseudoLabelSet:
     """Admit the filtered pseudo-label set from the anchors' retrieved candidates.
 
     Anchors are processed in ascending id order; a candidate admitted by an
     earlier anchor is skipped by later anchors. A candidate is admitted when
-    its clamped baseline prediction (precomputed_scores, by corpus id)
-    deviates from the anchor's mean opinion score by at most the anchor's
-    rating standard deviation. Every anchor must be in `candidates`, and every
-    corpus id in `precomputed_scores`.
+    its clamped baseline prediction (`corpus_scores`, by row of
+    `candidates.corpus_ids`) deviates from the anchor's mean opinion score by
+    at most the anchor's rating standard deviation. Every anchor must be in
+    `candidates`, and every corpus id in `store`.
     """
     if not anchors:
         raise ValueError("anchors must be non-empty")
     if baseline.fingerprint and baseline.fingerprint != candidates.fingerprint:
         raise ValueError("candidates fingerprint does not match baseline model fingerprint")
-
-    by_id = store.by_id()
     ids = candidates.corpus_ids
-    corpus_scores = np.fromiter(
-        map(precomputed_scores.__getitem__, ids.tolist()), np.float64, len(ids)
-    )
+    if len(corpus_scores) != len(ids):
+        raise ValueError(f"{len(corpus_scores)} corpus scores for the {len(ids)} candidate rows")
+
+    store_rows = rows_of(store.ids(), ids)
     taken = np.zeros(len(ids), dtype=bool)
     labels: list[PseudoLabel] = []
     for anchor in sorted(anchors, key=lambda a: a.id):
@@ -138,19 +136,12 @@ def generate_pseudo_labels(
         within = np.abs(corpus_scores[rows] - anchor.mos) <= anchor.rating_std
         rows = rows[within & ~taken[rows]]
         taken[rows] = True
-        for cid, score in zip(ids[rows].tolist(), corpus_scores[rows].tolist()):
-            rec = by_id[cid]
-            labels.append(
-                PseudoLabel(
-                    sentence_id=cid,
-                    text=rec.text,
-                    source=rec.source,
-                    predicted_score=score,
-                    anchor_id=anchor.id,
-                    anchor_mos=anchor.mos,
-                    anchor_std=anchor.rating_std,
-                )
-            )
+        for row, score in zip(store_rows[rows].tolist(), corpus_scores[rows].tolist()):
+            rec = store.records[row]
+            labels.append(PseudoLabel(
+                sentence_id=rec.id, text=rec.text, source=rec.source, predicted_score=score,
+                anchor_id=anchor.id, anchor_mos=anchor.mos, anchor_std=anchor.rating_std,
+            ))
     config = {
         "k": candidates.k,
         "exclude_labeled": candidates.exclude_labeled,

@@ -153,7 +153,8 @@ def test_criterion_04_pseudo_label_soundness(acceptance, big_dataset, big_contex
     cfg = PipelineConfig(k=500)
     anchors = big_dataset.labeled_train[:25]
     gate = pipeline.train_gate_model(ctx.retrieval_stats, anchors, cfg)
-    scores = pipeline.corpus_score_map(ctx, gate)
+    scores = pipeline.corpus_score_map(ctx.index, gate)
+    score_of = dict(zip(ctx.index.ids.tolist(), scores.tolist()))
     exclude = {s.text for s in big_dataset.labeled_train} | {
         s.text for s in big_dataset.labeled_test
     }
@@ -161,7 +162,7 @@ def test_criterion_04_pseudo_label_soundness(acceptance, big_dataset, big_contex
         anchors, ctx.index, ctx.store, ctx.retrieval_stats, k=cfg.k, exclude_texts=exclude
     )
     pset = generate_pseudo_labels(
-        anchors, candidates, ctx.store, gate, precomputed_scores=scores
+        anchors, candidates, ctx.store, gate, corpus_scores=scores
     )
 
     # independent replay: same retrieval, scoring, and first-anchor-wins walk
@@ -175,7 +176,7 @@ def test_criterion_04_pseudo_label_soundness(acceptance, big_dataset, big_contex
             draws += 1
             if hit.id in seen:
                 continue
-            if abs(scores[hit.id] - anchor.mos) <= anchor.rating_std:
+            if abs(score_of[hit.id] - anchor.mos) <= anchor.rating_std:
                 expected.append((hit.id, anchor.id))
                 seen.add(hit.id)
     assert draws >= 10_000, draws
@@ -191,7 +192,7 @@ def test_criterion_04_pseudo_label_soundness(acceptance, big_dataset, big_contex
         for a in anchors
     ]
     strict_set = generate_pseudo_labels(
-        strict, candidates, ctx.store, gate, precomputed_scores=scores
+        strict, candidates, ctx.store, gate, corpus_scores=scores
     )
     assert all(l.predicted_score == l.anchor_mos for l in strict_set.labels)
     acceptance(

@@ -788,7 +788,7 @@ class TestFeaturizeStreams:
         for name, matrix in expected.corpus_features.items():
             assert ctx.corpus_features[name].tobytes() == matrix.tobytes(), name
         assert ctx.corpus_features["d"] is ctx.corpus_features["a"]
-        assert ctx.row_of_id == expected.row_of_id
+        assert ctx.store.records == expected.store.records
 
     def test_failure_mid_stream_leaves_no_partial_output(self, ingested, monkeypatch):
         out, config_path = ingested

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from pseudolab.corpus import (
     load_labeled,
     load_store,
     normalize_sentence,
+    rows_of,
     save_store,
 )
 
@@ -219,3 +221,35 @@ def test_store_roundtrip(tmp_path):
     save_store(store, path)
     loaded = load_store(path)
     assert loaded.records == store.records
+
+
+class TestRowsOf:
+    def test_ids_in_any_order(self):
+        rng = np.random.default_rng(3)
+        ids = rng.permutation(np.arange(0, 3000, 3))  # shuffled, not contiguous
+        wanted = rng.choice(ids, size=400)  # in any order, with repeats
+        rows = rows_of(ids, wanted)
+        assert np.array_equal(ids[rows], wanted)
+        assert np.array_equal(rows_of(ids, ids), np.arange(len(ids)))
+        assert rows_of(ids, wanted.tolist()).tolist() == rows.tolist()
+
+    def test_empty_wanted(self):
+        rows = rows_of(np.array([7, 3, 5]), [])
+        assert rows.shape == (0,) and rows.dtype.kind == "i"
+        assert rows_of(np.array([], dtype=np.int64), []).shape == (0,)
+
+    def test_unknown_id_is_named(self):
+        ids = np.array([40, 10, 30, 20])
+        with pytest.raises(ValueError, match=r"^id 25 not found$"):
+            rows_of(ids, [30, 25, 99, 10])
+        with pytest.raises(ValueError, match=r"^id 41 "):  # past the largest id
+            rows_of(ids, [41])
+        with pytest.raises(ValueError, match=r"^id 0 not found$"):
+            rows_of(np.array([], dtype=np.int64), [0])
+
+    def test_store_ids_are_in_store_order(self):
+        store = CorpusStore(records=[
+            SentenceRecord(id=i, text=f"satz {i}", source="wiki", char_len=7) for i in (9, 2, 5)
+        ])
+        assert store.ids().tolist() == [9, 2, 5]
+        assert rows_of(store.ids(), [5, 9]).tolist() == [2, 0]

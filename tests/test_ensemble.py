@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pseudolab.corpus import LabeledSentence
+from pseudolab.corpus import LabeledSentence, rows_of
 from pseudolab.ensemble import (
     Archetype,
     EnsembleBundle,
@@ -127,8 +127,8 @@ def test_fixture_pseudo_stage_in_place_matches_gathered_rows(
     anchors = small_dataset.labeled_train
     gate = pipeline.train_gate_model(ctx.retrieval_stats, anchors, cfg)
     pset = pipeline.generate_for_anchors(ctx, anchors, gate, cfg, {a.text for a in anchors})
-    rows = [ctx.row_of_id[lab.sentence_id] for lab in pset.labels]
-    assert 0 < len(rows) < len(ctx.row_of_id)
+    rows = rows_of(ctx.store.ids(), [lab.sentence_id for lab in pset.labels])
+    assert 0 < len(rows) < len(ctx.store)
     gathered = train_pseudo_stage(
         {name: matrix[rows] for name, matrix in ctx.corpus_features.items()},
         [lab.predicted_score for lab in pset.labels],

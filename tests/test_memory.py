@@ -61,10 +61,10 @@ def _corpus_archetypes(store):
     return [Archetype("a", wide), Archetype("b", narrow), Archetype("d", wide)]
 
 
-def _check_corpus_matrices(store, archetypes, matrices, row_of_id) -> int:
+def _check_corpus_matrices(store, archetypes, matrices) -> int:
     """Check embed_corpus's result; the bytes of its distinct matrices."""
     assert matrices["d"] is matrices["a"]
-    assert len(row_of_id) == matrices["b"].shape[0] == len(store.records)
+    assert matrices["b"].shape[0] == len(store.records)
     outputs = matrices["a"].nbytes + matrices["b"].nbytes
     # float32: N x (sum of the distinct dimensions) x 4 bytes
     dims = archetypes[0].stats.config.dimension + archetypes[1].stats.config.dimension
@@ -78,8 +78,8 @@ def test_embed_corpus_holds_only_its_output_matrices(big_dataset, monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     store = big_dataset.store
     archetypes = _corpus_archetypes(store)
-    peak, (matrices, row_of_id) = _traced_peak(lambda: pipeline.embed_corpus(store, archetypes))
-    outputs = _check_corpus_matrices(store, archetypes, matrices, row_of_id)
+    peak, matrices = _traced_peak(lambda: pipeline.embed_corpus(store, archetypes))
+    outputs = _check_corpus_matrices(store, archetypes, matrices)
     assert peak - outputs < matrices["b"].nbytes / 2, (peak, outputs)
 
 
@@ -94,8 +94,8 @@ def test_forked_embed_corpus_writes_shared_matrices_and_holds_no_chunk(big_datas
 
     store = big_dataset.store
     archetypes = _corpus_archetypes(store)
-    peak, (matrices, row_of_id) = _traced_peak(lambda: pipeline.embed_corpus(store, archetypes))
-    _check_corpus_matrices(store, archetypes, matrices, row_of_id)
+    peak, matrices = _traced_peak(lambda: pipeline.embed_corpus(store, archetypes))
+    _check_corpus_matrices(store, archetypes, matrices)
     for name in ("a", "b"):
         base = matrices[name]
         while isinstance(base, np.ndarray):
@@ -199,12 +199,8 @@ def test_top_k_many_makes_no_float64_copy_of_the_index(index):
 
 def test_corpus_score_map_makes_no_float64_copy_of_the_index(index):
     rng = np.random.default_rng(7)
-    ctx = pipeline.PipelineContext(
-        store=None, retrieval_stats=None, archetypes=[], index=index,
-        corpus_features={}, row_of_id={},
-    )
     gate = ScorerModel(weights=rng.normal(size=D) * 0.01, intercept=4.0, fingerprint="fp")
-    peak, scores = _traced_peak(lambda: pipeline.corpus_score_map(ctx, gate))
+    peak, scores = _traced_peak(lambda: pipeline.corpus_score_map(index, gate))
     assert len(scores) == N
     assert peak < N * D * 8, peak
 

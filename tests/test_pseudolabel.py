@@ -26,7 +26,7 @@ def _store(texts, sources=None):
 
 
 def _setup(texts, scores, sources=None):
-    """Index + store + dummy model whose scores come in via precomputed_scores."""
+    """Index + store + dummy model whose scores come in via corpus_scores, by index row."""
     store = _store(texts, sources)
     config = FeatureConfig(hashed_dim=64)
     stats = fit_feature_stats(texts, config)
@@ -39,14 +39,14 @@ def _setup(texts, scores, sources=None):
     model = ScorerModel(
         weights=np.zeros(64 + 6), intercept=4.0, fingerprint=stats.fingerprint
     )
-    return store, index, model, stats, dict(enumerate(scores))
+    return store, index, model, stats, np.array(scores)
 
 
-def _generate(anchors, index, store, model, stats, k, exclude_texts=None, *, precomputed_scores):
+def _generate(anchors, index, store, model, stats, k, exclude_texts=None, *, corpus_scores):
     """Retrieve the anchors' candidates, then admit them."""
     candidates = retrieve_candidates(anchors, index, store, stats, k=k, exclude_texts=exclude_texts)
     return generate_pseudo_labels(
-        anchors, candidates, store, model, precomputed_scores=precomputed_scores
+        anchors, candidates, store, model, corpus_scores=corpus_scores
     )
 
 
@@ -57,7 +57,7 @@ class TestAdmission:
         store, index, model, stats, scores = _setup(self.TEXTS, [3.4, 3.6, 3.0])
         anchors = [LabeledSentence(id=100, text="ein satz", mos=3.0, rating_std=0.5)]
         pset = _generate(
-            anchors, index, store, model, stats, k=10, precomputed_scores=scores
+            anchors, index, store, model, stats, k=10, corpus_scores=scores
         )
         got = {l.sentence_id for l in pset.labels}
         assert got == {0, 2}  # |3.4-3.0|<=0.5 and |3.0-3.0|<=0.5; 3.6 is out
@@ -66,7 +66,7 @@ class TestAdmission:
         store, index, model, stats, scores = _setup(self.TEXTS, [3.5, 2.5, 3.51])
         anchors = [LabeledSentence(id=100, text="satz", mos=3.0, rating_std=0.5)]
         pset = _generate(
-            anchors, index, store, model, stats, k=10, precomputed_scores=scores
+            anchors, index, store, model, stats, k=10, corpus_scores=scores
         )
         assert {l.sentence_id for l in pset.labels} == {0, 1}
 
@@ -74,7 +74,7 @@ class TestAdmission:
         store, index, model, stats, scores = _setup(self.TEXTS, [3.0, 3.0000001, 2.5])
         anchors = [LabeledSentence(id=100, text="satz", mos=3.0, rating_std=0.0)]
         pset = _generate(
-            anchors, index, store, model, stats, k=10, precomputed_scores=scores
+            anchors, index, store, model, stats, k=10, corpus_scores=scores
         )
         assert {l.sentence_id for l in pset.labels} == {0}
 
@@ -85,7 +85,7 @@ class TestAdmission:
             LabeledSentence(id=100, text="satz a", mos=3.0, rating_std=1.0),
         ]
         pset = _generate(
-            anchors, index, store, model, stats, k=10, precomputed_scores=scores
+            anchors, index, store, model, stats, k=10, corpus_scores=scores
         )
         # anchors processed in ascending id order, and each sentence is used once
         assert len(pset.labels) == 3
@@ -95,7 +95,7 @@ class TestAdmission:
         store, index, model, stats, scores = _setup(self.TEXTS, [3.2, 9.0, 9.0])
         anchors = [LabeledSentence(id=7, text="satz", mos=3.0, rating_std=0.4)]
         pset = _generate(
-            anchors, index, store, model, stats, k=10, precomputed_scores=scores
+            anchors, index, store, model, stats, k=10, corpus_scores=scores
         )
         (lab,) = pset.labels
         assert (lab.anchor_id, lab.anchor_mos, lab.anchor_std) == (7, 3.0, 0.4)
@@ -113,7 +113,7 @@ class TestAdmission:
             stats,
             k=10,
             exclude_texts={self.TEXTS[1]},
-            precomputed_scores=scores,
+            corpus_scores=scores,
         )
         assert {l.sentence_id for l in pset.labels} == {0, 2}
 
@@ -131,17 +131,18 @@ def test_index_row_order_does_not_matter():
 
     rows = [(r.id, embed(r.text, stats)) for r in store.records]
     model = ScorerModel(weights=np.zeros(64 + 6), intercept=4.0, fingerprint=stats.fingerprint)
-    scores = {r.id: 3.0 + 0.1 * (i % 5) for i, r in enumerate(store.records)}
+    score_of = {r.id: 3.0 + 0.1 * (i % 5) for i, r in enumerate(store.records)}
     anchors = [
         LabeledSentence(id=2, text="satz nummer mit text", mos=3.2, rating_std=0.15),
         LabeledSentence(id=1, text="nummer 3 mit etwas", mos=3.0, rating_std=0.1),
     ]
+    indexes = [build_index(order, fingerprint=stats.fingerprint) for order in (rows, rows[::-1])]
     sets = [
         _generate(
-            anchors, build_index(order, fingerprint=stats.fingerprint), store, model, stats,
-            k=6, precomputed_scores=scores,
+            anchors, index, store, model, stats,
+            k=6, corpus_scores=np.array([score_of[i] for i in index.ids.tolist()]),
         )
-        for order in (rows, rows[::-1])
+        for index in indexes
     ]
     assert sets[0].labels
     assert sets[1].labels == sets[0].labels
@@ -153,19 +154,19 @@ class TestErrors:
         anchors = [LabeledSentence(id=1, text="x", mos=3.0, rating_std=0.5)]
         with pytest.raises(ValueError, match="k"):
             _generate(
-                anchors, index, store, model, stats, k=0, precomputed_scores=scores
+                anchors, index, store, model, stats, k=0, corpus_scores=scores
             )
 
     def test_empty_anchors(self):
         store, index, model, stats, scores = _setup(["ein satz"], [3.0])
         with pytest.raises(ValueError, match="anchors"):
             _generate(
-                [], index, store, model, stats, k=5, precomputed_scores=scores
+                [], index, store, model, stats, k=5, corpus_scores=scores
             )
         anchors = [LabeledSentence(id=1, text="x", mos=3.0, rating_std=0.5)]
         candidates = retrieve_candidates(anchors, index, store, stats, k=5)
         with pytest.raises(ValueError, match="anchors"):
-            generate_pseudo_labels([], candidates, store, model, precomputed_scores=scores)
+            generate_pseudo_labels([], candidates, store, model, corpus_scores=scores)
 
     def test_index_of_other_featurizer(self):
         store, index, model, stats, scores = _setup(["ein satz"], [3.0])
@@ -173,6 +174,23 @@ class TestErrors:
         anchors = [LabeledSentence(id=1, text="x", mos=3.0, rating_std=0.5)]
         with pytest.raises(ValueError, match="fingerprint"):
             retrieve_candidates(anchors, index, store, other, k=5)
+
+    def test_corpus_scores_of_another_length(self):
+        store, index, model, stats, scores = _setup(["ein satz", "zwei saetze"], [3.0, 3.0])
+        anchors = [LabeledSentence(id=1, text="satz", mos=3.0, rating_std=0.5)]
+        with pytest.raises(ValueError, match="3 corpus scores for the 2 candidate rows"):
+            _generate(
+                anchors, index, store, model, stats, k=5, corpus_scores=np.append(scores, 3.0)
+            )
+
+    def test_index_id_missing_from_store(self):
+        store, index, model, stats, scores = _setup(["ein satz", "zwei saetze"], [3.0, 3.0])
+        anchors = [LabeledSentence(id=1, text="satz", mos=3.0, rating_std=0.5)]
+        candidates = retrieve_candidates(anchors, index, store, stats, k=5)
+        with pytest.raises(ValueError, match="^id 1 not found$"):
+            generate_pseudo_labels(
+                anchors, candidates, CorpusStore(store.records[:1]), model, corpus_scores=scores
+            )
 
     def test_fingerprint_mismatch(self):
         store, index, model, stats, scores = _setup(["ein satz"], [3.0])
@@ -182,7 +200,7 @@ class TestErrors:
         anchors = [LabeledSentence(id=1, text="x", mos=3.0, rating_std=0.5)]
         with pytest.raises(ValueError, match="fingerprint"):
             _generate(
-                anchors, index, store, bad, stats, k=5, precomputed_scores=scores
+                anchors, index, store, bad, stats, k=5, corpus_scores=scores
             )
 
 
@@ -193,7 +211,7 @@ def generated(small_context, small_dataset):
     ctx = small_context
     anchors = small_dataset.labeled_train
     baseline = pipeline.train_gate_model(ctx.retrieval_stats, anchors, pipeline.PipelineConfig())
-    scores = pipeline.corpus_score_map(ctx, baseline)
+    scores = pipeline.corpus_score_map(ctx.index, baseline)
     exclude = {a.text for a in anchors} | {a.text for a in small_dataset.labeled_test}
     pset = _generate(
         anchors,
@@ -203,7 +221,7 @@ def generated(small_context, small_dataset):
         ctx.retrieval_stats,
         k=25,
         exclude_texts=exclude,
-        precomputed_scores=scores,
+        corpus_scores=scores,
     )
     return pset, anchors, exclude, scores
 
@@ -222,21 +240,22 @@ def test_corpus_score_map_equals_whole_matrix_predict(
         ctx.retrieval_stats, small_dataset.labeled_train, pipeline.PipelineConfig()
     )
     monkeypatch.setattr(simindex, "ROW_BLOCK", row_block)
-    scores = pipeline.corpus_score_map(ctx, gate)
+    scores = pipeline.corpus_score_map(ctx.index, gate)
     whole = predict(gate, ctx.index.vectors.astype(np.float64))
     assert ctx.index.count % 64 != 0
-    assert list(scores) == ctx.index.ids.tolist()
-    assert np.array_equal(np.array(list(scores.values())), whole)
+    assert scores.dtype == whole.dtype and scores.shape == (ctx.index.count,)
+    assert np.array_equal(scores, whole)
 
 
 class TestRandomizedProperties:
-    def test_soundness(self, generated):
+    def test_soundness(self, generated, small_context):
         pset, _, _, scores = generated
+        score_of = dict(zip(small_context.index.ids.tolist(), scores.tolist()))
         assert len(pset.labels) > 0
         for lab in pset.labels:
             assert abs(lab.predicted_score - lab.anchor_mos) <= lab.anchor_std
             assert 1.0 <= lab.predicted_score <= 7.0
-            assert lab.predicted_score == scores[lab.sentence_id]
+            assert lab.predicted_score == score_of[lab.sentence_id]
 
     def test_uniqueness(self, generated):
         pset, _, _, _ = generated
@@ -267,7 +286,7 @@ class TestRandomizedProperties:
             small_context.retrieval_stats,
             k=25,
             exclude_texts=exclude,
-            precomputed_scores=scores,
+            corpus_scores=scores,
         )
         assert again.labels == pset.labels
 
@@ -299,7 +318,7 @@ def test_roundtrip(tmp_path):
     )
     anchors = [LabeledSentence(id=1, text="satz", mos=3.0, rating_std=0.3)]
     pset = _generate(
-        anchors, index, store, model, stats, k=10, precomputed_scores=scores
+        anchors, index, store, model, stats, k=10, corpus_scores=scores
     )
     path = tmp_path / "pseudo.jsonl"
     save_pseudo_labels(pset, path)

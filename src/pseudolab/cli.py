@@ -31,7 +31,7 @@ from .artifacts import (
     sha256_file,
 )
 from .config import ConfigError, RunConfig, load_config
-from .corpus import CorpusStore, InputFileError, LabeledSentence, deduplicate, ingest_corpus, load_labeled, load_store, normalize_sentence, open_text, save_store
+from .corpus import CorpusStore, InputFileError, LabeledSentence, deduplicate, ingest_corpus, load_labeled, load_store, normalize_sentence, open_text, rows_of, save_store
 from .ensemble import FoldPlan, make_fold_plan, save_bundle
 from .features import embed_chunks, fit_feature_stats_many, load_feature_stats
 from .metrics import render_report_table
@@ -125,8 +125,11 @@ class _Stage:
             try:
                 self.manifest = json.loads(path.read_text(encoding="utf-8"))
                 records = self.manifest["stages"].values()
-                if not all(isinstance(info["outputs"], dict) for info in records):
-                    raise TypeError("a stage record has no outputs")
+                if not all(
+                    isinstance(info["inputs"], dict) and isinstance(info["outputs"], dict)
+                    for info in records
+                ):
+                    raise TypeError("a stage record has no inputs or outputs")
             except (ValueError, TypeError, KeyError, AttributeError) as exc:
                 raise StaleArtifactError(
                     f"{MANIFEST!r} in {self.outdir} is corrupt ({exc!r}); "
@@ -137,35 +140,47 @@ class _Stage:
         self.outputs: dict[str, str] = {}
         self.started = time.monotonic()
 
+    def _producer(self, artifact: str) -> dict | None:
+        """The manifest's record of the stage run that wrote `artifact`."""
+        return next(
+            (info for info in self.manifest["stages"].values() if artifact in info["outputs"]),
+            None,
+        )
+
     def read(self, artifact: str, producing_stage: str, load):
         """Check an upstream artifact is fresh, record its digest, and return `load(path)`.
 
         The artifact must exist and, unless --force, be recorded in the manifest
-        with the digest it has now. A truncated or malformed artifact is raised
-        as StaleArtifactError, so a corrupt file read under --force is named,
-        not a traceback.
+        with the digest it has now, and be made from the artifacts the manifest
+        records now. A truncated or malformed artifact is raised as
+        StaleArtifactError, so a corrupt file read under --force is named, not
+        a traceback.
         """
         path = self.outdir / artifact
         if not path.exists():
             raise StaleArtifactError(
                 f"missing artifact {artifact!r}; run the {producing_stage!r} stage first"
             )
-        recorded = next(
-            (info["outputs"][artifact] for info in self.manifest["stages"].values()
-             if artifact in info["outputs"]),
-            None,
-        )
-        if recorded is None and not self.force:
+        producer = self._producer(artifact)
+        if producer is None and not self.force:
             raise StaleArtifactError(
                 f"artifact {artifact!r} is not recorded in the manifest; "
                 f"re-run the {producing_stage!r} stage (or pass --force)"
             )
         digest = artifact_digest(path)
-        if recorded is not None and not self.force and digest != recorded:
-            raise StaleArtifactError(
-                f"artifact {artifact!r} was modified after the {producing_stage!r} "
-                f"stage produced it; re-run {producing_stage!r} (or pass --force)"
-            )
+        if producer is not None and not self.force:
+            if digest != producer["outputs"][artifact]:
+                raise StaleArtifactError(
+                    f"artifact {artifact!r} was modified after the {producing_stage!r} "
+                    f"stage produced it; re-run {producing_stage!r} (or pass --force)"
+                )
+            for source, used in producer["inputs"].items():
+                source_producer = self._producer(source)
+                if source_producer is not None and source_producer["outputs"][source] != used:
+                    raise StaleArtifactError(
+                        f"artifact {artifact!r} was made from an older {source!r}; "
+                        f"re-run the {producing_stage!r} stage"
+                    )
         self.inputs[artifact] = digest
         try:
             return load(path)
@@ -174,6 +189,17 @@ class _Stage:
         except (ValueError, KeyError, TypeError, IndexError, AttributeError, EOFError) as exc:
             raise StaleArtifactError(
                 f"artifact {artifact!r} is corrupt or truncated ({type(exc).__name__}: {exc}); "
+                f"re-run the {producing_stage!r} stage"
+            ) from None
+
+    def check_ids(self, artifact: str, producing_stage: str, store: CorpusStore, ids) -> None:
+        """Refuse an artifact that holds a corpus id the store lacks, as one read
+        under --force from an older store does."""
+        try:
+            rows_of(store.ids(), ids)
+        except ValueError as exc:
+            raise StaleArtifactError(
+                f"artifact {artifact!r} names a sentence that {STORE!r} lacks ({exc}); "
                 f"re-run the {producing_stage!r} stage"
             ) from None
 
@@ -280,6 +306,11 @@ def _load_context(stage: _Stage) -> PipelineContext:
     )
 
 
+def _read_index(stage: _Stage, ctx: PipelineContext) -> None:
+    ctx.index = stage.read(INDEX, "index", load_index)
+    stage.check_ids(INDEX, "index", ctx.store, ctx.index.ids)
+
+
 def cmd_index(config: RunConfig, force: bool) -> None:
     stage = _Stage("index", config, force)
     stats = stage.read(FEATURE_STATS, "featurize", load_feature_stats)
@@ -305,7 +336,7 @@ def cmd_train_baseline(config: RunConfig, force: bool) -> None:
 def cmd_pseudolabel(config: RunConfig, force: bool) -> None:
     stage = _Stage("pseudolabel", config, force)
     ctx = _load_context(stage)
-    ctx.index = stage.read(INDEX, "index", load_index)
+    _read_index(stage, ctx)
     gate = stage.read(BASELINE_MODEL, "train-baseline", load_model)
     anchors = stage.labeled_train()
     exclude = {s.text for s in anchors}
@@ -333,6 +364,7 @@ def cmd_train_ensemble(config: RunConfig, force: bool) -> None:
     stage = _Stage("train-ensemble", config, force)
     ctx = _load_context(stage)
     pset = stage.read(PSEUDO_LABELS, "pseudolabel", load_pseudo_labels)
+    stage.check_ids(PSEUDO_LABELS, "pseudolabel", ctx.store, [l.sentence_id for l in pset.labels])
     labeled = stage.labeled_train()
     plan = _fold_plan(config, labeled, nested=False)
     ctx.corpus_features = embed_corpus(ctx.store, ctx.archetypes)
@@ -359,7 +391,7 @@ def cmd_evaluate(config: RunConfig, force: bool) -> None:
     if config.setting != "baseline":
         # Pseudo-label every fold while the index is loaded, and drop it before
         # the archetype matrices are embedded, so the two are never held at once.
-        ctx.index = stage.read(INDEX, "index", load_index)
+        _read_index(stage, ctx)
         pseudo_sets = fold_pseudo_labels(ctx, labeled, plan, config)
         ctx.index = None
         ctx.corpus_features = embed_corpus(ctx.store, ctx.archetypes)

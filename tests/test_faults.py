@@ -1,10 +1,12 @@
-"""Fault injection: every artifact a stage reads, truncated or bit-flipped.
+"""Fault injection: every artifact a stage reads, truncated or bit-flipped, and
+artifacts left behind by a store that was ingested again.
 
 Each fault must end in exit 2 (stale or corrupt artifact) with one line on
 stderr naming the artifact, never in an exit-3 traceback.
 """
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -142,8 +144,13 @@ def test_truncated_artifact_under_force_is_named(trained, capsys, relative, stag
 @pytest.mark.parametrize("force", [False, True], ids=["no-force", "force"])
 @pytest.mark.parametrize(
     "fault",
-    [_truncate, lambda data: b"\xff" + data, lambda data: b"[]\n"],
-    ids=["truncated", "unparseable", "not-a-record"],
+    [
+        _truncate,
+        lambda data: b"\xff" + data,
+        lambda data: b"[]\n",
+        lambda data: b'{"stages": {"ingest": {"outputs": {}}}}',
+    ],
+    ids=["truncated", "unparseable", "not-a-record", "record-without-inputs"],
 )
 def test_corrupt_run_manifest_is_named(trained, capsys, fault, force):
     out, config_path, _ = trained
@@ -216,3 +223,68 @@ def test_parseable_bad_feature_stats_under_force_are_named(
     assert len(lines) == 1, lines
     assert repr(artifact) in lines[0]
     assert f"feature stats {field}" in lines[0]
+
+
+def _reingest_first_file(trained, tmp_path: Path) -> Path:
+    """A copy of the trained run whose store holds only the first corpus file; its config."""
+    out, config_path, _ = trained
+    shutil.copytree(out, tmp_path / "out")
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["corpora"] = config["corpora"][:1]
+    config["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["ingest", "--config", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "stage, force, artifact",
+    [
+        ("pseudolabel", False, cli.FEATURE_STATS),
+        ("train-ensemble", False, cli.FEATURE_STATS),
+        ("evaluate", False, cli.FEATURE_STATS),
+        ("pseudolabel", True, cli.INDEX),
+        ("train-ensemble", True, cli.PSEUDO_LABELS),
+        ("evaluate", True, cli.INDEX),
+    ],
+    ids=["pseudolabel", "train-ensemble", "evaluate",
+         "pseudolabel-force", "train-ensemble-force", "evaluate-force"],
+)
+def test_artifacts_of_an_older_store_are_named(trained, tmp_path, capsys, stage, force, artifact):
+    """After `ingest` runs again on the first corpus file only, every downstream
+    artifact was made from an older store. Without --force the manifest's
+    lineage refuses the first one read; with --force, the index and the
+    pseudo-labels hold ids the new store lacks, and that names them."""
+    path = _reingest_first_file(trained, tmp_path)
+    capsys.readouterr()
+    code = main([stage, "--config", str(path), *(["--force"] if force else [])])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2, lines
+    assert len(lines) == 1, lines
+    assert repr(artifact) in lines[0]
+    if force:
+        assert "id " in lines[0] and repr(cli.STORE) in lines[0]
+    else:
+        assert f"made from an older {cli.STORE!r}; re-run the 'featurize' stage" in lines[0]
+
+
+def test_lineage_is_checked_one_stage_at_a_time(trained, tmp_path, capsys):
+    """Once featurize has run on the new store, the index is the artifact made
+    from older inputs, and once index has run, the baseline model is."""
+    path = _reingest_first_file(trained, tmp_path)
+    expected = [
+        ("featurize", cli.INDEX, cli.CORPUS_IDS, "index"),  # its first input by name
+        ("index", cli.BASELINE_MODEL, cli.FEATURE_STATS, "train-baseline"),
+    ]
+    for rerun, artifact, source, producer in expected:
+        assert main([rerun, "--config", str(path)]) == 0, rerun
+        capsys.readouterr()
+        assert main(["pseudolabel", "--config", str(path)]) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == (
+            f"error: artifact {artifact!r} was made from an older {source!r}; "
+            f"re-run the {producer!r} stage"
+        )
+    assert main(["train-baseline", "--config", str(path)]) == 0
+    assert main(["pseudolabel", "--config", str(path)]) == 0

@@ -306,11 +306,6 @@ def _load_context(stage: _Stage) -> PipelineContext:
     )
 
 
-def _read_index(stage: _Stage, ctx: PipelineContext) -> None:
-    ctx.index = stage.read(INDEX, "index", load_index)
-    stage.check_ids(INDEX, "index", ctx.store, ctx.index.ids)
-
-
 def cmd_index(config: RunConfig, force: bool) -> None:
     stage = _Stage("index", config, force)
     stats = stage.read(FEATURE_STATS, "featurize", load_feature_stats)
@@ -336,7 +331,8 @@ def cmd_train_baseline(config: RunConfig, force: bool) -> None:
 def cmd_pseudolabel(config: RunConfig, force: bool) -> None:
     stage = _Stage("pseudolabel", config, force)
     ctx = _load_context(stage)
-    _read_index(stage, ctx)
+    ctx.index = stage.read(INDEX, "index", load_index)
+    stage.check_ids(INDEX, "index", ctx.store, ctx.index.ids)
     gate = stage.read(BASELINE_MODEL, "train-baseline", load_model)
     anchors = stage.labeled_train()
     exclude = {s.text for s in anchors}
@@ -391,7 +387,8 @@ def cmd_evaluate(config: RunConfig, force: bool) -> None:
     if config.setting != "baseline":
         # Pseudo-label every fold while the index is loaded, and drop it before
         # the archetype matrices are embedded, so the two are never held at once.
-        _read_index(stage, ctx)
+        ctx.index = stage.read(INDEX, "index", load_index)
+        stage.check_ids(INDEX, "index", ctx.store, ctx.index.ids)
         pseudo_sets = fold_pseudo_labels(ctx, labeled, plan, config)
         ctx.index = None
         ctx.corpus_features = embed_corpus(ctx.store, ctx.archetypes)

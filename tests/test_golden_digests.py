@@ -19,7 +19,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
+
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x, so that the version check below can name it
+    from numpy.core import _multiarray_umath as umath
 
 from pseudolab import cli
 from pseudolab.pipeline import SETTINGS
@@ -50,7 +54,8 @@ def _script(name: str):
 
 def environment() -> dict[str, str]:
     """numpy's version, and the SIMD extensions it dispatches to on this CPU."""
-    simd = [*__cpu_baseline__, *(f for f in __cpu_dispatch__ if __cpu_features__.get(f))]
+    found = umath.__cpu_features__
+    simd = [*umath.__cpu_baseline__, *(f for f in umath.__cpu_dispatch__ if found.get(f))]
     return {"numpy": np.__version__, "simd": " ".join(simd)}
 
 

@@ -81,14 +81,9 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
             encoding="utf-8",
         )
         _run("-m", "pseudolab.cli", "predict", "--config", config, "--input", str(texts), env=env)
-        lines = _run("artifact_digests.py", str(fixture / "out"))
-        runs[threads] = {
-            path: digest
-            for digest, path in (line.split("  ", 1) for line in lines)
-            # the only artifacts that record the run's own paths
-            if path not in ("config_snapshot.json", "manifest.json")
-        }
-    assert "predictions.tsv" in runs["1"]
+        lines = _run("artifact_digests.py", str(fixture / "out"), "--portable")
+        runs[threads] = {path: digest for digest, path in (line.split("  ", 1) for line in lines)}
+    assert "predictions.tsv" in runs["1"] and "manifest.json" in runs["1"]
     differing = sorted(p for p in runs["1"].keys() | runs["2"].keys()
                        if runs["1"].get(p) != runs["2"].get(p))
     assert differing == []

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation error, 2 stale or corrupt artifact, 3 intern
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import sys
@@ -15,7 +14,6 @@ import time
 import traceback
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -38,13 +36,14 @@ from .metrics import render_report_table
 from .pipeline import RETRIEVAL, Archetype, PipelineContext, embed_corpus, embed_labeled, evaluate_settings, fine_tune_ensemble, fold_pseudo_labels, generate_for_anchors, train_gate_model, train_stage_models
 from .pseudolabel import load_pseudo_labels, pseudo_label_stats, render_stats_table, save_pseudo_labels
 from .scorer import DivergedError, load_model, model_to_json
-from .simindex import IndexFormatError, build_index, load_index, save_index, verify_index
+from .simindex import IndexFormatError, VectorIndex, load_index, save_index, verify_index
 
 # Not called here: perfbench/traced_cli.py looks these up on this module to patch them.
 from .ensemble import cv_fine_tune, fit_stacker, train_pseudo_stage  # noqa: F401
 from .pipeline import build_context  # noqa: F401
 from .pseudolabel import generate_pseudo_labels  # noqa: F401
 from .scorer import predict, train_ridge  # noqa: F401
+from .simindex import build_index  # noqa: F401
 
 MANIFEST = "manifest.json"
 CONFIG_SNAPSHOT = "config_snapshot.json"
@@ -76,32 +75,6 @@ def _atomic_save(path: Path, save_fn) -> None:
 
 # perfbench/traced_cli.py times writes under this name too
 _atomic_save_dir = _atomic_save
-
-
-def _stream_npy(
-    path: Path, dtype: np.typing.DTypeLike, shape: tuple[int, ...], blocks: Iterable[np.ndarray]
-) -> str:
-    """Write a .npy file of `dtype` and `shape` from blocks of its rows.
-
-    The file holds the bytes np.save of the whole matrix writes, without the
-    matrix ever being held; each block is cast to `dtype` on write, and the
-    file is renamed into place only after the last block. Returns the file's
-    sha256, hashed as it was written.
-    """
-    header = io.BytesIO()
-    np.lib.format.write_array_header_1_0(header, {
-        "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
-        "fortran_order": False,
-        "shape": tuple(map(int, shape)),
-    })
-    digest = hashlib.sha256(header.getvalue())
-    with atomic_paths(path) as (tmp,), open(tmp, "wb") as fh:
-        fh.write(header.getvalue())
-        for block in blocks:
-            data = np.ascontiguousarray(block, dtype=dtype)
-            data.tofile(fh)
-            digest.update(data)
-    return digest.hexdigest()
 
 
 class _Stage:
@@ -272,16 +245,14 @@ def cmd_featurize(config: RunConfig, force: bool) -> None:
     configs.update((spec.name, spec.feature_config()) for spec in config.archetypes)
     stats = dict(zip(configs, fit_feature_stats_many(store.records, configs.values())))
     stage.write_json(FEATURE_STATS, {name: s.to_dict() for name, s in stats.items()})
-    ids = np.array([r.id for r in store.records], dtype=np.int64)
+    ids = store.ids()
     stage.write(CORPUS_IDS, lambda tmp: np.save(tmp, ids))
     texts = [r.text for r in store.records]
     retrieval = stats[RETRIEVAL]
-    stage.outputs[CORPUS_VECTORS] = _stream_npy(
-        stage.outdir / CORPUS_VECTORS,
-        np.float32,
-        (len(texts), retrieval.config.dimension),
-        (blocks[0] for blocks in embed_chunks(texts, [retrieval])),
-    )
+    matrix = np.empty((len(texts), retrieval.config.dimension), dtype=np.float32)
+    for _ in embed_chunks(texts, [retrieval], [matrix]):
+        pass
+    stage.write(CORPUS_VECTORS, lambda tmp: np.save(tmp, matrix))
     stage.finish()
 
 
@@ -311,10 +282,15 @@ def cmd_index(config: RunConfig, force: bool) -> None:
     stats = stage.read(FEATURE_STATS, "featurize", load_feature_stats)
     vectors = stage.read(CORPUS_VECTORS, "featurize", np.load)
     ids = stage.read(CORPUS_IDS, "featurize", np.load)
-    index = build_index(
-        zip(ids.tolist(), vectors), fingerprint=stats[RETRIEVAL].fingerprint
-    )
+    try:
+        index = VectorIndex(ids, vectors, stats[RETRIEVAL].fingerprint)
+    except ValueError as exc:
+        raise StaleArtifactError(
+            f"artifacts {CORPUS_IDS!r} and {CORPUS_VECTORS!r} do not match ({exc}); "
+            "re-run the 'featurize' stage"
+        ) from None
     stage.write(INDEX, lambda tmp: save_index(index, tmp))
+    del index, vectors  # verify_index reads the file back while no other copy is alive
     info = verify_index(stage.outdir / INDEX)
     _log(f"[index] built and verified: N={info['count']} D={info['dimension']}")
     stage.finish()

@@ -37,7 +37,7 @@ from .scorer import (
     train_iterative,
     train_ridge,
 )
-from .simindex import VectorIndex, build_index, map_row_blocks
+from .simindex import VectorIndex, map_row_blocks
 
 SETTINGS = ("baseline", "pseudo_only", "ensemble_mean", "ensemble_stacker")
 
@@ -147,18 +147,12 @@ def build_context(
         Archetype(name=spec.name, stats=stats, batch_size=spec.batch_size)
         for spec, stats in zip(archetype_specs, archetype_stats)
     ]
-    index = build_index(
-        zip(
-            (r.id for r in store.records),
-            embed_many([r.text for r in store.records], [retrieval_stats])[0],
-        ),
-        fingerprint=retrieval_stats.fingerprint,
-    )
+    (vectors,) = embed_many([r.text for r in store.records], [retrieval_stats], dtype=np.float32)
     return PipelineContext(
         store=store,
         retrieval_stats=retrieval_stats,
         archetypes=archetypes,
-        index=index,
+        index=VectorIndex(store.ids(), vectors, retrieval_stats.fingerprint),
         corpus_features=embed_corpus(store, archetypes),
     )
 

@@ -44,10 +44,23 @@ class Hit:
 
 
 class VectorIndex:
-    """Immutable cosine-similarity index (exact scan), stored as float32."""
+    """Immutable cosine-similarity index (exact scan), stored as float32.
+
+    `ids` is a 1-D integer array with no duplicates and `vectors` a 2-D array
+    with one row per id. Float32 vectors are kept as given, with no copy;
+    any others are converted once.
+    """
 
     def __init__(self, ids: np.ndarray, vectors: np.ndarray, fingerprint: str):
-        self.ids = ids
+        ids = np.asarray(ids)
+        vectors = np.asarray(vectors, dtype=np.float32)
+        if ids.ndim != 1 or not np.issubdtype(ids.dtype, np.integer):
+            raise ValueError(f"index ids must be a 1-D integer array, not {ids.dtype} {ids.shape}")
+        if vectors.ndim != 2 or len(vectors) != len(ids):
+            raise ValueError(f"{len(ids)} index ids for vectors of shape {vectors.shape}")
+        if np.unique(ids).size != ids.size:
+            raise ValueError("duplicate ids in index input")
+        self.ids = ids.astype(np.int64, copy=False)
         self.vectors = vectors
         self.fingerprint = fingerprint
         self.norms = map_row_blocks(lambda block: np.linalg.norm(block, axis=1), vectors)
@@ -78,22 +91,16 @@ def build_index(
     fingerprint: str = "",
     dimension: int | None = None,
 ) -> VectorIndex:
+    """A VectorIndex of (id, vector) pairs, rows in the pairs' order."""
     items = list(vectors)
-    if not items:
-        dim = dimension if dimension is not None else 0
-        return VectorIndex(
-            np.zeros(0, dtype=np.int64), np.zeros((0, dim), dtype=np.float32), fingerprint
-        )
-    ids = np.array([int(i) for i, _ in items], dtype=np.int64)
-    if len(set(ids.tolist())) != len(ids):
-        raise ValueError("duplicate ids in index input")
-    dims = {len(v) for _, v in items}
+    dims = {len(v) for _, v in items} or {dimension if dimension is not None else 0}
     if len(dims) != 1:
         raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")
     if dimension is not None and dims != {dimension}:
         raise ValueError("vector dimension does not match declared dimension")
-    mat = np.stack([np.asarray(v, dtype=np.float32) for _, v in items])
-    return VectorIndex(ids, mat, fingerprint)
+    ids = np.array([int(i) for i, _ in items], dtype=np.int64)
+    matrix = np.array([v for _, v in items], dtype=np.float32).reshape(len(items), *dims)
+    return VectorIndex(ids, matrix, fingerprint)
 
 
 def top_k_many(
@@ -250,7 +257,7 @@ def _read_index_file(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
 
 def load_index(path: str | Path) -> VectorIndex:
     fp, ids, vectors = _read_index_file(Path(path))
-    return VectorIndex(ids.astype(np.int64, copy=False), vectors.astype(np.float32, copy=False), fp)
+    return VectorIndex(ids, vectors, fp)
 
 
 def verify_index(path: str | Path) -> dict:

@@ -59,6 +59,13 @@ class TestBuild:
         with pytest.raises(ValueError, match="dimension"):
             build_index([(0, [1.0]), (1, [1.0, 2.0])])
 
+    def test_constructor_checks_ids_against_vectors(self):
+        vectors = np.ones((3, 2), dtype=np.float32)
+        assert VectorIndex(np.arange(3), vectors, "fp").vectors is vectors  # no copy
+        for ids in (np.arange(2), np.arange(3)[None], np.array([0, 1, 0])):
+            with pytest.raises(ValueError):
+                VectorIndex(ids, vectors, "fp")
+
 
 class TestTopK:
     def test_self_similarity(self, rng):

@@ -52,7 +52,6 @@ class SentenceRecord:
     id: int
     text: str
     source: str
-    char_len: int
 
 
 @dataclass(frozen=True)
@@ -149,9 +148,7 @@ def ingest_corpus(
                 text = normalize_sentence(obj["text"])
             if not text:
                 continue
-            records.append(
-                SentenceRecord(id=next_id, text=text, source=source, char_len=len(text))
-            )
+            records.append(SentenceRecord(id=next_id, text=text, source=source))
             next_id += 1
     if store is not None:
         store.records.extend(records)
@@ -263,12 +260,6 @@ def load_store(path: str | Path) -> CorpusStore:
                 raise InputFileError(f"{path}: line {lineno}: malformed store record: {exc}") from exc
             if not isinstance(text, str):
                 raise InputFileError(f"{path}: line {lineno}: store record text is not a string")
-            store.records.append(
-                SentenceRecord(
-                    id=sid,
-                    text=text,
-                    source=obj.get("source", "unknown"),
-                    char_len=len(text),
-                )
-            )
+            source = obj.get("source", "unknown")
+            store.records.append(SentenceRecord(id=sid, text=text, source=source))
     return store

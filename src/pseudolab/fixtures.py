@@ -85,9 +85,7 @@ def make_synthetic_dataset(
         if text in seen:
             continue
         seen.add(text)
-        store.records.append(
-            SentenceRecord(id=next_id, text=text, source=source, char_len=len(text))
-        )
+        store.records.append(SentenceRecord(id=next_id, text=text, source=source))
         next_id += 1
 
     def labeled_batch(count: int, id_offset: int) -> list[LabeledSentence]:

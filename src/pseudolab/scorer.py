@@ -166,10 +166,11 @@ def _fit_rows(X: np.ndarray, y: np.ndarray, rows) -> np.ndarray:
 
 
 class DivergedError(ValueError):
-    """An SGD fit whose loss became non-finite: its learning rate is too large for its data.
+    """An SGD fit whose loss became non-finite, or that never beat its zero
+    start on its holdout: its learning rate is too large for its data.
 
-    The message starts "non-finite loss at step N"; callers that know the
-    config key of the fit's hyperparameters re-raise it with that key named.
+    The message says which; callers that know the config key of the fit's
+    hyperparameters re-raise it with that key named.
     """
 
 
@@ -203,7 +204,8 @@ def train_iterative(
     the model is bitwise the one trained on X[rows]; X is read in place, one
     mini-batch (and the holdout) at a time. Each training row is checked for
     finiteness when the first epoch gathers it. A fit whose loss becomes
-    non-finite raises DivergedError.
+    non-finite raises DivergedError, and so does a fit from zero weights whose
+    best holdout RMSE is not below that of the zero weights.
     """
     X = np.asarray(X, dtype=np.float32)
     y = np.asarray(y, dtype=np.float32)
@@ -282,6 +284,12 @@ def train_iterative(
                 if epochs_since_improvement > 1:  # patience of one epoch
                     break
     if holdout.size:
+        # early stopping keeps the first epoch of a fit whose loss grows from there
+        zero_score = rmse(np.zeros_like(yh), yh)
+        if init is None and not best[0] < zero_score:
+            raise DivergedError(
+                f"best holdout RMSE {best[0]:.3g} is not below the zero model's {zero_score:.3g}"
+            )
         _, w, b = best
     # the last step may overflow the weights that no later step would use
     if not (math.isfinite(b) and np.all(np.isfinite(w))):

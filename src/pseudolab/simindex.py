@@ -93,13 +93,14 @@ def build_index(
 ) -> VectorIndex:
     """A VectorIndex of (id, vector) pairs, rows in the pairs' order."""
     items = list(vectors)
-    dims = {len(v) for _, v in items} or {dimension if dimension is not None else 0}
-    if len(dims) != 1:
+    dims = {len(v) for _, v in items}
+    if len(dims) > 1:
         raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")
-    if dimension is not None and dims != {dimension}:
+    if dimension is not None and dims - {dimension}:
         raise ValueError("vector dimension does not match declared dimension")
+    dim = dims.pop() if dims else dimension or 0
     ids = np.array([int(i) for i, _ in items], dtype=np.int64)
-    matrix = np.array([v for _, v in items], dtype=np.float32).reshape(len(items), *dims)
+    matrix = np.array([v for _, v in items], dtype=np.float32).reshape(len(items), dim)
     return VectorIndex(ids, matrix, fingerprint)
 
 

@@ -651,32 +651,50 @@ def test_fold_worker_errors_keep_their_exit_code(pipeline, monkeypatch, capsys, 
     assert capsys.readouterr().err.strip().splitlines()[-1].endswith(str(error))
 
 
-@pytest.mark.parametrize("key", ["hyper_pseudo", "hyper_fine"])
 @pytest.mark.parametrize(
-    "stage, where", [("train-ensemble", "train-ensemble"), ("evaluate", "fold 0")]
+    "stage, where, key",
+    [
+        ("train-ensemble", "train-ensemble", "hyper_pseudo"),
+        ("train-ensemble", "train-ensemble", "hyper_fine"),
+        ("evaluate", "fold 0", "hyper_pseudo"),
+        ("evaluate", "fold 0", "hyper_fine"),
+        pytest.param(
+            "evaluate", r"fold 0, archetype '\w+'", "hyper_baseline",
+            id="evaluate-baseline-hyper_baseline",
+        ),
+    ],
 )
 def test_diverging_fit_exits_1_naming_its_config_key(
     pipeline, tmp_path, monkeypatch, capsys, key, stage, where
 ):
     """A learning rate far too large makes an SGD loss non-finite. The stage
     exits 1 with one error line that names where, the archetype and seed, and
-    the config key, also when the fit ran in a fold worker; no warning is printed."""
+    the config key, also when the fit ran in a fold worker; no warning is printed.
+    The baseline setting's early stopping would keep its first epoch, so it
+    exits 1 when that is no better than the zero model on its holdout."""
     directory, config_path, _ = pipeline
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     shutil.copytree(directory / "out", tmp_path / "out")
     config = json.loads(config_path.read_text(encoding="utf-8"))
     config["output_dir"] = str(tmp_path / "out")
-    config[key] = dict(config[key], learning_rate=1e100)
+    rate = 1e6 if key == "hyper_baseline" else 1e100
+    config[key] = dict(config[key], learning_rate=rate)
+    if key == "hyper_baseline":
+        config["setting"] = "baseline"
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     capsys.readouterr()
     assert main([stage, "--config", str(path)]) == 1
     *progress, line = capsys.readouterr().err.strip().splitlines()
     assert all(p.startswith(f"[{stage}] ") for p in progress), progress
-    fine_tuning = r", fine-tuning fold \d" if key == "hyper_fine" else ""
+    if key == "hyper_baseline":
+        cause = r"best holdout RMSE \S+ is not below the zero model's \S+"
+    else:
+        fine_tuning = r", fine-tuning fold \d" if key == "hyper_fine" else ""
+        cause = rf"non-finite loss at step \d+ \(archetype '\w+', seed \d+{fine_tuning}\)"
     assert re.fullmatch(
-        rf"error: non-finite loss at step \d+ \(archetype '\w+', seed \d+{fine_tuning}\) "
-        rf"in {where}: the fit diverged; lower {key}\.learning_rate \(now 1e\+100\)",
+        rf"error: {cause} in {where}: the fit diverged; "
+        rf"lower {key}\.learning_rate {re.escape(f'(now {rate:g})')}",
         line,
     ), line
 
@@ -754,8 +772,8 @@ class TestFeaturizeStreams:
         assert recorded["outputs"][cli.CORPUS_VECTORS] == digest
 
     def test_evaluate_context_equals_build_context(self, ingested, monkeypatch):
-        """The CLI embeds the corpus as the in-process pipeline does, bit for bit,
-        and nothing holds the index any more when training starts."""
+        """The CLI embeds and indexes the corpus as the in-process pipeline does,
+        bit for bit, and nothing holds the index any more when training starts."""
         out, config_path = ingested
         for command in ("featurize", "index"):
             assert main([command, "--config", str(config_path)]) == 0, command
@@ -789,6 +807,10 @@ class TestFeaturizeStreams:
             assert ctx.corpus_features[name].tobytes() == matrix.tobytes(), name
         assert ctx.corpus_features["d"] is ctx.corpus_features["a"]
         assert ctx.store.records == expected.store.records
+        index = real_load_index(out / cli.INDEX)
+        assert index.ids.tobytes() == expected.index.ids.tobytes()
+        assert index.vectors.tobytes() == expected.index.vectors.tobytes()
+        assert index.fingerprint == expected.index.fingerprint
 
     def test_failure_mid_stream_leaves_no_partial_output(self, ingested, monkeypatch):
         out, config_path = ingested

@@ -48,7 +48,6 @@ class TestIngest:
         records = ingest_corpus(path, "wiki")
         assert [r.text for r in records] == ["eins", "zwei", "drei"]
         assert [r.id for r in records] == [0, 1, 2]
-        assert all(r.char_len == len(r.text) for r in records)
 
     def test_jsonl_whitespace_only_records_dropped(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -119,7 +118,7 @@ class TestIngest:
 
 
 def _rec(i, text, source="wiki"):
-    return SentenceRecord(id=i, text=text, source=source, char_len=len(text))
+    return SentenceRecord(id=i, text=text, source=source)
 
 
 class TestDeduplicate:
@@ -249,7 +248,7 @@ class TestRowsOf:
 
     def test_store_ids_are_in_store_order(self):
         store = CorpusStore(records=[
-            SentenceRecord(id=i, text=f"satz {i}", source="wiki", char_len=7) for i in (9, 2, 5)
+            SentenceRecord(id=i, text=f"satz {i}", source="wiki") for i in (9, 2, 5)
         ])
         assert store.ids().tolist() == [9, 2, 5]
         assert rows_of(store.ids(), [5, 9]).tolist() == [2, 0]

@@ -9,6 +9,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pseudolab import cli, fixtures
@@ -225,17 +226,44 @@ def test_parseable_bad_feature_stats_under_force_are_named(
     assert f"feature stats {field}" in lines[0]
 
 
-def _reingest_first_file(trained, tmp_path: Path) -> Path:
-    """A copy of the trained run whose store holds only the first corpus file; its config."""
+def _copy_run(trained, tmp_path: Path, **changes) -> Path:
+    """A copy of the trained run under tmp_path, its config changed by `changes`; its config."""
     out, config_path, _ = trained
     shutil.copytree(out, tmp_path / "out")
     config = json.loads(config_path.read_text(encoding="utf-8"))
-    config["corpora"] = config["corpora"][:1]
-    config["output_dir"] = str(tmp_path / "out")
+    config.update(changes, output_dir=str(tmp_path / "out"))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
+    return path
+
+
+def _reingest_first_file(trained, tmp_path: Path) -> Path:
+    """A copy of the trained run whose store holds only the first corpus file; its config."""
+    corpora = json.loads(trained[1].read_text(encoding="utf-8"))["corpora"]
+    path = _copy_run(trained, tmp_path, corpora=corpora[:1])
     assert main(["ingest", "--config", str(path)]) == 0
     return path
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda ids: ids[:-10], lambda ids: np.append(ids[:-1], ids[0])],
+    ids=["ten-ids-short", "duplicate-id"],
+)
+def test_corpus_ids_that_do_not_fit_the_vectors_are_named(trained, tmp_path, capsys, edit):
+    """Under --force, index takes corpus_ids.npy unchecked against the manifest;
+    ids that are not one distinct id per row of corpus_vectors.npy are a stale
+    pair of artifacts, not an index of fewer rows or an internal error."""
+    path = _copy_run(trained, tmp_path)
+    ids_path = tmp_path / "out" / cli.CORPUS_IDS
+    np.save(ids_path, edit(np.load(ids_path)))
+    capsys.readouterr()
+    code = main(["index", "--config", str(path), "--force"])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2, lines
+    assert len(lines) == 1, lines
+    for name in (cli.CORPUS_IDS, cli.CORPUS_VECTORS, "featurize"):
+        assert repr(name) in lines[0], lines[0]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 """Memory guards: no corpus-sized copy in the corpus embedding, the pseudo stage,
-the scan or the index load, no evaluate that holds the index and the
+the scan, the index stage or the index load, no evaluate that holds the index and the
 archetype matrices at once, scoring that holds no more than a small chunk, and
 no forked worker that starts with freed heap.
 
@@ -211,6 +211,32 @@ def test_load_index_copies_the_payload_once(index, tmp_path):
     peak, loaded = _traced_peak(lambda: load_index(path))
     assert np.array_equal(loaded.vectors, index.vectors)
     assert peak < 2 * path.stat().st_size, peak
+
+
+def test_index_stage_holds_the_vector_matrix_about_once(tmp_path):
+    """The index stage wraps the loaded matrix as it is and frees it before it
+    reads the written index back, so its traced peak is one matrix plus the
+    norms' float64 row blocks (about 6144 / N matrices), well below two."""
+    from pseudolab import cli
+
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(f"Satz {i} ist kurz.\n" for i in range(20000)), encoding="utf-8")
+    (tmp_path / "train.tsv").write_text("", encoding="utf-8")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "corpora": [{"path": str(corpus), "source": "news"}],
+        "labeled_train": str(tmp_path / "train.tsv"),
+        "output_dir": str(tmp_path / "out"),
+        "retrieval": {"hashed_dim": 128, "ngram_min": 3, "ngram_max": 4},
+        "archetypes": [{"name": "a", "hashed_dim": 64, "ngram_min": 3, "ngram_max": 4}],
+    }), encoding="utf-8")
+    for command in ("ingest", "featurize"):
+        assert cli.main([command, "--config", str(config_path)]) == 0, command
+    matrix_bytes = np.load(tmp_path / "out" / cli.CORPUS_VECTORS, mmap_mode="r").nbytes
+    assert matrix_bytes > 8e6
+    peak, code = _traced_peak(lambda: cli.main(["index", "--config", str(config_path)]))
+    assert code == 0
+    assert peak < 1.5 * matrix_bytes, (peak, matrix_bytes)
 
 
 def test_evaluate_never_holds_the_index_and_the_archetype_matrices_at_once(

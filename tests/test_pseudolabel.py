@@ -19,7 +19,7 @@ def _store(texts, sources=None):
     sources = sources or ["wiki"] * len(texts)
     return CorpusStore(
         records=[
-            SentenceRecord(id=i, text=t, source=s, char_len=len(t))
+            SentenceRecord(id=i, text=t, source=s)
             for i, (t, s) in enumerate(zip(texts, sources))
         ]
     )
@@ -123,7 +123,7 @@ def test_index_row_order_does_not_matter():
     order (here reversed, and not contiguous) admits the same labels."""
     texts = [f"satz nummer {i} mit etwas text" for i in range(12)]
     store = CorpusStore(records=[
-        SentenceRecord(id=100 - 7 * i, text=t, source="wiki", char_len=len(t))
+        SentenceRecord(id=100 - 7 * i, text=t, source="wiki")
         for i, t in enumerate(texts)
     ])
     stats = fit_feature_stats(texts, FeatureConfig(hashed_dim=64))

@@ -87,3 +87,27 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     differing = sorted(p for p in runs["1"].keys() | runs["2"].keys()
                        if runs["1"].get(p) != runs["2"].get(p))
     assert differing == []
+
+
+def test_stage_peaks_prints_one_record_per_stage(tmp_path):
+    _run("make_fixture.py", str(tmp_path), "--n-corpus", "80", "--n-train", "10",
+         "--n-test", "5", "--k", "10")
+    config = str(tmp_path / "config.json")
+    stages = ["ingest", "featurize", "index"]
+    records = [json.loads(line) for line in _run("stage_peaks.py", "--config", config, *stages)]
+    assert [r["stage"] for r in records] == stages
+    for record in records:
+        assert set(record) == {"stage", "seconds", "maxrss_mb", "exit"}
+        assert record["exit"] == 0 and record["seconds"] > 0 and record["maxrss_mb"] > 1
+    assert (tmp_path / "out" / "index.bin").exists()
+
+    # a failing stage ends the run: its record is the last line, and the script exits 1
+    (tmp_path / "out" / "corpus_vectors.npy").unlink()
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "stage_peaks.py"), "--config", config,
+         "index", "train-baseline"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 1, result.stderr
+    (line,) = result.stdout.splitlines()
+    assert json.loads(line)["stage"] == "index" and json.loads(line)["exit"] == 2

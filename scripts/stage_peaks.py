@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Run pseudolab stages one at a time, each in its own process, and print each
-one's wall time and peak resident set.
+one's wall time and peak resident set (any stage but predict, which needs an
+input file).
 
     python scripts/stage_peaks.py --config run/config.json featurize index
 
 Each stage runs with --force as a child process (`python -m pseudolab.cli`,
 with this checkout's src/ first on PYTHONPATH). The child is reaped with
-os.wait4, whose resource usage is that child's alone, so `maxrss_mb` is the
-stage's own peak and not that of an earlier stage. One JSON line per stage:
+os.wait4, whose resource usage covers that child and the workers it forked
+but no other stage, so `maxrss_mb` is the stage's own peak (the largest of
+its processes). One JSON line per stage:
 stage, seconds, maxrss_mb (ru_maxrss / 1024) and exit. A stage's log goes to
 stderr. The script stops at the first stage that fails and exits 1.
 """
@@ -23,15 +25,15 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_stage(stage: str, config: str, extra: list[str]) -> dict:
+def run_stage(stage: str, config: str) -> dict:
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), *([path] if path else [])]))
-    argv = [sys.executable, "-m", "pseudolab.cli", stage, "--config", config, "--force", *extra]
+    argv = [sys.executable, "-m", "pseudolab.cli", stage, "--config", config, "--force"]
     start = time.perf_counter()
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)  # stderr shows the stage's log
     _, status, usage = os.wait4(proc.pid, 0)
     seconds = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait for it
     return {
         "stage": stage,
         "seconds": round(seconds, 3),
@@ -43,12 +45,10 @@ def run_stage(stage: str, config: str, extra: list[str]) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", required=True)
-    parser.add_argument("--input", help="the sentences file the predict stage reads")
     parser.add_argument("stages", nargs="+", metavar="stage")
     args = parser.parse_args()
     for stage in args.stages:
-        extra = ["--input", args.input] if stage == "predict" and args.input else []
-        record = run_stage(stage, args.config, extra)
+        record = run_stage(stage, args.config)
         print(json.dumps(record), flush=True)
         if record["exit"] != 0:
             return 1

@@ -31,9 +31,9 @@ from .artifacts import (
 from .config import ConfigError, RunConfig, load_config
 from .corpus import CorpusStore, InputFileError, LabeledSentence, deduplicate, ingest_corpus, load_labeled, load_store, normalize_sentence, open_text, rows_of, save_store
 from .ensemble import FoldPlan, make_fold_plan, save_bundle
-from .features import embed_chunks, fit_feature_stats_many, load_feature_stats
+from .features import embed_many, fit_feature_stats_many, load_feature_stats
 from .metrics import render_report_table
-from .pipeline import RETRIEVAL, Archetype, PipelineContext, embed_corpus, embed_labeled, evaluate_settings, fine_tune_ensemble, fold_pseudo_labels, generate_for_anchors, train_gate_model, train_stage_models
+from .pipeline import RETRIEVAL, Archetype, PipelineContext, embed_archetypes, evaluate_settings, fine_tune_ensemble, fold_pseudo_labels, generate_for_anchors, train_gate_model, train_stage_models
 from .pseudolabel import load_pseudo_labels, pseudo_label_stats, render_stats_table, save_pseudo_labels
 from .scorer import DivergedError, load_model, model_to_json
 from .simindex import IndexFormatError, VectorIndex, load_index, save_index, verify_index
@@ -248,17 +248,14 @@ def cmd_featurize(config: RunConfig, force: bool) -> None:
     ids = store.ids()
     stage.write(CORPUS_IDS, lambda tmp: np.save(tmp, ids))
     texts = [r.text for r in store.records]
-    retrieval = stats[RETRIEVAL]
-    matrix = np.empty((len(texts), retrieval.config.dimension), dtype=np.float32)
-    for _ in embed_chunks(texts, [retrieval], [matrix]):
-        pass
+    (matrix,) = embed_many(texts, [stats[RETRIEVAL]], dtype=np.float32)
     stage.write(CORPUS_VECTORS, lambda tmp: np.save(tmp, matrix))
     stage.finish()
 
 
 def _load_context(stage: _Stage) -> PipelineContext:
-    """The pipeline context of the store and featurize's stats, with no index
-    and no corpus features: a stage loads or embeds those where it needs them."""
+    """The pipeline context of the store and featurize's stats, with no index:
+    a stage loads it where it needs it."""
     stats = stage.read(FEATURE_STATS, "featurize", load_feature_stats)
     archetypes = []
     for spec in stage.config.archetypes:
@@ -339,12 +336,12 @@ def cmd_train_ensemble(config: RunConfig, force: bool) -> None:
     stage.check_ids(PSEUDO_LABELS, "pseudolabel", ctx.store, [l.sentence_id for l in pset.labels])
     labeled = stage.labeled_train()
     plan = _fold_plan(config, labeled, nested=False)
-    ctx.corpus_features = embed_corpus(ctx.store, ctx.archetypes)
-    models9 = train_stage_models(ctx, pset, config, "train-ensemble")
+    corpus_features = embed_archetypes([r.text for r in ctx.store.records], ctx.archetypes)
+    models9 = train_stage_models(ctx, corpus_features, pset, config, "train-ensemble")
     _log(f"[train-ensemble] pseudo stage: {len(models9)} models")
     bundle = fine_tune_ensemble(
         models9, ctx.archetypes, labeled, plan, config, "train-ensemble",
-        features_by_archetype=embed_labeled(ctx.archetypes, labeled),
+        features_by_archetype=embed_archetypes([s.text for s in labeled], ctx.archetypes),
     )
     _log(f"[train-ensemble] fine-tuned {len(bundle.fold_models)} fold models")
     bundle.aggregation = (
@@ -362,12 +359,12 @@ def cmd_evaluate(config: RunConfig, force: bool) -> None:
     pseudo_sets = None
     if config.setting != "baseline":
         # Pseudo-label every fold while the index is loaded, and drop it before
-        # the archetype matrices are embedded, so the two are never held at once.
+        # evaluate_settings embeds the archetype matrices, so the two are never
+        # held at once.
         ctx.index = stage.read(INDEX, "index", load_index)
         stage.check_ids(INDEX, "index", ctx.store, ctx.index.ids)
         pseudo_sets = fold_pseudo_labels(ctx, labeled, plan, config)
         ctx.index = None
-        ctx.corpus_features = embed_corpus(ctx.store, ctx.archetypes)
     reports = evaluate_settings(
         ctx, labeled, [config.setting], plan, config, pseudo_sets=pseudo_sets
     )

@@ -107,28 +107,26 @@ class PipelineConfig:
 
 @dataclass
 class PipelineContext:
-    """Fold-independent state: store, featurizers, index, corpus features.
+    """Fold-independent state: store, featurizers and index.
 
-    The index's float32 vectors are the one retrieval matrix. `corpus_features`
-    holds each archetype's float32 corpus matrix, rows in store order. A CLI
-    stage builds only the parts it reads and leaves `index`, or the features,
-    empty; `evaluate` drops the index before it embeds the features.
+    The index's float32 vectors are the one retrieval matrix. A CLI stage
+    builds only the parts it reads and leaves `index` empty where it needs
+    none; the archetype matrices are embedded by the functions that train on
+    them, with `embed_archetypes`.
     """
 
     store: CorpusStore
     retrieval_stats: FeatureStats
     archetypes: list[Archetype]
     index: VectorIndex | None = None
-    corpus_features: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def embed_corpus(store: CorpusStore, archetypes: Sequence[Archetype]) -> dict[str, np.ndarray]:
-    """Each archetype's float32 corpus matrix, rows in store order.
+def embed_archetypes(texts: Sequence[str], archetypes: Sequence[Archetype]) -> dict[str, np.ndarray]:
+    """Each archetype's float32 features of `texts`, row for row.
 
-    The corpus is embedded once per distinct featurizer, so archetypes with
+    The texts are embedded once per distinct featurizer, so archetypes with
     equal featurizer configs share one matrix.
     """
-    texts = [r.text for r in store.records]
     distinct = {arch.stats.fingerprint: arch.stats for arch in archetypes}
     matrices = dict(zip(distinct, embed_many(texts, list(distinct.values()), dtype=np.float32)))
     return {arch.name: matrices[arch.stats.fingerprint] for arch in archetypes}
@@ -139,7 +137,7 @@ def build_context(
     retrieval_config: FeatureConfig = DEFAULT_RETRIEVAL_CONFIG,
     archetype_specs: Sequence[ArchetypeSpec] = DEFAULT_ARCHETYPE_SPECS,
 ) -> PipelineContext:
-    """Fit every featurizer on the store, index its retrieval vectors and embed its archetypes."""
+    """Fit every featurizer on the store and index its retrieval vectors."""
     retrieval_stats, *archetype_stats = fit_feature_stats_many(
         store.records, [retrieval_config, *(spec.feature_config() for spec in archetype_specs)]
     )
@@ -153,7 +151,6 @@ def build_context(
         retrieval_stats=retrieval_stats,
         archetypes=archetypes,
         index=VectorIndex(store.ids(), vectors, retrieval_stats.fingerprint),
-        corpus_features=embed_corpus(store, archetypes),
     )
 
 
@@ -243,10 +240,15 @@ def _naming_divergence(cfg: PipelineConfig, key: str, where: str):
 
 
 def train_stage_models(
-    ctx: PipelineContext, pset: PseudoLabelSet, cfg: PipelineConfig, where: str
+    ctx: PipelineContext,
+    corpus_features: dict[str, np.ndarray],
+    pset: PseudoLabelSet,
+    cfg: PipelineConfig,
+    where: str,
 ) -> list[ScorerModel]:
     """The pseudo stage: one model per (archetype, seed), trained in place on
-    the corpus features at the admitted labels' rows.
+    `corpus_features` (each archetype's corpus matrix, rows in store order)
+    at the admitted labels' rows.
 
     `where` names the stage or fold in the error raised when nothing was
     admitted or a fit diverged.
@@ -258,23 +260,13 @@ def train_stage_models(
         )
     with _naming_divergence(cfg, "hyper_pseudo", where):
         return train_pseudo_stage(
-            ctx.corpus_features,
+            corpus_features,
             [lab.predicted_score for lab in pset.labels],
             ctx.archetypes,
             cfg.seeds,
             cfg.hyper_pseudo,
             rows=rows_of(ctx.store.ids(), [lab.sentence_id for lab in pset.labels]),
         )
-
-
-def embed_labeled(
-    archetypes: Sequence[Archetype], labeled: Sequence[LabeledSentence]
-) -> dict[str, np.ndarray]:
-    """Each archetype's float32 features of the labeled sentences, row for row."""
-    matrices = embed_many(
-        [s.text for s in labeled], [arch.stats for arch in archetypes], dtype=np.float32
-    )
-    return {arch.name: x for arch, x in zip(archetypes, matrices)}
 
 
 def fine_tune_ensemble(
@@ -320,7 +312,8 @@ def evaluate_settings(
 
     The pseudo stage of fold f trains on `pseudo_sets[f]`, as
     `fold_pseudo_labels` makes them; when they are not given, they are made
-    here from `ctx.index`. Only the baseline setting needs no pseudo-labels,
+    here from `ctx.index`. The corpus is then embedded under the archetypes,
+    once for every fold. Only the baseline setting needs no pseudo-labels,
     and no index or corpus features.
     """
     for setting in settings:
@@ -329,9 +322,11 @@ def evaluate_settings(
     labeled = list(labeled)
     y = np.array([s.mos for s in labeled])
     need_pseudo = any(s != "baseline" for s in settings)
-    if need_pseudo and pseudo_sets is None:
-        pseudo_sets = fold_pseudo_labels(ctx, labeled, plan, cfg)
-    x_labeled = embed_labeled(ctx.archetypes, labeled)
+    if need_pseudo:
+        if pseudo_sets is None:
+            pseudo_sets = fold_pseudo_labels(ctx, labeled, plan, cfg)
+        corpus_features = embed_archetypes([r.text for r in ctx.store.records], ctx.archetypes)
+    x_labeled = embed_archetypes([s.text for s in labeled], ctx.archetypes)
 
     def run_fold(f: int) -> dict[str, np.ndarray]:
         train_idx = plan.train_indices(f)
@@ -341,7 +336,7 @@ def evaluate_settings(
 
         models9: list[ScorerModel] | None = None
         if need_pseudo:
-            models9 = train_stage_models(ctx, pseudo_sets[f], cfg, f"fold {f}")
+            models9 = train_stage_models(ctx, corpus_features, pseudo_sets[f], cfg, f"fold {f}")
 
         bundle: EnsembleBundle | None = None
         if any(s in ("ensemble_mean", "ensemble_stacker") for s in settings):

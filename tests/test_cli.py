@@ -168,8 +168,8 @@ class TestFullPipeline:
     def test_train_ensemble_and_evaluate_embed_corpus_and_labeled_texts_once(
         self, pipeline, monkeypatch
     ):
-        """Each stage embeds the corpus once per distinct archetype featurizer and
-        the labeled set once per archetype; the folds reuse both."""
+        """Each stage embeds the corpus and the labeled set once per distinct
+        archetype featurizer; the folds reuse both."""
         directory, config_path, dataset = pipeline
         config = load_config(config_path)
         # (text, featurizer fingerprint) of every row embedded, counted where called
@@ -191,7 +191,7 @@ class TestFullPipeline:
         corpus = [r.text for r in load_store(directory / "out" / cli.STORE).records]
         fingerprints = [spec.feature_config().fingerprint() for spec in config.archetypes]
         expected = Counter((t, fp) for fp in set(fingerprints) for t in corpus)
-        expected.update((s.text, fp) for fp in fingerprints for s in dataset.labeled_train)
+        expected.update((s.text, fp) for fp in set(fingerprints) for s in dataset.labeled_train)
         retrieval = config.retrieval.fingerprint()
 
         assert main(["train-ensemble", "--config", str(config_path)]) == 0
@@ -752,7 +752,7 @@ class TestFeaturizeStreams:
 
     def test_streamed_matrices_equal_np_save(self, ingested, monkeypatch):
         out, config_path = ingested
-        passes, windows = _count_embedding(monkeypatch, cli)
+        passes, windows = _count_embedding(monkeypatch, features)
         before = set(out.iterdir())
         assert main(["featurize", "--config", str(config_path)]) == 0
         # one pass over the corpus, with the retrieval featurizer only
@@ -773,12 +773,14 @@ class TestFeaturizeStreams:
 
     def test_evaluate_context_equals_build_context(self, ingested, monkeypatch):
         """The CLI embeds and indexes the corpus as the in-process pipeline does,
-        bit for bit, and nothing holds the index any more when training starts."""
+        bit for bit, and nothing holds the index any more when the corpus is
+        embedded under the archetypes."""
         out, config_path = ingested
         for command in ("featurize", "index"):
             assert main([command, "--config", str(config_path)]) == 0, command
-        contexts, indexes, index_alive = [], [], []
+        contexts, indexes, index_alive, corpus_features = [], [], [], []
         real_load_index = cli.load_index
+        real_embed_archetypes = pipeline_module.embed_archetypes
 
         def load_index(path):
             index = real_load_index(path)
@@ -787,25 +789,35 @@ class TestFeaturizeStreams:
 
         def capture(ctx, *args, **kwargs):
             contexts.append(ctx)
-            index_alive.extend(ref() is not None for ref in indexes)
             return pipeline_module.evaluate_settings(ctx, *args, **kwargs)
+
+        def embed_archetypes(texts, archetypes):
+            matrices = real_embed_archetypes(texts, archetypes)
+            if list(texts) == [r.text for r in contexts[0].store.records]:
+                index_alive.extend(ref() is not None for ref in indexes)
+                corpus_features.append(matrices)
+            return matrices
 
         monkeypatch.setattr(cli, "load_index", load_index)
         monkeypatch.setattr(cli, "evaluate_settings", capture)
+        monkeypatch.setattr(pipeline_module, "embed_archetypes", embed_archetypes)
         assert main(["evaluate", "--config", str(config_path)]) == 0
         (ctx,) = contexts
         assert ctx.index is None
-        assert index_alive == [False]  # loaded once, and freed before training
+        assert index_alive == [False]  # loaded once, and freed before the corpus is embedded
         config = load_config(config_path)
         store = load_store(out / cli.STORE)
         expected = pipeline_module.build_context(store, config.retrieval, config.archetypes)
         stats = load_feature_stats(out / cli.FEATURE_STATS)
         for arch in expected.archetypes:
             assert arch.stats.to_dict() == stats[arch.name].to_dict()
-        assert list(ctx.corpus_features) == ["a", "b", "c", "d"]
-        for name, matrix in expected.corpus_features.items():
-            assert ctx.corpus_features[name].tobytes() == matrix.tobytes(), name
-        assert ctx.corpus_features["d"] is ctx.corpus_features["a"]
+        (features_seen,) = corpus_features  # embedded once for every fold
+        assert list(features_seen) == ["a", "b", "c", "d"]
+        texts = [r.text for r in store.records]
+        for arch in expected.archetypes:
+            (matrix,) = embed_many(texts, [arch.stats], dtype=np.float32)
+            assert features_seen[arch.name].tobytes() == matrix.tobytes(), arch.name
+        assert features_seen["d"] is features_seen["a"]
         assert ctx.store.records == expected.store.records
         index = real_load_index(out / cli.INDEX)
         assert index.ids.tobytes() == expected.index.ids.tobytes()
@@ -875,15 +887,15 @@ def test_baseline_evaluate_reads_no_index_and_embeds_no_corpus(tmp_path, monkeyp
     for command in ("ingest", "featurize"):
         assert main([command, "--config", str(config_path)]) == 0, command
     calls = []
-    real_embed_corpus = cli.embed_corpus
+    real_embed_archetypes = pipeline_module.embed_archetypes
 
-    def counted(*args):
-        calls.append(args)
-        return real_embed_corpus(*args)
+    def counted(texts, archetypes):
+        calls.append(list(texts))
+        return real_embed_archetypes(texts, archetypes)
 
-    monkeypatch.setattr(cli, "embed_corpus", counted)
+    monkeypatch.setattr(pipeline_module, "embed_archetypes", counted)
     assert main(["evaluate", "--config", str(config_path)]) == 0
-    assert calls == []
+    assert calls == [[s.text for s in dataset.labeled_train]]  # the labeled set only
     out = tmp_path / "out"
     assert not (out / cli.INDEX).exists()
     recorded = json.loads((out / cli.MANIFEST).read_text())["stages"]["evaluate"]

@@ -119,8 +119,8 @@ class TestPseudoStage:
 def test_fixture_pseudo_stage_in_place_matches_gathered_rows(
     small_context, small_dataset, small_pipeline_config
 ):
-    """train_stage_models reads the cached corpus matrices in place; the models
-    are bitwise those trained on copies of the admitted rows."""
+    """train_stage_models reads the corpus matrices in place; the models are
+    bitwise those trained on copies of the admitted rows."""
     from pseudolab import pipeline
 
     ctx, cfg = small_context, small_pipeline_config
@@ -129,14 +129,17 @@ def test_fixture_pseudo_stage_in_place_matches_gathered_rows(
     pset = pipeline.generate_for_anchors(ctx, anchors, gate, cfg, {a.text for a in anchors})
     rows = rows_of(ctx.store.ids(), [lab.sentence_id for lab in pset.labels])
     assert 0 < len(rows) < len(ctx.store)
+    corpus_features = pipeline.embed_archetypes(
+        [r.text for r in ctx.store.records], ctx.archetypes
+    )
     gathered = train_pseudo_stage(
-        {name: matrix[rows] for name, matrix in ctx.corpus_features.items()},
+        {name: matrix[rows] for name, matrix in corpus_features.items()},
         [lab.predicted_score for lab in pset.labels],
         ctx.archetypes,
         cfg.seeds,
         cfg.hyper_pseudo,
     )
-    in_place = pipeline.train_stage_models(ctx, pset, cfg, "test")
+    in_place = pipeline.train_stage_models(ctx, corpus_features, pset, cfg, "test")
     assert [model_to_json(m) for m in in_place] == [model_to_json(m) for m in gathered]
 
 

@@ -62,7 +62,7 @@ def _corpus_archetypes(store):
 
 
 def _check_corpus_matrices(store, archetypes, matrices) -> int:
-    """Check embed_corpus's result; the bytes of its distinct matrices."""
+    """Check embed_archetypes's corpus matrices; the bytes of the distinct ones."""
     assert matrices["d"] is matrices["a"]
     assert matrices["b"].shape[0] == len(store.records)
     outputs = matrices["a"].nbytes + matrices["b"].nbytes
@@ -72,18 +72,21 @@ def _check_corpus_matrices(store, archetypes, matrices) -> int:
     return outputs
 
 
-def test_embed_corpus_holds_only_its_output_matrices(big_dataset, monkeypatch):
-    """Beyond the matrices it returns, embed_corpus holds only chunk-sized buffers
-    (chunks embedded in this process, where tracemalloc sees the matrices)."""
+def test_embed_archetypes_holds_only_its_output_matrices(big_dataset, monkeypatch):
+    """Beyond the matrices it returns, embed_archetypes holds only chunk-sized
+    buffers (chunks embedded in this process, where tracemalloc sees the matrices)."""
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     store = big_dataset.store
     archetypes = _corpus_archetypes(store)
-    peak, matrices = _traced_peak(lambda: pipeline.embed_corpus(store, archetypes))
+    texts = [r.text for r in store.records]
+    peak, matrices = _traced_peak(lambda: pipeline.embed_archetypes(texts, archetypes))
     outputs = _check_corpus_matrices(store, archetypes, matrices)
     assert peak - outputs < matrices["b"].nbytes / 2, (peak, outputs)
 
 
-def test_forked_embed_corpus_writes_shared_matrices_and_holds_no_chunk(big_dataset, monkeypatch):
+def test_forked_embed_archetypes_writes_shared_matrices_and_holds_no_chunk(
+    big_dataset, monkeypatch
+):
     """With two workers the matrices are in shared memory, which tracemalloc
     does not see, and this process embeds no chunk of its own."""
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
@@ -94,7 +97,8 @@ def test_forked_embed_corpus_writes_shared_matrices_and_holds_no_chunk(big_datas
 
     store = big_dataset.store
     archetypes = _corpus_archetypes(store)
-    peak, matrices = _traced_peak(lambda: pipeline.embed_corpus(store, archetypes))
+    texts = [r.text for r in store.records]
+    peak, matrices = _traced_peak(lambda: pipeline.embed_archetypes(texts, archetypes))
     _check_corpus_matrices(store, archetypes, matrices)
     for name in ("a", "b"):
         base = matrices[name]
@@ -160,9 +164,11 @@ def test_forked_workers_do_not_inherit_freed_heap(monkeypatch):
 
 
 def test_archetype_features_are_float32(small_context, small_dataset):
-    labeled = pipeline.embed_labeled(small_context.archetypes, small_dataset.labeled_train)
-    for arch in small_context.archetypes:
-        assert small_context.corpus_features[arch.name].dtype == np.float32
+    archetypes = small_context.archetypes
+    corpus = pipeline.embed_archetypes([r.text for r in small_dataset.store.records], archetypes)
+    labeled = pipeline.embed_archetypes([s.text for s in small_dataset.labeled_train], archetypes)
+    for arch in archetypes:
+        assert corpus[arch.name].dtype == np.float32
         assert labeled[arch.name].dtype == np.float32
         assert labeled[arch.name].shape == (
             len(small_dataset.labeled_train), arch.stats.config.dimension
@@ -174,7 +180,7 @@ def test_pseudo_stage_reads_the_shared_matrices_in_place(early_stopping):
     rng = np.random.default_rng(5)
     stats = fit_feature_stats(["ein kurzer satz", "noch ein satz"], FeatureConfig(hashed_dim=64))
     archetypes = [Archetype("a", stats, 32), Archetype("b", stats, 20)]
-    # float32, as pipeline.embed_corpus returns them
+    # float32, as pipeline.embed_archetypes returns them
     matrices = {
         name: (rng.normal(size=(4000, D)) * 0.05).astype(np.float32) for name in ("a", "b")
     }

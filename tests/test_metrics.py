@@ -126,10 +126,11 @@ def test_cross_validate_with_perfect_oracle(
     labeled = small_dataset.labeled_train
     plan = make_fold_plan(len(labeled), n_folds=5, seed=1)
     # every labeled row's one feature is its gold score, and the model predicts it
+    mos = {s.text: s.mos for s in labeled}
     monkeypatch.setattr(
         pipeline,
-        "embed_labeled",
-        lambda archetypes, rows: {a.name: np.array([[s.mos] for s in rows]) for a in archetypes},
+        "embed_archetypes",
+        lambda texts, archetypes: {a.name: np.array([[mos[t]] for t in texts]) for a in archetypes},
     )
     monkeypatch.setattr(pipeline, "predict", lambda model, x: x[:, 0])
 

@@ -125,7 +125,7 @@ def test_lowest_failing_fold_is_raised(
     """Fold 1 fails at once while fold 0 is still running; fold 0's error wins."""
     _use_workers(monkeypatch, 2)
 
-    def failing(ctx, pset, cfg, where):
+    def failing(ctx, corpus_features, pset, cfg, where):
         if where == "fold 0":
             time.sleep(0.5)
             raise ValueError("fold 0 failed late")
@@ -146,13 +146,13 @@ def test_no_fold_starts_after_a_failure(
     started = tmp_path / "started.txt"
     real = pipeline.train_stage_models
 
-    def logged(ctx, pset, cfg, where):
+    def logged(ctx, corpus_features, pset, cfg, where):
         with open(started, "a", encoding="utf-8") as fh:
             fh.write(where + "\n")
         if where == "fold 0":
             raise RuntimeError("fold 0: step failed")
         time.sleep(0.5)
-        return real(ctx, pset, cfg, where)
+        return real(ctx, corpus_features, pset, cfg, where)
 
     monkeypatch.setattr(pipeline, "train_stage_models", logged)
     with pytest.raises(RuntimeError, match="^fold 0: step failed$"):
@@ -181,10 +181,10 @@ def test_dead_worker_ends_evaluate_with_an_error():
         )
         real = pipeline.train_stage_models
 
-        def dying(ctx, pset, cfg, where):
+        def dying(ctx, corpus_features, pset, cfg, where):
             if where == "fold 1":
                 os._exit(7)
-            return real(ctx, pset, cfg, where)
+            return real(ctx, corpus_features, pset, cfg, where)
 
         pipeline.train_stage_models = dying
         parallel.usable_cpus = lambda: 2

@@ -27,10 +27,12 @@ def sha256_bytes(data: bytes) -> str:
 
 
 def sha256_file(path: str | Path) -> str:
+    """The file's digest, read through one reused 256 KB buffer."""
     h = hashlib.sha256()
+    buffer = memoryview(bytearray(1 << 18))
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+        while n := fh.readinto(buffer):
+            h.update(buffer[:n])
     return h.hexdigest()
 
 
@@ -51,42 +53,36 @@ def artifact_digest(path: str | Path) -> str:
 
 
 @contextlib.contextmanager
-def atomic_paths(*targets: str | Path) -> Iterator[list[Path]]:
-    """Yield one temp path per target; when the block succeeds, move each onto its target.
+def atomic_path(target: str | Path) -> Iterator[Path]:
+    """Yield a temp path for target; when the block succeeds, move it onto target.
 
-    Each temp path has its target's name inside its own hidden
+    The temp path has the target's name inside its own hidden
     `.<name>.XXXX.tmp` directory beside the target, so the block may create a
-    file or a directory there. If the block raises, every temp is removed and
-    no target changes. An existing directory target is first moved aside into
-    its temp directory (and put back if the new one cannot move in), so the
-    old tree stays on disk until the new one replaces it.
+    file or a directory there. If the block raises, the temp is removed and
+    the target does not change. An existing directory target is first moved
+    aside into the temp directory (and put back if the new one cannot move
+    in), so the old tree stays on disk until the new one replaces it.
     """
-    targets = [Path(t) for t in targets]
-    tmp_dirs: list[Path] = []
+    target = Path(target)
+    tmp_dir = Path(tempfile.mkdtemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"))
     try:
-        for target in targets:
-            tmp_dirs.append(
-                Path(tempfile.mkdtemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"))
-            )
-        yield [tmp_dir / target.name for tmp_dir, target in zip(tmp_dirs, targets)]
-        for tmp_dir, target in zip(tmp_dirs, targets):
-            old = tmp_dir / ".old"
-            if target.is_dir():
-                os.replace(target, old)
-            try:
-                os.replace(tmp_dir / target.name, target)
-            except OSError:
-                if old.exists():
-                    os.replace(old, target)
-                raise
+        yield tmp_dir / target.name
+        old = tmp_dir / ".old"
+        if target.is_dir():
+            os.replace(target, old)
+        try:
+            os.replace(tmp_dir / target.name, target)
+        except OSError:
+            if old.exists():
+                os.replace(old, target)
+            raise
     finally:
-        for tmp_dir in tmp_dirs:
-            shutil.rmtree(tmp_dir, ignore_errors=True)
+        shutil.rmtree(tmp_dir, ignore_errors=True)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write UTF-8 text so that a crash never leaves a partial file at `path`."""
-    with atomic_paths(path) as (tmp,):
+    with atomic_path(path) as tmp:
         tmp.write_bytes(text.encode("utf-8"))
 
 

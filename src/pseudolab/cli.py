@@ -21,7 +21,7 @@ from . import __version__
 from .artifacts import (
     StaleArtifactError,
     artifact_digest,
-    atomic_paths,
+    atomic_path,
     atomic_write_text,
     json_text,
     output_lock,
@@ -69,7 +69,7 @@ def _log(msg: str) -> None:
 
 def _atomic_save(path: Path, save_fn) -> None:
     """Run a saver against a temp path (a file or a directory), then move it into place."""
-    with atomic_paths(path) as (tmp,):
+    with atomic_path(path) as tmp:
         save_fn(tmp)
 
 
@@ -255,7 +255,7 @@ def cmd_featurize(config: RunConfig, force: bool) -> None:
 
 def _load_context(stage: _Stage) -> PipelineContext:
     """The pipeline context of the store and featurize's stats, with no index:
-    a stage loads it where it needs it."""
+    a stage loads it with `_read_index` where it needs it."""
     stats = stage.read(FEATURE_STATS, "featurize", load_feature_stats)
     archetypes = []
     for spec in stage.config.archetypes:
@@ -274,13 +274,35 @@ def _load_context(stage: _Stage) -> PipelineContext:
     )
 
 
+def _read_index(stage: _Stage, ctx: PipelineContext) -> VectorIndex:
+    """`index.bin`, refused unless it was built from the store's rows with the
+    retrieval featurizer of `feature_stats.json`, as one read under --force
+    after `featurize` ran again may not be."""
+    index = stage.read(INDEX, "index", load_index)
+    stage.check_ids(INDEX, "index", ctx.store, index.ids)
+    retrieval = ctx.retrieval_stats
+    if index.fingerprint != retrieval.fingerprint or index.dimension != retrieval.config.dimension:
+        raise StaleArtifactError(
+            f"artifact {INDEX!r} was built with another retrieval featurizer "
+            f"(dimension {index.dimension}) than {FEATURE_STATS!r} holds (dimension "
+            f"{retrieval.config.dimension}); re-run the 'index' stage"
+        )
+    return index
+
+
 def cmd_index(config: RunConfig, force: bool) -> None:
     stage = _Stage("index", config, force)
-    stats = stage.read(FEATURE_STATS, "featurize", load_feature_stats)
+    retrieval = stage.read(FEATURE_STATS, "featurize", load_feature_stats)[RETRIEVAL]
     vectors = stage.read(CORPUS_VECTORS, "featurize", np.load)
     ids = stage.read(CORPUS_IDS, "featurize", np.load)
+    if vectors.shape[1:] != (retrieval.config.dimension,):
+        raise StaleArtifactError(
+            f"artifact {CORPUS_VECTORS!r} holds vectors of shape {vectors.shape}, not of "
+            f"the retrieval featurizer's dimension {retrieval.config.dimension}; "
+            "re-run the 'featurize' stage"
+        )
     try:
-        index = VectorIndex(ids, vectors, stats[RETRIEVAL].fingerprint)
+        index = VectorIndex(ids, vectors, retrieval.fingerprint)
     except ValueError as exc:
         raise StaleArtifactError(
             f"artifacts {CORPUS_IDS!r} and {CORPUS_VECTORS!r} do not match ({exc}); "
@@ -304,8 +326,7 @@ def cmd_train_baseline(config: RunConfig, force: bool) -> None:
 def cmd_pseudolabel(config: RunConfig, force: bool) -> None:
     stage = _Stage("pseudolabel", config, force)
     ctx = _load_context(stage)
-    ctx.index = stage.read(INDEX, "index", load_index)
-    stage.check_ids(INDEX, "index", ctx.store, ctx.index.ids)
+    ctx.index = _read_index(stage, ctx)
     gate = stage.read(BASELINE_MODEL, "train-baseline", load_model)
     anchors = stage.labeled_train()
     exclude = {s.text for s in anchors}
@@ -361,8 +382,7 @@ def cmd_evaluate(config: RunConfig, force: bool) -> None:
         # Pseudo-label every fold while the index is loaded, and drop it before
         # evaluate_settings embeds the archetype matrices, so the two are never
         # held at once.
-        ctx.index = stage.read(INDEX, "index", load_index)
-        stage.check_ids(INDEX, "index", ctx.store, ctx.index.ids)
+        ctx.index = _read_index(stage, ctx)
         pseudo_sets = fold_pseudo_labels(ctx, labeled, plan, config)
         ctx.index = None
     reports = evaluate_settings(

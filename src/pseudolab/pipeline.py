@@ -312,8 +312,8 @@ def evaluate_settings(
 
     The pseudo stage of fold f trains on `pseudo_sets[f]`, as
     `fold_pseudo_labels` makes them; when they are not given, they are made
-    here from `ctx.index`. The corpus is then embedded under the archetypes,
-    once for every fold. Only the baseline setting needs no pseudo-labels,
+    here from `ctx.index`. The corpus is then embedded under the archetypes
+    once, for all the folds. Only the baseline setting needs no pseudo-labels,
     and no index or corpus features.
     """
     for setting in settings:

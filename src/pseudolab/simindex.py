@@ -6,6 +6,7 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -63,7 +64,12 @@ class VectorIndex:
         self.ids = ids.astype(np.int64, copy=False)
         self.vectors = vectors
         self.fingerprint = fingerprint
-        self.norms = map_row_blocks(lambda block: np.linalg.norm(block, axis=1), vectors)
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """Each row's float64 norm, computed on first use: a stage that only
+        saves the index makes no float64 pass over it."""
+        return map_row_blocks(lambda block: np.linalg.norm(block, axis=1), self.vectors)
 
     @property
     def dimension(self) -> int:

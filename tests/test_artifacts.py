@@ -2,7 +2,7 @@
 
 import pytest
 
-from pseudolab.artifacts import atomic_paths, atomic_write_text
+from pseudolab.artifacts import atomic_path, atomic_write_text
 
 
 def _tree(directory):
@@ -27,10 +27,11 @@ def targets(tmp_path):
 
 def test_file_and_directory_targets_are_replaced(tmp_path, targets):
     file_target, dir_target = targets
-    with atomic_paths(file_target, dir_target) as (file_tmp, dir_tmp):
-        assert file_tmp.name == file_target.name and dir_tmp.name == dir_target.name
-        assert not file_tmp.exists() and not dir_tmp.exists()
+    with atomic_path(file_target) as file_tmp:
+        assert file_tmp.name == file_target.name and not file_tmp.exists()
         file_tmp.write_bytes(b"new report\n")
+    with atomic_path(dir_target) as dir_tmp:
+        assert dir_tmp.name == dir_target.name and not dir_tmp.exists()
         dir_tmp.mkdir()
         (dir_tmp / "manifest.json").write_bytes(b"new manifest\n")
     assert file_target.read_bytes() == b"new report\n"
@@ -59,18 +60,18 @@ def test_a_saver_that_raises_leaves_the_target_unchanged(tmp_path, targets, whic
         raise OSError(28, "No space left on device")
 
     with pytest.raises(OSError, match="No space"):
-        with atomic_paths(target) as (tmp,):
+        with atomic_path(target) as tmp:
             failing_save(tmp)
     assert _tree(tmp_path) == before
     assert not list(tmp_path.rglob("*.tmp"))
 
 
-def test_a_failure_with_two_targets_leaves_both_unchanged(tmp_path, targets):
+def test_an_interrupt_after_a_complete_output_leaves_the_target_unchanged(tmp_path, targets):
     before = _tree(tmp_path)
     with pytest.raises(KeyboardInterrupt):
-        with atomic_paths(*targets) as (file_tmp, dir_tmp):
-            file_tmp.write_bytes(b"new report\n")  # the first output is complete
-            dir_tmp.mkdir()
+        with atomic_path(targets[1]) as tmp:
+            tmp.mkdir()
+            (tmp / "manifest.json").write_bytes(b"new manifest\n")  # the output is complete
             raise KeyboardInterrupt
     assert _tree(tmp_path) == before
     assert not list(tmp_path.rglob("*.tmp"))

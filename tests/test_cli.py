@@ -811,7 +811,7 @@ class TestFeaturizeStreams:
         stats = load_feature_stats(out / cli.FEATURE_STATS)
         for arch in expected.archetypes:
             assert arch.stats.to_dict() == stats[arch.name].to_dict()
-        (features_seen,) = corpus_features  # embedded once for every fold
+        (features_seen,) = corpus_features  # embedded once, for all the folds
         assert list(features_seen) == ["a", "b", "c", "d"]
         texts = [r.text for r in store.records]
         for arch in expected.archetypes:

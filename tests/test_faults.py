@@ -266,6 +266,40 @@ def test_corpus_ids_that_do_not_fit_the_vectors_are_named(trained, tmp_path, cap
         assert repr(name) in lines[0], lines[0]
 
 
+def test_vectors_of_another_width_than_the_retrieval_featurizer_are_named(
+    trained, tmp_path, capsys
+):
+    """Under --force, index takes corpus_vectors.npy unchecked against the
+    manifest; a matrix narrower than the retrieval featurizer's dimension is a
+    stale artifact, not an index that every later query misses."""
+    path = _copy_run(trained, tmp_path)
+    vectors_path = tmp_path / "out" / cli.CORPUS_VECTORS
+    np.save(vectors_path, np.load(vectors_path)[:, :-1])
+    capsys.readouterr()
+    code = main(["index", "--config", str(path), "--force"])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2, lines
+    assert len(lines) == 1, lines
+    for name in (cli.CORPUS_VECTORS, "featurize"):
+        assert repr(name) in lines[0], lines[0]
+
+
+@pytest.mark.parametrize("stage", ["pseudolabel", "evaluate"])
+def test_an_index_of_another_retrieval_featurizer_is_named(trained, tmp_path, capsys, stage):
+    """featurize ran again with another retrieval featurizer and index did not:
+    under --force, the index read is refused as stale, not queried with
+    vectors of another featurizer."""
+    path = _copy_run(trained, tmp_path, retrieval={"hashed_dim": 512})
+    assert main(["featurize", "--config", str(path)]) == 0
+    capsys.readouterr()
+    code = main([stage, "--config", str(path), "--force"])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2, lines
+    assert len(lines) == 1, lines
+    for name in (cli.INDEX, "index"):
+        assert repr(name) in lines[0], lines[0]
+
+
 @pytest.mark.parametrize(
     "stage, force, artifact",
     [

@@ -220,9 +220,11 @@ def test_load_index_copies_the_payload_once(index, tmp_path):
 
 
 def test_index_stage_holds_the_vector_matrix_about_once(tmp_path):
-    """The index stage wraps the loaded matrix as it is and frees it before it
-    reads the written index back, so its traced peak is one matrix plus the
-    norms' float64 row blocks (about 6144 / N matrices), well below two."""
+    """The index stage wraps the loaded matrix as it is, makes no float64 pass
+    over it for norms it does not use, digests through one 256 KB buffer and
+    frees the matrix before it reads the written index back, so its traced
+    peak is one matrix and small buffers: 1.15 matrices, where the norms'
+    float64 row blocks and two 1 MB digest chunks made it 1.34."""
     from pseudolab import cli
 
     corpus = tmp_path / "corpus.txt"
@@ -242,7 +244,7 @@ def test_index_stage_holds_the_vector_matrix_about_once(tmp_path):
     assert matrix_bytes > 8e6
     peak, code = _traced_peak(lambda: cli.main(["index", "--config", str(config_path)]))
     assert code == 0
-    assert peak < 1.5 * matrix_bytes, (peak, matrix_bytes)
+    assert peak < 1.25 * matrix_bytes, (peak, matrix_bytes)
 
 
 def test_evaluate_never_holds_the_index_and_the_archetype_matrices_at_once(

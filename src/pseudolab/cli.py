@@ -31,9 +31,9 @@ from .artifacts import (
 from .config import ConfigError, RunConfig, load_config
 from .corpus import CorpusStore, InputFileError, LabeledSentence, deduplicate, ingest_corpus, load_labeled, load_store, normalize_sentence, open_text, rows_of, save_store
 from .ensemble import FoldPlan, make_fold_plan, save_bundle
-from .features import embed_many, fit_feature_stats_many, load_feature_stats
+from .features import FeatureStats, embed_many, fit_feature_stats_many, load_feature_stats
 from .metrics import render_report_table
-from .pipeline import RETRIEVAL, Archetype, PipelineContext, embed_archetypes, evaluate_settings, fine_tune_ensemble, fold_pseudo_labels, generate_for_anchors, train_gate_model, train_stage_models
+from .pipeline import RETRIEVAL, Archetype, PipelineContext, embed_archetypes, evaluate_settings, featurizer_configs, fine_tune_ensemble, fold_pseudo_labels, generate_for_anchors, train_gate_model, train_stage_models
 from .pseudolabel import load_pseudo_labels, pseudo_label_stats, render_stats_table, save_pseudo_labels
 from .scorer import DivergedError, load_model, model_to_json
 from .simindex import IndexFormatError, VectorIndex, load_index, save_index, verify_index
@@ -241,8 +241,7 @@ def cmd_ingest(config: RunConfig, force: bool) -> None:
 def cmd_featurize(config: RunConfig, force: bool) -> None:
     stage = _Stage("featurize", config, force)
     store = stage.read(STORE, "ingest", load_store)
-    configs = {RETRIEVAL: config.retrieval}
-    configs.update((spec.name, spec.feature_config()) for spec in config.archetypes)
+    configs = featurizer_configs(config.retrieval, config.archetypes)
     stats = dict(zip(configs, fit_feature_stats_many(store.records, configs.values())))
     stage.write_json(FEATURE_STATS, {name: s.to_dict() for name, s in stats.items()})
     ids = store.ids()
@@ -253,24 +252,27 @@ def cmd_featurize(config: RunConfig, force: bool) -> None:
     stage.finish()
 
 
+def _read_feature_stats(stage: _Stage) -> dict[str, FeatureStats]:
+    """featurize's stats, refused unless they hold every featurizer as the config has it."""
+    stats = stage.read(FEATURE_STATS, "featurize", load_feature_stats)
+    for name, wanted in featurizer_configs(stage.config.retrieval, stage.config.archetypes).items():
+        if name not in stats or stats[name].config != wanted:
+            what = "the retrieval featurizer" if name == RETRIEVAL else f"archetype {name!r}"
+            raise StaleArtifactError(
+                f"{FEATURE_STATS!r} has no featurizer for {what} as configured; "
+                "re-run the 'featurize' stage"
+            )
+    return stats
+
+
 def _load_context(stage: _Stage) -> PipelineContext:
     """The pipeline context of the store and featurize's stats, with no index:
     a stage loads it with `_read_index` where it needs it."""
-    stats = stage.read(FEATURE_STATS, "featurize", load_feature_stats)
-    archetypes = []
-    for spec in stage.config.archetypes:
-        if spec.name not in stats or stats[spec.name].config != spec.feature_config():
-            raise StaleArtifactError(
-                f"{FEATURE_STATS} has no featurizer for archetype {spec.name!r} as "
-                "configured; re-run the 'featurize' stage"
-            )
-        archetypes.append(
-            Archetype(name=spec.name, stats=stats[spec.name], batch_size=spec.batch_size)
-        )
+    stats = _read_feature_stats(stage)
     return PipelineContext(
         store=stage.read(STORE, "ingest", load_store),
         retrieval_stats=stats[RETRIEVAL],
-        archetypes=archetypes,
+        archetypes=[Archetype(s.name, stats[s.name], s.batch_size) for s in stage.config.archetypes],
     )
 
 
@@ -292,7 +294,7 @@ def _read_index(stage: _Stage, ctx: PipelineContext) -> VectorIndex:
 
 def cmd_index(config: RunConfig, force: bool) -> None:
     stage = _Stage("index", config, force)
-    retrieval = stage.read(FEATURE_STATS, "featurize", load_feature_stats)[RETRIEVAL]
+    retrieval = _read_feature_stats(stage)[RETRIEVAL]
     vectors = stage.read(CORPUS_VECTORS, "featurize", np.load)
     ids = stage.read(CORPUS_IDS, "featurize", np.load)
     if vectors.shape[1:] != (retrieval.config.dimension,):
@@ -317,8 +319,7 @@ def cmd_index(config: RunConfig, force: bool) -> None:
 
 def cmd_train_baseline(config: RunConfig, force: bool) -> None:
     stage = _Stage("train-baseline", config, force)
-    stats = stage.read(FEATURE_STATS, "featurize", load_feature_stats)
-    model = train_gate_model(stats[RETRIEVAL], stage.labeled_train(), config)
+    model = train_gate_model(_read_feature_stats(stage)[RETRIEVAL], stage.labeled_train(), config)
     stage.write_text(BASELINE_MODEL, model_to_json(model))
     stage.finish()
 

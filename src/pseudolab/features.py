@@ -94,7 +94,10 @@ class FeatureStats:
     config: FeatureConfig
     means: np.ndarray
     stds: np.ndarray
-    fingerprint: str
+
+    @property
+    def fingerprint(self) -> str:
+        return self.config.fingerprint()
 
     def to_dict(self) -> dict:
         return {
@@ -106,14 +109,12 @@ class FeatureStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureStats":
-        config = FeatureConfig(**d["config"])
         stats = cls(
-            config=config,
+            config=FeatureConfig(**d["config"]),
             means=np.asarray(d["means"], dtype=np.float64),
             stds=np.asarray(d["stds"], dtype=np.float64),
-            fingerprint=d["fingerprint"],
         )
-        if stats.fingerprint != config.fingerprint():
+        if d["fingerprint"] != stats.fingerprint:
             raise ValueError("feature stats fingerprint does not match its config")
         for name, values in (("means", stats.means), ("stds", stats.stds)):
             if values.shape != (SURFACE_DIM,) or not np.all(np.isfinite(values)):
@@ -221,9 +222,7 @@ def fit_feature_stats(corpus: Iterable, config: FeatureConfig) -> FeatureStats:
     # a column (near) constant on the corpus is centred but not scaled: dividing
     # by a floored std would blow any other value up to about 1 / STD_FLOOR
     stds[stds < STD_FLOOR] = 1.0
-    return FeatureStats(
-        config=config, means=means, stds=stds, fingerprint=config.fingerprint()
-    )
+    return FeatureStats(config=config, means=means, stds=stds)
 
 
 def fit_feature_stats_many(
@@ -239,9 +238,7 @@ def fit_feature_stats_many(
     for config in configs:
         if config.max_tokens not in fitted:
             fitted[config.max_tokens] = fit_feature_stats(corpus, config)
-        result.append(
-            replace(fitted[config.max_tokens], config=config, fingerprint=config.fingerprint())
-        )
+        result.append(replace(fitted[config.max_tokens], config=config))
     return result
 
 
@@ -291,8 +288,6 @@ def embed_chunks(
     stats_list = list(stats_list)
     by_max_tokens: dict[int, list[int]] = {}
     for j, stats in enumerate(stats_list):
-        if stats.fingerprint != stats.config.fingerprint():
-            raise ValueError("feature stats fingerprint does not match its config")
         by_max_tokens.setdefault(stats.config.max_tokens, []).append(j)
     if out is None:
         buffers = [

@@ -132,25 +132,27 @@ def embed_archetypes(texts: Sequence[str], archetypes: Sequence[Archetype]) -> d
     return {arch.name: matrices[arch.stats.fingerprint] for arch in archetypes}
 
 
+def featurizer_configs(
+    retrieval_config: FeatureConfig, archetype_specs: Sequence[ArchetypeSpec]
+) -> dict[str, FeatureConfig]:
+    """A run's featurizers by name: RETRIEVAL first, then each archetype."""
+    return {RETRIEVAL: retrieval_config, **{s.name: s.feature_config() for s in archetype_specs}}
+
+
 def build_context(
     store: CorpusStore,
     retrieval_config: FeatureConfig = DEFAULT_RETRIEVAL_CONFIG,
     archetype_specs: Sequence[ArchetypeSpec] = DEFAULT_ARCHETYPE_SPECS,
 ) -> PipelineContext:
     """Fit every featurizer on the store and index its retrieval vectors."""
-    retrieval_stats, *archetype_stats = fit_feature_stats_many(
-        store.records, [retrieval_config, *(spec.feature_config() for spec in archetype_specs)]
-    )
-    archetypes = [
-        Archetype(name=spec.name, stats=stats, batch_size=spec.batch_size)
-        for spec, stats in zip(archetype_specs, archetype_stats)
-    ]
-    (vectors,) = embed_many([r.text for r in store.records], [retrieval_stats], dtype=np.float32)
+    configs = featurizer_configs(retrieval_config, archetype_specs)
+    stats = dict(zip(configs, fit_feature_stats_many(store.records, configs.values())))
+    (vectors,) = embed_many([r.text for r in store.records], [stats[RETRIEVAL]], dtype=np.float32)
     return PipelineContext(
         store=store,
-        retrieval_stats=retrieval_stats,
-        archetypes=archetypes,
-        index=VectorIndex(store.ids(), vectors, retrieval_stats.fingerprint),
+        retrieval_stats=stats[RETRIEVAL],
+        archetypes=[Archetype(s.name, stats[s.name], s.batch_size) for s in archetype_specs],
+        index=VectorIndex(store.ids(), vectors, stats[RETRIEVAL].fingerprint),
     )
 
 

@@ -350,3 +350,41 @@ def test_lineage_is_checked_one_stage_at_a_time(trained, tmp_path, capsys):
         )
     assert main(["train-baseline", "--config", str(path)]) == 0
     assert main(["pseudolabel", "--config", str(path)]) == 0
+
+
+def _one_error_line(capsys, argv, *names):
+    """Run argv; it must exit 2 with one line on stderr that names each of `names`."""
+    capsys.readouterr()
+    code = main(argv)
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2, lines
+    assert len(lines) == 1, lines
+    for name in names:
+        assert repr(name) in lines[0], lines[0]
+    return lines[0]
+
+
+@pytest.mark.parametrize("stage", ["index", "train-baseline", "pseudolabel"])
+def test_feature_stats_without_the_retrieval_featurizer_are_named(
+    trained, tmp_path, capsys, stage
+):
+    """Under --force, a feature_stats.json that parses but lacks the retrieval
+    entry is a stale artifact, not a KeyError."""
+    path = _copy_run(trained, tmp_path)
+    stats_path = tmp_path / "out" / cli.FEATURE_STATS
+    payload = json.loads(stats_path.read_text(encoding="utf-8"))
+    del payload["retrieval"]
+    stats_path.write_text(json.dumps(payload), encoding="utf-8")
+    line = _one_error_line(
+        capsys, [stage, "--config", str(path), "--force"], cli.FEATURE_STATS, "featurize"
+    )
+    assert "retrieval featurizer" in line
+
+
+@pytest.mark.parametrize("stage", ["index", "train-baseline"])
+def test_retrieval_changed_after_featurize_is_stale(trained, tmp_path, capsys, stage):
+    """A stage that reads the retrieval featurizer checks it against the config,
+    as every reader of feature_stats.json checks the archetypes."""
+    path = _copy_run(trained, tmp_path, retrieval={"hashed_dim": 512})
+    _one_error_line(capsys, [stage, "--config", str(path)], cli.FEATURE_STATS, "featurize")
+

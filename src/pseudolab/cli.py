@@ -159,7 +159,8 @@ class _Stage:
             return load(path)
         except InputFileError:
             raise  # the store is read like an input file: a bad line exits 1, naming it
-        except (ValueError, KeyError, TypeError, IndexError, AttributeError, EOFError) as exc:
+        except (ValueError, KeyError, TypeError, IndexError, AttributeError, EOFError,
+                FileNotFoundError) as exc:
             raise StaleArtifactError(
                 f"artifact {artifact!r} is corrupt or truncated ({type(exc).__name__}: {exc}); "
                 f"re-run the {producing_stage!r} stage"
@@ -276,19 +277,25 @@ def _load_context(stage: _Stage) -> PipelineContext:
     )
 
 
+def _check_retrieval(
+    artifact: str, producing_stage: str, fingerprint: str, dimension: int, retrieval: FeatureStats
+) -> None:
+    """Refuse an artifact made with another retrieval featurizer than `feature_stats.json`
+    holds, as one read under --force after `featurize` ran again may be."""
+    if fingerprint != retrieval.fingerprint or dimension != retrieval.config.dimension:
+        raise StaleArtifactError(
+            f"artifact {artifact!r} was made with another retrieval featurizer "
+            f"(dimension {dimension}) than {FEATURE_STATS!r} holds (dimension "
+            f"{retrieval.config.dimension}); re-run the {producing_stage!r} stage"
+        )
+
+
 def _read_index(stage: _Stage, ctx: PipelineContext) -> VectorIndex:
     """`index.bin`, refused unless it was built from the store's rows with the
-    retrieval featurizer of `feature_stats.json`, as one read under --force
-    after `featurize` ran again may not be."""
+    retrieval featurizer of `feature_stats.json`."""
     index = stage.read(INDEX, "index", load_index)
     stage.check_ids(INDEX, "index", ctx.store, index.ids)
-    retrieval = ctx.retrieval_stats
-    if index.fingerprint != retrieval.fingerprint or index.dimension != retrieval.config.dimension:
-        raise StaleArtifactError(
-            f"artifact {INDEX!r} was built with another retrieval featurizer "
-            f"(dimension {index.dimension}) than {FEATURE_STATS!r} holds (dimension "
-            f"{retrieval.config.dimension}); re-run the 'index' stage"
-        )
+    _check_retrieval(INDEX, "index", index.fingerprint, index.dimension, ctx.retrieval_stats)
     return index
 
 
@@ -329,6 +336,9 @@ def cmd_pseudolabel(config: RunConfig, force: bool) -> None:
     ctx = _load_context(stage)
     ctx.index = _read_index(stage, ctx)
     gate = stage.read(BASELINE_MODEL, "train-baseline", load_model)
+    _check_retrieval(
+        BASELINE_MODEL, "train-baseline", gate.fingerprint, gate.weights.size, ctx.retrieval_stats
+    )
     anchors = stage.labeled_train()
     exclude = {s.text for s in anchors}
     if config.labeled_test:

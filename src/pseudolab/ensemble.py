@@ -369,6 +369,16 @@ def load_bundle(directory: str | Path) -> EnsembleBundle:
         )
         for m in manifest["models"]
     ]
+    for fm in fold_models:  # each must score its archetype's features
+        stats = archetypes[fm.archetype].stats
+        dimension = stats.config.dimension
+        if fm.model.fingerprint != stats.fingerprint or fm.model.weights.shape != (dimension,):
+            raise ValueError(
+                f"model {fm.archetype}_s{fm.seed}_f{fm.fold} ({fm.model.weights.size} weights, "
+                f"fingerprint {fm.model.fingerprint!r}) does not fit archetype "
+                f"{fm.archetype!r}'s featurizer (dimension {dimension}, fingerprint "
+                f"{stats.fingerprint!r})"
+            )
     oof = None
     oof_path = directory / "oof.csv"
     if oof_path.exists():

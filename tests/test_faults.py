@@ -388,3 +388,39 @@ def test_retrieval_changed_after_featurize_is_stale(trained, tmp_path, capsys, s
     path = _copy_run(trained, tmp_path, retrieval={"hashed_dim": 512})
     _one_error_line(capsys, [stage, "--config", str(path)], cli.FEATURE_STATS, "featurize")
 
+
+def test_a_baseline_model_of_another_retrieval_featurizer_is_named(trained, tmp_path, capsys):
+    """featurize and index ran again with another retrieval featurizer and
+    train-baseline did not: under --force the gate is refused, not used to
+    score vectors of another width."""
+    path = _copy_run(trained, tmp_path, retrieval={"hashed_dim": 512})
+    for stage in ("featurize", "index"):
+        assert main([stage, "--config", str(path)]) == 0, stage
+    _one_error_line(
+        capsys, ["pseudolabel", "--config", str(path), "--force"],
+        cli.BASELINE_MODEL, "train-baseline",
+    )
+
+
+def _drop_bundle_model(model: Path) -> None:
+    model.unlink()
+
+
+def _drop_last_weight(model: Path) -> None:
+    payload = json.loads(model.read_text(encoding="utf-8"))
+    payload["weights"] = payload["weights"][:-1]
+    model.write_text(json.dumps(payload), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "edit", [_drop_bundle_model, _drop_last_weight], ids=["deleted", "one-weight-short"]
+)
+def test_a_bundle_model_that_cannot_score_is_named(trained, tmp_path, capsys, edit):
+    """Under --force, a bundle whose model file is gone, or does not fit its
+    archetype's featurizer, is a stale artifact, not an internal error."""
+    path = _copy_run(trained, tmp_path)
+    edit(tmp_path / "out" / _bundle_model(tmp_path / "out"))
+    _one_error_line(
+        capsys, ["predict", "--config", str(path), "--force", "--input", str(trained[2])],
+        cli.BUNDLE,
+    )

@@ -33,7 +33,7 @@ from .corpus import CorpusStore, InputFileError, LabeledSentence, deduplicate, i
 from .ensemble import FoldPlan, make_fold_plan, save_bundle
 from .features import FeatureStats, embed_many, fit_feature_stats_many, load_feature_stats
 from .metrics import render_report_table
-from .pipeline import RETRIEVAL, Archetype, PipelineContext, embed_archetypes, evaluate_settings, featurizer_configs, fine_tune_ensemble, fold_pseudo_labels, generate_for_anchors, train_gate_model, train_stage_models
+from .pipeline import AGGREGATION, RETRIEVAL, Archetype, PipelineContext, embed_archetypes, evaluate_settings, featurizer_configs, fine_tune_ensemble, fold_pseudo_labels, generate_for_anchors, train_gate_model, train_stage_models
 from .pseudolabel import load_pseudo_labels, pseudo_label_stats, render_stats_table, save_pseudo_labels
 from .scorer import DivergedError, load_model, model_to_json
 from .simindex import IndexFormatError, VectorIndex, load_index, save_index, verify_index
@@ -376,9 +376,7 @@ def cmd_train_ensemble(config: RunConfig, force: bool) -> None:
         features_by_archetype=embed_archetypes([s.text for s in labeled], ctx.archetypes),
     )
     _log(f"[train-ensemble] fine-tuned {len(bundle.fold_models)} fold models")
-    bundle.aggregation = (
-        "stacker" if config.setting == "ensemble_stacker" else "mean"
-    )
+    bundle.aggregation = AGGREGATION.get(config.setting, "mean")
     stage.write(BUNDLE, lambda tmp: save_bundle(bundle, tmp))
     stage.finish()
 
@@ -387,7 +385,7 @@ def cmd_evaluate(config: RunConfig, force: bool) -> None:
     stage = _Stage("evaluate", config, force)
     ctx = _load_context(stage)
     labeled = stage.labeled_train()
-    plan = _fold_plan(config, labeled, nested=config.setting.startswith("ensemble"))
+    plan = _fold_plan(config, labeled, nested=config.setting in AGGREGATION)
     pseudo_sets = None
     if config.setting != "baseline":
         # Pseudo-label every fold while the index is loaded, and drop it before

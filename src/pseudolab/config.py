@@ -18,6 +18,7 @@ from .features import FeatureConfig
 from .pipeline import (
     DEFAULT_ARCHETYPE_SPECS,
     DEFAULT_RETRIEVAL_CONFIG,
+    DEFAULT_SETTING,
     RETRIEVAL,
     SETTINGS,
     ArchetypeSpec,
@@ -47,7 +48,7 @@ class RunConfig(PipelineConfig):
         default_factory=lambda: list(DEFAULT_ARCHETYPE_SPECS)
     )
     fold_seed: int = 1
-    setting: str = "ensemble_mean"
+    setting: str = DEFAULT_SETTING
     default_rating_std: float = DEFAULT_RATING_STD
 
     def canonical_json(self) -> str:

@@ -40,6 +40,9 @@ from .scorer import (
 from .simindex import VectorIndex, map_row_blocks
 
 SETTINGS = ("baseline", "pseudo_only", "ensemble_mean", "ensemble_stacker")
+DEFAULT_SETTING = "ensemble_mean"
+# what each ensemble setting aggregates its bundle's fold models by
+AGGREGATION = {"ensemble_mean": "mean", "ensemble_stacker": "stacker"}
 
 RETRIEVAL = "retrieval"
 
@@ -341,7 +344,7 @@ def evaluate_settings(
             models9 = train_stage_models(ctx, corpus_features, pseudo_sets[f], cfg, f"fold {f}")
 
         bundle: EnsembleBundle | None = None
-        if any(s in ("ensemble_mean", "ensemble_stacker") for s in settings):
+        if any(s in AGGREGATION for s in settings):
             inner_plan = make_fold_plan(
                 len(train_idx), cfg.n_folds, seed=plan.seed * 1009 + f
             )
@@ -372,10 +375,8 @@ def evaluate_settings(
                 preds = predict(model, x_test[arch0.name])
             elif setting == "pseudo_only":
                 preds = mean_prediction(models9, x_test)
-            elif setting == "ensemble_mean":
-                preds = score_features(bundle, x_test)
-            else:  # ensemble_stacker
-                preds = score_features(replace(bundle, aggregation="stacker"), x_test)
+            else:
+                preds = score_features(replace(bundle, aggregation=AGGREGATION[setting]), x_test)
             fold_preds[setting] = preds
         return fold_preds
 

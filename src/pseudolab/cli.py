@@ -125,9 +125,9 @@ class _Stage:
 
         The artifact must exist and, unless --force, be recorded in the manifest
         with the digest it has now, and be made from the artifacts the manifest
-        records now. A truncated or malformed artifact is raised as
-        StaleArtifactError, so a corrupt file read under --force is named, not
-        a traceback.
+        records now. A truncated or malformed artifact, or a directory artifact
+        missing a file, is raised as StaleArtifactError, so a corrupt file read
+        under --force is named, not a traceback.
         """
         path = self.outdir / artifact
         if not path.exists():

@@ -375,7 +375,7 @@ def evaluate_settings(
                 preds = predict(model, x_test[arch0.name])
             elif setting == "pseudo_only":
                 preds = mean_prediction(models9, x_test)
-            else:
+            else:  # an ensemble setting
                 preds = score_features(replace(bundle, aggregation=AGGREGATION[setting]), x_test)
             fold_preds[setting] = preds
         return fold_preds

@@ -402,10 +402,6 @@ def test_a_baseline_model_of_another_retrieval_featurizer_is_named(trained, tmp_
     )
 
 
-def _drop_bundle_model(model: Path) -> None:
-    model.unlink()
-
-
 def _drop_last_weight(model: Path) -> None:
     payload = json.loads(model.read_text(encoding="utf-8"))
     payload["weights"] = payload["weights"][:-1]
@@ -413,7 +409,7 @@ def _drop_last_weight(model: Path) -> None:
 
 
 @pytest.mark.parametrize(
-    "edit", [_drop_bundle_model, _drop_last_weight], ids=["deleted", "one-weight-short"]
+    "edit", [Path.unlink, _drop_last_weight], ids=["deleted", "one-weight-short"]
 )
 def test_a_bundle_model_that_cannot_score_is_named(trained, tmp_path, capsys, edit):
     """Under --force, a bundle whose model file is gone, or does not fit its

@@ -78,23 +78,15 @@ DEFAULT_RETRIEVAL_CONFIG = FeatureConfig(hashed_dim=1024, ngram_min=3, ngram_max
 
 
 def default_pseudo_hyper() -> HyperParams:
-    return HyperParams(
-        learning_rate=0.3, max_epochs=4, early_stopping=False, ridge_lambda=1.0
-    )
+    return HyperParams(learning_rate=0.3, max_epochs=4, ridge_lambda=1.0)
 
 
 def default_fine_tune_hyper() -> HyperParams:
-    # no early stopping here: the fine-tuning folds are small and the 20%
-    # holdout costs more than the stopping rule saves
-    return HyperParams(
-        learning_rate=0.1, max_epochs=20, early_stopping=False, ridge_lambda=1.0
-    )
+    return HyperParams(learning_rate=0.1, max_epochs=20, ridge_lambda=1.0)
 
 
 def default_baseline_hyper() -> HyperParams:
-    return HyperParams(
-        learning_rate=0.2, max_epochs=30, early_stopping=True, ridge_lambda=1.0
-    )
+    return HyperParams(learning_rate=0.2, max_epochs=30, ridge_lambda=1.0)
 
 
 @dataclass
@@ -361,6 +353,9 @@ def evaluate_settings(
                 arch0 = ctx.archetypes[0]
                 where = f"fold {f}, archetype {arch0.name!r}"
                 with _naming_divergence(cfg, "hyper_baseline", where):
+                    # the one fit that stops early; fine-tuning does not, as its
+                    # folds are small and the 20% holdout costs more than the
+                    # stopping rule saves
                     model = train_iterative(
                         None,
                         x_labeled[arch0.name][train_idx],
@@ -368,6 +363,7 @@ def evaluate_settings(
                         cfg.hyper_baseline,
                         seed=plan.seed * 7919 + f,
                         batch_size=arch0.batch_size,
+                        early_stopping=True,
                         fingerprint=arch0.stats.fingerprint,
                         stage="baseline",
                         archetype=arch0.name,

@@ -1,8 +1,9 @@
 """Complexity regressors: closed-form ridge and a mini-batch iterative trainer.
 
-The iterative trainer follows a linear schedule with 10% warmup, per-epoch
-seeded shuffling, and optional early stopping on a holdout split; it is the
-desk-scale stand-in for the fine-tuning stages.
+The iterative trainer follows a linear schedule with a fixed warmup
+(WARMUP_FRACTION of its steps), per-epoch seeded shuffling, and, where its
+caller asks, early stopping on a fixed holdout split (HOLDOUT_FRACTION of its
+rows); it is the desk-scale stand-in for the fine-tuning stages.
 """
 
 from __future__ import annotations
@@ -17,24 +18,23 @@ import numpy as np
 from .linalg import clamp_scores, gram, solve_spd
 from .metrics import rmse
 
+# the share of an iterative fit's steps over which its learning rate warms up
+WARMUP_FRACTION = 0.1
+# the share of an early-stopping fit's rows held out to choose its epoch
+HOLDOUT_FRACTION = 0.2
+
+
 @dataclass
 class HyperParams:
     learning_rate: float = 0.2
-    warmup_fraction: float = 0.1
     max_epochs: int = 30
-    early_stopping: bool = False
-    early_stopping_holdout_fraction: float = 0.2
     ridge_lambda: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and > 0")
-        if not 0 <= self.warmup_fraction < 1:
-            raise ValueError("warmup_fraction must be in [0, 1)")
         if self.max_epochs <= 0:
             raise ValueError("max_epochs must be positive")
-        if not 0 < self.early_stopping_holdout_fraction < 1:
-            raise ValueError("early_stopping_holdout_fraction must be in (0, 1)")
         if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0):
             raise ValueError("ridge_lambda must be finite and >= 0")
 
@@ -136,7 +136,7 @@ def train_ridge(
 
 
 def _learning_rate_at(step: int, total_steps: int, hyper: HyperParams) -> float:
-    warmup_steps = int(hyper.warmup_fraction * total_steps)
+    warmup_steps = int(WARMUP_FRACTION * total_steps)
     if step < warmup_steps:
         return hyper.learning_rate * (step + 1) / warmup_steps
     if total_steps == warmup_steps:
@@ -185,6 +185,7 @@ def train_iterative(
     seed: int,
     batch_size: int,
     rows: np.ndarray | None = None,
+    early_stopping: bool = False,
     fingerprint: str = "",
     stage: str = "pseudo_tuned",
     archetype: str = "",
@@ -192,7 +193,9 @@ def train_iterative(
     """Mini-batch gradient descent on squared error plus a ridge penalty, in float32.
 
     Linear warmup then linear decay to zero; data reshuffled each epoch from
-    a generator seeded by `seed`, so runs are bitwise reproducible.
+    a generator seeded by `seed`, so runs are bitwise reproducible. With
+    `early_stopping`, HOLDOUT_FRACTION of the rows are held out and the fit
+    keeps its best epoch on them, stopping after two epochs without a gain.
 
     X, y, the weights and every per-step buffer are float32; the intercept and
     the learning rate are Python floats. A float32 X is read in place; any
@@ -229,9 +232,9 @@ def train_iterative(
     rng = np.random.default_rng(seed)
     holdout = np.zeros(0, dtype=np.int64)  # positions in rows and y
     train_rows, yt = rows, y
-    if hyper.early_stopping:
+    if early_stopping:
         order = rng.permutation(n)
-        n_hold = int(round(n * hyper.early_stopping_holdout_fraction))
+        n_hold = int(round(n * HOLDOUT_FRACTION))
         if 1 <= n_hold < n:
             holdout = order[n - n_hold :]
             train_rows, yt = rows[order[: n - n_hold]], y[order[: n - n_hold]]

@@ -322,9 +322,21 @@ class TestValidation:
         assert re.fullmatch(rf"error: {re.escape(name)} must be a finite number, got (nan|inf)", line)
 
     @pytest.mark.parametrize("section", ["hyper_pseudo", "hyper_fine", "hyper_baseline"])
-    @pytest.mark.parametrize("key, value", [("schedule", "linear"), ("batch_size", 32), ("seed", 0)])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("schedule", "linear"),
+            ("batch_size", 32),
+            ("seed", 0),
+            ("warmup_fraction", 0.1),
+            ("early_stopping", True),
+            ("early_stopping_holdout_fraction", 0.2),
+        ],
+    )
     def test_removed_hyper_key(self, tmp_path, capsys, section, key, value):
-        # each fit's seed comes from seeds or fold_seed, its batch size from its archetype
+        # each fit's seed comes from seeds or fold_seed, its batch size from its
+        # archetype; the warmup and the holdout are fixed, and only the baseline
+        # setting stops early
         dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
         config_path = _write_config(tmp_path, dataset, {section: {key: value}})
         assert main(["ingest", "--config", str(config_path)]) == 1
@@ -446,7 +458,7 @@ class TestConfigParse:
                 "setting": "pseudo_only",
                 "default_rating_std": 0.25,
                 "ridge_lambda_baseline": 0.5,
-                "hyper_baseline": {"early_stopping": False, "learning_rate": 0.05},
+                "hyper_baseline": {"max_epochs": 12, "learning_rate": 0.05},
             },
         )
         if not every_section:  # only the required keys: every other one is a default

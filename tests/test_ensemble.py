@@ -162,7 +162,7 @@ def tuned_bundle(toy_archetypes, request):
     y = np.clip(2.0 + 0.04 * np.array([len(t) for t in texts]) + rng.normal(scale=0.2, size=len(texts)), 1, 7)
     labeled = _labeled_from(texts, y)
     plan = make_fold_plan(len(labeled), n_folds=5, seed=11)
-    hyper = HyperParams(learning_rate=0.1, max_epochs=10, early_stopping=True)
+    hyper = HyperParams(learning_rate=0.1, max_epochs=10)
     bundle = cv_fine_tune(
         base, archetypes, labeled, plan, hyper, features_by_archetype=features
     )

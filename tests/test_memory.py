@@ -11,12 +11,13 @@ import ctypes
 import json
 import mmap
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pseudolab import parallel, pipeline
+from pseudolab import ensemble, parallel, pipeline
 from pseudolab.ensemble import (
     Archetype,
     EnsembleBundle,
@@ -31,7 +32,7 @@ from pseudolab.features import (
     fit_feature_stats,
     fit_feature_stats_many,
 )
-from pseudolab.scorer import HyperParams, ScorerModel
+from pseudolab.scorer import HyperParams, ScorerModel, train_iterative
 from pseudolab.simindex import build_index, load_index, save_index, top_k_many
 
 N, D = 6000, 512  # the index's float64 size is 24.6 MB
@@ -176,7 +177,12 @@ def test_archetype_features_are_float32(small_context, small_dataset):
 
 
 @pytest.mark.parametrize("early_stopping", [False, True], ids=["no-early-stop", "early-stop"])
-def test_pseudo_stage_reads_the_shared_matrices_in_place(early_stopping):
+def test_pseudo_stage_reads_the_shared_matrices_in_place(monkeypatch, early_stopping):
+    # the pseudo stage does not stop early; its fits are made to here, so
+    # that the holdout is seen to be read in place too
+    monkeypatch.setattr(
+        ensemble, "train_iterative", partial(train_iterative, early_stopping=early_stopping)
+    )
     rng = np.random.default_rng(5)
     stats = fit_feature_stats(["ein kurzer satz", "noch ein satz"], FeatureConfig(hashed_dim=64))
     archetypes = [Archetype("a", stats, 32), Archetype("b", stats, 20)]
@@ -186,7 +192,7 @@ def test_pseudo_stage_reads_the_shared_matrices_in_place(early_stopping):
     }
     rows = rng.choice(4000, size=3600, replace=False)
     y = rng.uniform(2.0, 6.0, size=rows.size)
-    hyper = HyperParams(learning_rate=0.1, max_epochs=2, early_stopping=early_stopping)
+    hyper = HyperParams(learning_rate=0.1, max_epochs=2)
     peak, models = _traced_peak(
         lambda: train_pseudo_stage(matrices, y, archetypes, (1, 2), hyper, rows=rows)
     )

@@ -4,6 +4,7 @@ import pytest
 from pseudolab import linalg, scorer
 from pseudolab.linalg import MAX_JITTER_RETRIES, solve_spd
 from pseudolab.scorer import (
+    HOLDOUT_FRACTION,
     DivergedError,
     HyperParams,
     _fit_rows,
@@ -155,9 +156,9 @@ class TestIterative:
 
     def test_seed_determinism_bitwise(self, rng):
         X, y = _random_problem(rng)
-        hyper = HyperParams(early_stopping=True)
-        a = train_iterative(None, X, y, hyper, seed=42, batch_size=32)
-        b = train_iterative(None, X, y, hyper, seed=42, batch_size=32)
+        hyper = HyperParams()
+        a = train_iterative(None, X, y, hyper, seed=42, batch_size=32, early_stopping=True)
+        b = train_iterative(None, X, y, hyper, seed=42, batch_size=32, early_stopping=True)
         assert np.array_equal(a.weights, b.weights)
         assert a.intercept == b.intercept
         assert model_to_json(a) == model_to_json(b)
@@ -210,8 +211,8 @@ class TestIterative:
 
     def test_early_stopping_returns_best_epoch(self, rng):
         X, y = _random_problem(rng, n=60, d=4, noise=0.5)
-        hyper = HyperParams(learning_rate=0.5, max_epochs=50, early_stopping=True)
-        model = train_iterative(None, X, y, hyper, seed=3, batch_size=32)
+        hyper = HyperParams(learning_rate=0.5, max_epochs=50)
+        model = train_iterative(None, X, y, hyper, seed=3, batch_size=32, early_stopping=True)
         assert np.all(np.isfinite(model.weights))
 
 
@@ -226,23 +227,21 @@ class TestSharedRows:
         rows = rng.integers(0, 300, size=170)
         y = y_all[rows] + rng.normal(scale=0.05, size=rows.size)
         init = train_ridge(X[rows], y, 1.0, fingerprint="fp") if warm else None
-        hyper = HyperParams(
-            learning_rate=0.1, max_epochs=12, early_stopping=early_stopping, ridge_lambda=0.5
-        )
+        hyper = HyperParams(learning_rate=0.1, max_epochs=12, ridge_lambda=0.5)
         for batch_size in (1, 20, 32):
-            shared = train_iterative(
-                init, X, y, hyper, seed=9, batch_size=batch_size, rows=rows, fingerprint="fp"
+            kwargs = dict(
+                seed=9, batch_size=batch_size, early_stopping=early_stopping, fingerprint="fp"
             )
-            gathered = train_iterative(
-                init, X[rows], y, hyper, seed=9, batch_size=batch_size, fingerprint="fp"
-            )
+            shared = train_iterative(init, X, y, hyper, rows=rows, **kwargs)
+            gathered = train_iterative(init, X[rows], y, hyper, **kwargs)
             assert model_to_json(shared) == model_to_json(gathered)
 
     def test_rows_of_the_whole_matrix(self, rng):
         X, y = _random_problem(rng, n=80, d=5)
-        hyper = HyperParams(max_epochs=3, early_stopping=True)
-        whole = train_iterative(None, X, y, hyper, seed=1, batch_size=16)
-        indexed = train_iterative(None, X, y, hyper, seed=1, batch_size=16, rows=np.arange(80))
+        hyper = HyperParams(max_epochs=3)
+        kwargs = dict(seed=1, batch_size=16, early_stopping=True)
+        whole = train_iterative(None, X, y, hyper, **kwargs)
+        indexed = train_iterative(None, X, y, hyper, rows=np.arange(80), **kwargs)
         assert model_to_json(whole) == model_to_json(indexed)
 
     @pytest.mark.parametrize(
@@ -268,19 +267,16 @@ class TestSharedRows:
     def test_non_finite_training_row_rejected(self, rng, early_stopping):
         X, _ = _random_problem(rng, n=40, d=3)
         rows = np.arange(0, 40, 2)
-        hyper = HyperParams(max_epochs=2, early_stopping=early_stopping)
+        hyper = HyperParams(max_epochs=2)
+        kwargs = dict(seed=0, batch_size=3, rows=rows, early_stopping=early_stopping)
         for bad in rows:
             X_bad = X.copy()
             X_bad[bad, 1] = np.nan
             with pytest.raises(ValueError, match="non-finite training inputs"):
-                train_iterative(
-                    None, X_bad, np.full(rows.size, 4.0), hyper, seed=0, batch_size=3, rows=rows
-                )
+                train_iterative(None, X_bad, np.full(rows.size, 4.0), hyper, **kwargs)
         X_bad = X.copy()
         X_bad[1] = np.inf  # not a training row
-        train_iterative(
-            None, X_bad, np.full(rows.size, 4.0), hyper, seed=0, batch_size=3, rows=rows
-        )
+        train_iterative(None, X_bad, np.full(rows.size, 4.0), hyper, **kwargs)
 
 
 class TestFloat32:
@@ -296,14 +292,11 @@ class TestFloat32:
         rows = rng.integers(0, 60, size=n) if with_rows else None
         y = rng.uniform(1.0, 7.0, size=n)
         init = ScorerModel(weights=rng.normal(size=40) * 0.1, intercept=3.5) if warm else None
-        hyper = HyperParams(
-            learning_rate=0.3, max_epochs=6, early_stopping=early_stopping, ridge_lambda=1.0
-        )
+        hyper = HyperParams(learning_rate=0.3, max_epochs=6, ridge_lambda=1.0)
         X = X if with_rows else X[:n]
-        wide = train_iterative(init, X, y, hyper, seed=5, batch_size=7, rows=rows)
-        narrow = train_iterative(
-            init, X.astype(np.float32), y, hyper, seed=5, batch_size=7, rows=rows
-        )
+        kwargs = dict(seed=5, batch_size=7, rows=rows, early_stopping=early_stopping)
+        wide = train_iterative(init, X, y, hyper, **kwargs)
+        narrow = train_iterative(init, X.astype(np.float32), y, hyper, **kwargs)
         assert model_to_json(wide) == model_to_json(narrow)
         # float64 weights that hold float32 values exactly
         assert wide.weights.dtype == np.float64
@@ -320,7 +313,9 @@ class TestFloat32:
 
 # The mini-batch loop the in-place step replaced, kept as the reference: X, y
 # and w in float32, the intercept and the learning rate Python floats.
-def oracle_train_iterative(init, X, y, hyper, *, seed, batch_size, rows=None):
+def oracle_train_iterative(
+    init, X, y, hyper, *, seed, batch_size, rows=None, early_stopping=False
+):
     X = np.asarray(X, dtype=np.float32)
     y = np.asarray(y, dtype=np.float32)
     rows = _fit_rows(X, y, rows)
@@ -334,9 +329,9 @@ def oracle_train_iterative(init, X, y, hyper, *, seed, batch_size, rows=None):
     rng = np.random.default_rng(seed)
     holdout = np.zeros(0, dtype=np.int64)
     train_rows, yt = rows, y
-    if hyper.early_stopping:
+    if early_stopping:
         order = rng.permutation(n)
-        n_hold = int(round(n * hyper.early_stopping_holdout_fraction))
+        n_hold = int(round(n * HOLDOUT_FRACTION))
         if 1 <= n_hold < n:
             holdout = order[n - n_hold :]
             train_rows, yt = rows[order[: n - n_hold]], y[order[: n - n_hold]]
@@ -402,15 +397,12 @@ class TestStepMatchesOracle:
         y = rng.uniform(1.0, 7.0, size=n)
         init = ScorerModel(weights=rng.normal(size=d) * 0.1, intercept=3.5) if warm else None
         for ridge_lambda in (0.0, 1.0):
-            hyper = HyperParams(
-                learning_rate=0.3,
-                max_epochs=6,
-                early_stopping=early_stopping,
-                ridge_lambda=ridge_lambda,
-            )
+            hyper = HyperParams(learning_rate=0.3, max_epochs=6, ridge_lambda=ridge_lambda)
             for batch_size in (1, 7, 20, 32, 64):
                 args = (init, X if with_rows else X[:n], y, hyper)
-                kwargs = dict(seed=5, batch_size=batch_size, rows=rows)
+                kwargs = dict(
+                    seed=5, batch_size=batch_size, rows=rows, early_stopping=early_stopping
+                )
                 expected = _fit_outcome(oracle_train_iterative, *args, **kwargs)
                 assert isinstance(expected, tuple)
                 assert _fit_outcome(train_iterative, *args, **kwargs) == expected
@@ -505,7 +497,3 @@ def test_hyperparams_validation():
             HyperParams(learning_rate=value)
         with pytest.raises(ValueError, match="ridge_lambda must be finite"):
             HyperParams(ridge_lambda=value)
-    with pytest.raises(ValueError):
-        HyperParams(warmup_fraction=1.0)
-    with pytest.raises(ValueError):
-        HyperParams(early_stopping_holdout_fraction=0.0)

@@ -28,6 +28,9 @@ SURFACE_DIM = len(SURFACE_FEATURES)
 
 STD_FLOOR = 1e-9
 
+# every text is truncated to its first MAX_TOKENS whitespace tokens before it is featurized
+MAX_TOKENS = 128
+
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -59,15 +62,12 @@ class FeatureConfig:
     hashed_dim: int = 2048
     ngram_min: int = 3
     ngram_max: int = 5
-    max_tokens: int = 128
 
     def __post_init__(self):
         if self.hashed_dim <= 0:
             raise ValueError("hashed_dim must be positive")
         if not 1 <= self.ngram_min <= self.ngram_max:
             raise ValueError("ngram_min and ngram_max must satisfy 1 <= ngram_min <= ngram_max")
-        if self.max_tokens <= 0:
-            raise ValueError("max_tokens must be positive")
 
     @property
     def dimension(self) -> int:
@@ -79,7 +79,7 @@ class FeatureConfig:
                 "hashed_dim": self.hashed_dim,
                 "ngram_min": self.ngram_min,
                 "ngram_max": self.ngram_max,
-                "max_tokens": self.max_tokens,
+                "max_tokens": MAX_TOKENS,
                 "surface": list(SURFACE_FEATURES),
             },
             sort_keys=True,
@@ -101,7 +101,7 @@ class FeatureStats:
 
     def to_dict(self) -> dict:
         return {
-            "config": asdict(self.config),
+            "config": {**asdict(self.config), "max_tokens": MAX_TOKENS},
             "means": self.means.tolist(),
             "stds": self.stds.tolist(),
             "fingerprint": self.fingerprint,
@@ -109,8 +109,12 @@ class FeatureStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureStats":
+        config = dict(d["config"])
+        max_tokens = config.pop("max_tokens")
+        if max_tokens != MAX_TOKENS:
+            raise ValueError(f"feature stats max_tokens must be {MAX_TOKENS}, got {max_tokens!r}")
         stats = cls(
-            config=FeatureConfig(**d["config"]),
+            config=FeatureConfig(**config),
             means=np.asarray(d["means"], dtype=np.float64),
             stds=np.asarray(d["stds"], dtype=np.float64),
         )
@@ -124,11 +128,11 @@ class FeatureStats:
         return stats
 
 
-def truncate_tokens(text: str, max_tokens: int) -> str:
+def truncate_tokens(text: str) -> str:
     tokens = text.split()
-    if len(tokens) <= max_tokens:
+    if len(tokens) <= MAX_TOKENS:
         return text
-    return " ".join(tokens[:max_tokens])
+    return " ".join(tokens[:MAX_TOKENS])
 
 
 def _fnv1a64_windows(text: str, n_max: int) -> Iterator[np.ndarray]:
@@ -216,7 +220,7 @@ def fit_feature_stats(corpus: Iterable, config: FeatureConfig) -> FeatureStats:
     texts = [getattr(r, "text", r) for r in corpus]
     if not texts:
         raise ValueError("cannot fit feature stats on an empty corpus")
-    rows = _surface_block([truncate_tokens(t, config.max_tokens) for t in texts])
+    rows = _surface_block([truncate_tokens(t) for t in texts])
     means = rows.mean(axis=0)
     stds = rows.std(axis=0)
     # a column (near) constant on the corpus is centred but not scaled: dividing
@@ -228,18 +232,13 @@ def fit_feature_stats(corpus: Iterable, config: FeatureConfig) -> FeatureStats:
 def fit_feature_stats_many(
     corpus: Iterable, configs: Iterable[FeatureConfig]
 ) -> list[FeatureStats]:
-    """fit_feature_stats for each config, fitting once per distinct max_tokens.
-
-    The surface statistics depend on no other field of the config.
-    """
-    corpus = list(corpus)
-    fitted: dict[int, FeatureStats] = {}
-    result = []
-    for config in configs:
-        if config.max_tokens not in fitted:
-            fitted[config.max_tokens] = fit_feature_stats(corpus, config)
-        result.append(replace(fitted[config.max_tokens], config=config))
-    return result
+    """fit_feature_stats for each config, fitting once: the surface
+    statistics depend on no field of the config."""
+    configs = list(configs)
+    if not configs:
+        return []
+    fitted = fit_feature_stats(corpus, configs[0])
+    return [replace(fitted, config=config) for config in configs]
 
 
 def embed(text: str, stats: FeatureStats) -> np.ndarray:
@@ -278,17 +277,15 @@ def embed_chunks(
 
     Yields, per chunk of texts in order, one block per featurizer: blocks[j]
     holds the chunk's feature rows under stats_list[j]. Per chunk, the token
-    truncation, the surface block and the n-gram hashes are computed once
-    per distinct max_tokens, up to the largest ngram_max; only the bucketing
-    and the normalization run per featurizer. With `out` (one array of
+    truncation, the surface block and the n-gram hashes (up to the largest
+    ngram_max) are computed once; only the bucketing and the normalization
+    run per featurizer. With `out` (one array of
     len(texts) rows per featurizer) the blocks are views of the chunk's rows
     of out[j]; without it they are buffers that the next chunk overwrites,
     so peak memory does not grow with the batch.
     """
     stats_list = list(stats_list)
-    by_max_tokens: dict[int, list[int]] = {}
-    for j, stats in enumerate(stats_list):
-        by_max_tokens.setdefault(stats.config.max_tokens, []).append(j)
+    configs = [stats.config for stats in stats_list]
     if out is None:
         buffers = [
             np.empty((min(len(texts), EMBED_CHUNK_ROWS), s.config.dimension))
@@ -300,14 +297,13 @@ def embed_chunks(
             blocks = [buffer[: len(chunk)] for buffer in buffers]
         else:
             blocks = [matrix[start : start + len(chunk)] for matrix in out]
-        for max_tokens, members in by_max_tokens.items():
-            truncated = [truncate_tokens(t, max_tokens) for t in chunk]
+        if stats_list:
+            truncated = [truncate_tokens(t) for t in chunk]
             surface = _surface_block(truncated)
-            configs = [stats_list[j].config for j in members]
             n_min, n_max = min(c.ngram_min for c in configs), max(c.ngram_max for c in configs)
             grams = _ngram_hashes(truncated, n_min, n_max)
-            for j in members:
-                _write_features(blocks[j], grams, surface, stats_list[j])
+            for block, stats in zip(blocks, stats_list):
+                _write_features(block, grams, surface, stats)
         yield blocks
 
 

@@ -136,7 +136,7 @@ class TestFullPipeline:
             assert len(score.split(".")[1]) == 3
 
     def test_predict_embeds_in_one_pass(self, pipeline, monkeypatch):
-        """All archetypes share max_tokens, so each chunk is hashed once."""
+        """Each chunk is hashed once, for all the archetypes."""
         directory, config_path, dataset = pipeline
         input_path = directory / "sentences.txt"
         input_path.write_text(
@@ -342,6 +342,14 @@ class TestValidation:
         assert main(["ingest", "--config", str(config_path)]) == 1
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line == f"error: {section} has unknown key {key!r}"
+
+    def test_removed_max_tokens_key(self, tmp_path, capsys):
+        # every text is truncated to features.MAX_TOKENS tokens
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        config_path = _write_config(tmp_path, dataset, {"retrieval": {"max_tokens": 128}})
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == "error: retrieval has unknown key 'max_tokens'"
 
     def test_empty_seeds_rejected(self, tmp_path, capsys):
         dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)

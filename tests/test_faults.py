@@ -14,7 +14,7 @@ import pytest
 
 from pseudolab import cli, fixtures
 from pseudolab.cli import main
-from pseudolab.features import SURFACE_DIM
+from pseudolab.features import MAX_TOKENS, SURFACE_DIM
 
 TRAINING_STAGES = (
     "ingest",
@@ -169,15 +169,18 @@ def test_corrupt_run_manifest_is_named(trained, capsys, fault, force):
     assert "'manifest.json'" in lines[0]
 
 
+def _feature_stats_entries(relative: str, payload) -> list[dict]:
+    """Every featurizer's stats in the payload of feature_stats.json or the bundle manifest."""
+    if relative == cli.FEATURE_STATS:
+        return list(payload.values())
+    return [spec["stats"] for spec in payload["archetypes"].values()]
+
+
 def _set_feature_stats(relative: str, field: str, value):
     """Rewrite every featurizer's `field` in feature_stats.json or the bundle manifest."""
 
     def rewrite(payload):
-        if relative == cli.FEATURE_STATS:
-            entries = payload.values()
-        else:
-            entries = [spec["stats"] for spec in payload["archetypes"].values()]
-        for entry in entries:
+        for entry in _feature_stats_entries(relative, payload):
             entry[field] = value
         return payload
 
@@ -420,3 +423,30 @@ def test_a_bundle_model_that_cannot_score_is_named(trained, tmp_path, capsys, ed
         capsys, ["predict", "--config", str(path), "--force", "--input", str(trained[2])],
         cli.BUNDLE,
     )
+
+
+
+@pytest.mark.parametrize(
+    "relative, stage, artifact",
+    [
+        (cli.FEATURE_STATS, "train-baseline", cli.FEATURE_STATS),
+        (f"{cli.BUNDLE}/manifest.json", "predict", cli.BUNDLE),
+    ],
+    ids=["feature_stats", "bundle_manifest"],
+)
+def test_feature_stats_of_another_max_tokens_are_named(
+    trained, tmp_path, capsys, relative, stage, artifact
+):
+    """Every text is truncated to MAX_TOKENS tokens: under --force, stats that
+    record another truncation are a corrupt artifact, not stats to embed with."""
+    path = _copy_run(trained, tmp_path)
+    stats_path = tmp_path / "out" / relative
+    payload = json.loads(stats_path.read_text(encoding="utf-8"))
+    for entry in _feature_stats_entries(relative, payload):
+        entry["config"]["max_tokens"] = 64
+    stats_path.write_text(json.dumps(payload), encoding="utf-8")
+    argv = [stage, "--config", str(path), "--force"]
+    if stage == "predict":
+        argv += ["--input", str(trained[2])]
+    line = _one_error_line(capsys, argv, artifact)
+    assert f"max_tokens must be {MAX_TOKENS}, got 64" in line

@@ -13,6 +13,7 @@ from pseudolab import parallel
 from pseudolab.artifacts import json_text
 from pseudolab.features import (
     EMBED_CHUNK_ROWS,
+    MAX_TOKENS,
     SURFACE_DIM,
     FeatureConfig,
     FeatureStats,
@@ -66,16 +67,14 @@ def hashed_ngram_block(text: str, config: FeatureConfig) -> np.ndarray:
 
 
 def oracle_stats(texts, config: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.stack(
-        [surface_features(truncate_tokens(t, config.max_tokens)) for t in texts]
-    )
+    rows = np.stack([surface_features(truncate_tokens(t)) for t in texts])
     stds = rows.std(axis=0)
     return rows.mean(axis=0), np.where(stds < 1e-9, 1.0, stds)
 
 
 def oracle_embed(text: str, stats: FeatureStats) -> np.ndarray:
     config = stats.config
-    text = truncate_tokens(text, config.max_tokens)
+    text = truncate_tokens(text)
     hashed = hashed_ngram_block(text, config)
     surface = (surface_features(text) - stats.means) / stats.stds
     surface /= np.sqrt(SURFACE_DIM)
@@ -108,9 +107,9 @@ def assert_shared_pass_matches(texts, configs) -> None:
 DEFAULT_CONFIGS = [DEFAULT_RETRIEVAL_CONFIG] + [
     spec.feature_config() for spec in DEFAULT_ARCHETYPE_SPECS
 ]
-SMALL_CONFIG = FeatureConfig(hashed_dim=16, ngram_min=1, ngram_max=2, max_tokens=3)
-# another max_tokens, the widest n-gram range and a hashed_dim that is no power of two
-ODD_CONFIG = FeatureConfig(hashed_dim=100, ngram_min=1, ngram_max=7, max_tokens=9)
+SMALL_CONFIG = FeatureConfig(hashed_dim=16, ngram_min=1, ngram_max=2)
+# the widest n-gram range and a hashed_dim that is no power of two
+ODD_CONFIG = FeatureConfig(hashed_dim=100, ngram_min=1, ngram_max=7)
 SHARED_CONFIGS = DEFAULT_CONFIGS + [SMALL_CONFIG, ODD_CONFIG]
 
 EDGE_TEXTS = [
@@ -181,12 +180,14 @@ class TestEmbed:
         assert embed("satz", stats).shape == (256 + SURFACE_DIM,)
 
     def test_truncation_to_max_tokens(self):
-        config = FeatureConfig(hashed_dim=64, max_tokens=4)
+        config = FeatureConfig(hashed_dim=64)
         stats = fit_feature_stats(["eins zwei drei"], config)
-        long = " ".join(f"w{i}" for i in range(50))
-        short = " ".join(f"w{i}" for i in range(4))
+        long = " ".join(f"w{i}" for i in range(MAX_TOKENS + 50))
+        short = " ".join(f"w{i}" for i in range(MAX_TOKENS))
         assert np.array_equal(embed(long, stats), embed(short, stats))
-        assert truncate_tokens(long, 4) == short
+        assert truncate_tokens(long) == short
+        shorter = " ".join(f"w{i}" for i in range(MAX_TOKENS - 1))
+        assert not np.array_equal(embed(short, stats), embed(shorter, stats))
 
 
 class TestFitStats:
@@ -230,20 +231,20 @@ class TestFitStats:
         configs = [
             DEFAULT_RETRIEVAL_CONFIG,
             *(spec.feature_config() for spec in DEFAULT_ARCHETYPE_SPECS),
-            FeatureConfig(hashed_dim=64, max_tokens=2),
-            FeatureConfig(hashed_dim=32, max_tokens=2),
+            FeatureConfig(hashed_dim=64, ngram_min=2),
+            FeatureConfig(hashed_dim=32, ngram_max=7),
         ]
         expected = [fit_feature_stats(texts, config).to_dict() for config in configs]
         calls = []
         original = features_module.fit_feature_stats
 
         def counting(corpus, config):
-            calls.append(config.max_tokens)
+            calls.append(config)
             return original(corpus, config)
 
         monkeypatch.setattr(features_module, "fit_feature_stats", counting)
         fitted = fit_feature_stats_many(iter(texts), configs)
-        assert sorted(calls) == [2, 128]
+        assert len(calls) == 1
         # json.dumps of float lists is exact, so this compares every bit
         assert json.dumps([s.to_dict() for s in fitted]) == json.dumps(expected)
 
@@ -404,8 +405,8 @@ def test_shared_pass_of_no_texts():
 
 
 def test_shared_pass_hashes_once_per_chunk_and_max_tokens(monkeypatch):
-    """The n-gram hashes and surface features of a chunk are computed once per
-    distinct max_tokens, however many featurizers share it."""
+    """The n-gram hashes and surface features of a chunk are computed once,
+    however many featurizers share it."""
     calls = {"windows": [], "surface": []}
     windows, surface = features_module._fnv1a64_windows, features_module._surface_block
 
@@ -426,7 +427,7 @@ def test_shared_pass_hashes_once_per_chunk_and_max_tokens(monkeypatch):
     stats_list = [fit_feature_stats(texts, config) for config in SHARED_CONFIGS]
     calls["surface"].clear()
     embed_many(texts, stats_list)
-    # six featurizers, three distinct max_tokens (128, 3 and 9), three chunks
-    assert calls["surface"] == [4, 4, 4, 4, 4, 4, 2, 2, 2]
-    # each max_tokens hashes up to its largest ngram_max: 6, 2 and 7
-    assert sorted(calls["windows"]) == [2, 2, 2, 6, 6, 6, 7, 7, 7]
+    # six featurizers, three chunks
+    assert calls["surface"] == [4, 4, 2]
+    # each chunk hashes up to the largest ngram_max, 7
+    assert calls["windows"] == [7, 7, 7]

@@ -54,7 +54,7 @@ def archetypes(texts):
     configs = {
         "wide": FeatureConfig(hashed_dim=512),
         "mid": FeatureConfig(hashed_dim=256, ngram_min=2, ngram_max=4),
-        "narrow": FeatureConfig(hashed_dim=128, ngram_min=4, ngram_max=6, max_tokens=12),
+        "narrow": FeatureConfig(hashed_dim=128, ngram_min=4, ngram_max=6),
     }
     return {
         name: Archetype(name, fit_feature_stats(texts[:100], config), 32)

@@ -268,12 +268,12 @@ def score_features(
     bundle: EnsembleBundle, x_by_arch: Mapping[str, np.ndarray]
 ) -> np.ndarray:
     """Score precomputed features (one matrix per archetype) by the bundle's aggregation."""
-    if bundle.aggregation == "mean":
-        return mean_prediction([fm.model for fm in bundle.fold_models], x_by_arch)
-    if bundle.stacker_weights is None:
-        raise ValueError("stacker aggregation requested but no stacker was fit")
-    cols = _pooled_base_predictions(bundle, x_by_arch)
-    return clamp_scores(cols @ bundle.stacker_weights + bundle.stacker_intercept)
+    if bundle.aggregation == "stacker":
+        if bundle.stacker_weights is None:
+            raise ValueError("stacker aggregation requested but no stacker was fit")
+        cols = _pooled_base_predictions(bundle, x_by_arch)
+        return clamp_scores(cols @ bundle.stacker_weights + bundle.stacker_intercept)
+    return mean_prediction([fm.model for fm in bundle.fold_models], x_by_arch)
 
 
 def predict_ensemble_batch(bundle: EnsembleBundle, texts: Sequence[str]) -> np.ndarray:
@@ -385,15 +385,33 @@ def load_bundle(directory: str | Path) -> EnsembleBundle:
         rows = oof_path.read_text(encoding="utf-8").strip().split("\n")[1:]
         if rows:
             oof = np.array([[float(v) for v in r.split(",")] for r in rows])
+    base_keys = [tuple(k) for k in manifest["base_keys"]]
+    if base_keys != list(dict.fromkeys((fm.archetype, fm.seed) for fm in fold_models)):
+        raise ValueError("base_keys are not the models' distinct (archetype, seed) keys in order")
+    aggregation = manifest["aggregation"]
+    if aggregation not in ("mean", "stacker"):
+        raise ValueError(f"aggregation must be 'mean' or 'stacker', got {aggregation!r}")
     weights = manifest["stacker_weights"]
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+    intercept = float(manifest["stacker_intercept"])
+    if aggregation == "stacker" and (
+        weights is None
+        or weights.shape != (len(base_keys),)
+        or not np.all(np.isfinite([*weights, intercept]))
+    ):
+        raise ValueError(
+            f"a stacker needs {len(base_keys)} finite weights, one per base key, "
+            "and a finite intercept"
+        )
     return EnsembleBundle(
         fold_models=fold_models,
         plan=FoldPlan.from_dict(manifest["plan"]),
-        base_keys=[tuple(k) for k in manifest["base_keys"]],
+        base_keys=base_keys,
         archetypes=archetypes,
-        aggregation=manifest["aggregation"],
-        stacker_weights=np.asarray(weights, dtype=np.float64) if weights is not None else None,
-        stacker_intercept=float(manifest["stacker_intercept"]),
+        aggregation=aggregation,
+        stacker_weights=weights,
+        stacker_intercept=intercept,
         stacker_fallback=bool(manifest["stacker_fallback"]),
         oof=oof,
         oof_columns=manifest["oof_columns"],

@@ -19,6 +19,8 @@ from .simindex import VectorIndex, top_k_many
 # Not called here: perfbench/traced_cli.py looks it up on this module to patch it.
 from .simindex import top_k  # noqa: F401
 
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
 
 @dataclass(frozen=True)
 class PseudoLabel:
@@ -208,12 +210,16 @@ def load_pseudo_labels(path: str | Path) -> PseudoLabelSet:
             if not line:
                 continue
             obj = json.loads(line)
+            score = float(obj["predicted_score"])
+            # the pseudo stage trains on it in float32; NaN fails the comparison too
+            if not abs(score) <= FLOAT32_MAX:
+                raise ValueError(f"predicted_score {score!r} is not a finite float32 number")
             labels.append(
                 PseudoLabel(
                     sentence_id=int(obj["sentence_id"]),
                     text=obj["text"],
                     source=obj["source"],
-                    predicted_score=float(obj["predicted_score"]),
+                    predicted_score=score,
                     anchor_id=int(obj["anchor_id"]),
                     anchor_mos=float(obj["anchor_mos"]),
                     anchor_std=float(obj["anchor_std"]),

@@ -60,7 +60,7 @@ class ScorerModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScorerModel":
-        return cls(
+        model = cls(
             weights=np.asarray(d["weights"], dtype=np.float64),
             intercept=float(d["intercept"]),
             fingerprint=d["fingerprint"],
@@ -68,6 +68,10 @@ class ScorerModel:
             stage=d["stage"],
             archetype=d["archetype"],
         )
+        # json.loads reads NaN and Infinity, which would score every row as nan
+        if not (math.isfinite(model.intercept) and np.all(np.isfinite(model.weights))):
+            raise ValueError("model weights and intercept must be finite numbers")
+        return model
 
 
 def model_to_json(model: ScorerModel) -> str:

@@ -450,3 +450,85 @@ def test_feature_stats_of_another_max_tokens_are_named(
         argv += ["--input", str(trained[2])]
     line = _one_error_line(capsys, argv, artifact)
     assert f"max_tokens must be {MAX_TOKENS}, got 64" in line
+
+
+
+def _rewrite_json(path: Path, edit) -> None:
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    edit(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def _nan_weight(model: dict) -> None:
+    model["weights"][0] = float("nan")
+
+
+def _inf_intercept(model: dict) -> None:
+    model["intercept"] = float("inf")
+
+
+@pytest.mark.parametrize("edit", [_nan_weight, _inf_intercept], ids=["nan-weight", "inf-intercept"])
+@pytest.mark.parametrize(
+    "relative, stage, artifact",
+    [
+        (cli.BASELINE_MODEL, "pseudolabel", cli.BASELINE_MODEL),
+        (_bundle_model, "predict", cli.BUNDLE),
+    ],
+    ids=["baseline_model", "bundle_model"],
+)
+def test_a_model_with_a_non_finite_weight_is_named(
+    trained, tmp_path, capsys, relative, stage, artifact, edit
+):
+    """Under --force, a model file whose JSON holds NaN or Infinity is a corrupt
+    artifact: not a gate that admits no pseudo-label, nor a bundle that scores
+    nan."""
+    path = _copy_run(trained, tmp_path)
+    out = tmp_path / "out"
+    _rewrite_json(out / (relative(out) if callable(relative) else relative), edit)
+    argv = [stage, "--config", str(path), "--force"]
+    if stage == "predict":
+        argv += ["--input", str(trained[2])]
+    line = _one_error_line(capsys, argv, artifact)
+    assert "must be finite" in line
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m.update(aggregation="median"),
+        lambda m: m.update(aggregation="stacker", stacker_weights=None),
+        lambda m: m.update(aggregation="stacker", stacker_weights=m["stacker_weights"][:-1]),
+        lambda m: m.update(base_keys=m["base_keys"][::-1]),
+        lambda m: m.update(base_keys=m["base_keys"][:-1]),
+    ],
+    ids=["median", "stacker-without-weights", "stacker-one-weight-short",
+         "base-keys-reordered", "base-keys-one-short"],
+)
+def test_a_bundle_that_cannot_aggregate_is_named(trained, tmp_path, capsys, edit):
+    """Under --force, a bundle manifest whose aggregation, stacker weights or
+    base keys do not fit its models is a corrupt artifact: not scores by
+    another aggregation, nor an internal error."""
+    path = _copy_run(trained, tmp_path)
+    _rewrite_json(tmp_path / "out" / cli.BUNDLE / "manifest.json", edit)
+    _one_error_line(
+        capsys, ["predict", "--config", str(path), "--force", "--input", str(trained[2])],
+        cli.BUNDLE,
+    )
+
+
+@pytest.mark.parametrize(
+    "score", [float("nan"), 1e39, float("-inf")], ids=["nan", "past-float32", "minus-inf"]
+)
+def test_a_pseudo_label_score_that_cannot_train_is_named(trained, tmp_path, capsys, score):
+    """Under --force, a pseudo-label whose predicted_score is no finite float32
+    number is a corrupt artifact, not an internal error in the pseudo stage."""
+    path = _copy_run(trained, tmp_path)
+    labels_path = tmp_path / "out" / cli.PSEUDO_LABELS
+    first, *rest = labels_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    label = json.loads(first)
+    label["predicted_score"] = score
+    labels_path.write_text(json.dumps(label) + "\n" + "".join(rest), encoding="utf-8")
+    line = _one_error_line(
+        capsys, ["train-ensemble", "--config", str(path), "--force"], cli.PSEUDO_LABELS
+    )
+    assert "predicted_score" in line

@@ -1,7 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
+
+from pseudolab.config import RunConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pseudolab"
 
@@ -32,3 +36,35 @@ def test_only_the_pipeline_names_the_settings():
         if isinstance(node, ast.Constant) and node.value in settings
     ]
     assert not found, f"setting names outside pipeline.py: {found}"
+
+
+def _config_classes(cls, seen=None) -> list[type]:
+    """`cls` and every dataclass nested in its fields, as a field's type or inside it."""
+    seen = [] if seen is None else seen
+    if cls not in seen:
+        seen.append(cls)
+        for tp in get_type_hints(cls).values():
+            for inner in (tp, *get_args(tp)):
+                if is_dataclass(inner):
+                    _config_classes(inner, seen)
+    return seen
+
+
+def test_every_config_field_is_read():
+    """Each settable config value is read by the program: some package module
+    other than config.py reads a field of its name as an attribute. A field
+    that only config.py touches is parsed, checked and never used."""
+    read = {
+        node.attr
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "config.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{cls.__name__}.{f.name}"
+        for cls in _config_classes(RunConfig)
+        for f in fields(cls)
+        if f.name not in read
+    ]
+    assert not unread, f"config fields no module reads: {unread}"

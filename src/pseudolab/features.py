@@ -235,9 +235,7 @@ def fit_feature_stats_many(
     """fit_feature_stats for each config, fitting once: the surface
     statistics depend on no field of the config."""
     configs = list(configs)
-    if not configs:
-        return []
-    fitted = fit_feature_stats(corpus, configs[0])
+    fitted = fit_feature_stats(corpus, configs[0]) if configs else None
     return [replace(fitted, config=config) for config in configs]
 
 
@@ -279,10 +277,10 @@ def embed_chunks(
     holds the chunk's feature rows under stats_list[j]. Per chunk, the token
     truncation, the surface block and the n-gram hashes (up to the largest
     ngram_max) are computed once; only the bucketing and the normalization
-    run per featurizer. With `out` (one array of
-    len(texts) rows per featurizer) the blocks are views of the chunk's rows
-    of out[j]; without it they are buffers that the next chunk overwrites,
-    so peak memory does not grow with the batch.
+    run per featurizer. With `out` (one array of len(texts) rows per
+    featurizer) the blocks are views of the chunk's rows of out[j]; without
+    it they are buffers that the next chunk overwrites, so peak memory does
+    not grow with the batch.
     """
     stats_list = list(stats_list)
     configs = [stats.config for stats in stats_list]

@@ -34,7 +34,7 @@ from .ensemble import FoldPlan, make_fold_plan, save_bundle
 from .features import FeatureStats, embed_many, fit_feature_stats_many, load_feature_stats
 from .metrics import render_report_table
 from .pipeline import AGGREGATION, RETRIEVAL, Archetype, PipelineContext, embed_archetypes, evaluate_settings, featurizer_configs, fine_tune_ensemble, fold_pseudo_labels, generate_for_anchors, train_gate_model, train_stage_models
-from .pseudolabel import load_pseudo_labels, pseudo_label_stats, render_stats_table, save_pseudo_labels
+from .pseudolabel import compute_set_stats, load_pseudo_labels, pseudo_label_stats, render_stats_table, save_pseudo_labels
 from .scorer import DivergedError, load_model, model_to_json
 from .simindex import IndexFormatError, VectorIndex, load_index, save_index, verify_index
 
@@ -346,7 +346,9 @@ def cmd_pseudolabel(config: RunConfig, force: bool) -> None:
     pset = generate_for_anchors(ctx, anchors, gate, config, exclude)
     _log(f"[pseudolabel] admitted {len(pset.labels)} pseudo-labels")
     stage.write(PSEUDO_LABELS, lambda tmp: save_pseudo_labels(pset, tmp))
-    stage.write_json(PSEUDO_STATS, {"config": pset.config, "stats": pset.stats})
+    settings = {"k": config.k, "exclude_labeled": bool(exclude), "baseline_seed": gate.seed,
+                "fingerprint": gate.fingerprint}
+    stage.write_json(PSEUDO_STATS, {"config": settings, "stats": compute_set_stats(pset.labels)})
     stage.write_text(PSEUDO_TABLE, render_stats_table(pseudo_label_stats(pset)))
     stage.finish()
 

@@ -8,7 +8,7 @@ sentence's entry comes from the variant fine-tuned on the folds excluding it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -31,6 +31,8 @@ from .scorer import (
 
 STACKER_CONDITION_LIMIT = 1e12
 STACKER_FALLBACK_LAMBDA = 1e-6
+# a bundle's file of one fold model, named by its manifest entry
+MODEL_FILE = "{archetype}_s{seed}_f{fold}.json"
 
 
 @dataclass
@@ -84,24 +86,30 @@ class Archetype:
 
 @dataclass
 class FoldModel:
-    archetype: str
-    seed: int
     fold: int
-    model: ScorerModel
+    model: ScorerModel  # fine-tuned on every fold but `fold`
+
+    @property
+    def key(self) -> tuple[str, int]:
+        """The (archetype, seed) of the base model: its model's, as the model file holds it."""
+        return self.model.archetype, self.model.seed
 
 
 @dataclass
 class EnsembleBundle:
     fold_models: list[FoldModel]
     plan: FoldPlan
-    base_keys: list[tuple[str, int]]
     archetypes: dict[str, Archetype]
     aggregation: str = "mean"  # "mean" | "stacker"
     stacker_weights: np.ndarray | None = None
     stacker_intercept: float = 0.0
     stacker_fallback: bool = False
     oof: np.ndarray | None = None
-    oof_columns: list[dict] = field(default_factory=list)
+
+    @property
+    def base_keys(self) -> list[tuple[str, int]]:
+        """The fold models' distinct (archetype, seed) keys, in order: one OOF column each."""
+        return list(dict.fromkeys(fm.key for fm in self.fold_models))
 
 
 def _derived_seed(base_seed: int, fold: int) -> int:
@@ -169,7 +177,6 @@ def cv_fine_tune(
     arch_by_name = {a.name: a for a in archetypes}
     y = np.array([s.mos for s in labeled], dtype=np.float64)
 
-    base_keys = [(m.archetype, m.seed) for m in models]
     oof = np.full((len(labeled), len(models)), np.nan)
     fold_models: list[FoldModel] = []
 
@@ -195,10 +202,8 @@ def cv_fine_tune(
                     f"{exc} (archetype {base.archetype!r}, seed {base.seed}, "
                     f"fine-tuning fold {f})"
                 ) from None
-            tuned.seed = base.seed
-            fold_models.append(
-                FoldModel(archetype=base.archetype, seed=base.seed, fold=f, model=tuned)
-            )
+            tuned.seed = base.seed  # the key of the base model it was tuned from
+            fold_models.append(FoldModel(fold=f, model=tuned))
             fold_idx = plan.fold_indices(f)
             oof[fold_idx, j] = predict(tuned, X[fold_idx])
     unfilled = np.flatnonzero(np.isnan(oof).any(axis=1))
@@ -208,17 +213,7 @@ def cv_fine_tune(
             f"{unfilled.size} out-of-fold rows unfilled (first {unfilled[:5].tolist()}); "
             f"every fold id must lie in 0..{plan.n_folds - 1}"
         )
-    return EnsembleBundle(
-        fold_models=fold_models,
-        plan=plan,
-        base_keys=base_keys,
-        archetypes=arch_by_name,
-        oof=oof,
-        oof_columns=[
-            {"archetype": arch_name, "seed": seed, "fold": None}
-            for arch_name, seed in base_keys
-        ],
-    )
+    return EnsembleBundle(fold_models=fold_models, plan=plan, archetypes=arch_by_name, oof=oof)
 
 
 def fit_stacker(oof: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool]:
@@ -243,13 +238,12 @@ def fit_stacker(oof: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool
 
 def _pooled_base_predictions(bundle: EnsembleBundle, x_by_arch: dict[str, np.ndarray]) -> np.ndarray:
     """Per base model, the mean of its fold variants' predictions. Shape (N, M)."""
-    n = next(iter(x_by_arch.values())).shape[0]
-    pooled = np.zeros((n, len(bundle.base_keys)))
-    counts = np.zeros(len(bundle.base_keys))
     key_index = {key: j for j, key in enumerate(bundle.base_keys)}
+    pooled = np.zeros((next(iter(x_by_arch.values())).shape[0], len(key_index)))
+    counts = np.zeros(len(key_index))
     for fm in bundle.fold_models:
-        j = key_index[(fm.archetype, fm.seed)]
-        pooled[:, j] += predict(fm.model, x_by_arch[fm.archetype])
+        j = key_index[fm.key]
+        pooled[:, j] += predict(fm.model, x_by_arch[fm.model.archetype])
         counts[j] += 1
     return pooled / counts
 
@@ -305,7 +299,7 @@ def audit_oof_hygiene(bundle: EnsembleBundle) -> bool:
     """Check that every OOF entry came from a variant that excluded its row's fold."""
     folds_by_key: dict[tuple[str, int], set[int]] = {}
     for fm in bundle.fold_models:
-        folds_by_key.setdefault((fm.archetype, fm.seed), set()).add(fm.fold)
+        folds_by_key.setdefault(fm.key, set()).add(fm.fold)
     expected = set(range(bundle.plan.n_folds))
     return all(folds == expected for folds in folds_by_key.values()) and not np.any(
         np.isnan(bundle.oof)
@@ -317,8 +311,12 @@ def save_bundle(bundle: EnsembleBundle, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     models_dir = directory / "models"
     models_dir.mkdir(exist_ok=True)
-    for fm in bundle.fold_models:
-        save_model(fm.model, models_dir / f"{fm.archetype}_s{fm.seed}_f{fm.fold}.json")
+    entries = [
+        {"archetype": fm.model.archetype, "seed": fm.model.seed, "fold": fm.fold}
+        for fm in bundle.fold_models
+    ]
+    for fm, entry in zip(bundle.fold_models, entries):
+        save_model(fm.model, models_dir / MODEL_FILE.format(**entry))
     manifest = {
         "plan": bundle.plan.to_dict(),
         "base_keys": [list(k) for k in bundle.base_keys],
@@ -328,26 +326,24 @@ def save_bundle(bundle: EnsembleBundle, directory: str | Path) -> None:
         ),
         "stacker_intercept": bundle.stacker_intercept,
         "stacker_fallback": bundle.stacker_fallback,
-        "oof_columns": bundle.oof_columns,
+        "oof_columns": [{"archetype": a, "seed": s, "fold": None} for a, s in bundle.base_keys],
         "archetypes": {
             name: {"stats": arch.stats.to_dict(), "batch_size": arch.batch_size}
             for name, arch in sorted(bundle.archetypes.items())
         },
-        "models": [
-            {"archetype": fm.archetype, "seed": fm.seed, "fold": fm.fold}
-            for fm in bundle.fold_models
-        ],
+        "models": entries,
     }
     (directory / "manifest.json").write_text(json_text(manifest), encoding="utf-8")
     if bundle.oof is not None:
-        header = ",".join(f"{c['archetype']}_s{c['seed']}" for c in bundle.oof_columns)
-        lines = [header]
+        lines = [",".join(f"{a}_s{s}" for a, s in bundle.base_keys)]
         for row in bundle.oof:
             lines.append(",".join(repr(float(v)) for v in row))
         (directory / "oof.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_bundle(directory: str | Path) -> EnsembleBundle:
+    """The bundle in `directory`, each fold model read from the file its manifest
+    entry names; a model must hold its entry's key and fit its archetype's featurizer."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
     archetypes = {
@@ -358,61 +354,52 @@ def load_bundle(directory: str | Path) -> EnsembleBundle:
         )
         for name, spec in manifest["archetypes"].items()
     }
-    fold_models = [
-        FoldModel(
-            archetype=m["archetype"],
-            seed=int(m["seed"]),
-            fold=int(m["fold"]),
-            model=load_model(
-                directory / "models" / f"{m['archetype']}_s{m['seed']}_f{m['fold']}.json"
-            ),
-        )
-        for m in manifest["models"]
-    ]
-    for fm in fold_models:  # each must score its archetype's features
-        stats = archetypes[fm.archetype].stats
+    fold_models = []
+    for entry in manifest["models"]:
+        name = MODEL_FILE.format(**entry)
+        fm = FoldModel(fold=int(entry["fold"]), model=load_model(directory / "models" / name))
+        if fm.key != (entry["archetype"], entry["seed"]):
+            raise ValueError(f"model {name} holds the key {fm.key!r}, not its entry's")
+        stats = archetypes[fm.model.archetype].stats
         dimension = stats.config.dimension
         if fm.model.fingerprint != stats.fingerprint or fm.model.weights.shape != (dimension,):
             raise ValueError(
-                f"model {fm.archetype}_s{fm.seed}_f{fm.fold} ({fm.model.weights.size} weights, "
-                f"fingerprint {fm.model.fingerprint!r}) does not fit archetype "
-                f"{fm.archetype!r}'s featurizer (dimension {dimension}, fingerprint "
-                f"{stats.fingerprint!r})"
+                f"model {name} ({fm.model.weights.size} weights, fingerprint "
+                f"{fm.model.fingerprint!r}) does not fit archetype {fm.model.archetype!r}'s "
+                f"featurizer (dimension {dimension}, fingerprint {stats.fingerprint!r})"
             )
+        fold_models.append(fm)
     oof = None
     oof_path = directory / "oof.csv"
     if oof_path.exists():
         rows = oof_path.read_text(encoding="utf-8").strip().split("\n")[1:]
         if rows:
             oof = np.array([[float(v) for v in r.split(",")] for r in rows])
-    base_keys = [tuple(k) for k in manifest["base_keys"]]
-    if base_keys != list(dict.fromkeys((fm.archetype, fm.seed) for fm in fold_models)):
-        raise ValueError("base_keys are not the models' distinct (archetype, seed) keys in order")
     aggregation = manifest["aggregation"]
     if aggregation not in ("mean", "stacker"):
         raise ValueError(f"aggregation must be 'mean' or 'stacker', got {aggregation!r}")
     weights = manifest["stacker_weights"]
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
-    intercept = float(manifest["stacker_intercept"])
-    if aggregation == "stacker" and (
-        weights is None
-        or weights.shape != (len(base_keys),)
-        or not np.all(np.isfinite([*weights, intercept]))
-    ):
-        raise ValueError(
-            f"a stacker needs {len(base_keys)} finite weights, one per base key, "
-            "and a finite intercept"
-        )
-    return EnsembleBundle(
+    bundle = EnsembleBundle(
         fold_models=fold_models,
         plan=FoldPlan.from_dict(manifest["plan"]),
-        base_keys=base_keys,
         archetypes=archetypes,
         aggregation=aggregation,
         stacker_weights=weights,
-        stacker_intercept=intercept,
+        stacker_intercept=float(manifest["stacker_intercept"]),
         stacker_fallback=bool(manifest["stacker_fallback"]),
         oof=oof,
-        oof_columns=manifest["oof_columns"],
     )
+    if [tuple(k) for k in manifest["base_keys"]] != bundle.base_keys:
+        raise ValueError("base_keys are not the models' distinct (archetype, seed) keys in order")
+    n_keys = len(bundle.base_keys)
+    if aggregation == "stacker" and (
+        weights is None
+        or weights.shape != (n_keys,)
+        or not np.all(np.isfinite([*weights, bundle.stacker_intercept]))
+    ):
+        raise ValueError(
+            f"a stacker needs {n_keys} finite weights, one per base key, and a finite intercept"
+        )
+    return bundle

@@ -4,7 +4,7 @@ score them with the baseline model, keep those within the anchor's rating std.""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -36,8 +36,6 @@ class PseudoLabel:
 @dataclass
 class PseudoLabelSet:
     labels: list[PseudoLabel]
-    config: dict = field(default_factory=dict)
-    stats: dict = field(default_factory=dict)
 
 
 def compute_set_stats(labels: Sequence[PseudoLabel]) -> dict:
@@ -67,8 +65,6 @@ class Candidates:
 
     corpus_ids: np.ndarray
     hits: dict[int, np.ndarray]
-    k: int
-    exclude_labeled: bool
     fingerprint: str
 
 
@@ -99,8 +95,6 @@ def retrieve_candidates(
     return Candidates(
         corpus_ids=index.ids,
         hits=dict(zip([a.id for a in anchors], rows)),
-        k=k,
-        exclude_labeled=bool(exclude_texts),
         fingerprint=feature_stats.fingerprint,
     )
 
@@ -144,13 +138,7 @@ def generate_pseudo_labels(
                 sentence_id=rec.id, text=rec.text, source=rec.source, predicted_score=score,
                 anchor_id=anchor.id, anchor_mos=anchor.mos, anchor_std=anchor.rating_std,
             ))
-    config = {
-        "k": candidates.k,
-        "exclude_labeled": candidates.exclude_labeled,
-        "baseline_seed": baseline.seed,
-        "fingerprint": baseline.fingerprint,
-    }
-    return PseudoLabelSet(labels=labels, config=config, stats=compute_set_stats(labels))
+    return PseudoLabelSet(labels=labels)
 
 
 def pseudo_label_stats(pset: PseudoLabelSet) -> list[tuple[str, int, float, float]]:
@@ -225,4 +213,4 @@ def load_pseudo_labels(path: str | Path) -> PseudoLabelSet:
                     anchor_std=float(obj["anchor_std"]),
                 )
             )
-    return PseudoLabelSet(labels=labels, stats=compute_set_stats(labels))
+    return PseudoLabelSet(labels=labels)

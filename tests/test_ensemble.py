@@ -173,14 +173,14 @@ class TestCvFineTune:
     def test_model_cardinality(self, tuned_bundle):
         bundle, labeled, plan = tuned_bundle
         assert len(bundle.fold_models) == 45  # 3 archetypes x 3 seeds x 5 folds
-        keys = {(fm.archetype, fm.seed, fm.fold) for fm in bundle.fold_models}
+        keys = {(fm.model.archetype, fm.model.seed, fm.fold) for fm in bundle.fold_models}
         assert len(keys) == 45
 
     def test_oof_shape_and_range(self, tuned_bundle):
         bundle, labeled, _ = tuned_bundle
         assert bundle.oof.shape == (len(labeled), 9)
         assert np.all((bundle.oof >= 1.0) & (bundle.oof <= 7.0))
-        assert len(bundle.oof_columns) == 9
+        assert len(bundle.base_keys) == 9
 
     def test_hygiene_audit(self, tuned_bundle):
         bundle, _, _ = tuned_bundle
@@ -292,15 +292,11 @@ class TestStacker:
 
 def _constant_bundle(archetypes, intercepts, aggregation="mean", **kw):
     fold_models = []
-    base_keys = []
     for arch, icpt in zip(archetypes, intercepts):
-        base_keys.append((arch.name, 1))
         dim = arch.stats.config.hashed_dim + 6
         for f in range(2):
             fold_models.append(
                 FoldModel(
-                    archetype=arch.name,
-                    seed=1,
                     fold=f,
                     model=ScorerModel(
                         weights=np.zeros(dim),
@@ -316,7 +312,6 @@ def _constant_bundle(archetypes, intercepts, aggregation="mean", **kw):
     return EnsembleBundle(
         fold_models=fold_models,
         plan=plan,
-        base_keys=base_keys,
         archetypes={a.name: a for a in archetypes},
         aggregation=aggregation,
         **kw,
@@ -359,7 +354,7 @@ class TestPredictEnsemble:
 
         acc = np.zeros(len(texts))
         for fm in bundle.fold_models:
-            acc += predict(fm.model, x_by_arch[fm.archetype])
+            acc += predict(fm.model, x_by_arch[fm.model.archetype])
         expected = np.clip(acc / len(bundle.fold_models), 1.0, 7.0)
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -388,10 +383,11 @@ def test_chunked_predict_bitwise_equals_whole_matrix_scores(aggregation):
         for name, config in configs.items()
     }
     fold_models = [
-        FoldModel(name, seed, fold, ScorerModel(
+        FoldModel(fold, ScorerModel(
             weights=rng.normal(scale=0.5, size=arch.stats.config.dimension),
             intercept=4.0,
             fingerprint=arch.stats.fingerprint,
+            seed=seed,
             archetype=name,
         ))
         for name, arch in archetypes.items() for seed in (1, 2) for fold in range(2)
@@ -399,7 +395,6 @@ def test_chunked_predict_bitwise_equals_whole_matrix_scores(aggregation):
     bundle = EnsembleBundle(
         fold_models=fold_models,
         plan=make_fold_plan(4, n_folds=2, seed=0),
-        base_keys=[(name, seed) for name in archetypes for seed in (1, 2)],
         archetypes=archetypes,
         aggregation=aggregation,
         stacker_weights=rng.uniform(0.1, 0.4, size=6),

@@ -123,10 +123,11 @@ def test_in_process_scoring_holds_a_small_chunk(big_dataset, monkeypatch):
     }
     rng = np.random.default_rng(8)
     fold_models = [
-        FoldModel(name, seed, fold, ScorerModel(
+        FoldModel(fold, ScorerModel(
             weights=rng.normal(scale=0.1, size=arch.stats.config.dimension),
             intercept=4.0,
             fingerprint=arch.stats.fingerprint,
+            seed=seed,
             archetype=name,
         ))
         for name, arch in archetypes.items() for seed in (1, 2, 3) for fold in range(5)
@@ -134,7 +135,6 @@ def test_in_process_scoring_holds_a_small_chunk(big_dataset, monkeypatch):
     bundle = EnsembleBundle(
         fold_models=fold_models,
         plan=make_fold_plan(10, n_folds=5),
-        base_keys=[(name, seed) for name in archetypes for seed in (1, 2, 3)],
         archetypes=archetypes,
     )
     peak, scores = _traced_peak(lambda: predict_ensemble_batch(bundle, texts))

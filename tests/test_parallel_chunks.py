@@ -66,16 +66,16 @@ def _bundle(archetypes, aggregation: str) -> EnsembleBundle:
     rng = np.random.default_rng(32)
     return EnsembleBundle(
         fold_models=[
-            FoldModel(name, seed, fold, ScorerModel(
+            FoldModel(fold, ScorerModel(
                 weights=rng.normal(scale=0.5, size=arch.stats.config.dimension),
                 intercept=4.0,
                 fingerprint=arch.stats.fingerprint,
+                seed=seed,
                 archetype=name,
             ))
             for name, arch in archetypes.items() for seed in (1, 2) for fold in range(2)
         ],
         plan=make_fold_plan(4, n_folds=2, seed=0),
-        base_keys=[(name, seed) for name in archetypes for seed in (1, 2)],
         archetypes=archetypes,
         aggregation=aggregation,
         stacker_weights=rng.uniform(0.1, 0.4, size=6),
@@ -236,8 +236,7 @@ def test_a_dead_worker_ends_embedding_and_scoring_with_an_error():
         features.embed_chunks = ensemble.embed_chunks = dying
         model = ScorerModel(np.zeros(stats.config.dimension), 4.0, stats.fingerprint, archetype="a")
         bundle = EnsembleBundle(
-            [FoldModel("a", 0, 0, model)], make_fold_plan(2, 2), [("a", 0)],
-            {"a": Archetype("a", stats)},
+            [FoldModel(0, model)], make_fold_plan(2, 2), {"a": Archetype("a", stats)},
         )
         for run in (lambda: features.embed_many(texts, [stats]),
                     lambda: ensemble.predict_ensemble_batch(bundle, texts)):

@@ -92,6 +92,14 @@ class CorpusStore:
         return np.fromiter((r.id for r in self.records), np.int64, len(self.records))
 
 
+def json_id(record: dict, key: str) -> int:
+    """`record[key]` as an id: a JSON integer, not true or false, that fits 64 bits."""
+    value = record[key]
+    if type(value) is not int or not -(2**63) <= value < 2**63:
+        raise ValueError(f"{key} {value!r} is not an integer of at most 64 bits")
+    return value
+
+
 def rows_of(ids: np.ndarray, wanted: Sequence[int] | np.ndarray) -> np.ndarray:
     """The row in `ids` of each id in `wanted`; either may be in any order.
 
@@ -253,7 +261,7 @@ def load_store(path: str | Path) -> CorpusStore:
                 continue
             try:
                 obj = json.loads(line)
-                text, sid = obj["text"], int(obj["id"])
+                text, sid = obj["text"], json_id(obj, "id")
             except KeyError as exc:
                 raise InputFileError(f"{path}: line {lineno}: store record has no {exc} field") from exc
             except (ValueError, TypeError) as exc:

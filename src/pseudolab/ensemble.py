@@ -369,6 +369,8 @@ def load_bundle(directory: str | Path) -> EnsembleBundle:
                 f"featurizer (dimension {dimension}, fingerprint {stats.fingerprint!r})"
             )
         fold_models.append(fm)
+    if not fold_models:
+        raise ValueError("the bundle holds no models")
     oof = None
     oof_path = directory / "oof.csv"
     if oof_path.exists():

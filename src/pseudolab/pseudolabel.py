@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import CorpusStore, LabeledSentence, rows_of
+from .corpus import CorpusStore, LabeledSentence, json_id, rows_of
 from .features import FeatureStats, embed_many
 from .metrics import render_table
 from .scorer import ScorerModel
@@ -204,11 +204,11 @@ def load_pseudo_labels(path: str | Path) -> PseudoLabelSet:
                 raise ValueError(f"predicted_score {score!r} is not a finite float32 number")
             labels.append(
                 PseudoLabel(
-                    sentence_id=int(obj["sentence_id"]),
+                    sentence_id=json_id(obj, "sentence_id"),
                     text=obj["text"],
                     source=obj["source"],
                     predicted_score=score,
-                    anchor_id=int(obj["anchor_id"]),
+                    anchor_id=json_id(obj, "anchor_id"),
                     anchor_mos=float(obj["anchor_mos"]),
                     anchor_std=float(obj["anchor_std"]),
                 )

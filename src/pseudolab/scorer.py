@@ -71,6 +71,8 @@ class ScorerModel:
         # json.loads reads NaN and Infinity, which would score every row as nan
         if not (math.isfinite(model.intercept) and np.all(np.isfinite(model.weights))):
             raise ValueError("model weights and intercept must be finite numbers")
+        if model.weights.ndim != 1:
+            raise ValueError("model weights must be a flat list of numbers")
         return model
 
 

@@ -532,3 +532,176 @@ def test_a_pseudo_label_score_that_cannot_train_is_named(trained, tmp_path, caps
         capsys, ["train-ensemble", "--config", str(path), "--force"], cli.PSEUDO_LABELS
     )
     assert "predicted_score" in line
+
+
+def _rewrite_first_record(path: Path, **changes) -> None:
+    """Set `changes` in the first record of a jsonl artifact."""
+    first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(first)
+    record.update(changes)
+    path.write_text(json.dumps(record) + "\n" + "".join(rest), encoding="utf-8")
+
+
+# JSON values that Python's int() takes, but that are no 64-bit integer id
+NOT_AN_ID = [2**70, 1e20, True, 5.0, "5"]
+NOT_AN_ID_IDS = ["2**70", "1e20", "true", "5.0", "string"]
+
+
+@pytest.mark.parametrize("value", NOT_AN_ID, ids=NOT_AN_ID_IDS)
+@pytest.mark.parametrize("stage", ["featurize", "train-ensemble"])
+def test_a_store_id_that_is_no_64_bit_integer_is_named(trained, tmp_path, capsys, stage, value):
+    """Under --force, a store record whose id is no JSON integer of 64 bits is a
+    bad line of the store, which is read like an input file: exit 1 naming the
+    file and line, not an overflow when the ids become an int64 array."""
+    path = _copy_run(trained, tmp_path)
+    _rewrite_first_record(tmp_path / "out" / cli.STORE, id=value)
+    capsys.readouterr()
+    code = main([stage, "--config", str(path), "--force"])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 1, lines
+    assert len(lines) == 1, lines
+    assert f"{cli.STORE}: line 1: " in lines[0] and "64 bits" in lines[0]
+
+
+@pytest.mark.parametrize("value", NOT_AN_ID, ids=NOT_AN_ID_IDS)
+def test_a_pseudo_label_id_that_is_no_64_bit_integer_is_named(trained, tmp_path, capsys, value):
+    """Under --force, a pseudo-label whose sentence_id is no JSON integer of 64
+    bits is a corrupt artifact, not an overflow in the pseudo stage."""
+    path = _copy_run(trained, tmp_path)
+    _rewrite_first_record(tmp_path / "out" / cli.PSEUDO_LABELS, sentence_id=value)
+    line = _one_error_line(
+        capsys, ["train-ensemble", "--config", str(path), "--force"], cli.PSEUDO_LABELS
+    )
+    assert "sentence_id" in line and "64 bits" in line
+
+
+@pytest.mark.parametrize(
+    "relative, stage, artifact",
+    [
+        (cli.BASELINE_MODEL, "pseudolabel", cli.BASELINE_MODEL),
+        (_bundle_model, "predict", cli.BUNDLE),
+    ],
+    ids=["baseline_model", "bundle_model"],
+)
+def test_a_model_with_nested_weights_is_named(trained, tmp_path, capsys, relative, stage, artifact):
+    """Under --force, a model file whose weights are all there but one list down
+    is a corrupt artifact, not a gate of dimension 1 that fails to score."""
+    path = _copy_run(trained, tmp_path)
+    out = tmp_path / "out"
+    _rewrite_json(
+        out / (relative(out) if callable(relative) else relative),
+        lambda model: model.update(weights=[model["weights"]]),
+    )
+    argv = [stage, "--config", str(path), "--force"]
+    if stage == "predict":
+        argv += ["--input", str(trained[2])]
+    line = _one_error_line(capsys, argv, artifact)
+    assert "flat list" in line
+
+
+def test_a_bundle_without_models_is_named(trained, tmp_path, capsys):
+    """Under --force, a bundle manifest that lists no models and no base keys is
+    a corrupt artifact, not a bundle that scores every sentence nan."""
+    path = _copy_run(trained, tmp_path)
+    _rewrite_json(
+        tmp_path / "out" / cli.BUNDLE / "manifest.json",
+        lambda m: m.update(models=[], base_keys=[]),
+    )
+    line = _one_error_line(
+        capsys, ["predict", "--config", str(path), "--force", "--input", str(trained[2])],
+        cli.BUNDLE,
+    )
+    assert "no models" in line
+
+
+@pytest.mark.parametrize(
+    "name, field, value",
+    [
+        ("char24_mid_s1_f0.json", "archetype", "x"),
+        ("char24_mid_s1_f0.json", "archetype", "char35_wide"),
+        ("char24_mid_s1_f0.json", "seed", 2),
+        ("char24_mid_s2_f0.json", "seed", 1),  # the distinct keys keep their order
+    ],
+    ids=["unknown-archetype", "other-archetype", "other-seed", "seed-of-the-key-before"],
+)
+def test_a_bundle_model_of_another_key_is_named(trained, tmp_path, capsys, name, field, value):
+    """A fold model's (archetype, seed) key is its model file's. Under --force,
+    a file whose key is not the one its manifest entry names it by is a
+    corrupt bundle: not an internal error, nor a model pooled under another key."""
+    path = _copy_run(trained, tmp_path)
+    _rewrite_json(
+        tmp_path / "out" / cli.BUNDLE / "models" / name, lambda model: model.update({field: value})
+    )
+    line = _one_error_line(
+        capsys, ["predict", "--config", str(path), "--force", "--input", str(trained[2])],
+        cli.BUNDLE,
+    )
+    assert name in line
+
+
+# Each value is set in turn in every field of each record below; `[[1.0]]` is a
+# list of lists, as weights one level down are.
+MUTANTS = [None, True, "x", 2**70, 1e300, -1, [], {}, [[1.0]], 0]
+
+
+def _whole(document):
+    return document
+
+
+# (label, file, the stage that reads it, the record in its JSON whose fields
+# are set; in a jsonl file, its first line). Readers of an artifact come before
+# the stage that writes it, so what a case's stage writes no later case reads.
+MUTATED_RECORDS = [
+    ("bundle_manifest", f"{cli.BUNDLE}/manifest.json", "predict", _whole),
+    ("bundle_model", _bundle_model, "predict", _whole),
+    ("pseudo_labels", cli.PSEUDO_LABELS, "train-ensemble", _whole),
+    ("store", cli.STORE, "train-ensemble", _whole),
+    ("baseline_model", cli.BASELINE_MODEL, "pseudolabel", _whole),
+    ("feature_stats_retrieval", cli.FEATURE_STATS, "index", lambda d: d["retrieval"]),
+    ("feature_stats_retrieval_config", cli.FEATURE_STATS, "index",
+     lambda d: d["retrieval"]["config"]),
+    ("store", cli.STORE, "featurize", _whole),
+]
+
+
+def test_valid_json_of_the_wrong_shape_never_exits_3(trained, tmp_path, capsys):
+    """Every field of every record above, set to each of MUTANTS and read under
+    --force by its stage, exits 0, 1 or 2; an exit of 1 or 2 prints one error
+    line, and no case is an internal error.
+
+    Many cases train a whole ensemble; one seed, not three, keeps them short.
+    """
+    path = _copy_run(trained, tmp_path, seeds=[1])
+    out = tmp_path / "out"
+    failures = []
+    cases = 0
+    for label, relative, stage, record_of in MUTATED_RECORDS:
+        file = out / (relative(out) if callable(relative) else relative)
+        original = file.read_text(encoding="utf-8")
+        first, _, rest = original.partition("\n")
+        jsonl = file.suffix == ".jsonl"
+        fields = list(record_of(json.loads(first if jsonl else original)))
+        argv = [stage, "--config", str(path), "--force"]
+        if stage == "predict":
+            argv += ["--input", str(trained[2])]
+        for field in fields:
+            for value in MUTANTS:
+                document = json.loads(first if jsonl else original)
+                record_of(document)[field] = value
+                text = json.dumps(document)
+                file.write_text(text + "\n" + rest if jsonl else text, encoding="utf-8")
+                capsys.readouterr()
+                try:
+                    code = main(argv)
+                finally:
+                    file.write_text(original, encoding="utf-8")
+                cases += 1
+                err = capsys.readouterr().err
+                errors = [line for line in err.splitlines() if not line.startswith("[")]
+                if "internal error" in err or (
+                    code not in (0, 1, 2)
+                    or code and (len(errors) != 1 or not errors[0].startswith("error: "))
+                ):
+                    failures.append(f"{label}.{field} = {value!r} at {stage}: exit {code}, "
+                                    f"{len(errors)} lines, the last {errors[-1:]}")
+    assert not failures, f"{len(failures)} of {cases} cases:\n" + "\n".join(failures)

@@ -22,6 +22,9 @@ DEFAULT_RATING_STD = 0.5
 MOS_MIN = 1.0
 MOS_MAX = 7.0
 
+# every id becomes an int64 (CorpusStore.ids, rows_of)
+ID_RANGE = range(-(2**63), 2**63)
+
 
 class InputFileError(ValueError):
     """A corpus file, labeled set or stored corpus is malformed."""
@@ -93,9 +96,9 @@ class CorpusStore:
 
 
 def json_id(record: dict, key: str) -> int:
-    """`record[key]` as an id: a JSON integer, not true or false, that fits 64 bits."""
+    """`record[key]` as an id: a JSON integer, not true or false, in ID_RANGE."""
     value = record[key]
-    if type(value) is not int or not -(2**63) <= value < 2**63:
+    if type(value) is not int or value not in ID_RANGE:
         raise ValueError(f"{key} {value!r} is not an integer of at most 64 bits")
     return value
 
@@ -216,6 +219,8 @@ def load_labeled(
                 ) from None
             except ValueError as exc:
                 raise InputFileError(f"{path}: row {rowno}: non-numeric field: {exc}") from exc
+            if sid not in ID_RANGE:
+                raise InputFileError(f"{path}: row {rowno}: id {sid} does not fit 64 bits")
             if not MOS_MIN <= mos <= MOS_MAX:
                 raise InputFileError(
                     f"{path}: row {rowno}: mos {mos} outside [{MOS_MIN}, {MOS_MAX}]"
@@ -266,8 +271,10 @@ def load_store(path: str | Path) -> CorpusStore:
                 raise InputFileError(f"{path}: line {lineno}: store record has no {exc} field") from exc
             except (ValueError, TypeError) as exc:
                 raise InputFileError(f"{path}: line {lineno}: malformed store record: {exc}") from exc
-            if not isinstance(text, str):
-                raise InputFileError(f"{path}: line {lineno}: store record text is not a string")
             source = obj.get("source", "unknown")
+            if not (isinstance(text, str) and isinstance(source, str)):
+                raise InputFileError(
+                    f"{path}: line {lineno}: store record text or source is not a string"
+                )
             store.records.append(SentenceRecord(id=sid, text=text, source=source))
     return store

@@ -555,6 +555,16 @@ class TestBadInputFiles:
         line = self._one_line_error(capsys, "train-baseline", config_path)
         assert f"id {dataset.labeled_train[-1].id} already used" in line
 
+    def test_labeled_id_that_does_not_fit_64_bits(self, featurized, capsys):
+        """Every id becomes an int64: a labeled id past 64 bits is refused where it
+        is read, not written into a pseudo_labels.jsonl that train-ensemble refuses."""
+        directory, config_path, dataset = featurized
+        rows = dataset.labeled_train
+        bad = [dataclasses.replace(rows[0], id=2**63), *rows[1:]]
+        fixtures.write_labeled_tsv(bad, directory / "train.tsv")
+        line = self._one_line_error(capsys, "train-baseline", config_path)
+        assert f"row 2: id {2**63} does not fit 64 bits" in line
+
     def test_labeled_train_with_only_a_header(self, featurized, capsys):
         directory, config_path, _ = featurized
         train = directory / "train.tsv"

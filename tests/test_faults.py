@@ -657,6 +657,7 @@ MUTATED_RECORDS = [
     ("pseudo_labels", cli.PSEUDO_LABELS, "train-ensemble", _whole),
     ("store", cli.STORE, "train-ensemble", _whole),
     ("baseline_model", cli.BASELINE_MODEL, "pseudolabel", _whole),
+    ("store", cli.STORE, "pseudolabel", _whole),
     ("feature_stats_retrieval", cli.FEATURE_STATS, "index", lambda d: d["retrieval"]),
     ("feature_stats_retrieval_config", cli.FEATURE_STATS, "index",
      lambda d: d["retrieval"]["config"]),
@@ -665,13 +666,15 @@ MUTATED_RECORDS = [
 
 
 def test_valid_json_of_the_wrong_shape_never_exits_3(trained, tmp_path, capsys):
-    """Every field of every record above, set to each of MUTANTS and read under
+    """Every field of each record above, set to each of MUTANTS and read under
     --force by its stage, exits 0, 1 or 2; an exit of 1 or 2 prints one error
     line, and no case is an internal error.
 
-    Many cases train a whole ensemble; one seed, not three, keeps them short.
+    The copy of the run trains with one seed, not three, so that the cases
+    that train an ensemble, and `predict`'s reads of its bundle, stay short.
     """
     path = _copy_run(trained, tmp_path, seeds=[1])
+    assert main(["train-ensemble", "--config", str(path)]) == 0
     out = tmp_path / "out"
     failures = []
     cases = 0

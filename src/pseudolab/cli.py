@@ -346,9 +346,9 @@ def cmd_pseudolabel(config: RunConfig, force: bool) -> None:
     pset = generate_for_anchors(ctx, anchors, gate, config, exclude)
     _log(f"[pseudolabel] admitted {len(pset.labels)} pseudo-labels")
     stage.write(PSEUDO_LABELS, lambda tmp: save_pseudo_labels(pset, tmp))
-    settings = {"k": config.k, "exclude_labeled": bool(exclude), "baseline_seed": gate.seed,
-                "fingerprint": gate.fingerprint}
-    stage.write_json(PSEUDO_STATS, {"config": settings, "stats": compute_set_stats(pset.labels)})
+    made_by = {"k": config.k, "exclude_labeled": bool(exclude), "baseline_seed": gate.seed,
+               "fingerprint": gate.fingerprint}
+    stage.write_json(PSEUDO_STATS, {"config": made_by, "stats": compute_set_stats(pset.labels)})
     stage.write_text(PSEUDO_TABLE, render_stats_table(pseudo_label_stats(pset)))
     stage.finish()
 

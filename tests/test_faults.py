@@ -681,18 +681,18 @@ def test_valid_json_of_the_wrong_shape_never_exits_3(trained, tmp_path, capsys):
     for label, relative, stage, record_of in MUTATED_RECORDS:
         file = out / (relative(out) if callable(relative) else relative)
         original = file.read_text(encoding="utf-8")
-        first, _, rest = original.partition("\n")
         jsonl = file.suffix == ".jsonl"
-        fields = list(record_of(json.loads(first if jsonl else original)))
+        head, _, rest = original.partition("\n") if jsonl else (original, "", "")
+        fields = list(record_of(json.loads(head)))
         argv = [stage, "--config", str(path), "--force"]
         if stage == "predict":
             argv += ["--input", str(trained[2])]
         for field in fields:
             for value in MUTANTS:
-                document = json.loads(first if jsonl else original)
+                document = json.loads(head)
                 record_of(document)[field] = value
-                text = json.dumps(document)
-                file.write_text(text + "\n" + rest if jsonl else text, encoding="utf-8")
+                text = json.dumps(document) + ("\n" + rest if jsonl else "")
+                file.write_text(text, encoding="utf-8")
                 capsys.readouterr()
                 try:
                     code = main(argv)
@@ -701,10 +701,8 @@ def test_valid_json_of_the_wrong_shape_never_exits_3(trained, tmp_path, capsys):
                 cases += 1
                 err = capsys.readouterr().err
                 errors = [line for line in err.splitlines() if not line.startswith("[")]
-                if "internal error" in err or (
-                    code not in (0, 1, 2)
-                    or code and (len(errors) != 1 or not errors[0].startswith("error: "))
-                ):
+                one_error = len(errors) == 1 and errors[0].startswith("error: ")
+                if "internal error" in err or code not in (0, 1, 2) or (code and not one_error):
                     failures.append(f"{label}.{field} = {value!r} at {stage}: exit {code}, "
                                     f"{len(errors)} lines, the last {errors[-1:]}")
     assert not failures, f"{len(failures)} of {cases} cases:\n" + "\n".join(failures)

@@ -29,7 +29,7 @@ from .artifacts import (
     sha256_file,
 )
 from .config import ConfigError, RunConfig, load_config
-from .corpus import CorpusStore, InputFileError, LabeledSentence, deduplicate, ingest_corpus, load_labeled, load_store, normalize_sentence, open_text, rows_of, save_store
+from .corpus import PLAIN_LINES, CorpusStore, InputFileError, LabeledSentence, deduplicate, ingest_corpus, load_labeled, load_store, rows_of, save_store
 from .ensemble import FoldPlan, make_fold_plan, save_bundle
 from .features import FeatureStats, embed_many, fit_feature_stats_many, load_feature_stats
 from .metrics import render_report_table
@@ -185,7 +185,7 @@ class _Stage:
         return Path(path)
 
     def labeled(self, path: str) -> list[LabeledSentence]:
-        return load_labeled(self.external_input(path), self.config.default_rating_std)
+        return load_labeled(self.external_input(path))
 
     def labeled_train(self) -> list[LabeledSentence]:
         """The training sentences; every stage that reads them needs at least one."""
@@ -409,20 +409,13 @@ def cmd_evaluate(config: RunConfig, force: bool) -> None:
     stage.finish()
 
 
-def cmd_predict(config: RunConfig, force: bool, input_path: str | None = None) -> None:
-    if input_path is None:
-        raise ConfigError("predict requires --input <file>")
+def cmd_predict(config: RunConfig, force: bool, input_path: str) -> None:
     stage = _Stage("predict", config, force)
     from .ensemble import load_bundle, predict_ensemble_batch
 
     bundle = stage.read(BUNDLE, "train-ensemble", load_bundle)
-    in_path = stage.external_input(input_path)
-    texts = []
-    with open_text(in_path) as fh:
-        for line in fh:
-            text = normalize_sentence(line)
-            if text:
-                texts.append(text)
+    records = ingest_corpus(stage.external_input(input_path), "predict", PLAIN_LINES)
+    texts = [r.text for r in records]
     scores = predict_ensemble_batch(bundle, texts) if texts else []
     buf = io.StringIO()
     for i, score in enumerate(scores, start=1):
@@ -460,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the run config JSON")
         p.add_argument("--force", action="store_true", help="ignore stale digests")
         if name == "predict":
-            p.add_argument("--input", help="file of sentences to score, one per line")
+            p.add_argument("--input", required=True, help="sentences to score, one per line")
     return parser
 
 

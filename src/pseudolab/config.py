@@ -13,7 +13,7 @@ from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
 from .artifacts import json_text
-from .corpus import DEFAULT_RATING_STD, FORMATS
+from .corpus import FORMATS
 from .features import FeatureConfig
 from .pipeline import (
     DEFAULT_ARCHETYPE_SPECS,
@@ -49,7 +49,6 @@ class RunConfig(PipelineConfig):
     )
     fold_seed: int = 1
     setting: str = DEFAULT_SETTING
-    default_rating_std: float = DEFAULT_RATING_STD
 
     def canonical_json(self) -> str:
         return json_text(asdict(self))
@@ -171,5 +170,3 @@ def validate_config(cfg: RunConfig) -> None:
         )
     if cfg.setting not in SETTINGS:
         raise ConfigError(f"setting must be one of {SETTINGS}, got {cfg.setting!r}")
-    if cfg.default_rating_std < 0:
-        raise ConfigError("default_rating_std must be >= 0")

@@ -32,9 +32,10 @@ class InputFileError(ValueError):
 
 @contextmanager
 def open_text(path: str | Path, **kwargs):
-    """Open a UTF-8 text file; a byte that is not UTF-8 raises InputFileError naming its line."""
+    """Open a UTF-8 text file, dropping a leading byte order mark; a byte that
+    is not UTF-8 raises InputFileError naming its line."""
     try:
-        with open(path, encoding="utf-8", **kwargs) as fh:
+        with open(path, encoding="utf-8-sig", **kwargs) as fh:
             yield fh
     except UnicodeDecodeError:
         data = Path(path).read_bytes()
@@ -187,10 +188,8 @@ def deduplicate(
     return out, stats
 
 
-def load_labeled(
-    path: str | Path, default_rating_std: float = DEFAULT_RATING_STD
-) -> list[LabeledSentence]:
-    """Load a tab-separated labeled set with columns id, text, mos[, rating_std]."""
+def load_labeled(path: str | Path) -> list[LabeledSentence]:
+    """Load a tab-separated labeled set: id, text, mos[, rating_std, else DEFAULT_RATING_STD]."""
     path = Path(path)
     out: list[LabeledSentence] = []
     with open_text(path, newline="") as fh:
@@ -212,7 +211,7 @@ def load_labeled(
                 sid = int(row[cols["id"]])
                 text = row[cols["text"]]
                 mos = float(row[cols["mos"]])
-                std = float(row[cols["rating_std"]]) if has_std else default_rating_std
+                std = float(row[cols["rating_std"]]) if has_std else DEFAULT_RATING_STD
             except IndexError:
                 raise InputFileError(
                     f"{path}: row {rowno}: {len(row)} fields, fewer than the header's {len(header)}"

@@ -292,7 +292,7 @@ def predict_ensemble_batch(bundle: EnsembleBundle, texts: Sequence[str]) -> np.n
         ]
         return np.concatenate(scores) if scores else np.zeros(0)
 
-    return np.concatenate(parallel.map_forked(score_run, len(runs), len(runs), work="scoring"))
+    return np.concatenate(parallel.map_forked(score_run, len(runs), work="scoring"))
 
 
 def audit_oof_hygiene(bundle: EnsembleBundle) -> bool:

@@ -174,9 +174,11 @@ def _ngram_hashes(
 
     Returns (rows, hashes, signs, bounds): gram i lies in texts[rows[i]], has
     FNV-1a 64 hash hashes[i] and sign signs[i] (+-1, the hash's top bit);
-    the grams of length n are those from bounds[n - 1] to bounds[n].
+    the grams of length n are those from bounds[n - 1] to bounds[n], for n up
+    to n_max or to the longest text, past which no text has a gram.
     """
     lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    n_max = min(n_max, int(lengths.max(initial=0)))
     text_of = np.repeat(np.arange(len(texts)), lengths)
     # characters from each position to the end of its own text
     room = np.repeat(np.cumsum(lengths), lengths) - np.arange(text_of.size)
@@ -256,7 +258,8 @@ def _write_features(
     config = stats.config
     dim = config.hashed_dim
     rows, hashes, signs, bounds = grams
-    own = slice(bounds[config.ngram_min - 1], bounds[config.ngram_max])
+    top = len(bounds) - 1  # the longest gram of the chunk
+    own = slice(bounds[min(config.ngram_min - 1, top)], bounds[min(config.ngram_max, top)])
     keys = rows[own] * dim + (hashes[own] % dim).astype(np.int64)
     counts = np.bincount(keys, weights=signs[own], minlength=len(block) * dim)
     counts = counts.reshape(len(block), dim)
@@ -342,7 +345,7 @@ def embed_many(
         for _ in embed_chunks(texts[start:stop], stats_list, [m[start:stop] for m in out]):
             pass
 
-    parallel.map_forked(fill, len(runs), len(runs), work="embedding")
+    parallel.map_forked(fill, len(runs), work="embedding")
     return out
 
 

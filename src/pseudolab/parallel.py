@@ -80,10 +80,10 @@ def _run_task(i: int):
     return _task(i)
 
 
-def map_forked(task: Callable[[int], T], n_tasks: int, workers: int, *, work: str) -> list[T]:
-    """`[task(i) for i in range(n_tasks)]`, run in `workers` forked processes.
+def map_forked(task: Callable[[int], T], n_tasks: int, *, work: str) -> list[T]:
+    """`[task(i) for i in range(n_tasks)]`, run in `worker_count(n_tasks)` forked processes.
 
-    With fewer than two workers, or inside a worker, or where `fork` is
+    With one usable CPU or one task, or inside a worker, or where `fork` is
     unavailable, the tasks run in this process. Workers are forked, not
     spawned, so they share everything loaded copy-on-write (and arrays from
     `shared_array` for writing), and only task numbers and results are
@@ -94,7 +94,8 @@ def map_forked(task: Callable[[int], T], n_tasks: int, workers: int, *, work: st
     loop would raise it. A worker that dies raises ChildProcessError naming
     `work`.
     """
-    if workers < 2 or not _can_fork():
+    workers = worker_count(n_tasks)
+    if workers < 2:
         return [task(i) for i in range(n_tasks)]
     import multiprocessing
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait

@@ -45,6 +45,8 @@ DEFAULT_SETTING = "ensemble_mean"
 AGGREGATION = {"ensemble_mean": "mean", "ensemble_stacker": "stacker"}
 
 RETRIEVAL = "retrieval"
+# the ridge penalty of the gate model, the closed-form fit of train-baseline
+GATE_RIDGE_LAMBDA = 1.0
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,6 @@ class PipelineConfig:
     hyper_pseudo: HyperParams = field(default_factory=default_pseudo_hyper)
     hyper_fine: HyperParams = field(default_factory=default_fine_tune_hyper)
     hyper_baseline: HyperParams = field(default_factory=default_baseline_hyper)
-    ridge_lambda_baseline: float = 1.0
 
 
 @dataclass
@@ -160,7 +161,7 @@ def train_gate_model(
     return train_ridge(
         X,
         y,
-        cfg.ridge_lambda_baseline,
+        GATE_RIDGE_LAMBDA,
         fingerprint=retrieval_stats.fingerprint,
         stage="baseline",
         archetype=RETRIEVAL,
@@ -378,9 +379,10 @@ def evaluate_settings(
 
     per_fold: dict[str, list[float]] = {s: [] for s in settings}
     pooled_pred: dict[str, np.ndarray] = {s: np.zeros(len(labeled)) for s in settings}
-    # a fold that trains no pseudo stage is one small fit: forking costs more
-    workers = parallel.worker_count(plan.n_folds) if need_pseudo else 1
-    folds = parallel.map_forked(run_fold, plan.n_folds, workers, work="the cross-validation folds")
+    if need_pseudo:
+        folds = parallel.map_forked(run_fold, plan.n_folds, work="the cross-validation folds")
+    else:  # a fold that trains no pseudo stage is one small fit: forking costs more
+        folds = [run_fold(f) for f in range(plan.n_folds)]
     for f, fold_preds in enumerate(folds):
         test_idx = plan.fold_indices(f)
         for setting in settings:

@@ -135,6 +135,18 @@ class TestFullPipeline:
             assert 1.0 <= float(score) <= 7.0
             assert len(score.split(".")[1]) == 3
 
+    def test_predict_drops_a_leading_byte_order_mark(self, pipeline):
+        directory, config_path, dataset = pipeline
+        text = "".join(s.text + "\n" for s in dataset.labeled_test[:5])
+        predictions = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            input_path = directory / "sentences.txt"
+            input_path.write_bytes(prefix + text.encode("utf-8"))
+            argv = ["predict", "--config", str(config_path), "--input", str(input_path)]
+            assert main(argv) == 0
+            predictions.append((directory / "out" / cli.PREDICTIONS).read_text(encoding="utf-8"))
+        assert predictions[1] == predictions[0]
+
     def test_predict_embeds_in_one_pass(self, pipeline, monkeypatch):
         """Each chunk is hashed once, for all the archetypes."""
         directory, config_path, dataset = pipeline
@@ -280,8 +292,8 @@ class TestValidation:
             ("k", "5"),
             ("n_folds", 5.0),
             ("fold_seed", True),
-            ("ridge_lambda_baseline", "1.0"),
-            ("default_rating_std", None),
+            ("hyper_baseline", {"ridge_lambda": "1.0"}),
+            ("labeled_train", None),
             ("setting", 3),
             ("seeds", "12"),
             ("seeds", 3),
@@ -309,8 +321,8 @@ class TestValidation:
         [
             ({"hyper_pseudo": {"learning_rate": float("nan")}}, "hyper_pseudo.learning_rate"),
             ({"hyper_fine": {"ridge_lambda": float("inf")}}, "hyper_fine.ridge_lambda"),
-            ({"ridge_lambda_baseline": float("inf")}, "ridge_lambda_baseline"),
-            ({"default_rating_std": float("nan")}, "default_rating_std"),
+            ({"hyper_baseline": {"ridge_lambda": float("inf")}}, "hyper_baseline.ridge_lambda"),
+            ({"hyper_baseline": {"learning_rate": float("nan")}}, "hyper_baseline.learning_rate"),
         ],
     )
     def test_non_finite_number(self, tmp_path, capsys, overrides, name):
@@ -405,7 +417,14 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "key",
-        ["literal_45_columns", "shared_pseudo_labels", "exclude_labeled", "literal_45_colums"],
+        [
+            "literal_45_columns",
+            "shared_pseudo_labels",
+            "exclude_labeled",
+            "literal_45_colums",
+            "ridge_lambda_baseline",
+            "default_rating_std",
+        ],
     )
     def test_unknown_key(self, tmp_path, capsys, key):
         dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
@@ -414,6 +433,16 @@ class TestValidation:
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line.endswith(f"unknown key(s): {key}")
         assert not (tmp_path / "out").exists()
+
+    def test_negative_gate_ridge_lambda_is_an_unknown_key(self, tmp_path, capsys):
+        # the gate's ridge penalty is pipeline.GATE_RIDGE_LAMBDA, which no config
+        # sets, so no negative penalty reaches the ridge solve
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        config_path = _write_config(tmp_path, dataset, {"ridge_lambda_baseline": -1})
+        for command in ("train-baseline", "evaluate"):
+            assert main([command, "--config", str(config_path), "--force"]) == 1
+            (line,) = capsys.readouterr().err.strip().splitlines()
+            assert line == f"error: config {config_path} has unknown key(s): ridge_lambda_baseline"
 
     def test_workers_flag_removed(self, tmp_path):
         dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
@@ -464,8 +493,8 @@ class TestConfigParse:
             {
                 "fold_seed": 4,
                 "setting": "pseudo_only",
-                "default_rating_std": 0.25,
-                "ridge_lambda_baseline": 0.5,
+                "k": 7,
+                "n_folds": 3,
                 "hyper_baseline": {"max_epochs": 12, "learning_rate": 0.05},
             },
         )

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pseudolab.corpus import (
+    DEFAULT_RATING_STD,
     CorpusStore,
     InputFileError,
     SentenceRecord,
@@ -99,6 +100,16 @@ class TestIngest:
         with pytest.raises(InputFileError, match=r"line 2: not UTF-8 text \(byte 0xff\)") as info:
             ingest_corpus(path, "wiki")
         assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+    @pytest.mark.parametrize(
+        "format, lines",
+        [("plain-lines", "eins\nzwei\n"), ("jsonl", '{"text": "eins"}\n{"text": "zwei"}\n')],
+        ids=["plain-lines", "jsonl"],
+    )
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, format, lines):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + lines.encode("utf-8"))
+        assert [r.text for r in ingest_corpus(path, "wiki", format)] == ["eins", "zwei"]
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
@@ -194,8 +205,14 @@ class TestLoadLabeled:
 
     def test_missing_std_column_uses_default(self, tmp_path):
         path = self._write(tmp_path, ["1\tx y\t3.0"], header="id\ttext\tmos")
-        (s,) = load_labeled(path, default_rating_std=0.7)
-        assert s.rating_std == 0.7
+        (s,) = load_labeled(path)
+        assert s.rating_std == DEFAULT_RATING_STD
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = self._write(tmp_path, ["1\tx y\t3.0\t0.2"])
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        (s,) = load_labeled(path)
+        assert (s.id, s.text, s.mos, s.rating_std) == (1, "x y", 3.0, 0.2)
 
     def test_negative_std_rejected(self, tmp_path):
         path = self._write(tmp_path, ["1\tx\t3.0\t-0.2"])

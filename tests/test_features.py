@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -429,5 +430,20 @@ def test_shared_pass_hashes_once_per_chunk_and_max_tokens(monkeypatch):
     embed_many(texts, stats_list)
     # six featurizers, three chunks
     assert calls["surface"] == [4, 4, 2]
-    # each chunk hashes up to the largest ngram_max, 7
-    assert calls["windows"] == [7, 7, 7]
+    # each chunk hashes up to the largest ngram_max, 7, or to its longest
+    # text where that is shorter: "\t \n  " in the second chunk
+    assert calls["windows"] == [7, 5, 7]
+
+
+@pytest.mark.parametrize("ngram_min", [2, 10**9])
+def test_an_ngram_max_past_every_text_keeps_the_bits(ngram_min):
+    """No text has a gram longer than itself, so an ngram_max past the longest
+    text hashes no further and gives the features of one cut to that text."""
+    texts = ["ein Satz", "zwei", ""]  # at most 8 characters
+    huge = fit_feature_stats(texts, FeatureConfig(64, ngram_min, 10**9))
+    (got,) = embed_many(texts, [huge])
+    if ngram_min > 8:  # no gram at all
+        assert not got[:, :64].any()
+    else:
+        (cut,) = embed_many(texts, [replace(huge, config=FeatureConfig(64, ngram_min, 8))])
+        assert got.tobytes() == cut.tobytes()

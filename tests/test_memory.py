@@ -160,7 +160,7 @@ def test_forked_workers_do_not_inherit_freed_heap(monkeypatch):
     del blocks[::2]
     freed_kb = 480 * 32
     before = _rss_anon_kb()
-    workers = parallel.map_forked(lambda i: _rss_anon_kb(), 2, 2, work="a test")
+    workers = parallel.map_forked(lambda i: _rss_anon_kb(), 2, work="a test")
     assert max(workers) < before - freed_kb // 2, (before, workers)
 
 

@@ -176,10 +176,10 @@ def test_a_map_inside_a_worker_never_forks(monkeypatch):
     _use_workers(monkeypatch, 2)
 
     def task(i):
-        inner = parallel.map_forked(lambda j: os.getpid(), 2, 2, work="an inner map")
+        inner = parallel.map_forked(lambda j: os.getpid(), 2, work="an inner map")
         return os.getpid(), inner, len(features.chunk_runs(1000))
 
-    results = parallel.map_forked(task, 2, 2, work="an outer map")
+    results = parallel.map_forked(task, 2, work="an outer map")
     for pid, inner, runs in results:
         assert pid != os.getpid()
         assert inner == [pid, pid]

@@ -24,18 +24,16 @@ def _plan(dataset):
     return make_fold_plan(len(dataset.labeled_train), n_folds=5, seed=1)
 
 
-def test_two_workers_run_folds_in_child_processes():
-    results = parallel.map_forked(
-        lambda f: {"fold": f, "pid": os.getpid()}, 5, workers=2, work="folds"
-    )
+def test_two_workers_run_folds_in_child_processes(monkeypatch):
+    _use_workers(monkeypatch, 2)
+    results = parallel.map_forked(lambda f: {"fold": f, "pid": os.getpid()}, 5, work="folds")
     assert [r["fold"] for r in results] == list(range(5))
     assert os.getpid() not in {r["pid"] for r in results}
 
 
-def test_one_worker_runs_folds_in_process():
-    results = parallel.map_forked(
-        lambda f: {"fold": f, "pid": os.getpid()}, 3, workers=1, work="folds"
-    )
+def test_one_worker_runs_folds_in_process(monkeypatch):
+    _use_workers(monkeypatch, 1)
+    results = parallel.map_forked(lambda f: {"fold": f, "pid": os.getpid()}, 3, work="folds")
     assert results == [{"fold": f, "pid": os.getpid()} for f in range(3)]
 
 

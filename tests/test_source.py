@@ -3,7 +3,7 @@
 import ast
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 from pseudolab.config import RunConfig
 
@@ -68,3 +68,52 @@ def test_every_config_field_is_read():
         if f.name not in read
     ]
     assert not unread, f"config fields no module reads: {unread}"
+
+
+def _settable_paths(cls, prefix: str = "") -> list[str]:
+    """The path of every value a config sets, in field order; a list of
+    entries counts each field of an entry once, as `corpora[].path`."""
+    paths = []
+    for name, tp in get_type_hints(cls).items():
+        nested = [inner for inner in (tp, *get_args(tp)) if is_dataclass(inner)]
+        if nested:
+            entries = "[]" if get_origin(tp) in (list, tuple) else ""
+            paths += _settable_paths(nested[0], f"{prefix}{name}{entries}.")
+        else:
+            paths.append(prefix + name)
+    return paths
+
+
+def test_settable_config_values_are_these():
+    """Every knob of the run config. A new one shows here as a diff of this list:
+    add it only where callers set other values than its default."""
+    assert _settable_paths(RunConfig) == [
+        "k",
+        "n_folds",
+        "seeds",
+        "hyper_pseudo.learning_rate",
+        "hyper_pseudo.max_epochs",
+        "hyper_pseudo.ridge_lambda",
+        "hyper_fine.learning_rate",
+        "hyper_fine.max_epochs",
+        "hyper_fine.ridge_lambda",
+        "hyper_baseline.learning_rate",
+        "hyper_baseline.max_epochs",
+        "hyper_baseline.ridge_lambda",
+        "corpora[].path",
+        "corpora[].source",
+        "corpora[].format",
+        "labeled_train",
+        "output_dir",
+        "labeled_test",
+        "retrieval.hashed_dim",
+        "retrieval.ngram_min",
+        "retrieval.ngram_max",
+        "archetypes[].name",
+        "archetypes[].hashed_dim",
+        "archetypes[].ngram_min",
+        "archetypes[].ngram_max",
+        "archetypes[].batch_size",
+        "fold_seed",
+        "setting",
+    ]

@@ -33,7 +33,7 @@ from .corpus import PLAIN_LINES, CorpusStore, InputFileError, LabeledSentence, d
 from .ensemble import FoldPlan, make_fold_plan, save_bundle
 from .features import FeatureStats, embed_many, fit_feature_stats_many, load_feature_stats
 from .metrics import render_report_table
-from .pipeline import AGGREGATION, RETRIEVAL, Archetype, PipelineContext, embed_archetypes, evaluate_settings, featurizer_configs, fine_tune_ensemble, fold_pseudo_labels, generate_for_anchors, train_gate_model, train_stage_models
+from .pipeline import AGGREGATION, RETRIEVAL, Archetype, PipelineContext, evaluate_settings, featurizer_configs, fold_pseudo_labels, generate_for_anchors, train_ensemble, train_gate_model
 from .pseudolabel import compute_set_stats, load_pseudo_labels, pseudo_label_stats, render_stats_table, save_pseudo_labels
 from .scorer import DivergedError, load_model, model_to_json
 from .simindex import IndexFormatError, VectorIndex, load_index, save_index, verify_index
@@ -370,14 +370,11 @@ def cmd_train_ensemble(config: RunConfig, force: bool) -> None:
     stage.check_ids(PSEUDO_LABELS, "pseudolabel", ctx.store, [l.sentence_id for l in pset.labels])
     labeled = stage.labeled_train()
     plan = _fold_plan(config, labeled, nested=False)
-    corpus_features = embed_archetypes([r.text for r in ctx.store.records], ctx.archetypes)
-    models9 = train_stage_models(ctx, corpus_features, pset, config, "train-ensemble")
-    _log(f"[train-ensemble] pseudo stage: {len(models9)} models")
-    bundle = fine_tune_ensemble(
-        models9, ctx.archetypes, labeled, plan, config, "train-ensemble",
-        features_by_archetype=embed_archetypes([s.text for s in labeled], ctx.archetypes),
+    bundle = train_ensemble(ctx, labeled, pset, plan, config)
+    _log(
+        f"[train-ensemble] pseudo stage: {len(bundle.base_keys)} models, "
+        f"fine-tuned into {len(bundle.fold_models)} fold models"
     )
-    _log(f"[train-ensemble] fine-tuned {len(bundle.fold_models)} fold models")
     bundle.aggregation = AGGREGATION.get(config.setting, "mean")
     stage.write(BUNDLE, lambda tmp: save_bundle(bundle, tmp))
     stage.finish()
@@ -391,8 +388,8 @@ def cmd_evaluate(config: RunConfig, force: bool) -> None:
     pseudo_sets = None
     if config.setting != "baseline":
         # Pseudo-label every fold while the index is loaded, and drop it before
-        # evaluate_settings embeds the archetype matrices, so the two are never
-        # held at once.
+        # evaluate_settings forks the tasks that embed the archetype matrices,
+        # so no process holds the index and a corpus matrix at once.
         ctx.index = _read_index(stage, ctx)
         pseudo_sets = fold_pseudo_labels(ctx, labeled, plan, config)
         ctx.index = None

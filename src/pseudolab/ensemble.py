@@ -128,8 +128,8 @@ def train_pseudo_stage(
     """Train one model per (archetype, seed) on the pseudo-label pairs.
 
     `features_by_archetype` holds each archetype's rows, in `pseudo_scores`
-    order; with `rows`, each holds a shared matrix, such as a corpus
-    matrix from pipeline.embed_archetypes, that the fits read in place at `rows`.
+    order; with `rows`, each holds a shared matrix, such as a featurizer's
+    corpus matrix, that the fits read in place at `rows`.
     A fit that diverges raises DivergedError naming its archetype and seed.
     """
     y = np.asarray(pseudo_scores, dtype=np.float64)

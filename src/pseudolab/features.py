@@ -28,6 +28,9 @@ SURFACE_DIM = len(SURFACE_FEATURES)
 
 STD_FLOOR = 1e-9
 
+# the largest feature dimension: simindex.save_index writes it as a uint32
+MAX_DIMENSION = 2**32 - 1
+
 # every text is truncated to its first MAX_TOKENS whitespace tokens before it is featurized
 MAX_TOKENS = 128
 
@@ -66,6 +69,11 @@ class FeatureConfig:
     def __post_init__(self):
         if self.hashed_dim <= 0:
             raise ValueError("hashed_dim must be positive")
+        if self.dimension > MAX_DIMENSION:
+            raise ValueError(
+                f"hashed_dim must be at most {MAX_DIMENSION - SURFACE_DIM}, so that the "
+                "feature dimension fits the index's 32-bit field"
+            )
         if not 1 <= self.ngram_min <= self.ngram_max:
             raise ValueError("ngram_min and ngram_max must satisfy 1 <= ngram_min <= ngram_max")
 

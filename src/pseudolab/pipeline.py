@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -38,6 +38,8 @@ from .scorer import (
     train_ridge,
 )
 from .simindex import VectorIndex, map_row_blocks
+
+T = TypeVar("T")
 
 SETTINGS = ("baseline", "pseudo_only", "ensemble_mean", "ensemble_stacker")
 DEFAULT_SETTING = "ensemble_mean"
@@ -107,8 +109,8 @@ class PipelineContext:
 
     The index's float32 vectors are the one retrieval matrix. A CLI stage
     builds only the parts it reads and leaves `index` empty where it needs
-    none; the archetype matrices are embedded by the functions that train on
-    them, with `embed_archetypes`.
+    none. No archetype corpus matrix is held here: each is embedded by the
+    task that trains on it (see `_map_featurizers`).
     """
 
     store: CorpusStore
@@ -244,9 +246,10 @@ def train_stage_models(
     cfg: PipelineConfig,
     where: str,
 ) -> list[ScorerModel]:
-    """The pseudo stage: one model per (archetype, seed), trained in place on
-    `corpus_features` (each archetype's corpus matrix, rows in store order)
-    at the admitted labels' rows.
+    """The pseudo stage of the archetypes whose corpus matrices `corpus_features`
+    holds: one model per (archetype, seed), in `ctx.archetypes` order, trained
+    in place on each archetype's corpus matrix (rows in store order) at the
+    admitted labels' rows.
 
     `where` names the stage or fold in the error raised when nothing was
     admitted or a fit diverged.
@@ -260,41 +263,128 @@ def train_stage_models(
         return train_pseudo_stage(
             corpus_features,
             [lab.predicted_score for lab in pset.labels],
-            ctx.archetypes,
+            [arch for arch in ctx.archetypes if arch.name in corpus_features],
             cfg.seeds,
             cfg.hyper_pseudo,
             rows=rows_of(ctx.store.ids(), [lab.sentence_id for lab in pset.labels]),
         )
 
 
-def fine_tune_ensemble(
-    models: Sequence[ScorerModel],
-    archetypes: Sequence[Archetype],
-    labeled: Sequence[LabeledSentence],
-    plan: FoldPlan,
+@dataclass
+class _FineTune:
+    """What a pseudo stage's models are fine-tuned on: `labeled` with its
+    features (each archetype's, row for row) and its fold plan."""
+
+    labeled: list[LabeledSentence]
+    features: dict[str, np.ndarray]
+    plan: FoldPlan
+
+
+def _train_base_models(
+    ctx: PipelineContext,
+    corpus_features: dict[str, np.ndarray],
+    pset: PseudoLabelSet,
     cfg: PipelineConfig,
     where: str,
-    *,
-    features_by_archetype: dict[str, np.ndarray],
-) -> EnsembleBundle:
-    """Fine-tune every pseudo-stage model per fold, then fit the stacker on the OOF matrix.
+    fine_tune: _FineTune | None,
+) -> dict[str, tuple[list[ScorerModel], EnsembleBundle | None]]:
+    """Per archetype of `corpus_features`: its pseudo-stage models, and with
+    `fine_tune` their fine-tuned fold models and OOF columns."""
+    models = train_stage_models(ctx, corpus_features, pset, cfg, where)
+    trained = {}
+    for arch in ctx.archetypes:
+        if arch.name not in corpus_features:
+            continue
+        own = [m for m in models if m.archetype == arch.name]
+        part = None
+        if fine_tune is not None:
+            with _naming_divergence(cfg, "hyper_fine", where):
+                part = cv_fine_tune(
+                    own, [arch], fine_tune.labeled, fine_tune.plan, cfg.hyper_fine,
+                    features_by_archetype=fine_tune.features,
+                )
+        trained[arch.name] = (own, part)
+    return trained
 
-    `features_by_archetype` holds each archetype's features of `labeled`, row
-    for row. `where` names the stage or fold in the error raised when a fit
-    diverged. The bundle aggregates by mean; set `aggregation` to "stacker" to
-    use the stacker.
+
+def _map_featurizers(
+    ctx: PipelineContext, train: Callable[[dict[str, np.ndarray]], dict[str, T]]
+) -> dict[str, T]:
+    """`train(corpus_features)` once per distinct archetype featurizer, in forked workers.
+
+    Archetypes with equal featurizer configs share one task, and the tasks
+    are ordered by each featurizer's first archetype in `ctx.archetypes`. A
+    task embeds its float32 corpus matrix, hands it to `train` as
+    {archetype name: matrix} for the archetypes that read it, and returns
+    only what `train` returns per archetype; so no process holds more than
+    one corpus matrix. The results come back by archetype, in `ctx.archetypes`
+    order.
     """
-    with _naming_divergence(cfg, "hyper_fine", where):
-        bundle = cv_fine_tune(
-            models, archetypes, labeled, plan, cfg.hyper_fine,
-            features_by_archetype=features_by_archetype,
-        )
+    groups: dict[str, list[Archetype]] = {}
+    for arch in ctx.archetypes:
+        groups.setdefault(arch.stats.fingerprint, []).append(arch)
+    tasks = list(groups.values())
+    texts = [r.text for r in ctx.store.records]
+
+    def task(i: int) -> dict[str, T]:
+        (matrix,) = embed_many(texts, [tasks[i][0].stats], dtype=np.float32)
+        return train({arch.name: matrix for arch in tasks[i]})
+
+    results = parallel.map_forked(task, len(tasks), work="the training per featurizer")
+    merged = {name: value for result in results for name, value in result.items()}
+    return {arch.name: merged[arch.name] for arch in ctx.archetypes}
+
+
+def stacked_bundle(
+    parts: Sequence[EnsembleBundle], labeled: Sequence[LabeledSentence], plan: FoldPlan
+) -> EnsembleBundle:
+    """The fine-tuned parts joined in order into one bundle, its OOF matrix
+    their columns side by side, with the stacker fit on that matrix.
+
+    The bundle aggregates by mean; set `aggregation` to "stacker" to use the
+    stacker.
+    """
+    bundle = EnsembleBundle(
+        fold_models=[fm for part in parts for fm in part.fold_models],
+        plan=plan,
+        archetypes={name: arch for part in parts for name, arch in part.archetypes.items()},
+        oof=np.hstack([part.oof for part in parts]),
+    )
     y = np.array([s.mos for s in labeled])
-    weights, intercept, fallback = fit_stacker(bundle.oof, y)
-    bundle.stacker_weights = weights
-    bundle.stacker_intercept = intercept
-    bundle.stacker_fallback = fallback
+    bundle.stacker_weights, bundle.stacker_intercept, bundle.stacker_fallback = fit_stacker(
+        bundle.oof, y
+    )
     return bundle
+
+
+def train_ensemble(
+    ctx: PipelineContext,
+    labeled: Sequence[LabeledSentence],
+    pset: PseudoLabelSet,
+    plan: FoldPlan,
+    cfg: PipelineConfig,
+) -> EnsembleBundle:
+    """The `train-ensemble` stage's bundle: the pseudo stage on `pset`, each
+    model fine-tuned on `labeled` under `plan`, and the stacker on the OOF
+    matrix.
+
+    Each distinct featurizer's task (see `_map_featurizers`) trains the
+    models of its archetypes; the bundle lists them by archetype, then seed,
+    then fold.
+    """
+    labeled = list(labeled)
+    x_labeled = embed_archetypes([s.text for s in labeled], ctx.archetypes)
+    fine_tune = _FineTune(labeled, x_labeled, plan)
+    trained = _map_featurizers(
+        ctx,
+        lambda features: {
+            name: part
+            for name, (_, part) in _train_base_models(
+                ctx, features, pset, cfg, "train-ensemble", fine_tune
+            ).items()
+        },
+    )
+    return stacked_bundle(list(trained.values()), labeled, plan)
 
 
 def evaluate_settings(
@@ -310,45 +400,60 @@ def evaluate_settings(
 
     The pseudo stage of fold f trains on `pseudo_sets[f]`, as
     `fold_pseudo_labels` makes them; when they are not given, they are made
-    here from `ctx.index`. The corpus is then embedded under the archetypes
-    once, for all the folds. Only the baseline setting needs no pseudo-labels,
-    and no index or corpus features.
+    here from `ctx.index`. The models are trained in one task per distinct
+    archetype featurizer (see `_map_featurizers`): a task embeds its corpus
+    matrix and, fold by fold, trains the pseudo stage and, for an ensemble
+    setting, fine-tunes it on the fold's inner plan. This process then puts
+    each fold's models together in `ctx.archetypes` order, fits the stacker
+    and scores the fold. Only the baseline setting needs no pseudo-labels,
+    and no index or corpus features; its folds are fit in this process.
     """
     for setting in settings:
         if setting not in SETTINGS:
             raise ValueError(f"unknown setting {setting!r}; expected one of {SETTINGS}")
     labeled = list(labeled)
     y = np.array([s.mos for s in labeled])
-    need_pseudo = any(s != "baseline" for s in settings)
-    if need_pseudo:
-        if pseudo_sets is None:
-            pseudo_sets = fold_pseudo_labels(ctx, labeled, plan, cfg)
-        corpus_features = embed_archetypes([r.text for r in ctx.store.records], ctx.archetypes)
     x_labeled = embed_archetypes([s.text for s in labeled], ctx.archetypes)
 
-    def run_fold(f: int) -> dict[str, np.ndarray]:
+    fine_tunes: list[_FineTune | None] = [None] * plan.n_folds
+    if any(s in AGGREGATION for s in settings):
+        for f in range(plan.n_folds):
+            train_idx = plan.train_indices(f)
+            fine_tunes[f] = _FineTune(
+                [labeled[i] for i in train_idx],
+                {name: feats[train_idx] for name, feats in x_labeled.items()},
+                make_fold_plan(len(train_idx), cfg.n_folds, seed=plan.seed * 1009 + f),
+            )
+    # per archetype, per fold: its pseudo-stage models and fine-tuned part
+    trained: dict[str, list[tuple[list[ScorerModel], EnsembleBundle | None]]] = {}
+    if any(s != "baseline" for s in settings):
+        if pseudo_sets is None:
+            pseudo_sets = fold_pseudo_labels(ctx, labeled, plan, cfg)
+
+        def train_folds(features: dict[str, np.ndarray]) -> dict[str, list]:
+            folds: dict[str, list] = {name: [] for name in features}
+            for f in range(plan.n_folds):
+                for name, models_and_part in _train_base_models(
+                    ctx, features, pseudo_sets[f], cfg, f"fold {f}", fine_tunes[f]
+                ).items():
+                    folds[name].append(models_and_part)
+            return folds
+
+        trained = _map_featurizers(ctx, train_folds)
+
+    per_fold: dict[str, list[float]] = {s: [] for s in settings}
+    pooled_pred: dict[str, np.ndarray] = {s: np.zeros(len(labeled)) for s in settings}
+    for f in range(plan.n_folds):
         train_idx = plan.train_indices(f)
         test_idx = plan.fold_indices(f)
-        fold_train = [labeled[i] for i in train_idx]
         x_test = {name: feats[test_idx] for name, feats in x_labeled.items()}
-
-        models9: list[ScorerModel] | None = None
-        if need_pseudo:
-            models9 = train_stage_models(ctx, corpus_features, pseudo_sets[f], cfg, f"fold {f}")
-
+        models9 = [m for folds in trained.values() for m in folds[f][0]]
         bundle: EnsembleBundle | None = None
-        if any(s in AGGREGATION for s in settings):
-            inner_plan = make_fold_plan(
-                len(train_idx), cfg.n_folds, seed=plan.seed * 1009 + f
+        if fine_tunes[f] is not None:
+            bundle = stacked_bundle(
+                [folds[f][1] for folds in trained.values()], fine_tunes[f].labeled,
+                fine_tunes[f].plan,
             )
-            bundle = fine_tune_ensemble(
-                models9, ctx.archetypes, fold_train, inner_plan, cfg, f"fold {f}",
-                features_by_archetype={
-                    name: feats[train_idx] for name, feats in x_labeled.items()
-                },
-            )
-
-        fold_preds: dict[str, np.ndarray] = {}
         for setting in settings:
             if setting == "baseline":
                 arch0 = ctx.archetypes[0]
@@ -374,20 +479,8 @@ def evaluate_settings(
                 preds = mean_prediction(models9, x_test)
             else:  # an ensemble setting
                 preds = score_features(replace(bundle, aggregation=AGGREGATION[setting]), x_test)
-            fold_preds[setting] = preds
-        return fold_preds
-
-    per_fold: dict[str, list[float]] = {s: [] for s in settings}
-    pooled_pred: dict[str, np.ndarray] = {s: np.zeros(len(labeled)) for s in settings}
-    if need_pseudo:
-        folds = parallel.map_forked(run_fold, plan.n_folds, work="the cross-validation folds")
-    else:  # a fold that trains no pseudo stage is one small fit: forking costs more
-        folds = [run_fold(f) for f in range(plan.n_folds)]
-    for f, fold_preds in enumerate(folds):
-        test_idx = plan.fold_indices(f)
-        for setting in settings:
-            per_fold[setting].append(rmse(fold_preds[setting], y[test_idx]))
-            pooled_pred[setting][test_idx] = fold_preds[setting]
+            per_fold[setting].append(rmse(preds, y[test_idx]))
+            pooled_pred[setting][test_idx] = preds
 
     reports: dict[str, EvalReport] = {}
     for setting in settings:

@@ -407,6 +407,23 @@ class TestValidation:
         assert line.startswith("error: invalid archetypes[0]: "), line
         assert key in line
 
+    @pytest.mark.parametrize("hashed_dim", [2**70, 2**32], ids=["2**70", "2**32"])
+    @pytest.mark.parametrize("section", ["retrieval", "archetypes"])
+    def test_hashed_dim_past_the_index_field_rejected(self, tmp_path, capsys, section, hashed_dim):
+        """index.bin records the feature dimension (hashed_dim + 6) in 32 bits."""
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        featurizer = {"hashed_dim": hashed_dim, "ngram_min": 2, "ngram_max": 4}
+        if section == "retrieval":
+            overrides, name = {"retrieval": featurizer}, "retrieval"
+        else:
+            overrides, name = {"archetypes": [{"name": "a", **featurizer}]}, "archetypes[0]"
+        config_path = _write_config(tmp_path, dataset, overrides)
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith(
+            f"error: invalid {name}: hashed_dim must be at most {2**32 - 7}, "
+        ), line
+
     def test_archetype_named_retrieval_rejected(self, tmp_path, capsys):
         dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
         archetype = {"name": "retrieval", "hashed_dim": 64, "ngram_min": 2, "ngram_max": 4}
@@ -698,13 +715,15 @@ def test_nothing_admitted_names_the_stage_and_fold(tmp_path, capsys, monkeypatch
     ],
 )
 def test_fold_worker_errors_keep_their_exit_code(pipeline, monkeypatch, capsys, error, code):
+    """An error raised by the fine-tuning in a featurizer task's worker reaches
+    the stage with its type, so the stage exits with its code."""
     _, config_path, _ = pipeline
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
 
     def failing(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(pipeline_module, "fine_tune_ensemble", failing)
+    monkeypatch.setattr(pipeline_module, "cv_fine_tune", failing)
     capsys.readouterr()
     assert main(["evaluate", "--config", str(config_path)]) == code
     assert capsys.readouterr().err.strip().splitlines()[-1].endswith(str(error))
@@ -832,14 +851,18 @@ class TestFeaturizeStreams:
 
     def test_evaluate_context_equals_build_context(self, ingested, monkeypatch):
         """The CLI embeds and indexes the corpus as the in-process pipeline does,
-        bit for bit, and nothing holds the index any more when the corpus is
-        embedded under the archetypes."""
+        bit for bit; nothing holds the index any more when the corpus is
+        embedded under the archetypes; and archetype 'd' trains on the matrix
+        of 'a', its featurizer's task's one matrix (tasks in this process, so
+        that the matrices can be seen)."""
         out, config_path = ingested
         for command in ("featurize", "index"):
             assert main([command, "--config", str(config_path)]) == 0, command
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
         contexts, indexes, index_alive, corpus_features = [], [], [], []
         real_load_index = cli.load_index
-        real_embed_archetypes = pipeline_module.embed_archetypes
+        real_embed_many = pipeline_module.embed_many
+        real_train_stage_models = pipeline_module.train_stage_models
 
         def load_index(path):
             index = real_load_index(path)
@@ -850,33 +873,48 @@ class TestFeaturizeStreams:
             contexts.append(ctx)
             return pipeline_module.evaluate_settings(ctx, *args, **kwargs)
 
-        def embed_archetypes(texts, archetypes):
-            matrices = real_embed_archetypes(texts, archetypes)
-            if list(texts) == [r.text for r in contexts[0].store.records]:
+        def embed_many(texts, stats_list, **kwargs):
+            matrices = real_embed_many(texts, stats_list, **kwargs)
+            if contexts and list(texts) == [r.text for r in contexts[0].store.records]:
                 index_alive.extend(ref() is not None for ref in indexes)
-                corpus_features.append(matrices)
+                corpus_features.append(
+                    ([s.fingerprint for s in stats_list], [m.tobytes() for m in matrices])
+                )
             return matrices
 
+        def train_stage_models(ctx, features, *args, **kwargs):
+            trained_on.append({name: id(matrix) for name, matrix in features.items()})
+            return real_train_stage_models(ctx, features, *args, **kwargs)
+
+        trained_on = []
         monkeypatch.setattr(cli, "load_index", load_index)
         monkeypatch.setattr(cli, "evaluate_settings", capture)
-        monkeypatch.setattr(pipeline_module, "embed_archetypes", embed_archetypes)
+        monkeypatch.setattr(pipeline_module, "embed_many", embed_many)
+        monkeypatch.setattr(pipeline_module, "train_stage_models", train_stage_models)
         assert main(["evaluate", "--config", str(config_path)]) == 0
+        monkeypatch.undo()  # build_context below embeds the corpus too
         (ctx,) = contexts
         assert ctx.index is None
-        assert index_alive == [False]  # loaded once, and freed before the corpus is embedded
+        # loaded once, and freed before the corpus is embedded under each featurizer
+        assert len(indexes) == 1 and index_alive == [False, False, False]
         config = load_config(config_path)
         store = load_store(out / cli.STORE)
         expected = pipeline_module.build_context(store, config.retrieval, config.archetypes)
         stats = load_feature_stats(out / cli.FEATURE_STATS)
         for arch in expected.archetypes:
             assert arch.stats.to_dict() == stats[arch.name].to_dict()
-        (features_seen,) = corpus_features  # embedded once, for all the folds
-        assert list(features_seen) == ["a", "b", "c", "d"]
+        # embedded once per distinct featurizer, one at a time, for all the folds
+        by_name = {arch.name: arch.stats for arch in expected.archetypes}
+        assert [fps for fps, _ in corpus_features] == [
+            [by_name[name].fingerprint] for name in ("a", "b", "c")
+        ]
         texts = [r.text for r in store.records]
-        for arch in expected.archetypes:
-            (matrix,) = embed_many(texts, [arch.stats], dtype=np.float32)
-            assert features_seen[arch.name].tobytes() == matrix.tobytes(), arch.name
-        assert features_seen["d"] is features_seen["a"]
+        for name, (_, (seen,)) in zip("abc", corpus_features):
+            (matrix,) = real_embed_many(texts, [by_name[name]], dtype=np.float32)
+            assert seen == matrix.tobytes(), name
+        # one task per featurizer, 'd' in the task of 'a', every fold on one matrix
+        assert [list(t) for t in trained_on] == [["a", "d"]] * 5 + [["b"]] * 5 + [["c"]] * 5
+        assert all(t["d"] == t["a"] for t in trained_on[:5])
         assert ctx.store.records == expected.store.records
         index = real_load_index(out / cli.INDEX)
         assert index.ids.tobytes() == expected.index.ids.tobytes()

@@ -132,6 +132,12 @@ def test_fnv1a64_reference_vectors():
         assert format(fnv1a64(text.encode("utf-8")), "016x") == expected
 
 
+def test_the_widest_featurizer_fits_the_index_field():
+    assert FeatureConfig(hashed_dim=2**32 - 1 - SURFACE_DIM).dimension == 2**32 - 1
+    with pytest.raises(ValueError, match="hashed_dim must be at most"):
+        FeatureConfig(hashed_dim=2**32 - SURFACE_DIM)
+
+
 def test_fingerprint_stable_and_config_sensitive():
     a = FeatureConfig(hashed_dim=256)
     assert a.fingerprint() == FeatureConfig(hashed_dim=256).fingerprint()

@@ -1,7 +1,8 @@
 """Memory guards: no corpus-sized copy in the corpus embedding, the pseudo stage,
 the scan, the index stage or the index load, no evaluate that holds the index and the
-archetype matrices at once, scoring that holds no more than a small chunk, and
-no forked worker that starts with freed heap.
+archetype matrices at once, no train-ensemble or evaluate that holds more than one
+archetype corpus matrix at a time, scoring that holds no more than a small chunk,
+and no forked worker that starts with freed heap.
 
 numpy reports its array buffers to tracemalloc, so the traced peak of a call
 is what it allocates on top of its inputs, which are made before tracing.
@@ -291,3 +292,74 @@ def test_evaluate_never_holds_the_index_and_the_archetype_matrices_at_once(
     n = len(dataset.store.records)
     matrix_bytes = sum(n * stats[name].config.dimension * 4 for name in ("a", "b"))
     assert peak < index_bytes + matrix_bytes, (peak, index_bytes, matrix_bytes)
+
+
+@pytest.fixture(scope="module")
+def two_featurizer_run(tmp_path_factory):
+    """An 8,000-sentence run through pseudolabel with archetypes of 2,048 and
+    1,024 hashed buckets; the config path and the corpus matrices' bytes,
+    largest first."""
+    from pseudolab import cli, fixtures
+
+    directory = tmp_path_factory.mktemp("two_featurizers")
+    dataset = fixtures.make_synthetic_dataset(n_corpus=8000, n_train=60, n_test=10, seed=5)
+    entries = fixtures.write_corpus_files(dataset.store, directory / "corpus")
+    fixtures.write_labeled_tsv(dataset.labeled_train, directory / "train.tsv")
+    config_path = directory / "config.json"
+    config_path.write_text(json.dumps({
+        "corpora": entries,
+        "labeled_train": str(directory / "train.tsv"),
+        "output_dir": str(directory / "out"),
+        "retrieval": {"hashed_dim": 128, "ngram_min": 3, "ngram_max": 4},
+        "archetypes": [
+            {"name": "a", "hashed_dim": 2048, "ngram_min": 3, "ngram_max": 5},
+            {"name": "b", "hashed_dim": 1024, "ngram_min": 2, "ngram_max": 4},
+        ],
+        "k": 15,
+        "seeds": [1],
+        "hyper_pseudo": {"max_epochs": 1},
+        "hyper_fine": {"max_epochs": 1},
+    }), encoding="utf-8")
+    for command in ("ingest", "featurize", "index", "train-baseline", "pseudolabel"):
+        assert cli.main([command, "--config", str(config_path)]) == 0, command
+    n = len(dataset.store.records)
+    matrix_bytes = sorted((n * (dim + 6) * 4 for dim in (2048, 1024)), reverse=True)
+    return config_path, matrix_bytes
+
+
+def test_train_ensemble_holds_one_corpus_matrix_at_a_time(two_featurizer_run, monkeypatch):
+    """train-ensemble embeds each featurizer's corpus matrix in its own task;
+    with one CPU the tasks run in this process one after another, and each
+    matrix is freed before the next is embedded. So the traced peak of the
+    stage stays below the largest matrix plus half of the next: it was both
+    matrices and more while the stage embedded them together."""
+    from pseudolab import cli
+
+    config_path, (largest, next_largest) = two_featurizer_run
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    peak, code = _traced_peak(lambda: cli.main(["train-ensemble", "--config", str(config_path)]))
+    assert code == 0
+    assert peak < largest + next_largest / 2, (peak, largest, next_largest)
+
+
+def test_evaluate_settings_holds_one_corpus_matrix_at_a_time(two_featurizer_run, monkeypatch):
+    """As train-ensemble, evaluate_settings trains every fold of a featurizer
+    in that featurizer's task, on its one corpus matrix."""
+    from pseudolab import corpus
+    from pseudolab.config import load_config
+
+    config_path, (largest, next_largest) = two_featurizer_run
+    config = load_config(config_path)
+    store = corpus.load_store(Path(config.output_dir) / "store.jsonl")
+    ctx = pipeline.build_context(store, config.retrieval, config.archetypes)
+    labeled = corpus.load_labeled(config.labeled_train)
+    plan = make_fold_plan(len(labeled), config.n_folds, seed=config.fold_seed)
+    pseudo_sets = pipeline.fold_pseudo_labels(ctx, labeled, plan, config)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    peak, reports = _traced_peak(
+        lambda: pipeline.evaluate_settings(
+            ctx, labeled, pipeline.SETTINGS, plan, config, pseudo_sets=pseudo_sets
+        )
+    )
+    assert set(reports) == set(pipeline.SETTINGS)
+    assert peak < largest + next_largest / 2, (peak, largest, next_largest)

@@ -1,5 +1,7 @@
-"""Cross-validation folds in forked workers: the serial reports, the serial failures."""
+"""The fork map and evaluate's featurizer tasks in forked workers: the serial reports,
+the serial failures."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,9 +13,17 @@ from pathlib import Path
 import pytest
 
 from pseudolab import parallel, pipeline
-from pseudolab.ensemble import make_fold_plan
+from pseudolab.ensemble import cv_fine_tune, fit_stacker, make_fold_plan, save_bundle
+from pseudolab.features import FeatureConfig
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# 'd' has the featurizer config of 'a'
+SHARED_FEATURIZER_SPECS = (
+    pipeline.ArchetypeSpec("a", 96, 3, 5, 32),
+    pipeline.ArchetypeSpec("b", 64, 2, 4, 20),
+    pipeline.ArchetypeSpec("d", 96, 3, 5, 16),
+)
 
 
 def _use_workers(monkeypatch, n: int) -> None:
@@ -116,20 +126,106 @@ def test_anchors_are_retrieved_once_for_every_fold(
         assert pset.labels == alone.labels, f
 
 
+def _bundle_files(bundle, directory: Path) -> dict[str, bytes]:
+    save_bundle(bundle, directory)
+    return {str(p.relative_to(directory)): p.read_bytes() for p in sorted(directory.rglob("*.*"))}
+
+
+def test_archetypes_of_one_featurizer_share_its_task(
+    monkeypatch, tmp_path, small_dataset, small_pipeline_config
+):
+    """With archetypes a, b and d, where d has a's config, train_ensemble and
+    evaluate_settings embed the corpus once per distinct featurizer (counted
+    through a file, so that calls made in workers show); the bundle lists its
+    models by archetype in config order, then seed, then fold, bitwise as one
+    pass over all the archetypes makes it; and the bundle and the reports are
+    bitwise equal on 1, 2 and 3 workers."""
+    retrieval = FeatureConfig(hashed_dim=128, ngram_min=3, ngram_max=4)
+    ctx = pipeline.build_context(small_dataset.store, retrieval, SHARED_FEATURIZER_SPECS)
+    cfg = dataclasses.replace(small_pipeline_config, seeds=(1, 2))
+    labeled = small_dataset.labeled_train
+    plan = _plan(small_dataset)
+    psets = pipeline.fold_pseudo_labels(ctx, labeled, plan, cfg)
+    pset = psets[0]
+
+    # one pass over all the archetypes: d reads a's matrix, as its own
+    corpus = [r.text for r in ctx.store.records]
+    models = pipeline.train_stage_models(
+        ctx, pipeline.embed_archetypes(corpus, ctx.archetypes), pset, cfg, "one pass"
+    )
+    reference = cv_fine_tune(
+        models, ctx.archetypes, labeled, plan, cfg.hyper_fine,
+        features_by_archetype=pipeline.embed_archetypes([s.text for s in labeled], ctx.archetypes),
+    )
+    y = [s.mos for s in labeled]
+    weights, intercept, fallback = fit_stacker(reference.oof, y)
+    reference.stacker_weights, reference.stacker_intercept = weights, intercept
+    reference.stacker_fallback = fallback
+    expected_files = _bundle_files(reference, tmp_path / "reference")
+
+    calls = tmp_path / "corpus_embeddings"
+    real_embed_many = pipeline.embed_many
+
+    def counted(texts, stats_list, **kwargs):
+        if list(texts) == corpus:
+            with open(calls, "a", encoding="utf-8") as fh:
+                fh.write(" ".join(stats.fingerprint for stats in stats_list) + "\n")
+        return real_embed_many(texts, stats_list, **kwargs)
+
+    monkeypatch.setattr(pipeline, "embed_many", counted)
+    fingerprints = {arch.name: arch.stats.fingerprint for arch in ctx.archetypes}
+    assert fingerprints["d"] == fingerprints["a"] != fingerprints["b"]
+    runs = {}
+    for workers in (1, 2, 3):
+        _use_workers(monkeypatch, workers)
+        calls.write_text("", encoding="utf-8")
+        bundle = pipeline.train_ensemble(ctx, labeled, pset, plan, cfg)
+        assert sorted(calls.read_text(encoding="utf-8").splitlines()) == sorted(
+            [fingerprints["a"], fingerprints["b"]]
+        ), workers
+        calls.write_text("", encoding="utf-8")
+        reports = pipeline.evaluate_settings(
+            ctx, labeled, pipeline.SETTINGS, plan, cfg, pseudo_sets=psets
+        )
+        assert sorted(calls.read_text(encoding="utf-8").splitlines()) == sorted(
+            [fingerprints["a"], fingerprints["b"]]
+        ), workers
+        assert bundle.base_keys == [(name, seed) for name in "abd" for seed in cfg.seeds]
+        assert [(fm.model.archetype, fm.model.seed, fm.fold) for fm in bundle.fold_models] == [
+            (name, seed, fold) for name in "abd" for seed in cfg.seeds for fold in range(5)
+        ]
+        runs[workers] = (
+            _bundle_files(bundle, tmp_path / f"bundle{workers}"),
+            # shortest round-trip reprs: equal strings mean bitwise-equal values
+            {s: json.dumps(r.to_dict(), sort_keys=True) for s, r in reports.items()},
+        )
+    assert runs[1][0] == expected_files
+    assert runs[2] == runs[1]
+    assert runs[3] == runs[1]
+
+
+def _task_of(corpus_features) -> str:
+    """The task a train_stage_models call runs in, named by its archetypes."""
+    return "+".join(corpus_features)
+
+
 def test_lowest_failing_fold_is_raised(
     monkeypatch, small_context, small_dataset, small_pipeline_config
 ):
-    """Fold 1 fails at once while fold 0 is still running; fold 0's error wins."""
+    """The task of archetype 'b' fails in fold 0 at once, while the task of
+    archetype 'a' is still running fold 0; the lower task's error wins, as
+    the serial loop, which runs 'a' first, would raise it."""
     _use_workers(monkeypatch, 2)
 
     def failing(ctx, corpus_features, pset, cfg, where):
-        if where == "fold 0":
+        task = _task_of(corpus_features)
+        if task == "a":
             time.sleep(0.5)
-            raise ValueError("fold 0 failed late")
-        raise RuntimeError(f"{where} failed at once")
+            raise ValueError(f"{where} of {task} failed late")
+        raise RuntimeError(f"{where} of {task} failed at once")
 
     monkeypatch.setattr(pipeline, "train_stage_models", failing)
-    with pytest.raises(ValueError, match="^fold 0 failed late$"):
+    with pytest.raises(ValueError, match="^fold 0 of a failed late$"):
         pipeline.evaluate_settings(
             small_context, small_dataset.labeled_train, ["pseudo_only"],
             _plan(small_dataset), small_pipeline_config,
@@ -139,29 +235,36 @@ def test_lowest_failing_fold_is_raised(
 def test_no_fold_starts_after_a_failure(
     monkeypatch, tmp_path, small_context, small_dataset, small_pipeline_config
 ):
+    """Three featurizer tasks on two workers: the task of 'a' fails in fold 0,
+    the running task of 'b' goes on through its folds, and the task of 'c'
+    never starts."""
     _use_workers(monkeypatch, 2)
     started = tmp_path / "started.txt"
     real = pipeline.train_stage_models
 
     def logged(ctx, corpus_features, pset, cfg, where):
+        task = _task_of(corpus_features)
         with open(started, "a", encoding="utf-8") as fh:
-            fh.write(where + "\n")
-        if where == "fold 0":
-            raise RuntimeError("fold 0: step failed")
-        time.sleep(0.5)
+            fh.write(f"{task} {where}\n")
+        if task == "a":
+            raise RuntimeError(f"{where} of a: step failed")
+        time.sleep(0.2)
         return real(ctx, corpus_features, pset, cfg, where)
 
     monkeypatch.setattr(pipeline, "train_stage_models", logged)
-    with pytest.raises(RuntimeError, match="^fold 0: step failed$"):
+    with pytest.raises(RuntimeError, match="^fold 0 of a: step failed$"):
         pipeline.evaluate_settings(
             small_context, small_dataset.labeled_train, ["pseudo_only"],
             _plan(small_dataset), small_pipeline_config,
         )
-    assert sorted(started.read_text(encoding="utf-8").splitlines()) == ["fold 0", "fold 1"]
+    assert sorted(started.read_text(encoding="utf-8").splitlines()) == [
+        "a fold 0", *(f"b fold {f}" for f in range(5))
+    ]
 
 
 def test_dead_worker_ends_evaluate_with_an_error():
-    """A worker killed mid-fold raises in the parent within seconds instead of hanging."""
+    """A worker killed mid-task (the task of archetype 'b', in fold 1) raises in
+    the parent within seconds instead of hanging."""
     code = textwrap.dedent(
         """
         import os
@@ -174,12 +277,12 @@ def test_dead_worker_ends_evaluate_with_an_error():
         ctx = pipeline.build_context(
             data.store,
             FeatureConfig(hashed_dim=64, ngram_min=3, ngram_max=4),
-            [pipeline.ArchetypeSpec("a", 64, 3, 5)],
+            [pipeline.ArchetypeSpec("a", 64, 3, 5), pipeline.ArchetypeSpec("b", 32, 2, 4)],
         )
         real = pipeline.train_stage_models
 
         def dying(ctx, corpus_features, pset, cfg, where):
-            if where == "fold 1":
+            if list(corpus_features) == ["b"] and where == "fold 1":
                 os._exit(7)
             return real(ctx, corpus_features, pset, cfg, where)
 
@@ -200,4 +303,4 @@ def test_dead_worker_ends_evaluate_with_an_error():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 5, result.stderr
-    assert "a worker process died during the cross-validation folds" in result.stdout
+    assert "a worker process died during the training per featurizer" in result.stdout

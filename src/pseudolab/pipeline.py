@@ -336,10 +336,11 @@ def _map_featurizers(
 
 
 def stacked_bundle(
-    parts: Sequence[EnsembleBundle], labeled: Sequence[LabeledSentence], plan: FoldPlan
+    parts: Sequence[EnsembleBundle], y: np.ndarray, plan: FoldPlan
 ) -> EnsembleBundle:
     """The fine-tuned parts joined in order into one bundle, its OOF matrix
-    their columns side by side, with the stacker fit on that matrix.
+    their columns side by side, with the stacker fit on that matrix and the
+    scores `y` of the labeled rows.
 
     The bundle aggregates by mean; set `aggregation` to "stacker" to use the
     stacker.
@@ -350,7 +351,6 @@ def stacked_bundle(
         archetypes={name: arch for part in parts for name, arch in part.archetypes.items()},
         oof=np.hstack([part.oof for part in parts]),
     )
-    y = np.array([s.mos for s in labeled])
     bundle.stacker_weights, bundle.stacker_intercept, bundle.stacker_fallback = fit_stacker(
         bundle.oof, y
     )
@@ -384,7 +384,7 @@ def train_ensemble(
             ).items()
         },
     )
-    return stacked_bundle(list(trained.values()), labeled, plan)
+    return stacked_bundle(list(trained.values()), np.array([s.mos for s in labeled]), plan)
 
 
 def evaluate_settings(
@@ -415,15 +415,12 @@ def evaluate_settings(
     y = np.array([s.mos for s in labeled])
     x_labeled = embed_archetypes([s.text for s in labeled], ctx.archetypes)
 
-    fine_tunes: list[_FineTune | None] = [None] * plan.n_folds
+    inner_plans = None
     if any(s in AGGREGATION for s in settings):
-        for f in range(plan.n_folds):
-            train_idx = plan.train_indices(f)
-            fine_tunes[f] = _FineTune(
-                [labeled[i] for i in train_idx],
-                {name: feats[train_idx] for name, feats in x_labeled.items()},
-                make_fold_plan(len(train_idx), cfg.n_folds, seed=plan.seed * 1009 + f),
-            )
+        inner_plans = [
+            make_fold_plan(len(plan.train_indices(f)), cfg.n_folds, seed=plan.seed * 1009 + f)
+            for f in range(plan.n_folds)
+        ]
     # per archetype, per fold: its pseudo-stage models and fine-tuned part
     trained: dict[str, list[tuple[list[ScorerModel], EnsembleBundle | None]]] = {}
     if any(s != "baseline" for s in settings):
@@ -433,8 +430,16 @@ def evaluate_settings(
         def train_folds(features: dict[str, np.ndarray]) -> dict[str, list]:
             folds: dict[str, list] = {name: [] for name in features}
             for f in range(plan.n_folds):
+                fine_tune = None
+                if inner_plans is not None:  # the fold's slices, made here and freed after it
+                    train_idx = plan.train_indices(f)
+                    fine_tune = _FineTune(
+                        [labeled[i] for i in train_idx],
+                        {name: feats[train_idx] for name, feats in x_labeled.items()},
+                        inner_plans[f],
+                    )
                 for name, models_and_part in _train_base_models(
-                    ctx, features, pseudo_sets[f], cfg, f"fold {f}", fine_tunes[f]
+                    ctx, features, pseudo_sets[f], cfg, f"fold {f}", fine_tune
                 ).items():
                     folds[name].append(models_and_part)
             return folds
@@ -449,10 +454,9 @@ def evaluate_settings(
         x_test = {name: feats[test_idx] for name, feats in x_labeled.items()}
         models9 = [m for folds in trained.values() for m in folds[f][0]]
         bundle: EnsembleBundle | None = None
-        if fine_tunes[f] is not None:
+        if inner_plans is not None:
             bundle = stacked_bundle(
-                [folds[f][1] for folds in trained.values()], fine_tunes[f].labeled,
-                fine_tunes[f].plan,
+                [folds[f][1] for folds in trained.values()], y[train_idx], inner_plans[f]
             )
         for setting in settings:
             if setting == "baseline":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from .scorer import (
     train_ridge,
 )
 from .simindex import VectorIndex, map_row_blocks
-
-T = TypeVar("T")
 
 SETTINGS = ("baseline", "pseudo_only", "ensemble_mean", "ensemble_stacker")
 DEFAULT_SETTING = "ensemble_mean"
@@ -110,7 +108,7 @@ class PipelineContext:
     The index's float32 vectors are the one retrieval matrix. A CLI stage
     builds only the parts it reads and leaves `index` empty where it needs
     none. No archetype corpus matrix is held here: each is embedded by the
-    task that trains on it (see `_map_featurizers`).
+    task that trains on it (see `train_ensembles`).
     """
 
     store: CorpusStore
@@ -229,13 +227,15 @@ def fold_pseudo_labels(
 @contextmanager
 def _naming_divergence(cfg: PipelineConfig, key: str, where: str):
     """Re-raise a DivergedError naming the stage or fold and the config key of
-    the fit's hyperparameters, whose learning rate is too large."""
+    the fit's hyperparameters: its learning rate, or its ridge penalty, whose
+    shrink step overflows when it is large enough, is too large."""
     try:
         yield
     except DivergedError as exc:
+        hyper = getattr(cfg, key)
         raise DivergedError(
             f"{exc} in {where}: the fit diverged; lower {key}.learning_rate "
-            f"(now {getattr(cfg, key).learning_rate:g})"
+            f"(now {hyper.learning_rate:g}) or {key}.ridge_lambda (now {hyper.ridge_lambda:g})"
         ) from None
 
 
@@ -270,71 +270,6 @@ def train_stage_models(
         )
 
 
-@dataclass
-class _FineTune:
-    """What a pseudo stage's models are fine-tuned on: `labeled` with its
-    features (each archetype's, row for row) and its fold plan."""
-
-    labeled: list[LabeledSentence]
-    features: dict[str, np.ndarray]
-    plan: FoldPlan
-
-
-def _train_base_models(
-    ctx: PipelineContext,
-    corpus_features: dict[str, np.ndarray],
-    pset: PseudoLabelSet,
-    cfg: PipelineConfig,
-    where: str,
-    fine_tune: _FineTune | None,
-) -> dict[str, tuple[list[ScorerModel], EnsembleBundle | None]]:
-    """Per archetype of `corpus_features`: its pseudo-stage models, and with
-    `fine_tune` their fine-tuned fold models and OOF columns."""
-    models = train_stage_models(ctx, corpus_features, pset, cfg, where)
-    trained = {}
-    for arch in ctx.archetypes:
-        if arch.name not in corpus_features:
-            continue
-        own = [m for m in models if m.archetype == arch.name]
-        part = None
-        if fine_tune is not None:
-            with _naming_divergence(cfg, "hyper_fine", where):
-                part = cv_fine_tune(
-                    own, [arch], fine_tune.labeled, fine_tune.plan, cfg.hyper_fine,
-                    features_by_archetype=fine_tune.features,
-                )
-        trained[arch.name] = (own, part)
-    return trained
-
-
-def _map_featurizers(
-    ctx: PipelineContext, train: Callable[[dict[str, np.ndarray]], dict[str, T]]
-) -> dict[str, T]:
-    """`train(corpus_features)` once per distinct archetype featurizer, in forked workers.
-
-    Archetypes with equal featurizer configs share one task, and the tasks
-    are ordered by each featurizer's first archetype in `ctx.archetypes`. A
-    task embeds its float32 corpus matrix, hands it to `train` as
-    {archetype name: matrix} for the archetypes that read it, and returns
-    only what `train` returns per archetype; so no process holds more than
-    one corpus matrix. The results come back by archetype, in `ctx.archetypes`
-    order.
-    """
-    groups: dict[str, list[Archetype]] = {}
-    for arch in ctx.archetypes:
-        groups.setdefault(arch.stats.fingerprint, []).append(arch)
-    tasks = list(groups.values())
-    texts = [r.text for r in ctx.store.records]
-
-    def task(i: int) -> dict[str, T]:
-        (matrix,) = embed_many(texts, [tasks[i][0].stats], dtype=np.float32)
-        return train({arch.name: matrix for arch in tasks[i]})
-
-    results = parallel.map_forked(task, len(tasks), work="the training per featurizer")
-    merged = {name: value for result in results for name, value in result.items()}
-    return {arch.name: merged[arch.name] for arch in ctx.archetypes}
-
-
 def stacked_bundle(
     parts: Sequence[EnsembleBundle], y: np.ndarray, plan: FoldPlan
 ) -> EnsembleBundle:
@@ -357,6 +292,81 @@ def stacked_bundle(
     return bundle
 
 
+@dataclass
+class TrainJob:
+    """One ensemble for `train_ensembles` to train: the pseudo stage on `pset`
+    and, with a `plan`, its models fine-tuned under that plan on the labeled
+    rows `rows`. A slice takes a view of the labeled features, an index array
+    a copy. `where` names the stage or fold in the job's errors."""
+
+    pset: PseudoLabelSet
+    where: str
+    rows: np.ndarray | slice
+    plan: FoldPlan | None = None
+
+
+def train_ensembles(
+    ctx: PipelineContext,
+    labeled: Sequence[LabeledSentence],
+    x_labeled: dict[str, np.ndarray],
+    jobs: Sequence[TrainJob],
+    cfg: PipelineConfig,
+) -> list[tuple[list[ScorerModel], EnsembleBundle | None]]:
+    """Per job: its pseudo-stage models in `ctx.archetypes` order, then seed;
+    and, when it has a plan, the `stacked_bundle` of their fine-tuned fold
+    models, listed by archetype, then seed, then fold.
+
+    `x_labeled` holds each archetype's features of `labeled`, row for row.
+    The models are trained in one forked task per distinct archetype
+    featurizer: archetypes with equal featurizer configs share one task, and
+    the tasks are ordered by each featurizer's first archetype. A task embeds
+    its float32 corpus matrix and runs the jobs in order on it, slicing a
+    job's labeled features when the job starts, and returns only models and
+    OOF columns; so no process holds more than one corpus matrix.
+    """
+    groups: dict[str, list[Archetype]] = {}
+    for arch in ctx.archetypes:
+        groups.setdefault(arch.stats.fingerprint, []).append(arch)
+    tasks = list(groups.values())
+    texts = [r.text for r in ctx.store.records]
+
+    def task(i: int) -> list[dict[str, tuple[list[ScorerModel], EnsembleBundle | None]]]:
+        (matrix,) = embed_many(texts, [tasks[i][0].stats], dtype=np.float32)
+        corpus_features = {arch.name: matrix for arch in tasks[i]}
+        trained = []
+        for job in jobs:
+            models = train_stage_models(ctx, corpus_features, job.pset, cfg, job.where)
+            if job.plan is not None:
+                fine_labeled = [labeled[r] for r in np.arange(len(labeled))[job.rows]]
+                features = {arch.name: x_labeled[arch.name][job.rows] for arch in tasks[i]}
+            by_name = {}
+            for arch in tasks[i]:
+                own = [m for m in models if m.archetype == arch.name]
+                part = None
+                if job.plan is not None:
+                    with _naming_divergence(cfg, "hyper_fine", job.where):
+                        part = cv_fine_tune(
+                            own, [arch], fine_labeled, job.plan, cfg.hyper_fine,
+                            features_by_archetype=features,
+                        )
+                by_name[arch.name] = (own, part)
+            trained.append(by_name)
+        return trained
+
+    results = parallel.map_forked(task, len(tasks), work="the training per featurizer")
+    y = np.array([s.mos for s in labeled])
+    ensembles = []
+    for j, job in enumerate(jobs):
+        by_name = {name: value for result in results for name, value in result[j].items()}
+        models = [m for arch in ctx.archetypes for m in by_name[arch.name][0]]
+        bundle = None
+        if job.plan is not None:
+            parts = [by_name[arch.name][1] for arch in ctx.archetypes]
+            bundle = stacked_bundle(parts, y[job.rows], job.plan)
+        ensembles.append((models, bundle))
+    return ensembles
+
+
 def train_ensemble(
     ctx: PipelineContext,
     labeled: Sequence[LabeledSentence],
@@ -365,26 +375,13 @@ def train_ensemble(
     cfg: PipelineConfig,
 ) -> EnsembleBundle:
     """The `train-ensemble` stage's bundle: the pseudo stage on `pset`, each
-    model fine-tuned on `labeled` under `plan`, and the stacker on the OOF
-    matrix.
-
-    Each distinct featurizer's task (see `_map_featurizers`) trains the
-    models of its archetypes; the bundle lists them by archetype, then seed,
-    then fold.
-    """
+    model fine-tuned on all of `labeled` under `plan`, and the stacker on the
+    OOF matrix; `train_ensembles` with one job."""
     labeled = list(labeled)
     x_labeled = embed_archetypes([s.text for s in labeled], ctx.archetypes)
-    fine_tune = _FineTune(labeled, x_labeled, plan)
-    trained = _map_featurizers(
-        ctx,
-        lambda features: {
-            name: part
-            for name, (_, part) in _train_base_models(
-                ctx, features, pset, cfg, "train-ensemble", fine_tune
-            ).items()
-        },
-    )
-    return stacked_bundle(list(trained.values()), np.array([s.mos for s in labeled]), plan)
+    job = TrainJob(pset, "train-ensemble", slice(None), plan)
+    ((_, bundle),) = train_ensembles(ctx, labeled, x_labeled, [job], cfg)
+    return bundle
 
 
 def evaluate_settings(
@@ -400,13 +397,11 @@ def evaluate_settings(
 
     The pseudo stage of fold f trains on `pseudo_sets[f]`, as
     `fold_pseudo_labels` makes them; when they are not given, they are made
-    here from `ctx.index`. The models are trained in one task per distinct
-    archetype featurizer (see `_map_featurizers`): a task embeds its corpus
-    matrix and, fold by fold, trains the pseudo stage and, for an ensemble
-    setting, fine-tunes it on the fold's inner plan. This process then puts
-    each fold's models together in `ctx.archetypes` order, fits the stacker
-    and scores the fold. Only the baseline setting needs no pseudo-labels,
-    and no index or corpus features; its folds are fit in this process.
+    here from `ctx.index`. Each fold is one job of `train_ensembles`; for an
+    ensemble setting the job fine-tunes on the fold's training rows under
+    its inner plan. This process then scores the folds. Only the baseline
+    setting needs no pseudo-labels, and no index or corpus features; its
+    folds are fit in this process.
     """
     for setting in settings:
         if setting not in SETTINGS:
@@ -415,36 +410,19 @@ def evaluate_settings(
     y = np.array([s.mos for s in labeled])
     x_labeled = embed_archetypes([s.text for s in labeled], ctx.archetypes)
 
-    inner_plans = None
-    if any(s in AGGREGATION for s in settings):
-        inner_plans = [
-            make_fold_plan(len(plan.train_indices(f)), cfg.n_folds, seed=plan.seed * 1009 + f)
-            for f in range(plan.n_folds)
-        ]
-    # per archetype, per fold: its pseudo-stage models and fine-tuned part
-    trained: dict[str, list[tuple[list[ScorerModel], EnsembleBundle | None]]] = {}
+    # per fold: its pseudo-stage models and, for an ensemble setting, its bundle
+    trained: list[tuple[list[ScorerModel], EnsembleBundle | None]] = []
     if any(s != "baseline" for s in settings):
         if pseudo_sets is None:
             pseudo_sets = fold_pseudo_labels(ctx, labeled, plan, cfg)
-
-        def train_folds(features: dict[str, np.ndarray]) -> dict[str, list]:
-            folds: dict[str, list] = {name: [] for name in features}
-            for f in range(plan.n_folds):
-                fine_tune = None
-                if inner_plans is not None:  # the fold's slices, made here and freed after it
-                    train_idx = plan.train_indices(f)
-                    fine_tune = _FineTune(
-                        [labeled[i] for i in train_idx],
-                        {name: feats[train_idx] for name, feats in x_labeled.items()},
-                        inner_plans[f],
-                    )
-                for name, models_and_part in _train_base_models(
-                    ctx, features, pseudo_sets[f], cfg, f"fold {f}", fine_tune
-                ).items():
-                    folds[name].append(models_and_part)
-            return folds
-
-        trained = _map_featurizers(ctx, train_folds)
+        jobs = [
+            TrainJob(pseudo_sets[f], f"fold {f}", plan.train_indices(f))
+            for f in range(plan.n_folds)
+        ]
+        if any(s in AGGREGATION for s in settings):
+            for f, job in enumerate(jobs):
+                job.plan = make_fold_plan(len(job.rows), cfg.n_folds, seed=plan.seed * 1009 + f)
+        trained = train_ensembles(ctx, labeled, x_labeled, jobs, cfg)
 
     per_fold: dict[str, list[float]] = {s: [] for s in settings}
     pooled_pred: dict[str, np.ndarray] = {s: np.zeros(len(labeled)) for s in settings}
@@ -452,12 +430,6 @@ def evaluate_settings(
         train_idx = plan.train_indices(f)
         test_idx = plan.fold_indices(f)
         x_test = {name: feats[test_idx] for name, feats in x_labeled.items()}
-        models9 = [m for folds in trained.values() for m in folds[f][0]]
-        bundle: EnsembleBundle | None = None
-        if inner_plans is not None:
-            bundle = stacked_bundle(
-                [folds[f][1] for folds in trained.values()], y[train_idx], inner_plans[f]
-            )
         for setting in settings:
             if setting == "baseline":
                 arch0 = ctx.archetypes[0]
@@ -480,9 +452,10 @@ def evaluate_settings(
                     )
                 preds = predict(model, x_test[arch0.name])
             elif setting == "pseudo_only":
-                preds = mean_prediction(models9, x_test)
+                preds = mean_prediction(trained[f][0], x_test)
             else:  # an ensemble setting
-                preds = score_features(replace(bundle, aggregation=AGGREGATION[setting]), x_test)
+                bundle = replace(trained[f][1], aggregation=AGGREGATION[setting])
+                preds = score_features(bundle, x_test)
             per_fold[setting].append(rmse(preds, y[test_idx]))
             pooled_pred[setting][test_idx] = preds
 

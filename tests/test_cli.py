@@ -730,12 +730,14 @@ def test_fold_worker_errors_keep_their_exit_code(pipeline, monkeypatch, capsys, 
 
 
 @pytest.mark.parametrize(
-    "stage, where, key",
+    "stage, where, setting",
     [
         ("train-ensemble", "train-ensemble", "hyper_pseudo"),
         ("train-ensemble", "train-ensemble", "hyper_fine"),
+        ("train-ensemble", "train-ensemble", "hyper_pseudo.ridge_lambda"),
         ("evaluate", "fold 0", "hyper_pseudo"),
         ("evaluate", "fold 0", "hyper_fine"),
+        ("evaluate", "fold 0", "hyper_fine.ridge_lambda"),
         pytest.param(
             "evaluate", r"fold 0, archetype '\w+'", "hyper_baseline",
             id="evaluate-baseline-hyper_baseline",
@@ -743,24 +745,29 @@ def test_fold_worker_errors_keep_their_exit_code(pipeline, monkeypatch, capsys, 
     ],
 )
 def test_diverging_fit_exits_1_naming_its_config_key(
-    pipeline, tmp_path, monkeypatch, capsys, key, stage, where
+    pipeline, tmp_path, monkeypatch, capsys, setting, stage, where
 ):
-    """A learning rate far too large makes an SGD loss non-finite. The stage
-    exits 1 with one error line that names where, the archetype and seed, and
-    the config key, also when the fit ran in a fold worker; no warning is printed.
-    The baseline setting's early stopping would keep its first epoch, so it
-    exits 1 when that is no better than the zero model on its holdout."""
+    """A learning rate far too large makes an SGD loss non-finite, and so does
+    a ridge penalty whose shrink step overflows. The stage exits 1 with one
+    error line that names where, the archetype and seed, and the config key's
+    learning rate and ridge penalty, also when the fit ran in a fold worker;
+    no warning is printed. The baseline setting's early stopping would keep
+    its first epoch, so it exits 1 when that is no better than the zero model
+    on its holdout."""
     directory, config_path, _ = pipeline
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     shutil.copytree(directory / "out", tmp_path / "out")
     config = json.loads(config_path.read_text(encoding="utf-8"))
     config["output_dir"] = str(tmp_path / "out")
-    rate = 1e6 if key == "hyper_baseline" else 1e100
-    config[key] = dict(config[key], learning_rate=rate)
+    key, _, field = setting.partition(".")  # the learning rate unless the setting names a field
+    field = field or "learning_rate"
+    value = {"hyper_baseline": 1e6}.get(key, 1e100) if field == "learning_rate" else 1e308
+    config[key] = dict(config[key], **{field: value})
     if key == "hyper_baseline":
         config["setting"] = "baseline"
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
+    hyper = getattr(load_config(path), key)
     capsys.readouterr()
     assert main([stage, "--config", str(path)]) == 1
     *progress, line = capsys.readouterr().err.strip().splitlines()
@@ -770,11 +777,12 @@ def test_diverging_fit_exits_1_naming_its_config_key(
     else:
         fine_tuning = r", fine-tuning fold \d" if key == "hyper_fine" else ""
         cause = rf"non-finite loss at step \d+ \(archetype '\w+', seed \d+{fine_tuning}\)"
-    assert re.fullmatch(
-        rf"error: {cause} in {where}: the fit diverged; "
-        rf"lower {key}\.learning_rate {re.escape(f'(now {rate:g})')}",
-        line,
-    ), line
+    values = re.escape(
+        f"{key}.learning_rate (now {hyper.learning_rate:g}) "
+        f"or {key}.ridge_lambda (now {hyper.ridge_lambda:g})"
+    )
+    expected = rf"error: {cause} in {where}: the fit diverged; lower {values}"
+    assert re.fullmatch(expected, line), line
 
 
 @pytest.mark.parametrize(

@@ -662,6 +662,10 @@ MUTATED_RECORDS = [
     ("feature_stats_retrieval_config", cli.FEATURE_STATS, "index",
      lambda d: d["retrieval"]["config"]),
     ("store", cli.STORE, "featurize", _whole),
+    ("store", cli.STORE, "evaluate", _whole),
+    ("feature_stats_archetype", cli.FEATURE_STATS, "evaluate", lambda d: d["char35_wide"]),
+    ("feature_stats_archetype_config", cli.FEATURE_STATS, "evaluate",
+     lambda d: d["char35_wide"]["config"]),
 ]
 
 

@@ -204,6 +204,37 @@ def test_archetypes_of_one_featurizer_share_its_task(
     assert runs[3] == runs[1]
 
 
+def test_each_fold_bundle_is_the_train_ensemble_bundle_of_its_rows(
+    monkeypatch, tmp_path, small_context, small_dataset, small_pipeline_config
+):
+    """evaluate_settings and the train-ensemble stage share one trainer: the
+    bundle fold f scores is, file for file, the one train_ensemble makes from
+    the fold's training rows, its pseudo-label set and its inner fold plan."""
+    _use_workers(monkeypatch, 2)
+    ctx, labeled = small_context, small_dataset.labeled_train
+    cfg = dataclasses.replace(small_pipeline_config, seeds=(1, 2))
+    plan = _plan(small_dataset)
+    psets = pipeline.fold_pseudo_labels(ctx, labeled, plan, cfg)
+    bundles = []
+    real_stacked_bundle = pipeline.stacked_bundle
+
+    def captured(*args, **kwargs):
+        bundles.append(real_stacked_bundle(*args, **kwargs))
+        return bundles[-1]
+
+    monkeypatch.setattr(pipeline, "stacked_bundle", captured)
+    pipeline.evaluate_settings(ctx, labeled, ["ensemble_mean"], plan, cfg, pseudo_sets=psets)
+    monkeypatch.setattr(pipeline, "stacked_bundle", real_stacked_bundle)
+    assert len(bundles) == plan.n_folds
+    for f, bundle in enumerate(bundles):
+        rows = plan.train_indices(f)
+        inner = make_fold_plan(len(rows), cfg.n_folds, seed=plan.seed * 1009 + f)
+        alone = pipeline.train_ensemble(ctx, [labeled[i] for i in rows], psets[f], inner, cfg)
+        assert _bundle_files(bundle, tmp_path / f"fold{f}") == _bundle_files(
+            alone, tmp_path / f"alone{f}"
+        ), f
+
+
 def _task_of(corpus_features) -> str:
     """The task a train_stage_models call runs in, named by its archetypes."""
     return "+".join(corpus_features)

@@ -93,13 +93,23 @@ def test_stage_peaks_prints_one_record_per_stage(tmp_path):
     _run("make_fixture.py", str(tmp_path), "--n-corpus", "80", "--n-train", "10",
          "--n-test", "5", "--k", "10")
     config = str(tmp_path / "config.json")
-    stages = ["ingest", "featurize", "index"]
-    records = [json.loads(line) for line in _run("stage_peaks.py", "--config", config, *stages)]
+    sentences = tmp_path / "sentences.txt"
+    sentences.write_text(
+        "Ein kurzer Satz.\nNoch ein Satz, etwas laenger als der erste.\n", encoding="utf-8"
+    )
+    stages = ["ingest", "featurize", "index", "train-baseline", "pseudolabel", "train-ensemble",
+              "predict"]
+    records = [
+        json.loads(line)
+        for line in _run("stage_peaks.py", "--config", config, "--input", str(sentences), *stages)
+    ]
     assert [r["stage"] for r in records] == stages
     for record in records:
         assert set(record) == {"stage", "seconds", "maxrss_mb", "exit"}
         assert record["exit"] == 0 and record["seconds"] > 0 and record["maxrss_mb"] > 1
     assert (tmp_path / "out" / "index.bin").exists()
+    predictions = (tmp_path / "out" / "predictions.tsv").read_text(encoding="utf-8")
+    assert len(predictions.splitlines()) == 2
 
     # a failing stage ends the run: its record is the last line, and the script exits 1
     (tmp_path / "out" / "corpus_vectors.npy").unlink()

@@ -16,7 +16,12 @@ from pseudolab import fixtures
 def write_fixture(
     directory: Path, n_corpus: int, n_train: int, n_test: int, seed: int, k: int
 ) -> Path:
-    """Write the fixture's files under `directory`; the path of its run config."""
+    """Write the fixture's files under `directory`; the path of its run config.
+
+    The config names every file by its absolute path, so a stage may run
+    from any working directory.
+    """
+    directory = directory.resolve()
     directory.mkdir(parents=True, exist_ok=True)
     dataset = fixtures.make_synthetic_dataset(
         n_corpus=n_corpus, n_train=n_train, n_test=n_test, seed=seed

@@ -31,7 +31,7 @@ from .artifacts import (
 from .config import ConfigError, RunConfig, load_config
 from .corpus import PLAIN_LINES, CorpusStore, InputFileError, LabeledSentence, deduplicate, ingest_corpus, load_labeled, load_store, rows_of, save_store
 from .ensemble import FoldPlan, make_fold_plan, save_bundle
-from .features import FeatureStats, embed_many, fit_feature_stats_many, load_feature_stats
+from .features import MAX_MATRIX_BYTES, FeatureConfig, FeatureStats, embed_many, fit_feature_stats_many, load_feature_stats
 from .metrics import render_report_table
 from .pipeline import AGGREGATION, RETRIEVAL, Archetype, PipelineContext, evaluate_settings, featurizer_configs, fold_pseudo_labels, generate_for_anchors, train_ensemble, train_gate_model
 from .pseudolabel import compute_set_stats, load_pseudo_labels, pseudo_label_stats, render_stats_table, save_pseudo_labels
@@ -239,9 +239,27 @@ def cmd_ingest(config: RunConfig, force: bool) -> None:
     stage.finish()
 
 
+def _refuse_oversized_matrices(featurizers: dict[str, FeatureConfig], n_rows: int) -> None:
+    """Refuse, before any is allocated, a featurizer (keyed by its config key)
+    whose float32 matrix of `n_rows` rows would exceed MAX_MATRIX_BYTES."""
+    for key, featurizer in featurizers.items():
+        nbytes = n_rows * featurizer.dimension * 4
+        if nbytes > MAX_MATRIX_BYTES:
+            raise ConfigError(
+                f"{key}.hashed_dim is {featurizer.hashed_dim}: its float32 matrix of "
+                f"{n_rows} rows would take {nbytes} bytes, more than the "
+                f"{MAX_MATRIX_BYTES} bytes a feature matrix may take"
+            )
+
+
+def _archetype_configs(config: RunConfig) -> dict[str, FeatureConfig]:
+    return {f"archetypes[{i}]": a.feature_config() for i, a in enumerate(config.archetypes)}
+
+
 def cmd_featurize(config: RunConfig, force: bool) -> None:
     stage = _Stage("featurize", config, force)
     store = stage.read(STORE, "ingest", load_store)
+    _refuse_oversized_matrices({"retrieval": config.retrieval}, len(store.records))
     configs = featurizer_configs(config.retrieval, config.archetypes)
     stats = dict(zip(configs, fit_feature_stats_many(store.records, configs.values())))
     stage.write_json(FEATURE_STATS, {name: s.to_dict() for name, s in stats.items()})
@@ -369,6 +387,9 @@ def cmd_train_ensemble(config: RunConfig, force: bool) -> None:
     pset = stage.read(PSEUDO_LABELS, "pseudolabel", load_pseudo_labels)
     stage.check_ids(PSEUDO_LABELS, "pseudolabel", ctx.store, [l.sentence_id for l in pset.labels])
     labeled = stage.labeled_train()
+    _refuse_oversized_matrices(
+        _archetype_configs(config), max(len(ctx.store.records), len(labeled))
+    )
     plan = _fold_plan(config, labeled, nested=False)
     bundle = train_ensemble(ctx, labeled, pset, plan, config)
     _log(
@@ -384,6 +405,9 @@ def cmd_evaluate(config: RunConfig, force: bool) -> None:
     stage = _Stage("evaluate", config, force)
     ctx = _load_context(stage)
     labeled = stage.labeled_train()
+    # the baseline setting embeds no corpus matrix
+    n_rows = len(labeled) if config.setting == "baseline" else len(ctx.store.records)
+    _refuse_oversized_matrices(_archetype_configs(config), max(n_rows, len(labeled)))
     plan = _fold_plan(config, labeled, nested=config.setting in AGGREGATION)
     pseudo_sets = None
     if config.setting != "baseline":

@@ -31,6 +31,12 @@ STD_FLOOR = 1e-9
 # the largest feature dimension: simindex.save_index writes it as a uint32
 MAX_DIMENSION = 2**32 - 1
 
+# The most bytes one feature matrix may take. A stage refuses a featurizer
+# whose float32 matrix of the rows it embeds would be larger before it
+# allocates any, rather than fail in the allocation: 64 GiB, about 8 million
+# rows of the widest default archetype.
+MAX_MATRIX_BYTES = 2**36
+
 # every text is truncated to its first MAX_TOKENS whitespace tokens before it is featurized
 MAX_TOKENS = 128
 

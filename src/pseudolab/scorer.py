@@ -22,6 +22,9 @@ from .metrics import rmse
 WARMUP_FRACTION = 0.1
 # the share of an early-stopping fit's rows held out to choose its epoch
 HOLDOUT_FRACTION = 0.2
+# the most epochs a fit may run: a fit of max_epochs 2**70 would never end,
+# and the defaults run 4 to 30
+MAX_EPOCHS = 10_000
 
 
 @dataclass
@@ -33,8 +36,10 @@ class HyperParams:
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and > 0")
-        if self.max_epochs <= 0:
-            raise ValueError("max_epochs must be positive")
+        if not 0 < self.max_epochs <= MAX_EPOCHS:
+            raise ValueError(
+                f"max_epochs must be from 1 to {MAX_EPOCHS}, got {self.max_epochs}"
+            )
         if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda >= 0):
             raise ValueError("ridge_lambda must be finite and >= 0")
 

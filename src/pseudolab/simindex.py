@@ -15,16 +15,19 @@ import numpy as np
 MAGIC = b"SXI1"
 VERSION = 1
 
-# Queries per GEMM in top_k_many: the block's similarities take
-# QUERY_BLOCK x N x 8 bytes (2.6 MB at 5k sentences, 113 MB at 220k).
+# Queries per GEMM in top_k_many: the block's similarities to the kept index
+# rows take QUERY_BLOCK x N x 8 bytes (2.6 MB at 5k sentences, 25.6 MB at
+# 50k). A smaller block would shrink that, but each query block converts the
+# whole index to float64 once more, so it costs time until the scan converts
+# each row block once.
 QUERY_BLOCK = 64
 
-# Index rows converted to float64 at a time: ROW_BLOCK x d x 8 bytes (8 MB at
-# d = 1024) whatever N is, so no float64 copy of the whole index is made.
+# Index rows converted to float64 at a time: ROW_BLOCK x d x 8 bytes (2.1 MB
+# at d = 1,030) whatever N is, so no float64 copy of the whole index is made.
 # Keep it a multiple of 64: a BLAS matrix-vector kernel sums a few rows at a
 # time (OpenBLAS takes 4), and blocks that start at a multiple of that group
 # give every row the bitwise result of one product over the whole matrix.
-ROW_BLOCK = 1024
+ROW_BLOCK = 256
 
 # Hits whose similarities lie within TIE_MARGIN of each other are rescored so
 # that their order does not depend on how BLAS summed the GEMM. Two summation
@@ -129,31 +132,34 @@ def top_k_many(
         raise ValueError(
             f"query dimension {queries.shape[1:]} does not match index dimension {index.dimension}"
         )
-    kept = None  # index rows that may be hits; None for all
     if exclude:
         excluded = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
-        kept = np.flatnonzero(~np.isin(index.ids, excluded))
-    ids = index.ids if kept is None else index.ids[kept]
-    norms = index.norms if kept is None else index.norms[kept]
+        kept = np.flatnonzero(~np.isin(index.ids, excluded))  # index rows that may be hits
+    else:
+        kept = np.arange(index.count)
+    ids = index.ids[kept]
+    norms = index.norms[kept]
     qnorms = np.linalg.norm(queries, axis=1)
     no_hits = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64))
     results = []
+    # one query block's GEMM similarities to the kept rows, reused by every block
+    buffer = np.empty((min(QUERY_BLOCK, len(queries)), kept.size))
     for start in range(0, len(queries), QUERY_BLOCK):
         block = queries[start : start + QUERY_BLOCK]
-        dots = np.empty((len(block), index.count))
+        sims = buffer[: len(block)]
+        filled = 0
         for first in range(0, index.count, ROW_BLOCK):
             vectors = np.asarray(index.vectors[first : first + ROW_BLOCK], dtype=np.float64)
-            dots[:, first : first + len(vectors)] = block @ vectors.T
-        if kept is not None:
-            dots = dots[:, kept]
-        for query, qnorm, row in zip(block, qnorms[start : start + len(block)], dots):
+            stop = np.searchsorted(kept, first + len(vectors))
+            sims[:, filled:stop] = (block @ vectors.T)[:, kept[filled:stop] - first]
+            filled = stop
+        for query, qnorm, row in zip(block, qnorms[start : start + len(block)], sims):
             if qnorm == 0.0 or ids.size == 0:
                 results.append(no_hits)
                 continue
 
             def rescore(hits, query=query, qnorm=qnorm):
-                at = hits if kept is None else kept[hits]
-                tied = np.asarray(index.vectors[at], dtype=np.float64)
+                tied = np.asarray(index.vectors[kept[hits]], dtype=np.float64)
                 return _cosines(np.add.reduce(tied * query, axis=1), norms[hits] * qnorm)
 
             results.append(_select(ids, _cosines(row, norms * qnorm), k, rescore))

@@ -23,7 +23,7 @@ from pseudolab.config import load_config
 from pseudolab.corpus import load_labeled, load_store
 from pseudolab.features import embed_many, load_feature_stats
 from pseudolab.pseudolabel import load_pseudo_labels
-from pseudolab.scorer import model_to_json
+from pseudolab.scorer import MAX_EPOCHS, model_to_json
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -423,6 +423,62 @@ class TestValidation:
         assert line.startswith(
             f"error: invalid {name}: hashed_dim must be at most {2**32 - 7}, "
         ), line
+
+    @pytest.mark.parametrize("section", ["hyper_pseudo", "hyper_fine", "hyper_baseline"])
+    def test_max_epochs_past_its_bound_rejected(self, tmp_path, capsys, section):
+        """A fit of 2**70 epochs would never end: scorer.MAX_EPOCHS bounds every fit."""
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        config_path = _write_config(tmp_path, dataset, {section: {"max_epochs": 2**70}})
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == (
+            f"error: invalid {section}: max_epochs must be from 1 to {MAX_EPOCHS}, got {2**70}"
+        )
+        config_path = _write_config(tmp_path, dataset, {section: {"max_epochs": MAX_EPOCHS}})
+        assert getattr(load_config(config_path), section).max_epochs == MAX_EPOCHS
+
+    @pytest.mark.parametrize(
+        "key, stage, before",
+        [
+            ("archetypes[0]", "train-ensemble", STAGES[:5]),
+            ("archetypes[0]", "evaluate", STAGES[:5]),
+            ("retrieval", "featurize", STAGES[:1]),
+        ],
+    )
+    def test_featurizer_too_large_to_embed_rejected(
+        self, tmp_path, capsys, monkeypatch, key, stage, before
+    ):
+        """A hashed_dim of 2**31 passes load_config, but its float32 matrix of
+        the corpus would take 400 GiB. The stage that would embed it exits 1
+        naming the key, the rows and the bytes, before it embeds anything."""
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        featurizer = {"hashed_dim": 2**31, "ngram_min": 2, "ngram_max": 4}
+        if key == "retrieval":
+            overrides = {"retrieval": featurizer}
+        else:
+            overrides = {"archetypes": [{"name": "a", **featurizer}]}
+        config_path = _write_config(tmp_path, dataset, overrides)
+        for command in before:
+            assert main([command, "--config", str(config_path)]) == 0, command
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oversized feature matrix was about to be allocated")
+
+        for module, name in ((cli, "embed_many"), (pipeline_module, "embed_many"),
+                             (pipeline_module, "embed_archetypes")):
+            monkeypatch.setattr(module, name, refuse)
+        capsys.readouterr()
+        assert main([stage, "--config", str(config_path)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        match = re.fullmatch(
+            rf"error: {re.escape(key)}\.hashed_dim is {2**31}: its float32 matrix of "
+            rf"(\d+) rows would take (\d+) bytes, more than the {2**36} bytes a feature "
+            "matrix may take",
+            line,
+        )
+        assert match, line
+        n_rows = len(load_store(tmp_path / "out" / "store.jsonl").records)
+        assert int(match[1]) == n_rows and int(match[2]) == n_rows * (2**31 + 6) * 4
 
     def test_archetype_named_retrieval_rejected(self, tmp_path, capsys):
         dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)

@@ -15,13 +15,15 @@ ROOT = Path(__file__).resolve().parents[1]
 FLOAT = r"\d+\.\d{3}"
 
 
-def _run(script: str, *args: str, env: dict[str, str] | None = None) -> list[str]:
+def _run(
+    script: str, *args: str, env: dict[str, str] | None = None, cwd: Path | None = None
+) -> list[str]:
     """Run a script (or `-m module`) with the package on its path; its stdout lines."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **(env or {}))
     target = [script] if script == "-m" else [str(ROOT / "scripts" / script)]
     result = subprocess.run(
         [sys.executable, *target, *args],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=env, capture_output=True, text=True, timeout=300, cwd=cwd,
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()
@@ -63,6 +65,19 @@ def test_artifact_digests_of_a_pipeline_run(tmp_path):
         info["wall_seconds"] += 1.0
     (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     assert _run("artifact_digests.py", str(out)) == lines
+
+
+def test_fixture_made_in_a_relative_directory_runs_from_another(tmp_path):
+    """make_fixture.py writes absolute paths into config.json, so ingest finds
+    the corpus from inside the fixture as well as from where it was made."""
+    _run("make_fixture.py", "fx", "--n-corpus", "80", "--n-train", "10", "--n-test", "5",
+         "--k", "10", cwd=tmp_path)
+    config = json.loads((tmp_path / "fx" / "config.json").read_text(encoding="utf-8"))
+    paths = [entry["path"] for entry in config["corpora"]]
+    paths += [config[key] for key in ("labeled_train", "labeled_test", "output_dir")]
+    assert all(Path(path).is_absolute() for path in paths), paths
+    _run("-m", "pseudolab.cli", "ingest", "--config", "config.json", cwd=tmp_path / "fx")
+    assert (tmp_path / "fx" / "out" / "store.jsonl").is_file()
 
 
 def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -121,3 +136,25 @@ def test_stage_peaks_prints_one_record_per_stage(tmp_path):
     assert result.returncode == 1, result.stderr
     (line,) = result.stdout.splitlines()
     assert json.loads(line)["stage"] == "index" and json.loads(line)["exit"] == 2
+
+
+def test_stage_peaks_repeats_the_stages_and_summarizes_each(tmp_path):
+    _run("make_fixture.py", str(tmp_path), "--n-corpus", "600", "--n-train", "60",
+         "--n-test", "20", "--k", "100")
+    stages = ["ingest", "featurize", "index", "train-baseline", "pseudolabel"]
+    lines = [
+        json.loads(line)
+        for line in _run("stage_peaks.py", "--config", str(tmp_path / "config.json"),
+                         "--repeats", "2", *stages)
+    ]
+    runs, summaries = lines[: 2 * len(stages)], lines[2 * len(stages) :]
+    assert [r["stage"] for r in runs] == stages * 2
+    assert all(r["exit"] == 0 for r in runs)
+    assert [s["stage"] for s in summaries] == stages
+    for stage, line in zip(stages, summaries):
+        assert set(line) == {"stage", "runs", "seconds", "maxrss_mb"} and line["runs"] == 2
+        for measure in ("seconds", "maxrss_mb"):
+            values = sorted(r[measure] for r in runs if r["stage"] == stage)
+            assert line[measure] == {
+                "median": round(sum(values) / 2, 3), "min": values[0], "max": values[1]
+            }, (stage, measure)

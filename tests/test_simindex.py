@@ -253,6 +253,38 @@ class TestRowBlocks:
                     np.testing.assert_allclose(sims, [s for _, s in oracle], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("row_block", [7, 64])
+    def test_exclusions_of_whole_blocks_and_block_edges_match_oracle(
+        self, rng, monkeypatch, row_block
+    ):
+        """Each row block writes only its kept rows' columns; excluded rows that
+        fill a block, or sit at either end of one, shift no other column."""
+        monkeypatch.setattr(simindex, "ROW_BLOCK", row_block)
+        n = 4 * row_block + 3  # a last, partial block of 3 rows
+        items, queries = _mixed_batch(rng, n, 16, n_queries=6)
+        index = build_index(items)
+        ids = [i for i, _ in items]
+        excluded_rows = [
+            # the first row, the whole second block, the ends of the third
+            [0, *range(row_block, 2 * row_block), 2 * row_block, 3 * row_block - 1],
+            # the first block and the last, partial one
+            [*range(row_block), *range(4 * row_block, n)],
+            # the last row of each block and the first of the next
+            [r for b in range(1, 5) for r in (b * row_block - 1, b * row_block)],
+        ]
+        for rows in excluded_rows:
+            exclude = {ids[r] for r in rows}
+            for k in (1, 9, n):
+                for query, (hit_ids, sims) in zip(
+                    queries, top_k_many(index, queries, k, exclude=exclude)
+                ):
+                    if not query.any():
+                        assert hit_ids.size == 0
+                        continue
+                    oracle = brute_force_top_k(_f32_items(items), query, k, exclude)
+                    assert hit_ids.tolist() == [i for i, _ in oracle], (rows, k)
+                    np.testing.assert_allclose(sims, [s for _, s in oracle], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("row_block", [7, 64])
     def test_near_tie_hits_do_not_depend_on_block(self, rng, monkeypatch, row_block):
         batches = [_near_tie_batch(rng) for _ in range(3)]  # 300 rows each
         expected = [_hit_lists(top_k_many(index, q, 50, exclude={3, 8})) for index, q in batches]

@@ -36,7 +36,7 @@ from .metrics import render_report_table
 from .pipeline import AGGREGATION, RETRIEVAL, Archetype, PipelineContext, evaluate_settings, featurizer_configs, fold_pseudo_labels, generate_for_anchors, train_ensemble, train_gate_model
 from .pseudolabel import compute_set_stats, load_pseudo_labels, pseudo_label_stats, render_stats_table, save_pseudo_labels
 from .scorer import DivergedError, load_model, model_to_json
-from .simindex import IndexFormatError, VectorIndex, load_index, save_index, verify_index
+from .simindex import IndexFormatError, VectorIndex, load_index, save_index
 
 # Not called here: perfbench/traced_cli.py looks these up on this module to patch them.
 from .ensemble import cv_fine_tune, fit_stacker, train_pseudo_stage  # noqa: F401
@@ -256,18 +256,20 @@ def _archetype_configs(config: RunConfig) -> dict[str, FeatureConfig]:
     return {f"archetypes[{i}]": a.feature_config() for i, a in enumerate(config.archetypes)}
 
 
+def _read_store(stage: _Stage) -> CorpusStore:
+    """ingest's store, refused if it holds no sentences, as ingest never writes one."""
+    store = stage.read(STORE, "ingest", load_store)
+    if not store.records:
+        raise StaleArtifactError(f"artifact {STORE!r} holds no sentences; re-run the 'ingest' stage")
+    return store
+
+
 def cmd_featurize(config: RunConfig, force: bool) -> None:
     stage = _Stage("featurize", config, force)
-    store = stage.read(STORE, "ingest", load_store)
-    _refuse_oversized_matrices({"retrieval": config.retrieval}, len(store.records))
+    store = _read_store(stage)
     configs = featurizer_configs(config.retrieval, config.archetypes)
-    stats = dict(zip(configs, fit_feature_stats_many(store.records, configs.values())))
-    stage.write_json(FEATURE_STATS, {name: s.to_dict() for name, s in stats.items()})
-    ids = store.ids()
-    stage.write(CORPUS_IDS, lambda tmp: np.save(tmp, ids))
-    texts = [r.text for r in store.records]
-    (matrix,) = embed_many(texts, [stats[RETRIEVAL]], dtype=np.float32)
-    stage.write(CORPUS_VECTORS, lambda tmp: np.save(tmp, matrix))
+    stats = fit_feature_stats_many(store.records, configs.values())
+    stage.write_json(FEATURE_STATS, {name: s.to_dict() for name, s in zip(configs, stats)})
     stage.finish()
 
 
@@ -289,7 +291,7 @@ def _load_context(stage: _Stage) -> PipelineContext:
     a stage loads it with `_read_index` where it needs it."""
     stats = _read_feature_stats(stage)
     return PipelineContext(
-        store=stage.read(STORE, "ingest", load_store),
+        store=_read_store(stage),
         retrieval_stats=stats[RETRIEVAL],
         archetypes=[Archetype(s.name, stats[s.name], s.batch_size) for s in stage.config.archetypes],
     )
@@ -320,31 +322,23 @@ def _read_index(stage: _Stage, ctx: PipelineContext) -> VectorIndex:
 def cmd_index(config: RunConfig, force: bool) -> None:
     stage = _Stage("index", config, force)
     retrieval = _read_feature_stats(stage)[RETRIEVAL]
-    vectors = stage.read(CORPUS_VECTORS, "featurize", np.load)
-    ids = stage.read(CORPUS_IDS, "featurize", np.load)
-    if vectors.shape[1:] != (retrieval.config.dimension,):
-        raise StaleArtifactError(
-            f"artifact {CORPUS_VECTORS!r} holds vectors of shape {vectors.shape}, not of "
-            f"the retrieval featurizer's dimension {retrieval.config.dimension}; "
-            "re-run the 'featurize' stage"
-        )
-    try:
-        index = VectorIndex(ids, vectors, retrieval.fingerprint)
-    except ValueError as exc:
-        raise StaleArtifactError(
-            f"artifacts {CORPUS_IDS!r} and {CORPUS_VECTORS!r} do not match ({exc}); "
-            "re-run the 'featurize' stage"
-        ) from None
+    store = _read_store(stage)
+    _refuse_oversized_matrices({"retrieval": config.retrieval}, len(store.records))
+    (vectors,) = embed_many([r.text for r in store.records], [retrieval], dtype=np.float32)
+    index = VectorIndex(store.ids(), vectors, retrieval.fingerprint)
+    stage.write(CORPUS_IDS, lambda tmp: np.save(tmp, index.ids))
+    stage.write(CORPUS_VECTORS, lambda tmp: np.save(tmp, index.vectors))
     stage.write(INDEX, lambda tmp: save_index(index, tmp))
-    del index, vectors  # verify_index reads the file back while no other copy is alive
-    info = verify_index(stage.outdir / INDEX)
-    _log(f"[index] built and verified: N={info['count']} D={info['dimension']}")
+    _log(f"[index] built: N={index.count} D={index.dimension}")
     stage.finish()
 
 
 def cmd_train_baseline(config: RunConfig, force: bool) -> None:
     stage = _Stage("train-baseline", config, force)
-    model = train_gate_model(_read_feature_stats(stage)[RETRIEVAL], stage.labeled_train(), config)
+    retrieval = _read_feature_stats(stage)[RETRIEVAL]
+    labeled = stage.labeled_train()
+    _refuse_oversized_matrices({"retrieval": config.retrieval}, len(labeled))
+    model = train_gate_model(retrieval, labeled, config)
     stage.write_text(BASELINE_MODEL, model_to_json(model))
     stage.finish()
 
@@ -497,13 +491,10 @@ def main(argv=None) -> int:
             else:
                 COMMANDS[args.command](config, args.force)
         return 0
-    except (ConfigError, InputFileError, DivergedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (StaleArtifactError, IndexFormatError) as exc:
+    except (StaleArtifactError, IndexFormatError) as exc:  # before RuntimeError, its base
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (ConfigError, InputFileError, DivergedError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal error

@@ -143,11 +143,11 @@ def validate_config(cfg: RunConfig) -> None:
         if entry.format not in FORMATS:
             raise ConfigError(f"unknown corpus format {entry.format!r}")
         if not Path(entry.path).is_file():
-            raise ConfigError(f"corpus file does not exist: {entry.path}")
+            raise ConfigError(f"corpus file does not exist: {entry.path!r}")
     if not Path(cfg.labeled_train).is_file():
-        raise ConfigError(f"labeled train file does not exist: {cfg.labeled_train}")
+        raise ConfigError(f"labeled_train file does not exist: {cfg.labeled_train!r}")
     if cfg.labeled_test is not None and not Path(cfg.labeled_test).is_file():
-        raise ConfigError(f"labeled test file does not exist: {cfg.labeled_test}")
+        raise ConfigError(f"labeled_test file does not exist: {cfg.labeled_test!r}")
     if cfg.k <= 0:
         raise ConfigError("k must be a positive integer")
     if cfg.n_folds < 2:

@@ -258,6 +258,7 @@ def save_store(store: CorpusStore, path: str | Path) -> None:
 
 def load_store(path: str | Path) -> CorpusStore:
     store = CorpusStore()
+    seen: set[int] = set()
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -275,5 +276,8 @@ def load_store(path: str | Path) -> CorpusStore:
                 raise InputFileError(
                     f"{path}: line {lineno}: store record text or source is not a string"
                 )
+            if sid in seen:
+                raise InputFileError(f"{path}: line {lineno}: id {sid} is used by an earlier line")
+            seen.add(sid)
             store.records.append(SentenceRecord(id=sid, text=text, source=source))
     return store

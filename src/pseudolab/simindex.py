@@ -271,9 +271,3 @@ def _read_index_file(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
 def load_index(path: str | Path) -> VectorIndex:
     fp, ids, vectors = _read_index_file(Path(path))
     return VectorIndex(ids, vectors, fp)
-
-
-def verify_index(path: str | Path) -> dict:
-    """Check header and payload integrity; returns index metadata."""
-    fp, _, vectors = _read_index_file(Path(path))
-    return {"dimension": vectors.shape[1], "count": vectors.shape[0], "fingerprint": fp}

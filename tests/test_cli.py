@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pseudolab import cli, features, fixtures, parallel
+from pseudolab import cli, features, fixtures, parallel, simindex
 from pseudolab import ensemble as ensemble_module
 from pseudolab import pipeline as pipeline_module
 from pseudolab.artifacts import json_text
@@ -442,7 +442,8 @@ class TestValidation:
         [
             ("archetypes[0]", "train-ensemble", STAGES[:5]),
             ("archetypes[0]", "evaluate", STAGES[:5]),
-            ("retrieval", "featurize", STAGES[:1]),
+            ("retrieval", "index", STAGES[:2]),
+            ("retrieval", "train-baseline", STAGES[:2]),
         ],
     )
     def test_featurizer_too_large_to_embed_rejected(
@@ -450,7 +451,9 @@ class TestValidation:
     ):
         """A hashed_dim of 2**31 passes load_config, but its float32 matrix of
         the corpus would take 400 GiB. The stage that would embed it exits 1
-        naming the key, the rows and the bytes, before it embeds anything."""
+        naming the key, the rows and the bytes, before it embeds anything:
+        train-baseline embeds only the labeled sentences with the retrieval
+        featurizer, which featurize fits without embedding anything."""
         dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
         featurizer = {"hashed_dim": 2**31, "ngram_min": 2, "ngram_max": 4}
         if key == "retrieval":
@@ -478,6 +481,8 @@ class TestValidation:
         )
         assert match, line
         n_rows = len(load_store(tmp_path / "out" / "store.jsonl").records)
+        if stage == "train-baseline":
+            n_rows = len(dataset.labeled_train)
         assert int(match[1]) == n_rows and int(match[2]) == n_rows * (2**31 + 6) * 4
 
     def test_archetype_named_retrieval_rejected(self, tmp_path, capsys):
@@ -893,25 +898,41 @@ class TestFeaturizeStreams:
         return tmp_path / "out", config_path
 
     def test_streamed_matrices_equal_np_save(self, ingested, monkeypatch):
+        """featurize only fits the stats; index embeds the store in one pass and
+        writes the ids, the matrix and index.bin from that one matrix."""
         out, config_path = ingested
         passes, windows = _count_embedding(monkeypatch, features)
         before = set(out.iterdir())
         assert main(["featurize", "--config", str(config_path)]) == 0
+        assert passes == [] and windows == []
+        assert {p.name for p in set(out.iterdir()) - before} == {cli.FEATURE_STATS}
+        before = set(out.iterdir())
+        assert main(["index", "--config", str(config_path)]) == 0
         # one pass over the corpus, with the retrieval featurizer only
         assert passes == [1]
         assert len(windows) == 12  # 80 rows in chunks of 7
-        written = {cli.FEATURE_STATS, cli.CORPUS_IDS, cli.CORPUS_VECTORS}
+        written = {cli.CORPUS_IDS, cli.CORPUS_VECTORS, cli.INDEX}
         assert {p.name for p in set(out.iterdir()) - before} == written
-        recorded = json.loads((out / "manifest.json").read_text())["stages"]["featurize"]
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        assert set(stages["featurize"]["outputs"]) == {cli.FEATURE_STATS}
+        recorded = stages["index"]
+        assert set(recorded["inputs"]) == {cli.FEATURE_STATS, cli.STORE}
         assert set(recorded["outputs"]) == written
         stats = load_feature_stats(out / cli.FEATURE_STATS)
-        texts = [r.text for r in load_store(out / cli.STORE).records]
-        buffer = io.BytesIO()
-        np.save(buffer, embed_many(texts, [stats["retrieval"]])[0].astype(np.float32))
-        assert (out / cli.CORPUS_VECTORS).read_bytes() == buffer.getvalue()
-        # hashed as written, equal to a digest of the file
-        digest = hashlib.sha256(buffer.getvalue()).hexdigest()
-        assert recorded["outputs"][cli.CORPUS_VECTORS] == digest
+        store = load_store(out / cli.STORE)
+        texts = [r.text for r in store.records]
+        matrix = embed_many(texts, [stats["retrieval"]])[0].astype(np.float32)
+        for name, array in ((cli.CORPUS_VECTORS, matrix), (cli.CORPUS_IDS, store.ids())):
+            buffer = io.BytesIO()
+            np.save(buffer, array)
+            assert (out / name).read_bytes() == buffer.getvalue(), name
+            # hashed as written, equal to a digest of the file
+            digest = hashlib.sha256(buffer.getvalue()).hexdigest()
+            assert recorded["outputs"][name] == digest, name
+        index = cli.load_index(out / cli.INDEX)
+        assert index.vectors.tobytes() == matrix.tobytes()
+        assert index.ids.tobytes() == store.ids().tobytes()
+        assert index.fingerprint == stats["retrieval"].fingerprint
 
     def test_evaluate_context_equals_build_context(self, ingested, monkeypatch):
         """The CLI embeds and indexes the corpus as the in-process pipeline does,
@@ -992,17 +1013,19 @@ class TestFeaturizeStreams:
 
         def failing_surface(texts):
             chunks.append(len(texts))
-            if len(chunks) == 4:  # the stats fit, then the third chunk
+            if len(chunks) == 4:  # featurize's stats fit, then index's third chunk
                 raise OSError(28, "No space left on device")
             return surface(texts)
 
         monkeypatch.setattr(features, "_surface_block", failing_surface)
-        assert main(["featurize", "--config", str(config_path)]) == 3
+        assert main(["featurize", "--config", str(config_path)]) == 0
+        assert main(["index", "--config", str(config_path)]) == 3
         assert chunks == [80, 7, 7, 7]
         assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
-        assert not (out / cli.CORPUS_VECTORS).exists()
+        for name in (cli.CORPUS_IDS, cli.CORPUS_VECTORS, cli.INDEX):
+            assert not (out / name).exists(), name
         manifest = json.loads((out / "manifest.json").read_text())
-        assert "featurize" not in manifest["stages"]
+        assert "index" not in manifest["stages"]
 
 
 @pytest.mark.parametrize("corpus", ["comma_free", "one_sentence", "two_sentences"])
@@ -1216,3 +1239,19 @@ def test_corrupt_index_under_force_is_artifact_error(tmp_path, capsys):
     assert main(["pseudolabel", "--config", str(config_path), "--force"]) == 2
     (line,) = capsys.readouterr().err.strip().splitlines()
     assert "checksum" in line
+
+
+def test_index_stage_reads_no_index_back(tmp_path, monkeypatch):
+    """index writes index.bin from the matrix it embedded and reads nothing
+    back: every stage that reads the index checks its payload digest."""
+    dataset = fixtures.make_synthetic_dataset(n_corpus=80, n_train=10, n_test=5, seed=2)
+    config_path = _write_config(tmp_path, dataset)
+    for command in ("ingest", "featurize"):
+        assert main([command, "--config", str(config_path)]) == 0, command
+    reads = []
+    monkeypatch.setattr(simindex, "_read_index_file", reads.append)
+    assert main(["index", "--config", str(config_path)]) == 0
+    assert reads == []
+    monkeypatch.undo()
+    index = cli.load_index(tmp_path / "out" / cli.INDEX)
+    assert index.ids.tolist() == load_store(tmp_path / "out" / cli.STORE).ids().tolist()

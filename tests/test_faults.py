@@ -9,7 +9,6 @@ import json
 import shutil
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from pseudolab import cli, fixtures
@@ -57,8 +56,7 @@ def _bundle_model(out: Path) -> str:
 CASES = [
     (cli.STORE, "featurize", cli.STORE),
     (cli.FEATURE_STATS, "index", cli.FEATURE_STATS),
-    (cli.CORPUS_VECTORS, "index", cli.CORPUS_VECTORS),
-    (cli.CORPUS_IDS, "index", cli.CORPUS_IDS),
+    (cli.STORE, "index", cli.STORE),
     (cli.STORE, "train-ensemble", cli.STORE),
     (cli.INDEX, "pseudolabel", cli.INDEX),
     (cli.BASELINE_MODEL, "pseudolabel", cli.BASELINE_MODEL),
@@ -82,7 +80,7 @@ def _flip_byte(data: bytes) -> bytes:
 @pytest.mark.parametrize(
     "relative, stage, artifact",
     CASES,
-    ids=["store", "feature_stats", "corpus_vectors", "corpus_ids", "store_at_train_ensemble",
+    ids=["store", "feature_stats", "store_at_index", "store_at_train_ensemble",
          "index", "baseline_model", "pseudo_labels", "bundle_manifest", "bundle_model"],
 )
 def test_corrupt_artifact_is_named(trained, capsys, fault, relative, stage, artifact):
@@ -109,7 +107,7 @@ def test_corrupt_artifact_is_named(trained, capsys, fault, relative, stage, arti
 @pytest.mark.parametrize(
     "relative, stage, artifact",
     CASES,
-    ids=["store", "feature_stats", "corpus_vectors", "corpus_ids", "store_at_train_ensemble",
+    ids=["store", "feature_stats", "store_at_index", "store_at_train_ensemble",
          "index", "baseline_model", "pseudo_labels", "bundle_manifest", "bundle_model"],
 )
 def test_truncated_artifact_under_force_is_named(trained, capsys, relative, stage, artifact):
@@ -248,45 +246,6 @@ def _reingest_first_file(trained, tmp_path: Path) -> Path:
     return path
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [lambda ids: ids[:-10], lambda ids: np.append(ids[:-1], ids[0])],
-    ids=["ten-ids-short", "duplicate-id"],
-)
-def test_corpus_ids_that_do_not_fit_the_vectors_are_named(trained, tmp_path, capsys, edit):
-    """Under --force, index takes corpus_ids.npy unchecked against the manifest;
-    ids that are not one distinct id per row of corpus_vectors.npy are a stale
-    pair of artifacts, not an index of fewer rows or an internal error."""
-    path = _copy_run(trained, tmp_path)
-    ids_path = tmp_path / "out" / cli.CORPUS_IDS
-    np.save(ids_path, edit(np.load(ids_path)))
-    capsys.readouterr()
-    code = main(["index", "--config", str(path), "--force"])
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert code == 2, lines
-    assert len(lines) == 1, lines
-    for name in (cli.CORPUS_IDS, cli.CORPUS_VECTORS, "featurize"):
-        assert repr(name) in lines[0], lines[0]
-
-
-def test_vectors_of_another_width_than_the_retrieval_featurizer_are_named(
-    trained, tmp_path, capsys
-):
-    """Under --force, index takes corpus_vectors.npy unchecked against the
-    manifest; a matrix narrower than the retrieval featurizer's dimension is a
-    stale artifact, not an index that every later query misses."""
-    path = _copy_run(trained, tmp_path)
-    vectors_path = tmp_path / "out" / cli.CORPUS_VECTORS
-    np.save(vectors_path, np.load(vectors_path)[:, :-1])
-    capsys.readouterr()
-    code = main(["index", "--config", str(path), "--force"])
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert code == 2, lines
-    assert len(lines) == 1, lines
-    for name in (cli.CORPUS_VECTORS, "featurize"):
-        assert repr(name) in lines[0], lines[0]
-
-
 @pytest.mark.parametrize("stage", ["pseudolabel", "evaluate"])
 def test_an_index_of_another_retrieval_featurizer_is_named(trained, tmp_path, capsys, stage):
     """featurize ran again with another retrieval featurizer and index did not:
@@ -339,7 +298,7 @@ def test_lineage_is_checked_one_stage_at_a_time(trained, tmp_path, capsys):
     from older inputs, and once index has run, the baseline model is."""
     path = _reingest_first_file(trained, tmp_path)
     expected = [
-        ("featurize", cli.INDEX, cli.CORPUS_IDS, "index"),  # its first input by name
+        ("featurize", cli.INDEX, cli.FEATURE_STATS, "index"),  # its first input by name
         ("index", cli.BASELINE_MODEL, cli.FEATURE_STATS, "train-baseline"),
     ]
     for rerun, artifact, source, producer in expected:
@@ -561,6 +520,48 @@ def test_a_store_id_that_is_no_64_bit_integer_is_named(trained, tmp_path, capsys
     assert code == 1, lines
     assert len(lines) == 1, lines
     assert f"{cli.STORE}: line 1: " in lines[0] and "64 bits" in lines[0]
+
+
+@pytest.mark.parametrize("stage", ["featurize", "index", "train-ensemble"])
+def test_a_repeated_store_id_is_named(trained, tmp_path, capsys, stage):
+    """Under --force, a store record that repeats an earlier record's id is a
+    bad line of the store: exit 1 naming the file and the line, not an index
+    of ids that are not distinct."""
+    path = _copy_run(trained, tmp_path)
+    store = tmp_path / "out" / cli.STORE
+    lines = store.read_text(encoding="utf-8").splitlines(keepends=True)
+    repeated = json.loads(lines[1])["id"]
+    lines[4] = json.dumps(dict(json.loads(lines[4]), id=repeated)) + "\n"
+    store.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    code = main([stage, "--config", str(path), "--force"])
+    errors = capsys.readouterr().err.strip().splitlines()
+    assert code == 1, errors
+    assert len(errors) == 1, errors
+    assert f"{store}: line 5: id {repeated} is used by an earlier line" in errors[0]
+
+
+@pytest.mark.parametrize("stage", ["featurize", "index", "train-ensemble"])
+def test_a_store_without_sentences_is_named(trained, tmp_path, capsys, stage):
+    """ingest never writes a store with no sentences, so under --force such a
+    store is a stale artifact naming ingest, not an internal error."""
+    path = _copy_run(trained, tmp_path)
+    (tmp_path / "out" / cli.STORE).write_text("\n", encoding="utf-8")
+    line = _one_error_line(capsys, [stage, "--config", str(path), "--force"], cli.STORE, "ingest")
+    assert "holds no sentences" in line
+
+
+@pytest.mark.parametrize("force", [False, True], ids=["no-force", "force"])
+def test_index_rewrites_the_corpus_arrays_it_does_not_read(trained, tmp_path, force):
+    """index embeds the store itself: with both .npy files deleted it still
+    runs, and writes them again, byte for byte, with index.bin."""
+    out, _, _ = trained
+    path = _copy_run(trained, tmp_path)
+    for name in (cli.CORPUS_IDS, cli.CORPUS_VECTORS):
+        (tmp_path / "out" / name).unlink()
+    assert main(["index", "--config", str(path), *(["--force"] if force else [])]) == 0
+    for name in (cli.CORPUS_IDS, cli.CORPUS_VECTORS, cli.INDEX):
+        assert (tmp_path / "out" / name).read_bytes() == (out / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("value", NOT_AN_ID, ids=NOT_AN_ID_IDS)

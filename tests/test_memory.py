@@ -250,14 +250,17 @@ def test_load_index_copies_the_payload_once(index, tmp_path):
     assert peak < 2 * path.stat().st_size, peak
 
 
-def test_index_stage_holds_the_vector_matrix_about_once(tmp_path):
-    """The index stage wraps the loaded matrix as it is, makes no float64 pass
+def test_index_stage_holds_the_vector_matrix_about_once(tmp_path, monkeypatch):
+    """The index stage embeds the store straight into one float32 matrix,
+    writes the arrays and index.bin from it as it is, makes no float64 pass
     over it for norms it does not use, digests through one 256 KB buffer and
-    frees the matrix before it reads the written index back, so its traced
-    peak is one matrix and small buffers: 1.15 matrices, where the norms'
-    float64 row blocks and two 1 MB digest chunks made it 1.34."""
+    reads nothing back, so its traced peak is the store it loads, one matrix
+    and small buffers: the store and 1.15 matrices. One CPU, so that the
+    matrix is embedded in this process, where tracemalloc sees it."""
     from pseudolab import cli
+    from pseudolab.corpus import load_store
 
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("".join(f"Satz {i} ist kurz.\n" for i in range(20000)), encoding="utf-8")
     (tmp_path / "train.tsv").write_text("", encoding="utf-8")
@@ -271,11 +274,19 @@ def test_index_stage_holds_the_vector_matrix_about_once(tmp_path):
     }), encoding="utf-8")
     for command in ("ingest", "featurize"):
         assert cli.main([command, "--config", str(config_path)]) == 0, command
-    matrix_bytes = np.load(tmp_path / "out" / cli.CORPUS_VECTORS, mmap_mode="r").nbytes
+    tracemalloc.start()
+    try:
+        store = load_store(tmp_path / "out" / cli.STORE)
+        store_bytes, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrix_bytes = len(store.records) * (128 + 6) * 4
     assert matrix_bytes > 8e6
+    del store
     peak, code = _traced_peak(lambda: cli.main(["index", "--config", str(config_path)]))
     assert code == 0
-    assert peak < 1.25 * matrix_bytes, (peak, matrix_bytes)
+    assert np.load(tmp_path / "out" / cli.CORPUS_VECTORS, mmap_mode="r").nbytes == matrix_bytes
+    assert peak < store_bytes + 1.25 * matrix_bytes, (peak, store_bytes, matrix_bytes)
 
 
 def test_evaluate_never_holds_the_index_and_the_archetype_matrices_at_once(

@@ -4,11 +4,15 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from pseudolab.pipeline import SETTINGS
+from test_golden_digests import environment
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -127,7 +131,7 @@ def test_stage_peaks_prints_one_record_per_stage(tmp_path):
     assert len(predictions.splitlines()) == 2
 
     # a failing stage ends the run: its record is the last line, and the script exits 1
-    (tmp_path / "out" / "corpus_vectors.npy").unlink()
+    (tmp_path / "out" / "feature_stats.json").unlink()
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "stage_peaks.py"), "--config", config,
          "index", "train-baseline"],
@@ -158,3 +162,56 @@ def test_stage_peaks_repeats_the_stages_and_summarizes_each(tmp_path):
             assert line[measure] == {
                 "median": round(sum(values) / 2, 3), "min": values[0], "max": values[1]
             }, (stage, measure)
+
+
+def test_stage_peaks_writes_a_bench_file_of_every_stage(tmp_path):
+    """--label writes BENCH_<label>.json at the root of the script's checkout;
+    a copy of the script whose src/ links to this one writes it under tmp_path."""
+    (tmp_path / "scripts").mkdir()
+    shutil.copy(ROOT / "scripts" / "stage_peaks.py", tmp_path / "scripts")
+    (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    fixture = tmp_path / "fixture"
+    _run("make_fixture.py", str(fixture), "--n-corpus", "600", "--n-train", "60",
+         "--n-test", "20", "--k", "100")
+    stages = ["ingest", "featurize", "index"]
+    result = subprocess.run(
+        [sys.executable, str(tmp_path / "scripts" / "stage_peaks.py"), "--config",
+         str(fixture / "config.json"), "--repeats", "3", "--label", "t-600", *stages],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = [json.loads(line) for line in result.stdout.splitlines()]
+    runs, summaries = lines[: 3 * len(stages)], lines[3 * len(stages) :]
+    assert [s["stage"] for s in summaries] == stages  # the lines of --repeats, as before
+    assert not list(ROOT.glob("BENCH_t-600.json"))
+    bench = json.loads((tmp_path / "BENCH_t-600.json").read_text(encoding="utf-8"))
+
+    assert set(bench) == {"label", "repeats", "corpus_sentences", "stages", "environment",
+                          "source_lines"}
+    assert (bench["label"], bench["repeats"], bench["corpus_sentences"]) == ("t-600", 3, 600)
+    assert [s["stage"] for s in bench["stages"]] == stages
+    for line, printed in zip(bench["stages"], summaries):
+        assert set(line) == {"stage", "runs", "seconds", "maxrss_mb"} and line["runs"] == 3
+        for measure in ("seconds", "maxrss_mb"):
+            low, mid, high = sorted(r[measure] for r in runs if r["stage"] == line["stage"])
+            assert line[measure] == {
+                "median": mid, "q1": round((low + mid) / 2, 3), "q3": round((mid + high) / 2, 3),
+                "min": low, "max": high,
+            }, (line["stage"], measure)
+            assert printed[measure] == {"median": mid, "min": low, "max": high}
+
+    env = bench["environment"]
+    assert set(env) == {"cpus", "usable_cpus", "python", "numpy", "blas_threads", "simd"}
+    assert env["cpus"] == os.cpu_count() and 1 <= env["usable_cpus"] <= env["cpus"]
+    assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert env["numpy"] == np.__version__
+    assert env["blas_threads"] == {
+        name: os.environ.get(name)
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                     "BLIS_NUM_THREADS")
+    }
+    assert env["simd"] == environment()["simd"]
+
+    sources = sorted((ROOT / "src" / "pseudolab").glob("*.py"))
+    wc = {p.name: len(p.read_text(encoding="utf-8").splitlines()) for p in sources}
+    assert bench["source_lines"] == {**wc, "total": sum(wc.values())}

@@ -14,7 +14,6 @@ from pseudolab.simindex import (
     save_index,
     top_k,
     top_k_many,
-    verify_index,
 )
 
 
@@ -318,10 +317,11 @@ class TestPersistence:
         assert top_k(loaded, query, 5) == top_k(index, query, 5)
 
     def test_verify_ok(self, tmp_path, rng):
+        """A saved index passes load_index's header and checksum checks."""
         path = tmp_path / "index.bin"
         save_index(self._index(rng), path)
-        info = verify_index(path)
-        assert info == {"dimension": 6, "count": 25, "fingerprint": "abc123"}
+        loaded = load_index(path)
+        assert (loaded.dimension, loaded.count, loaded.fingerprint) == (6, 25, "abc123")
 
     def test_corruption_detected(self, tmp_path, rng):
         path = tmp_path / "index.bin"
@@ -330,14 +330,14 @@ class TestPersistence:
         data[-3] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(IndexFormatError, match="checksum"):
-            verify_index(path)
+            load_index(path)
 
     def test_truncation_detected(self, tmp_path, rng):
         path = tmp_path / "index.bin"
         save_index(self._index(rng), path)
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(IndexFormatError, match="truncated"):
-            verify_index(path)
+            load_index(path)
 
     def test_short_header(self, tmp_path):
         path = tmp_path / "index.bin"
@@ -352,7 +352,7 @@ class TestPersistence:
         data[20:24] = struct.pack("<I", len(data))  # fp_len
         path.write_bytes(bytes(data))
         with pytest.raises(IndexFormatError, match="truncated header"):
-            verify_index(path)
+            load_index(path)
 
     def test_undecodable_fingerprint(self, tmp_path, rng):
         path = tmp_path / "index.bin"

@@ -63,10 +63,6 @@ EVAL_TABLE = "eval_report.txt"
 PREDICTIONS = "predictions.tsv"
 
 
-def _log(msg: str) -> None:
-    print(msg, file=sys.stderr)
-
-
 def _atomic_save(path: Path, save_fn) -> None:
     """Run a saver against a temp path (a file or a directory), then move it into place."""
     with atomic_path(path) as tmp:
@@ -80,14 +76,16 @@ _atomic_save_dir = _atomic_save
 class _Stage:
     """One command's stage: config snapshot, run manifest, checked reads, recorded writes.
 
-    `manifest.json` records, for each stage run, the config digest, the digest
-    of every input read and every output written, and the wall time.
+    `main` opens the stage, runs its command on it and records it with
+    `finish`: `manifest.json` records, for each stage run, the config digest,
+    the digest of every input read and every output written, and the wall time.
     """
 
-    def __init__(self, name: str, config: RunConfig, force: bool):
+    def __init__(self, name: str, config: RunConfig, force: bool, input_path: str | None = None):
         self.name = name
         self.config = config
         self.force = force
+        self.input_path = input_path  # the command line's one input file: predict's --input
         self.outdir = Path(config.output_dir)
         snapshot = config.canonical_json()
         self.config_digest = sha256_bytes(snapshot.encode("utf-8"))
@@ -216,27 +214,27 @@ class _Stage:
             "wall_seconds": round(time.monotonic() - self.started, 3),
         }
         atomic_write_text(self.outdir / MANIFEST, json_text(self.manifest))
-        _log(f"[{self.name}] done in {time.monotonic() - self.started:.1f}s")
+        self.log(f"done in {time.monotonic() - self.started:.1f}s")
+
+    def log(self, msg: str) -> None:
+        print(f"[{self.name}] {msg}", file=sys.stderr)
 
 
-def cmd_ingest(config: RunConfig, force: bool) -> None:
-    stage = _Stage("ingest", config, force)
+def cmd_ingest(stage: _Stage) -> None:
+    corpora = stage.config.corpora
     store = CorpusStore()
-    for entry in config.corpora:
+    for entry in corpora:
         stage.external_input(entry.path)
         added = ingest_corpus(entry.path, entry.source, entry.format, store=store)
-        _log(f"[ingest] {entry.path}: {len(added)} sentences ({entry.source})")
+        stage.log(f"{entry.path}: {len(added)} sentences ({entry.source})")
     deduped, stats = deduplicate(store.records)
     store = CorpusStore(records=deduped)
-    _log(
-        f"[ingest] total {stats.total_sentences}, distinct {stats.distinct_sentences}"
-    )
+    stage.log(f"total {stats.total_sentences}, distinct {stats.distinct_sentences}")
     if not store.records:
-        paths = ", ".join(entry.path for entry in config.corpora)
+        paths = ", ".join(entry.path for entry in corpora)
         raise InputFileError(f"the corpora hold no sentences: {paths}")
     stage.write(STORE, lambda tmp: save_store(store, tmp))
     stage.write_json(CORPUS_STATS, asdict(stats))
-    stage.finish()
 
 
 def _refuse_oversized_matrices(featurizers: dict[str, FeatureConfig], n_rows: int) -> None:
@@ -264,13 +262,11 @@ def _read_store(stage: _Stage) -> CorpusStore:
     return store
 
 
-def cmd_featurize(config: RunConfig, force: bool) -> None:
-    stage = _Stage("featurize", config, force)
+def cmd_featurize(stage: _Stage) -> None:
     store = _read_store(stage)
-    configs = featurizer_configs(config.retrieval, config.archetypes)
+    configs = featurizer_configs(stage.config.retrieval, stage.config.archetypes)
     stats = fit_feature_stats_many(store.records, configs.values())
     stage.write_json(FEATURE_STATS, {name: s.to_dict() for name, s in zip(configs, stats)})
-    stage.finish()
 
 
 def _read_feature_stats(stage: _Stage) -> dict[str, FeatureStats]:
@@ -319,32 +315,28 @@ def _read_index(stage: _Stage, ctx: PipelineContext) -> VectorIndex:
     return index
 
 
-def cmd_index(config: RunConfig, force: bool) -> None:
-    stage = _Stage("index", config, force)
+def cmd_index(stage: _Stage) -> None:
     retrieval = _read_feature_stats(stage)[RETRIEVAL]
     store = _read_store(stage)
-    _refuse_oversized_matrices({"retrieval": config.retrieval}, len(store.records))
+    _refuse_oversized_matrices({"retrieval": stage.config.retrieval}, len(store.records))
     (vectors,) = embed_many([r.text for r in store.records], [retrieval], dtype=np.float32)
     index = VectorIndex(store.ids(), vectors, retrieval.fingerprint)
     stage.write(CORPUS_IDS, lambda tmp: np.save(tmp, index.ids))
     stage.write(CORPUS_VECTORS, lambda tmp: np.save(tmp, index.vectors))
     stage.write(INDEX, lambda tmp: save_index(index, tmp))
-    _log(f"[index] built: N={index.count} D={index.dimension}")
-    stage.finish()
+    stage.log(f"built: N={index.count} D={index.dimension}")
 
 
-def cmd_train_baseline(config: RunConfig, force: bool) -> None:
-    stage = _Stage("train-baseline", config, force)
+def cmd_train_baseline(stage: _Stage) -> None:
     retrieval = _read_feature_stats(stage)[RETRIEVAL]
     labeled = stage.labeled_train()
-    _refuse_oversized_matrices({"retrieval": config.retrieval}, len(labeled))
-    model = train_gate_model(retrieval, labeled, config)
+    _refuse_oversized_matrices({"retrieval": stage.config.retrieval}, len(labeled))
+    model = train_gate_model(retrieval, labeled, stage.config)
     stage.write_text(BASELINE_MODEL, model_to_json(model))
-    stage.finish()
 
 
-def cmd_pseudolabel(config: RunConfig, force: bool) -> None:
-    stage = _Stage("pseudolabel", config, force)
+def cmd_pseudolabel(stage: _Stage) -> None:
+    config = stage.config
     ctx = _load_context(stage)
     ctx.index = _read_index(stage, ctx)
     gate = stage.read(BASELINE_MODEL, "train-baseline", load_model)
@@ -356,13 +348,12 @@ def cmd_pseudolabel(config: RunConfig, force: bool) -> None:
     if config.labeled_test:
         exclude |= {s.text for s in stage.labeled(config.labeled_test)}
     pset = generate_for_anchors(ctx, anchors, gate, config, exclude)
-    _log(f"[pseudolabel] admitted {len(pset.labels)} pseudo-labels")
+    stage.log(f"admitted {len(pset.labels)} pseudo-labels")
     stage.write(PSEUDO_LABELS, lambda tmp: save_pseudo_labels(pset, tmp))
     made_by = {"k": config.k, "exclude_labeled": bool(exclude), "baseline_seed": gate.seed,
                "fingerprint": gate.fingerprint}
     stage.write_json(PSEUDO_STATS, {"config": made_by, "stats": compute_set_stats(pset.labels)})
     stage.write_text(PSEUDO_TABLE, render_stats_table(pseudo_label_stats(pset)))
-    stage.finish()
 
 
 def _fold_plan(config: RunConfig, labeled: list[LabeledSentence], *, nested: bool) -> FoldPlan:
@@ -375,8 +366,8 @@ def _fold_plan(config: RunConfig, labeled: list[LabeledSentence], *, nested: boo
     return make_fold_plan(n, k, seed=config.fold_seed)
 
 
-def cmd_train_ensemble(config: RunConfig, force: bool) -> None:
-    stage = _Stage("train-ensemble", config, force)
+def cmd_train_ensemble(stage: _Stage) -> None:
+    config = stage.config
     ctx = _load_context(stage)
     pset = stage.read(PSEUDO_LABELS, "pseudolabel", load_pseudo_labels)
     stage.check_ids(PSEUDO_LABELS, "pseudolabel", ctx.store, [l.sentence_id for l in pset.labels])
@@ -386,17 +377,16 @@ def cmd_train_ensemble(config: RunConfig, force: bool) -> None:
     )
     plan = _fold_plan(config, labeled, nested=False)
     bundle = train_ensemble(ctx, labeled, pset, plan, config)
-    _log(
-        f"[train-ensemble] pseudo stage: {len(bundle.base_keys)} models, "
+    stage.log(
+        f"pseudo stage: {len(bundle.base_keys)} models, "
         f"fine-tuned into {len(bundle.fold_models)} fold models"
     )
     bundle.aggregation = AGGREGATION.get(config.setting, "mean")
     stage.write(BUNDLE, lambda tmp: save_bundle(bundle, tmp))
-    stage.finish()
 
 
-def cmd_evaluate(config: RunConfig, force: bool) -> None:
-    stage = _Stage("evaluate", config, force)
+def cmd_evaluate(stage: _Stage) -> None:
+    config = stage.config
     ctx = _load_context(stage)
     labeled = stage.labeled_train()
     # the baseline setting embeds no corpus matrix
@@ -417,27 +407,24 @@ def cmd_evaluate(config: RunConfig, force: bool) -> None:
     report = reports[config.setting]
     stage.write_json(EVAL_JSON, report.to_dict())
     stage.write_text(EVAL_TABLE, render_report_table([report]))
-    _log(
-        f"[evaluate] {config.setting}: fold-mean RMSE {report.fold_mean_rmse:.3f} "
+    stage.log(
+        f"{config.setting}: fold-mean RMSE {report.fold_mean_rmse:.3f} "
         f"(raw {report.rmse_raw:.3f}, mapped {report.rmse_mapped:.3f})"
     )
-    stage.finish()
 
 
-def cmd_predict(config: RunConfig, force: bool, input_path: str) -> None:
-    stage = _Stage("predict", config, force)
+def cmd_predict(stage: _Stage) -> None:
     from .ensemble import load_bundle, predict_ensemble_batch
 
     bundle = stage.read(BUNDLE, "train-ensemble", load_bundle)
-    records = ingest_corpus(stage.external_input(input_path), "predict", PLAIN_LINES)
+    records = ingest_corpus(stage.external_input(stage.input_path), "predict", PLAIN_LINES)
     texts = [r.text for r in records]
     scores = predict_ensemble_batch(bundle, texts) if texts else []
     buf = io.StringIO()
     for i, score in enumerate(scores, start=1):
         buf.write(f"{i}\t{score:.3f}\n")
     stage.write_text(PREDICTIONS, buf.getvalue())
-    _log(f"[predict] scored {len(texts)} sentences")
-    stage.finish()
+    stage.log(f"scored {len(texts)} sentences")
 
 
 COMMANDS = {
@@ -486,10 +473,9 @@ def main(argv=None) -> int:
                 f"cannot create output_dir {config.output_dir}: {exc.strerror}"
             ) from None
         with output_lock(config.output_dir):
-            if args.command == "predict":
-                COMMANDS[args.command](config, args.force, args.input)
-            else:
-                COMMANDS[args.command](config, args.force)
+            stage = _Stage(args.command, config, args.force, getattr(args, "input", None))
+            COMMANDS[args.command](stage)
+            stage.finish()  # a command that raises leaves no record
         return 0
     except (StaleArtifactError, IndexFormatError) as exc:  # before RuntimeError, its base
         print(f"error: {exc}", file=sys.stderr)

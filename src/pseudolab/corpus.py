@@ -145,7 +145,7 @@ def ingest_corpus(
                     continue
                 try:
                     obj = json.loads(stripped)
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
                     raise InputFileError(
                         f"{path}: line {lineno}: malformed jsonl record: {exc}"
                     ) from exc
@@ -157,6 +157,12 @@ def ingest_corpus(
                     raise InputFileError(
                         f"{path}: line {lineno}: jsonl record 'text' is not a string"
                     )
+                try:
+                    obj["text"].encode("utf-8")
+                except UnicodeEncodeError as exc:  # an escaped lone surrogate
+                    raise InputFileError(
+                        f"{path}: line {lineno}: jsonl record 'text' is not UTF-8 text ({exc.reason})"
+                    ) from None
                 text = normalize_sentence(obj["text"])
             if not text:
                 continue

@@ -169,8 +169,8 @@ def cv_fine_tune(
     """Fine-tune each base model per fold; fill the out-of-fold matrix.
 
     `features_by_archetype` holds each archetype's features of `labeled`, row
-    for row. A fit that diverges raises DivergedError naming its archetype,
-    seed and fold.
+    for row; each fold's fit reads them in place at its training rows. A fit
+    that diverges raises DivergedError naming its archetype, seed and fold.
     """
     if len(labeled) != plan.assignment.shape[0]:
         raise ValueError("fold plan does not cover the labeled set")
@@ -188,11 +188,12 @@ def cv_fine_tune(
             try:
                 tuned = train_iterative(
                     base,
-                    X[train_idx],
+                    X,
                     y[train_idx],
                     hyper,
                     seed=_derived_seed(base.seed, f),
                     batch_size=arch.batch_size,
+                    rows=train_idx,
                     fingerprint=arch.stats.fingerprint,
                     stage="final",
                     archetype=base.archetype,

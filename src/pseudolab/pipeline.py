@@ -440,11 +440,12 @@ def evaluate_settings(
                     # stopping rule saves
                     model = train_iterative(
                         None,
-                        x_labeled[arch0.name][train_idx],
+                        x_labeled[arch0.name],
                         y[train_idx],
                         cfg.hyper_baseline,
                         seed=plan.seed * 7919 + f,
                         batch_size=arch0.batch_size,
+                        rows=train_idx,
                         early_stopping=True,
                         fingerprint=arch0.stats.fingerprint,
                         stage="baseline",

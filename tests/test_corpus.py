@@ -83,6 +83,20 @@ class TestIngest:
         with pytest.raises(InputFileError, match=message):
             ingest_corpus(path, "news", format="jsonl")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[" * 3000 + "]" * 3000, "malformed jsonl record: maximum recursion depth"),
+            ('{"text": "a\\ud800"}', "jsonl record 'text' is not UTF-8 text"),
+        ],
+        ids=["too-deeply-nested", "lone-surrogate"],
+    )
+    def test_jsonl_line_no_store_can_hold_is_named(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"text": "ok"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(InputFileError, match=rf"bad\.jsonl: line 2: {message}"):
+            ingest_corpus(path, "news", format="jsonl")
+
     def test_ids_continue_from_store(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"

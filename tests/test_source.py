@@ -117,3 +117,28 @@ def test_settable_config_values_are_these():
         "fold_seed",
         "setting",
     ]
+
+
+def test_only_main_opens_and_records_a_stage():
+    """`cli.main` opens each command's `_Stage`, runs the command on it and
+    records it with `finish()`: no command opens or records its own, so the
+    `COMMANDS` key is the one spelling of a stage's name."""
+    path = PACKAGE / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    inside_main = {
+        id(node) for fn in functions if fn.name == "main" for node in ast.walk(fn)
+    }
+
+    def calls(matches) -> list[ast.Call]:
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call) and matches(node.func)]
+
+    opened = calls(lambda f: isinstance(f, ast.Name) and f.id == "_Stage")
+    finished = calls(lambda f: isinstance(f, ast.Attribute) and f.attr == "finish")
+    outside = [f"cli.py:{node.lineno}" for node in opened + finished if id(node) not in inside_main]
+    assert not outside, f"stages opened or recorded outside main: {outside}"
+    assert (len(opened), len(finished)) == (1, 1), (len(opened), len(finished))
+    commands = [fn for fn in functions if fn.name.startswith("cmd_")]
+    assert commands and all(
+        [arg.arg for arg in fn.args.args] == ["stage"] for fn in commands
+    ), "each command takes only its stage"

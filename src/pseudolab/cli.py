@@ -12,7 +12,6 @@ import json
 import sys
 import time
 import traceback
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +61,22 @@ EVAL_JSON = "eval_report.json"
 EVAL_TABLE = "eval_report.txt"
 PREDICTIONS = "predictions.tsv"
 
+# the stage that makes each artifact a later stage reads
+MADE_BY = {
+    STORE: "ingest",
+    FEATURE_STATS: "featurize",
+    INDEX: "index",
+    BASELINE_MODEL: "train-baseline",
+    PSEUDO_LABELS: "pseudolabel",
+    BUNDLE: "train-ensemble",
+}
+
+
+def _rerun(artifact: str, problem: str) -> StaleArtifactError:
+    """The error for an artifact that cannot be used: `problem`, then the stage to re-run."""
+    made_by = MADE_BY[artifact]
+    return StaleArtifactError(f"artifact {artifact!r} {problem}; re-run the {made_by!r} stage")
+
 
 def _atomic_save(path: Path, save_fn) -> None:
     """Run a saver against a temp path (a file or a directory), then move it into place."""
@@ -101,10 +116,10 @@ class _Stage:
                     for info in records
                 ):
                     raise TypeError("a stage record has no inputs or outputs")
-            except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as exc:
                 raise StaleArtifactError(
                     f"{MANIFEST!r} in {self.outdir} is corrupt ({exc!r}); "
-                    "remove it and re-run the stages from 'ingest'"
+                    f"remove it and re-run the stages from {MADE_BY[STORE]!r}"
                 ) from None
             self.manifest["tool_version"] = __version__
         self.inputs: dict[str, str] = {}
@@ -118,62 +133,55 @@ class _Stage:
             None,
         )
 
-    def read(self, artifact: str, producing_stage: str, load):
+    def read(self, artifact: str, load):
         """Check an upstream artifact is fresh, record its digest, and return `load(path)`.
 
         The artifact must exist and, unless --force, be recorded in the manifest
         with the digest it has now, and be made from the artifacts the manifest
         records now. A truncated or malformed artifact, or a directory artifact
         missing a file, is raised as StaleArtifactError, so a corrupt file read
-        under --force is named, not a traceback.
+        under --force is named, not a traceback. So is one nested too deeply
+        for the JSON parser.
         """
         path = self.outdir / artifact
+        made_by = MADE_BY[artifact]
         if not path.exists():
             raise StaleArtifactError(
-                f"missing artifact {artifact!r}; run the {producing_stage!r} stage first"
+                f"missing artifact {artifact!r}; run the {made_by!r} stage first"
             )
         producer = self._producer(artifact)
         if producer is None and not self.force:
             raise StaleArtifactError(
                 f"artifact {artifact!r} is not recorded in the manifest; "
-                f"re-run the {producing_stage!r} stage (or pass --force)"
+                f"re-run the {made_by!r} stage (or pass --force)"
             )
         digest = artifact_digest(path)
         if producer is not None and not self.force:
             if digest != producer["outputs"][artifact]:
                 raise StaleArtifactError(
-                    f"artifact {artifact!r} was modified after the {producing_stage!r} "
-                    f"stage produced it; re-run {producing_stage!r} (or pass --force)"
+                    f"artifact {artifact!r} was modified after the {made_by!r} "
+                    f"stage produced it; re-run {made_by!r} (or pass --force)"
                 )
             for source, used in producer["inputs"].items():
                 source_producer = self._producer(source)
                 if source_producer is not None and source_producer["outputs"][source] != used:
-                    raise StaleArtifactError(
-                        f"artifact {artifact!r} was made from an older {source!r}; "
-                        f"re-run the {producing_stage!r} stage"
-                    )
+                    raise _rerun(artifact, f"was made from an older {source!r}")
         self.inputs[artifact] = digest
         try:
             return load(path)
         except InputFileError:
             raise  # the store is read like an input file: a bad line exits 1, naming it
         except (ValueError, KeyError, TypeError, IndexError, AttributeError, EOFError,
-                FileNotFoundError) as exc:
-            raise StaleArtifactError(
-                f"artifact {artifact!r} is corrupt or truncated ({type(exc).__name__}: {exc}); "
-                f"re-run the {producing_stage!r} stage"
-            ) from None
+                FileNotFoundError, RecursionError) as exc:
+            raise _rerun(artifact, f"is corrupt or truncated ({type(exc).__name__}: {exc})") from None
 
-    def check_ids(self, artifact: str, producing_stage: str, store: CorpusStore, ids) -> None:
+    def check_ids(self, artifact: str, store: CorpusStore, ids) -> None:
         """Refuse an artifact that holds a corpus id the store lacks, as one read
         under --force from an older store does."""
         try:
             rows_of(store.ids(), ids)
         except ValueError as exc:
-            raise StaleArtifactError(
-                f"artifact {artifact!r} names a sentence that {STORE!r} lacks ({exc}); "
-                f"re-run the {producing_stage!r} stage"
-            ) from None
+            raise _rerun(artifact, f"names a sentence that {STORE!r} lacks ({exc})") from None
 
     def external_input(self, path: str | Path) -> Path:
         try:
@@ -234,7 +242,7 @@ def cmd_ingest(stage: _Stage) -> None:
         paths = ", ".join(entry.path for entry in corpora)
         raise InputFileError(f"the corpora hold no sentences: {paths}")
     stage.write(STORE, lambda tmp: save_store(store, tmp))
-    stage.write_json(CORPUS_STATS, asdict(stats))
+    stage.write_json(CORPUS_STATS, vars(stats))
 
 
 def _refuse_oversized_matrices(featurizers: dict[str, FeatureConfig], n_rows: int) -> None:
@@ -256,9 +264,9 @@ def _archetype_configs(config: RunConfig) -> dict[str, FeatureConfig]:
 
 def _read_store(stage: _Stage) -> CorpusStore:
     """ingest's store, refused if it holds no sentences, as ingest never writes one."""
-    store = stage.read(STORE, "ingest", load_store)
+    store = stage.read(STORE, load_store)
     if not store.records:
-        raise StaleArtifactError(f"artifact {STORE!r} holds no sentences; re-run the 'ingest' stage")
+        raise _rerun(STORE, "holds no sentences")
     return store
 
 
@@ -271,14 +279,11 @@ def cmd_featurize(stage: _Stage) -> None:
 
 def _read_feature_stats(stage: _Stage) -> dict[str, FeatureStats]:
     """featurize's stats, refused unless they hold every featurizer as the config has it."""
-    stats = stage.read(FEATURE_STATS, "featurize", load_feature_stats)
+    stats = stage.read(FEATURE_STATS, load_feature_stats)
     for name, wanted in featurizer_configs(stage.config.retrieval, stage.config.archetypes).items():
         if name not in stats or stats[name].config != wanted:
             what = "the retrieval featurizer" if name == RETRIEVAL else f"archetype {name!r}"
-            raise StaleArtifactError(
-                f"{FEATURE_STATS!r} has no featurizer for {what} as configured; "
-                "re-run the 'featurize' stage"
-            )
+            raise _rerun(FEATURE_STATS, f"has no featurizer for {what} as configured")
     return stats
 
 
@@ -294,24 +299,24 @@ def _load_context(stage: _Stage) -> PipelineContext:
 
 
 def _check_retrieval(
-    artifact: str, producing_stage: str, fingerprint: str, dimension: int, retrieval: FeatureStats
+    artifact: str, fingerprint: str, dimension: int, retrieval: FeatureStats
 ) -> None:
     """Refuse an artifact made with another retrieval featurizer than `feature_stats.json`
     holds, as one read under --force after `featurize` ran again may be."""
     if fingerprint != retrieval.fingerprint or dimension != retrieval.config.dimension:
-        raise StaleArtifactError(
-            f"artifact {artifact!r} was made with another retrieval featurizer "
-            f"(dimension {dimension}) than {FEATURE_STATS!r} holds (dimension "
-            f"{retrieval.config.dimension}); re-run the {producing_stage!r} stage"
+        raise _rerun(
+            artifact,
+            f"was made with another retrieval featurizer (dimension {dimension}) than "
+            f"{FEATURE_STATS!r} holds (dimension {retrieval.config.dimension})",
         )
 
 
 def _read_index(stage: _Stage, ctx: PipelineContext) -> VectorIndex:
     """`index.bin`, refused unless it was built from the store's rows with the
     retrieval featurizer of `feature_stats.json`."""
-    index = stage.read(INDEX, "index", load_index)
-    stage.check_ids(INDEX, "index", ctx.store, index.ids)
-    _check_retrieval(INDEX, "index", index.fingerprint, index.dimension, ctx.retrieval_stats)
+    index = stage.read(INDEX, load_index)
+    stage.check_ids(INDEX, ctx.store, index.ids)
+    _check_retrieval(INDEX, index.fingerprint, index.dimension, ctx.retrieval_stats)
     return index
 
 
@@ -339,10 +344,8 @@ def cmd_pseudolabel(stage: _Stage) -> None:
     config = stage.config
     ctx = _load_context(stage)
     ctx.index = _read_index(stage, ctx)
-    gate = stage.read(BASELINE_MODEL, "train-baseline", load_model)
-    _check_retrieval(
-        BASELINE_MODEL, "train-baseline", gate.fingerprint, gate.weights.size, ctx.retrieval_stats
-    )
+    gate = stage.read(BASELINE_MODEL, load_model)
+    _check_retrieval(BASELINE_MODEL, gate.fingerprint, gate.weights.size, ctx.retrieval_stats)
     anchors = stage.labeled_train()
     exclude = {s.text for s in anchors}
     if config.labeled_test:
@@ -369,8 +372,8 @@ def _fold_plan(config: RunConfig, labeled: list[LabeledSentence], *, nested: boo
 def cmd_train_ensemble(stage: _Stage) -> None:
     config = stage.config
     ctx = _load_context(stage)
-    pset = stage.read(PSEUDO_LABELS, "pseudolabel", load_pseudo_labels)
-    stage.check_ids(PSEUDO_LABELS, "pseudolabel", ctx.store, [l.sentence_id for l in pset.labels])
+    pset = stage.read(PSEUDO_LABELS, load_pseudo_labels)
+    stage.check_ids(PSEUDO_LABELS, ctx.store, [l.sentence_id for l in pset.labels])
     labeled = stage.labeled_train()
     _refuse_oversized_matrices(
         _archetype_configs(config), max(len(ctx.store.records), len(labeled))
@@ -416,7 +419,7 @@ def cmd_evaluate(stage: _Stage) -> None:
 def cmd_predict(stage: _Stage) -> None:
     from .ensemble import load_bundle, predict_ensemble_batch
 
-    bundle = stage.read(BUNDLE, "train-ensemble", load_bundle)
+    bundle = stage.read(BUNDLE, load_bundle)
     records = ingest_corpus(stage.external_input(stage.input_path), "predict", PLAIN_LINES)
     texts = [r.text for r in records]
     scores = predict_ensemble_batch(bundle, texts) if texts else []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -24,6 +25,14 @@ MOS_MAX = 7.0
 
 # every id becomes an int64 (CorpusStore.ids, rows_of)
 ID_RANGE = range(-(2**63), 2**63)
+
+# a labeled set's cells: ASCII decimal integers for ids; ASCII decimal or exponent
+# numbers for scores, or float's names of the non-finite values, which are refused by name
+ASCII_INTEGER = re.compile(r"[+-]?[0-9]+")
+ASCII_NUMBER = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf|infinity|nan)",
+    re.ASCII | re.IGNORECASE,
+)
 
 
 class InputFileError(ValueError):
@@ -194,6 +203,14 @@ def deduplicate(
     return out, stats
 
 
+def _parse_cell(cell: str, pattern: re.Pattern, parse):
+    """`parse(cell)` where the cell, but for surrounding whitespace, matches `pattern`:
+    int and float alone would also read `1_0` and digits of other scripts."""
+    if not pattern.fullmatch(cell.strip()):
+        raise ValueError(f"{cell!r} is not an ASCII decimal number")
+    return parse(cell)
+
+
 def load_labeled(path: str | Path) -> list[LabeledSentence]:
     """Load a tab-separated labeled set: id, text, mos[, rating_std, else DEFAULT_RATING_STD]."""
     path = Path(path)
@@ -214,10 +231,13 @@ def load_labeled(path: str | Path) -> list[LabeledSentence]:
             if not row or all(not cell.strip() for cell in row):
                 continue
             try:
-                sid = int(row[cols["id"]])
+                sid = _parse_cell(row[cols["id"]], ASCII_INTEGER, int)
                 text = row[cols["text"]]
-                mos = float(row[cols["mos"]])
-                std = float(row[cols["rating_std"]]) if has_std else DEFAULT_RATING_STD
+                mos = _parse_cell(row[cols["mos"]], ASCII_NUMBER, float)
+                std = (
+                    _parse_cell(row[cols["rating_std"]], ASCII_NUMBER, float)
+                    if has_std else DEFAULT_RATING_STD
+                )
             except IndexError:
                 raise InputFileError(
                     f"{path}: row {rowno}: {len(row)} fields, fewer than the header's {len(header)}"
@@ -253,13 +273,7 @@ def load_labeled(path: str | Path) -> list[LabeledSentence]:
 def save_store(store: CorpusStore, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in store.records:
-            fh.write(
-                json.dumps(
-                    {"id": rec.id, "text": rec.text, "source": rec.source},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(vars(rec), ensure_ascii=False) + "\n")
 
 
 def load_store(path: str | Path) -> CorpusStore:

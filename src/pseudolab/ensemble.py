@@ -48,11 +48,7 @@ class FoldPlan:
         return np.flatnonzero(self.assignment != fold)
 
     def to_dict(self) -> dict:
-        return {
-            "n_folds": self.n_folds,
-            "assignment": self.assignment.tolist(),
-            "seed": self.seed,
-        }
+        return {**vars(self), "assignment": self.assignment.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FoldPlan":

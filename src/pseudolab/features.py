@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -115,7 +115,7 @@ class FeatureStats:
 
     def to_dict(self) -> dict:
         return {
-            "config": {**asdict(self.config), "max_tokens": MAX_TOKENS},
+            "config": {**vars(self.config), "max_tokens": MAX_TOKENS},
             "means": self.means.tolist(),
             "stds": self.stds.tolist(),
             "fingerprint": self.fingerprint,

@@ -172,22 +172,7 @@ def render_stats_table(rows: Iterable[tuple[str, int, float, float]]) -> str:
 def save_pseudo_labels(pset: PseudoLabelSet, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for lab in pset.labels:
-            fh.write(
-                json.dumps(
-                    {
-                        "sentence_id": lab.sentence_id,
-                        "text": lab.text,
-                        "source": lab.source,
-                        "predicted_score": lab.predicted_score,
-                        "anchor_id": lab.anchor_id,
-                        "anchor_mos": lab.anchor_mos,
-                        "anchor_std": lab.anchor_std,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(vars(lab), ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def load_pseudo_labels(path: str | Path) -> PseudoLabelSet:

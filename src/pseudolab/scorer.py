@@ -54,14 +54,7 @@ class ScorerModel:
     archetype: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "archetype": self.archetype,
-            "seed": self.seed,
-            "stage": self.stage,
-            "intercept": self.intercept,
-            "weights": self.weights.tolist(),
-        }
+        return {**vars(self), "weights": self.weights.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScorerModel":

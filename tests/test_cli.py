@@ -281,6 +281,16 @@ class TestValidation:
         )
         assert main(["ingest", "--config", str(config_path)]) == 1
 
+    def test_config_nested_too_deeply_is_named(self, tmp_path, capsys):
+        """The JSON parser's RecursionError is a config error naming the file."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text("[" * 100_000 + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith(f"error: config {config_path} is not valid JSON: ")
+        assert "recursion" in line
+
     def test_bad_setting(self, tmp_path):
         dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
         config_path = _write_config(tmp_path, dataset, {"setting": "magic"})
@@ -1172,6 +1182,28 @@ def _assert_same_artifacts(tmp_path, apply, values) -> None:
     for other in runs[1:]:
         assert other.keys() == first.keys()
         assert [p for p in first if first[p] != other[p]] == []
+
+
+def test_made_by_names_the_stage_that_writes_each_artifact(tmp_path):
+    """Each cli.MADE_BY artifact is an output of the stage it names in manifest.json,
+    and every artifact a stage reads, but for the input files, is a MADE_BY key."""
+    dataset = fixtures.make_synthetic_dataset(n_corpus=600, n_train=40, n_test=10, seed=6)
+    texts = tmp_path / "input.txt"
+    texts.write_text("".join(r.text + "\n" for r in dataset.store.records), encoding="utf-8")
+    _run_all_stages(tmp_path, dataset, texts)
+    stages = json.loads((tmp_path / "out" / cli.MANIFEST).read_text(encoding="utf-8"))["stages"]
+    assert set(stages) == set(cli.COMMANDS)
+    for artifact, stage in cli.MADE_BY.items():
+        assert artifact in stages[stage]["outputs"], (artifact, stage)
+    config = json.loads((tmp_path / "config.json").read_text(encoding="utf-8"))
+    external = {
+        *(entry["path"] for entry in config["corpora"]),
+        config["labeled_train"],
+        config["labeled_test"],
+        str(texts),
+    }
+    read = {name for info in stages.values() for name in info["inputs"]}
+    assert read - external == set(cli.MADE_BY)
 
 
 def test_artifacts_are_byte_identical_on_one_and_two_workers(tmp_path, monkeypatch):

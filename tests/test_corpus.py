@@ -217,6 +217,29 @@ class TestLoadLabeled:
         with pytest.raises(ValueError, match="non-numeric"):
             load_labeled(path)
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "1_0\tx\t3.0\t0.1",  # int() reads it as 10
+            "２\tx\t3.0\t0.1",  # a full-width digit: int() reads it as 2
+            "1\tx\t ٣ \t0.1",  # an Arabic-Indic digit between spaces: float() reads 3.0
+            "1\tx\t3.0\t0_1",
+            "1\tx\t3.0\t０.1",
+        ],
+        ids=["id-underscore", "id-full-width", "mos-arabic-indic", "std-underscore",
+             "std-full-width"],
+    )
+    def test_only_ascii_decimal_cells_are_numbers(self, tmp_path, row):
+        path = self._write(tmp_path, ["2\ty\t3.0\t0.1", row])
+        with pytest.raises(ValueError, match="row 3: non-numeric field: .* is not an ASCII decimal"):
+            load_labeled(path)
+
+    def test_ascii_decimal_cells_keep_their_forms(self, tmp_path):
+        """Surrounding whitespace, a sign, a bare point and an exponent stay allowed."""
+        path = self._write(tmp_path, [" +7 \tx\t 3. \t 5E-1 ", "-2\ty\t.5e1\t1"])
+        loaded = load_labeled(path)
+        assert [(s.id, s.mos, s.rating_std) for s in loaded] == [(7, 3.0, 0.5), (-2, 5.0, 1.0)]
+
     def test_missing_std_column_uses_default(self, tmp_path):
         path = self._write(tmp_path, ["1\tx y\t3.0"], header="id\ttext\tmos")
         (s,) = load_labeled(path)

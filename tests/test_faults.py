@@ -167,6 +167,44 @@ def test_corrupt_run_manifest_is_named(trained, capsys, fault, force):
     assert "'manifest.json'" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "relative, stage, artifact",
+    [
+        (cli.MANIFEST, "featurize", cli.MANIFEST),
+        (cli.STORE, "featurize", cli.STORE),
+        (cli.FEATURE_STATS, "index", cli.FEATURE_STATS),
+        (cli.BASELINE_MODEL, "pseudolabel", cli.BASELINE_MODEL),
+        (cli.PSEUDO_LABELS, "train-ensemble", cli.PSEUDO_LABELS),
+        (f"{cli.BUNDLE}/manifest.json", "predict", cli.BUNDLE),
+        (_bundle_model, "predict", cli.BUNDLE),
+    ],
+    ids=["manifest", "store", "feature_stats", "baseline_model", "pseudo_labels",
+         "bundle_manifest", "bundle_model"],
+)
+def test_json_nested_too_deeply_under_force_is_named(trained, capsys, relative, stage, artifact):
+    """A first line of 100,000 nested arrays makes the JSON parser raise
+    RecursionError, a RuntimeError: the artifact is named as corrupt (exit 2),
+    not reported as a bare recursion error (exit 1)."""
+    out, config_path, sentences = trained
+    relative = relative(out) if callable(relative) else relative
+    path = out / relative
+    original = path.read_bytes()
+    argv = [stage, "--config", str(config_path), "--force"]
+    if stage == "predict":
+        argv += ["--input", str(sentences)]
+    capsys.readouterr()
+    try:
+        path.write_bytes(b"[" * 100_000 + b"\n" + original)
+        code = main(argv)
+    finally:
+        path.write_bytes(original)
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2, lines
+    assert len(lines) == 1, lines
+    assert repr(artifact) in lines[0]
+    assert "recursion" in lines[0]
+
+
 def _feature_stats_entries(relative: str, payload) -> list[dict]:
     """Every featurizer's stats in the payload of feature_stats.json or the bundle manifest."""
     if relative == cli.FEATURE_STATS:

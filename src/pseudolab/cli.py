@@ -35,7 +35,7 @@ from .metrics import render_report_table
 from .pipeline import AGGREGATION, RETRIEVAL, Archetype, PipelineContext, evaluate_settings, featurizer_configs, fold_pseudo_labels, generate_for_anchors, train_ensemble, train_gate_model
 from .pseudolabel import compute_set_stats, load_pseudo_labels, pseudo_label_stats, render_stats_table, save_pseudo_labels
 from .scorer import DivergedError, load_model, model_to_json
-from .simindex import IndexFormatError, VectorIndex, load_index, save_index
+from .simindex import VectorIndex, load_index, save_index
 
 # Not called here: perfbench/traced_cli.py looks these up on this module to patch them.
 from .ensemble import cv_fine_tune, fit_stacker, train_pseudo_stage  # noqa: F401
@@ -88,6 +88,24 @@ def _atomic_save(path: Path, save_fn) -> None:
 _atomic_save_dir = _atomic_save
 
 
+def _load_artifact(load, path: Path, corrupt):
+    """Return `load(path)`; any other exception it raises is raised as `corrupt(exc)`."""
+    try:
+        return load(path)
+    except (InputFileError, MemoryError):  # the store's bad line (exit 1); a resource limit
+        raise
+    except Exception as exc:
+        raise corrupt(exc) from None
+
+
+def _load_manifest(path: Path) -> dict:
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    for info in manifest["stages"].values():
+        if not (isinstance(info["inputs"], dict) and isinstance(info["outputs"], dict)):
+            raise TypeError("a stage record has no inputs or outputs")
+    return manifest
+
+
 class _Stage:
     """One command's stage: config snapshot, run manifest, checked reads, recorded writes.
 
@@ -108,19 +126,10 @@ class _Stage:
         self.manifest = {"tool_version": __version__, "stages": {}}
         path = self.outdir / MANIFEST
         if path.exists():
-            try:
-                self.manifest = json.loads(path.read_text(encoding="utf-8"))
-                records = self.manifest["stages"].values()
-                if not all(
-                    isinstance(info["inputs"], dict) and isinstance(info["outputs"], dict)
-                    for info in records
-                ):
-                    raise TypeError("a stage record has no inputs or outputs")
-            except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as exc:
-                raise StaleArtifactError(
-                    f"{MANIFEST!r} in {self.outdir} is corrupt ({exc!r}); "
-                    f"remove it and re-run the stages from {MADE_BY[STORE]!r}"
-                ) from None
+            self.manifest = _load_artifact(_load_manifest, path, lambda exc: StaleArtifactError(
+                f"{MANIFEST!r} in {self.outdir} is corrupt ({exc!r}); "
+                f"remove it and re-run the stages from {MADE_BY[STORE]!r}"
+            ))
             self.manifest["tool_version"] = __version__
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
@@ -138,10 +147,7 @@ class _Stage:
 
         The artifact must exist and, unless --force, be recorded in the manifest
         with the digest it has now, and be made from the artifacts the manifest
-        records now. A truncated or malformed artifact, or a directory artifact
-        missing a file, is raised as StaleArtifactError, so a corrupt file read
-        under --force is named, not a traceback. So is one nested too deeply
-        for the JSON parser.
+        records now; `_load_artifact` names it as corrupt where it cannot be read.
         """
         path = self.outdir / artifact
         made_by = MADE_BY[artifact]
@@ -155,7 +161,11 @@ class _Stage:
                 f"artifact {artifact!r} is not recorded in the manifest; "
                 f"re-run the {made_by!r} stage (or pass --force)"
             )
-        digest = artifact_digest(path)
+
+        def corrupt(exc: Exception) -> StaleArtifactError:
+            return _rerun(artifact, f"is corrupt or truncated ({type(exc).__name__}: {exc})")
+
+        digest = _load_artifact(artifact_digest, path, corrupt)
         if producer is not None and not self.force:
             if digest != producer["outputs"][artifact]:
                 raise StaleArtifactError(
@@ -167,13 +177,7 @@ class _Stage:
                 if source_producer is not None and source_producer["outputs"][source] != used:
                     raise _rerun(artifact, f"was made from an older {source!r}")
         self.inputs[artifact] = digest
-        try:
-            return load(path)
-        except InputFileError:
-            raise  # the store is read like an input file: a bad line exits 1, naming it
-        except (ValueError, KeyError, TypeError, IndexError, AttributeError, EOFError,
-                FileNotFoundError, RecursionError) as exc:
-            raise _rerun(artifact, f"is corrupt or truncated ({type(exc).__name__}: {exc})") from None
+        return _load_artifact(load, path, corrupt)
 
     def check_ids(self, artifact: str, store: CorpusStore, ids) -> None:
         """Refuse an artifact that holds a corpus id the store lacks, as one read
@@ -480,7 +484,7 @@ def main(argv=None) -> int:
             COMMANDS[args.command](stage)
             stage.finish()  # a command that raises leaves no record
         return 0
-    except (StaleArtifactError, IndexFormatError) as exc:  # before RuntimeError, its base
+    except StaleArtifactError as exc:  # before RuntimeError, its base
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, InputFileError, DivergedError, RuntimeError) as exc:

@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, Field, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
 from .artifacts import json_text
-from .corpus import FORMATS
+from .corpus import FORMATS, open_text
 from .features import FeatureConfig
 from .pipeline import (
     DEFAULT_ARCHETYPE_SPECS,
@@ -28,6 +28,10 @@ from .pipeline import (
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
+
+
+# the longest archetype name in UTF-8 bytes: with `_s<19-digit seed>_f<fold>.json` it fits 255
+MAX_NAME_BYTES = 200
 
 
 @dataclass(frozen=True)
@@ -63,11 +67,11 @@ _SCALARS = {
 }
 
 
-def _parse(tp, value, name: str, default=None):
+def _parse(tp, value, name: str, default=MISSING, key_prefix: str | None = None):
     """Read the JSON `value` of config key `name` as its annotation `tp`.
 
-    A nested config object may leave fields out: they keep the values of
-    `default`, or the class defaults where `default` is None.
+    A config object may leave out a field with a default, which keeps its value in `default`
+    (the field default where that is MISSING). Its keys are named `name.key` or `key_prefix + key`.
     """
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):  # T | None
@@ -81,13 +85,20 @@ def _parse(tp, value, name: str, default=None):
         if not isinstance(value, dict):
             raise ConfigError(f"{name} must be an object, got {value!r}")
         hints = get_type_hints(tp)
-        parsed = {}
-        for key, item in value.items():
-            if key not in hints:
-                raise ConfigError(f"{name} has unknown key {key!r}")
-            parsed[key] = _parse(hints[key], item, f"{name}.{key}", getattr(default, key, None))
+        unknown = sorted(set(value) - set(hints))
+        if unknown:
+            raise ConfigError(f"{name} has unknown key(s): {', '.join(unknown)}")
+        defaults = vars(default) if default is not MISSING else {  # MISSING where a field has none
+            f.name: f.default if f.default_factory is MISSING else f.default_factory()
+            for f in fields(tp)
+        }
+        missing = [key for key, d in defaults.items() if d is MISSING and key not in value]
+        if missing:
+            raise ConfigError(f"{name} missing required field(s): {', '.join(missing)}")
+        prefix = f"{name}." if key_prefix is None else key_prefix
+        parsed = {k: _parse(hints[k], v, prefix + k, defaults[k]) for k, v in value.items()}
         try:
-            return tp(**parsed) if default is None else replace(default, **parsed)
+            return tp(**{**defaults, **parsed})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid {name}: {exc}") from exc
     kinds, kind_name = _SCALARS[tp]
@@ -98,40 +109,17 @@ def _parse(tp, value, name: str, default=None):
     return value
 
 
-def _default(f: Field):
-    """The default value of a dataclass field, or None where it has none."""
-    if f.default_factory is not MISSING:
-        return f.default_factory()
-    return None if f.default is MISSING else f.default
-
-
 def load_config(path: str | Path) -> RunConfig:
-    path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        with open_text(path) as fh:
+            raw = json.loads(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    declared = {f.name: f for f in fields(RunConfig)}
-    unknown = sorted(set(raw) - set(declared))
-    if unknown:
-        raise ConfigError(f"config {path} has unknown key(s): {', '.join(unknown)}")
-    missing = [
-        key for key, f in declared.items()
-        if key not in raw and f.default is MISSING and f.default_factory is MISSING
-    ]
-    if missing:
-        raise ConfigError(f"config {path} missing required field(s): {', '.join(missing)}")
-    hints = get_type_hints(RunConfig)
-    cfg = RunConfig(
-        **{
-            key: _parse(hints[key], value, key, _default(declared[key]))
-            for key, value in raw.items()
-        }
-    )
+    cfg = _parse(RunConfig, raw, f"config {path}", key_prefix="")
     validate_config(cfg)
     return cfg
 
@@ -162,6 +150,13 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"seeds must be distinct, got {list(cfg.seeds)}")
     if not cfg.archetypes:
         raise ConfigError("config lists no archetypes")
+    for i, a in enumerate(cfg.archetypes):  # the name starts each of its model file names
+        nbytes = len(a.name.encode("utf-8", "surrogatepass"))
+        if "/" in a.name or "\0" in a.name or nbytes > MAX_NAME_BYTES:
+            raise ConfigError(
+                f"archetypes[{i}].name must hold no '/' or NUL and take at most "
+                f"{MAX_NAME_BYTES} UTF-8 bytes, got {a.name!r}"
+            )
     if len({a.name for a in cfg.archetypes}) != len(cfg.archetypes):
         raise ConfigError("archetype names must be unique")
     if any(a.name == RETRIEVAL for a in cfg.archetypes):

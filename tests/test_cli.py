@@ -363,7 +363,7 @@ class TestValidation:
         config_path = _write_config(tmp_path, dataset, {section: {key: value}})
         assert main(["ingest", "--config", str(config_path)]) == 1
         (line,) = capsys.readouterr().err.strip().splitlines()
-        assert line == f"error: {section} has unknown key {key!r}"
+        assert line == f"error: {section} has unknown key(s): {key}"
 
     def test_removed_max_tokens_key(self, tmp_path, capsys):
         # every text is truncated to features.MAX_TOKENS tokens
@@ -371,7 +371,7 @@ class TestValidation:
         config_path = _write_config(tmp_path, dataset, {"retrieval": {"max_tokens": 128}})
         assert main(["ingest", "--config", str(config_path)]) == 1
         (line,) = capsys.readouterr().err.strip().splitlines()
-        assert line == "error: retrieval has unknown key 'max_tokens'"
+        assert line == "error: retrieval has unknown key(s): max_tokens"
 
     def test_empty_seeds_rejected(self, tmp_path, capsys):
         dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
@@ -541,6 +541,55 @@ class TestValidation:
         path = tmp_path / "config.json"
         path.write_text("{not json", encoding="utf-8")
         assert main(["ingest", "--config", str(path)]) == 1
+
+    def test_config_that_is_not_utf8_names_the_file_and_line(self, tmp_path, capsys):
+        # the config is read as every input file is, by corpus.open_text
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"k": 5,\n "\xff": 1}\n')
+        assert main(["ingest", "--config", str(path)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == f"error: {path}: line 2: not UTF-8 text (byte 0xff)"
+
+    def test_config_with_a_byte_order_mark_loads_as_without(self, tmp_path):
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        config_path = _write_config(tmp_path, dataset)
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + config_path.read_bytes())
+        assert load_config(marked) == load_config(config_path)
+
+    @pytest.mark.parametrize(
+        "overrides, expected",
+        [
+            ({"retrieval": {"y": 1, "ngram_max": 4, "x": 2}}, "retrieval has unknown key(s): x, y"),
+            ({"hyper_fine": {"seed": 0, "schedule": "linear"}},
+             "hyper_fine has unknown key(s): schedule, seed"),
+            ({"archetypes": [{"name": "a", "hashed_dim": 8, "ngram_min": 2, "ngram_max": 3,
+                              "width": 1, "depth": 2}]},
+             "archetypes[0] has unknown key(s): depth, width"),
+        ],
+    )
+    def test_a_section_lists_every_unknown_key(self, tmp_path, capsys, overrides, expected):
+        # as the top level does: sorted, after "unknown key(s)"
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        config_path = _write_config(tmp_path, dataset, overrides)
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == f"error: {expected}"
+
+    @pytest.mark.parametrize(
+        "overrides, expected",
+        [
+            ({"corpora": [{"path": "wiki.txt"}]}, "corpora[0] missing required field(s): source"),
+            ({"archetypes": [{"name": "a", "ngram_min": 2}]},
+             "archetypes[0] missing required field(s): hashed_dim, ngram_max"),
+        ],
+    )
+    def test_a_section_names_its_missing_fields(self, tmp_path, capsys, overrides, expected):
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        config_path = _write_config(tmp_path, dataset, overrides)
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == f"error: {expected}"
 
     def test_missing_config_flag(self):
         assert main(["ingest"]) == 1

@@ -152,6 +152,10 @@ def _names(line: str, key: str, value) -> bool:
 
 @settings(ORACLE_SETTINGS, max_examples=400)
 @given(key=st.sampled_from(sorted(FIRST_READER)), value=HOSTILE)
+# archetype names that cannot start a bundle model file name (ensemble.MODEL_FILE)
+@example(key="archetypes[].name", value="a/b")
+@example(key="archetypes[].name", value="a\x00b")
+@example(key="archetypes[].name", value="a" * 300)
 def test_a_hostile_config_value_never_exits_3(trained, tmp_path_factory, monkeypatch, capsys,
                                                key, value):
     directory, config = trained

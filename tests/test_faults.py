@@ -1,11 +1,12 @@
-"""Fault injection: every artifact a stage reads, truncated or bit-flipped, and
-artifacts left behind by a store that was ingested again.
+"""Fault injection: every artifact a stage reads, truncated, bit-flipped or of
+the wrong kind, and artifacts left behind by a store that was ingested again.
 
 Each fault must end in exit 2 (stale or corrupt artifact) with one line on
 stderr naming the artifact, never in an exit-3 traceback.
 """
 
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -203,6 +204,76 @@ def test_json_nested_too_deeply_under_force_is_named(trained, capsys, relative, 
     assert len(lines) == 1, lines
     assert repr(artifact) in lines[0]
     assert "recursion" in lines[0]
+
+
+# each artifact a stage reads, and every stage that reads it
+READERS = {
+    cli.MANIFEST: list(cli.COMMANDS),
+    cli.STORE: ["featurize", "index", "pseudolabel", "train-ensemble", "evaluate"],
+    cli.FEATURE_STATS: ["index", "train-baseline", "pseudolabel", "train-ensemble", "evaluate"],
+    cli.INDEX: ["pseudolabel", "evaluate"],
+    cli.BASELINE_MODEL: ["pseudolabel"],
+    cli.PSEUDO_LABELS: ["train-ensemble"],
+    cli.BUNDLE: ["predict"],
+}
+READS = [(artifact, stage) for artifact, stages in READERS.items() for stage in stages]
+
+
+def _replaced(trained, capsys, artifact: str, fill, stage: str, force: bool) -> str:
+    """Run `stage` with `artifact` moved aside and `fill(path)` making what
+    stands in its place; the stage must exit 2 with one line naming the
+    artifact, and that line is returned."""
+    out, config_path, sentences = trained
+    path = out / artifact
+    aside = out.parent / f"aside-{artifact}"
+    path.rename(aside)
+    argv = [stage, "--config", str(config_path), *(["--force"] if force else [])]
+    if stage == "predict":
+        argv += ["--input", str(sentences)]
+    try:
+        fill(path)
+        line = _one_error_line(capsys, argv, artifact)
+    finally:
+        if path.is_dir():
+            shutil.rmtree(path)
+        else:
+            path.unlink(missing_ok=True)
+        aside.rename(path)
+    return line
+
+
+def _of_the_other_kind(path: Path) -> None:
+    """A directory where a file artifact stands; a file where the bundle directory does."""
+    if path.name == cli.BUNDLE:
+        path.write_text("not a directory\n", encoding="utf-8")
+    else:
+        path.mkdir()
+
+
+@pytest.mark.parametrize("force", [False, True], ids=["no-force", "force"])
+@pytest.mark.parametrize("artifact, stage", READS, ids=[f"{a}-{s}" for a, s in READS])
+def test_an_artifact_of_the_wrong_kind_is_named(trained, capsys, artifact, stage, force):
+    """Whatever reading an artifact raises names it as corrupt (exit 2): a
+    directory read as a file raises IsADirectoryError, a file read as the
+    bundle directory NotADirectoryError, and neither is an internal error."""
+    _replaced(trained, capsys, artifact, _of_the_other_kind, stage, force)
+
+
+def _with_a_file_name_that_is_not_utf8(path: Path) -> None:
+    path.mkdir()
+    (path / os.fsdecode(b"model\xff.json")).write_text("{}\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("force", [False, True], ids=["no-force", "force"])
+@pytest.mark.parametrize("artifact, stage", [(cli.STORE, "featurize"), (cli.BUNDLE, "predict")])
+def test_an_artifact_whose_digest_cannot_be_read_is_named(
+    trained, capsys, artifact, stage, force
+):
+    """A directory holding a file whose name is not UTF-8 has no digest (its
+    name is hashed as UTF-8): the artifact is named as corrupt, before and
+    under --force, as one that cannot be loaded is."""
+    line = _replaced(trained, capsys, artifact, _with_a_file_name_that_is_not_utf8, stage, force)
+    assert "UnicodeEncodeError" in line
 
 
 def _feature_stats_entries(relative: str, payload) -> list[dict]:

@@ -30,6 +30,13 @@ count of each src/pseudolab/*.py file.
 
     python scripts/stage_peaks.py --config run/config.json --repeats 5 --label main-5k \
         ingest featurize index train-baseline pseudolabel train-ensemble evaluate
+
+With --n-corpus N in place of --config the script first builds its own fixture
+in a temporary directory, as `make_fixture.py --n-corpus N` does with its other
+defaults, runs the stages on it and removes it at the end.
+
+    python scripts/stage_peaks.py --n-corpus 50000 \
+        ingest featurize index train-baseline pseudolabel train-ensemble evaluate
 """
 
 import argparse
@@ -40,6 +47,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -50,9 +58,14 @@ BLAS_THREAD_VARIABLES = (
 )
 
 
-def run_stage(stage: str, config: str, input_path: str | None) -> dict:
+def child_env() -> dict[str, str]:
+    """This environment with this checkout's src/ first on PYTHONPATH."""
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), *([path] if path else [])]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), *([path] if path else [])]))
+
+
+def run_stage(stage: str, config: str, input_path: str | None) -> dict:
+    env = child_env()
     argv = [sys.executable, "-m", "pseudolab.cli", stage, "--config", config, "--force"]
     if stage == "predict":
         argv += ["--input", input_path]
@@ -137,9 +150,26 @@ def write_bench(label: str, config: str, records: dict[str, list[dict]], repeats
     return path
 
 
+def build_fixture(directory: Path, n_corpus: int) -> str:
+    """Write make_fixture.py's fixture of `n_corpus` sentences, its other settings
+    at their defaults, under `directory`; the path of its run config.
+
+    make_fixture.py runs in a process of its own: each stage process starts as
+    a fork of this one, and its maxrss_mb would count a fixture built in here
+    (every stage read at least 63.6 MB after this process built a 50k one).
+    """
+    script = ROOT / "scripts" / "make_fixture.py"
+    argv = [sys.executable, str(script), str(directory), "--n-corpus", str(n_corpus)]
+    subprocess.run(argv, env=child_env(), stdout=sys.stderr, check=True)  # stdout: JSON lines only
+    return str(directory / "config.json")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--config", required=True)
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config")
+    source.add_argument("--n-corpus", type=int, metavar="N",
+                        help="run on a new fixture of N corpus sentences in a temporary directory")
     parser.add_argument("--input", help="the sentences predict scores, one per line")
     parser.add_argument("--repeats", type=int, default=1, help="runs of the stages (default 1)")
     parser.add_argument("--label", help="write BENCH_<label>.json at the checkout's root")
@@ -151,6 +181,17 @@ def main() -> int:
         parser.error("--repeats must be at least 1")
     if args.label is not None and not re.fullmatch(r"[\w.-]+", args.label):
         parser.error("--label may hold only letters, digits, '_', '.' and '-'")
+    if args.n_corpus is not None and args.n_corpus < 1:
+        parser.error("--n-corpus must be at least 1")
+    if args.n_corpus is None:
+        return run_stages(args)
+    with tempfile.TemporaryDirectory(prefix="stage_peaks_") as scratch:
+        args.config = build_fixture(Path(scratch), args.n_corpus)
+        return run_stages(args)
+
+
+def run_stages(args: argparse.Namespace) -> int:
+    """Run the stages as `main` parsed them; the script's exit code."""
     records: dict[str, list[dict]] = {stage: [] for stage in args.stages}
     for _ in range(args.repeats):
         for stage in args.stages:

@@ -1,7 +1,7 @@
 """Staged command-line driver with artifact persistence and run manifests.
 
 Usage: pseudolab <command> --config <path> [--force]
-Exit codes: 0 success, 1 validation error, 2 stale or corrupt artifact, 3 internal.
+Exit codes: 0 success, 1 validation error or out of memory, 2 stale or corrupt artifact, 3 internal.
 """
 
 from __future__ import annotations
@@ -376,8 +376,8 @@ def _fold_plan(config: RunConfig, labeled: list[LabeledSentence], *, nested: boo
 def cmd_train_ensemble(stage: _Stage) -> None:
     config = stage.config
     ctx = _load_context(stage)
-    pset = stage.read(PSEUDO_LABELS, load_pseudo_labels)
-    stage.check_ids(PSEUDO_LABELS, ctx.store, [l.sentence_id for l in pset.labels])
+    pset = stage.read(PSEUDO_LABELS, load_pseudo_labels).admitted()
+    stage.check_ids(PSEUDO_LABELS, ctx.store, pset.ids)
     labeled = stage.labeled_train()
     _refuse_oversized_matrices(
         _archetype_configs(config), max(len(ctx.store.records), len(labeled))
@@ -489,6 +489,10 @@ def main(argv=None) -> int:
         return 2
     except (ConfigError, InputFileError, DivergedError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a resource limit, here or in a forked task
+        what = str(exc) or "MemoryError"  # a failed allocation in Python itself has no message
+        print(f"error: {args.command} ran out of memory: {what}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal error
         traceback.print_exc(file=sys.stderr)

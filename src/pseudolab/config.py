@@ -13,7 +13,7 @@ from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
 from .artifacts import json_text
-from .corpus import FORMATS, open_text
+from .corpus import FORMATS, ID_RANGE, open_text
 from .features import FeatureConfig
 from .pipeline import (
     DEFAULT_ARCHETYPE_SPECS,
@@ -106,6 +106,8 @@ def _parse(tp, value, name: str, default=MISSING, key_prefix: str | None = None)
         raise ConfigError(f"{name} must be {kind_name}, got {value!r}")
     if tp is float and not math.isfinite(value):  # json.loads reads NaN and Infinity
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if tp is str and any("\ud800" <= c <= "\udfff" for c in value):
+        raise ConfigError(f"{name} must be UTF-8 text, got a lone surrogate in {value!r}")
     return value
 
 
@@ -146,12 +148,14 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(
             f"seeds must be a non-empty list of positive integers, got {list(cfg.seeds)}"
         )
+    if any(s not in ID_RANGE for s in cfg.seeds):  # as ids, so that a model file name fits
+        raise ConfigError(f"seeds must be integers of at most 64 bits, got {list(cfg.seeds)}")
     if len(set(cfg.seeds)) < len(cfg.seeds):  # a seed keys its models and their files
         raise ConfigError(f"seeds must be distinct, got {list(cfg.seeds)}")
     if not cfg.archetypes:
         raise ConfigError("config lists no archetypes")
     for i, a in enumerate(cfg.archetypes):  # the name starts each of its model file names
-        nbytes = len(a.name.encode("utf-8", "surrogatepass"))
+        nbytes = len(a.name.encode("utf-8"))
         if "/" in a.name or "\0" in a.name or nbytes > MAX_NAME_BYTES:
             raise ConfigError(
                 f"archetypes[{i}].name must hold no '/' or NUL and take at most "

@@ -28,7 +28,7 @@ from .ensemble import (
 )
 from .features import FeatureConfig, FeatureStats, embed_many, fit_feature_stats_many
 from .metrics import EvalReport, fold_mean, mapped_rmse, rmse
-from .pseudolabel import PseudoLabelSet, generate_pseudo_labels, retrieve_candidates
+from .pseudolabel import Admitted, PseudoLabelSet, admit, generate_pseudo_labels, retrieve_candidates
 from .scorer import (
     DivergedError,
     HyperParams,
@@ -194,14 +194,14 @@ def fold_pseudo_labels(
     labeled: Sequence[LabeledSentence],
     plan: FoldPlan,
     cfg: PipelineConfig,
-) -> list[PseudoLabelSet]:
-    """Every fold's pseudo-label set, from its training-fold anchors only.
+) -> list[Admitted]:
+    """Every fold's admitted pseudo-labels, from its training-fold anchors only.
 
     No labeled text is admitted. That exclude set is the same in every fold,
     so all labeled anchors are retrieved once, in one `top_k_many` call. Each
     fold then admits from its anchors' candidates with its own gate's corpus
-    scores, so its set equals `generate_for_anchors(ctx, fold_train, gate,
-    cfg, labeled texts)` label for label.
+    scores, so its ids, scores and anchors are those of
+    `generate_for_anchors(ctx, fold_train, gate, cfg, labeled texts)`.
     """
     labeled = list(labeled)
     candidates = retrieve_candidates(
@@ -212,12 +212,9 @@ def fold_pseudo_labels(
     for f in range(plan.n_folds):
         fold_train = [labeled[i] for i in plan.train_indices(f)]
         gate = train_gate_model(ctx.retrieval_stats, fold_train, cfg)
-        pset = generate_pseudo_labels(
-            fold_train, candidates, ctx.store, gate,
-            corpus_scores=corpus_score_map(ctx.index, gate),
-        )
-        test_ids = {labeled[i].id for i in plan.fold_indices(f)}
-        leaked = sorted({lab.anchor_id for lab in pset.labels} & test_ids)
+        pset = admit(fold_train, candidates, gate, corpus_scores=corpus_score_map(ctx.index, gate))
+        test_ids = [labeled[i].id for i in plan.fold_indices(f)]
+        leaked = np.intersect1d(pset.anchor_ids, test_ids).tolist()
         if leaked:
             raise RuntimeError(f"fold {f}: pseudo-labels anchored on test-fold ids {leaked[:5]}")
         psets.append(pset)
@@ -242,7 +239,7 @@ def _naming_divergence(cfg: PipelineConfig, key: str, where: str):
 def train_stage_models(
     ctx: PipelineContext,
     corpus_features: dict[str, np.ndarray],
-    pset: PseudoLabelSet,
+    pset: Admitted,
     cfg: PipelineConfig,
     where: str,
 ) -> list[ScorerModel]:
@@ -254,7 +251,7 @@ def train_stage_models(
     `where` names the stage or fold in the error raised when nothing was
     admitted or a fit diverged.
     """
-    if not pset.labels:
+    if not len(pset.ids):
         raise RuntimeError(
             f"{where}: no pseudo-labels were admitted, so the pseudo stage has "
             "nothing to train on (raise k or check the labeled set)"
@@ -262,11 +259,11 @@ def train_stage_models(
     with _naming_divergence(cfg, "hyper_pseudo", where):
         return train_pseudo_stage(
             corpus_features,
-            [lab.predicted_score for lab in pset.labels],
+            pset.scores,
             [arch for arch in ctx.archetypes if arch.name in corpus_features],
             cfg.seeds,
             cfg.hyper_pseudo,
-            rows=rows_of(ctx.store.ids(), [lab.sentence_id for lab in pset.labels]),
+            rows=rows_of(ctx.store.ids(), pset.ids),
         )
 
 
@@ -299,7 +296,7 @@ class TrainJob:
     rows `rows`. A slice takes a view of the labeled features, an index array
     a copy. `where` names the stage or fold in the job's errors."""
 
-    pset: PseudoLabelSet
+    pset: Admitted
     where: str
     rows: np.ndarray | slice
     plan: FoldPlan | None = None
@@ -370,7 +367,7 @@ def train_ensembles(
 def train_ensemble(
     ctx: PipelineContext,
     labeled: Sequence[LabeledSentence],
-    pset: PseudoLabelSet,
+    pset: Admitted,
     plan: FoldPlan,
     cfg: PipelineConfig,
 ) -> EnsembleBundle:
@@ -391,7 +388,7 @@ def evaluate_settings(
     plan: FoldPlan,
     cfg: PipelineConfig,
     *,
-    pseudo_sets: Sequence[PseudoLabelSet] | None = None,
+    pseudo_sets: Sequence[Admitted] | None = None,
 ) -> dict[str, EvalReport]:
     """Cross-validate the requested settings on the labeled set.
 

@@ -4,6 +4,7 @@ score them with the baseline model, keep those within the anchor's rating std.""
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -37,17 +38,29 @@ class PseudoLabel:
 class PseudoLabelSet:
     labels: list[PseudoLabel]
 
+    def admitted(self) -> Admitted:
+        """The set's ids, scores and anchors as the arrays `admit` returns."""
+        return Admitted(
+            np.array([l.sentence_id for l in self.labels], dtype=np.int64),
+            np.array([l.predicted_score for l in self.labels], dtype=np.float64),
+            np.array([l.anchor_id for l in self.labels], dtype=np.int64),
+        )
+
+
+@dataclass(frozen=True)
+class Admitted:
+    """An admitted set's aligned arrays in admission order: corpus ids, gate scores, anchor ids."""
+
+    ids: np.ndarray
+    scores: np.ndarray
+    anchor_ids: np.ndarray
+
 
 def compute_set_stats(labels: Sequence[PseudoLabel]) -> dict:
-    per_source: dict[str, int] = {}
-    for lab in labels:
-        per_source[lab.source] = per_source.get(lab.source, 0) + 1
     return {
         "count": len(labels),
-        "per_source_counts": dict(sorted(per_source.items())),
-        "mean_char_length": (
-            float(np.mean([len(l.text) for l in labels])) if labels else 0.0
-        ),
+        "per_source_counts": dict(sorted(Counter(lab.source for lab in labels).items())),
+        "mean_char_length": float(np.mean([len(l.text) for l in labels])) if labels else 0.0,
         "mean_predicted_score": (
             float(np.mean([l.predicted_score for l in labels])) if labels else 0.0
         ),
@@ -99,22 +112,21 @@ def retrieve_candidates(
     )
 
 
-def generate_pseudo_labels(
+def admit(
     anchors: Sequence[LabeledSentence],
     candidates: Candidates,
-    store: CorpusStore,
     baseline: ScorerModel,
     *,
     corpus_scores: np.ndarray,
-) -> PseudoLabelSet:
-    """Admit the filtered pseudo-label set from the anchors' retrieved candidates.
+) -> Admitted:
+    """The admission rule: the pseudo-labels admitted from the anchors' retrieved candidates.
 
     Anchors are processed in ascending id order; a candidate admitted by an
     earlier anchor is skipped by later anchors. A candidate is admitted when
     its clamped baseline prediction (`corpus_scores`, by row of
     `candidates.corpus_ids`) deviates from the anchor's mean opinion score by
     at most the anchor's rating standard deviation. Every anchor must be in
-    `candidates`, and every corpus id in `store`.
+    `candidates`.
     """
     if not anchors:
         raise ValueError("anchors must be non-empty")
@@ -124,21 +136,37 @@ def generate_pseudo_labels(
     if len(corpus_scores) != len(ids):
         raise ValueError(f"{len(corpus_scores)} corpus scores for the {len(ids)} candidate rows")
 
-    store_rows = rows_of(store.ids(), ids)
     taken = np.zeros(len(ids), dtype=bool)
-    labels: list[PseudoLabel] = []
+    admitted, anchor_ids = [], []
     for anchor in sorted(anchors, key=lambda a: a.id):
         rows = candidates.hits[anchor.id]
-        within = np.abs(corpus_scores[rows] - anchor.mos) <= anchor.rating_std
-        rows = rows[within & ~taken[rows]]
+        rows = rows[(np.abs(corpus_scores[rows] - anchor.mos) <= anchor.rating_std) & ~taken[rows]]
         taken[rows] = True
-        for row, score in zip(store_rows[rows].tolist(), corpus_scores[rows].tolist()):
-            rec = store.records[row]
-            labels.append(PseudoLabel(
-                sentence_id=rec.id, text=rec.text, source=rec.source, predicted_score=score,
-                anchor_id=anchor.id, anchor_mos=anchor.mos, anchor_std=anchor.rating_std,
-            ))
-    return PseudoLabelSet(labels=labels)
+        admitted.append(rows)
+        anchor_ids.append(np.full(len(rows), anchor.id, dtype=np.int64))
+    rows = np.concatenate(admitted)
+    return Admitted(ids[rows], corpus_scores[rows], np.concatenate(anchor_ids))
+
+
+def generate_pseudo_labels(
+    anchors: Sequence[LabeledSentence],
+    candidates: Candidates,
+    store: CorpusStore,
+    baseline: ScorerModel,
+    *,
+    corpus_scores: np.ndarray,
+) -> PseudoLabelSet:
+    """The `admit` set as labels, with the texts and sources of `store`, which holds every id."""
+    admitted = admit(anchors, candidates, baseline, corpus_scores=corpus_scores)
+    records = [store.records[row] for row in rows_of(store.ids(), admitted.ids).tolist()]
+    anchor_of = map({a.id: a for a in anchors}.get, admitted.anchor_ids.tolist())
+    return PseudoLabelSet(labels=[
+        PseudoLabel(
+            sentence_id=rec.id, text=rec.text, source=rec.source, predicted_score=score,
+            anchor_id=anchor.id, anchor_mos=anchor.mos, anchor_std=anchor.rating_std,
+        )
+        for rec, score, anchor in zip(records, admitted.scores.tolist(), anchor_of)
+    ])
 
 
 def pseudo_label_stats(pset: PseudoLabelSet) -> list[tuple[str, int, float, float]]:
@@ -147,12 +175,8 @@ def pseudo_label_stats(pset: PseudoLabelSet) -> list[tuple[str, int, float, floa
     for lab in pset.labels:
         groups.setdefault(lab.source, []).append(lab)
     rows = [
-        (
-            source,
-            len(labs),
-            float(np.mean([len(l.text) for l in labs])),
-            float(np.mean([l.predicted_score for l in labs])),
-        )
+        (source, len(labs), float(np.mean([len(l.text) for l in labs])),
+         float(np.mean([l.predicted_score for l in labs])))
         for source, labs in groups.items()
     ]
     rows.sort(key=lambda r: (-r[1], r[0]))
@@ -178,24 +202,15 @@ def save_pseudo_labels(pset: PseudoLabelSet, path: str | Path) -> None:
 def load_pseudo_labels(path: str | Path) -> PseudoLabelSet:
     labels: list[PseudoLabel] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+        for line in filter(None, map(str.strip, fh)):  # blank lines skipped
             obj = json.loads(line)
             score = float(obj["predicted_score"])
             # the pseudo stage trains on it in float32; NaN fails the comparison too
             if not abs(score) <= FLOAT32_MAX:
                 raise ValueError(f"predicted_score {score!r} is not a finite float32 number")
-            labels.append(
-                PseudoLabel(
-                    sentence_id=json_id(obj, "sentence_id"),
-                    text=obj["text"],
-                    source=obj["source"],
-                    predicted_score=score,
-                    anchor_id=json_id(obj, "anchor_id"),
-                    anchor_mos=float(obj["anchor_mos"]),
-                    anchor_std=float(obj["anchor_std"]),
-                )
-            )
+            labels.append(PseudoLabel(
+                sentence_id=json_id(obj, "sentence_id"), text=obj["text"], source=obj["source"],
+                predicted_score=score, anchor_id=json_id(obj, "anchor_id"),
+                anchor_mos=float(obj["anchor_mos"]), anchor_std=float(obj["anchor_std"]),
+            ))
     return PseudoLabelSet(labels=labels)

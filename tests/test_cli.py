@@ -380,6 +380,33 @@ class TestValidation:
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert line == "error: seeds must be a non-empty list of positive integers, got []"
 
+    def test_a_seed_of_more_than_64_bits_rejected(self, tmp_path, capsys):
+        """Bounded as ids are: with a 200-byte archetype name such a seed made a
+        model file name longer than a file name may be."""
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        archetype = {"name": "a" * 200, "hashed_dim": 64, "ngram_min": 3, "ngram_max": 4}
+        config_path = _write_config(
+            tmp_path, dataset, {"seeds": [1, 10**60], "archetypes": [archetype]}
+        )
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == f"error: seeds must be integers of at most 64 bits, got [1, {10**60}]"
+
+    @pytest.mark.parametrize("key", ["archetypes", "corpora"])
+    def test_a_string_holding_a_lone_surrogate_rejected(self, tmp_path, capsys, key):
+        """JSON can escape a lone surrogate, but no UTF-8 file name or text can hold it."""
+        dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
+        config_path = _write_config(tmp_path, dataset)
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        field = {"archetypes": "name", "corpora": "source"}[key]
+        config[key][0][field] = "x\ud800"
+        config_path.write_text(json.dumps(config), encoding="utf-8")  # written as \ud800
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == (
+            f"error: {key}[0].{field} must be UTF-8 text, got a lone surrogate in 'x\\ud800'"
+        )
+
     def test_repeated_seed_rejected(self, tmp_path, capsys):
         dataset = fixtures.make_synthetic_dataset(n_corpus=50, n_train=10, n_test=5, seed=1)
         config_path = _write_config(tmp_path, dataset, {"seeds": [1, 2, 1]})
@@ -1184,16 +1211,37 @@ def test_cli_never_imports_scipy(tmp_path):
 
 
 def test_version_and_ingest_load_no_process_pool(tmp_path):
-    """The fork map imports multiprocessing and concurrent.futures only when it forks."""
+    """No command loads multiprocessing or concurrent.futures: not `--version` or
+    `ingest`, which fork nothing, and not `index` or `predict`, whose embedding
+    and scoring fork (counted here, on two CPUs)."""
     dataset = fixtures.make_synthetic_dataset(n_corpus=600, n_train=10, n_test=5, seed=2)
-    config_path = _write_config(tmp_path, dataset)
-    code = (
-        "import sys; from pseudolab import cli; "
-        "assert cli.main(['--version']) == 0; "
-        f"assert cli.main(['ingest', '--config', {str(config_path)!r}]) == 0; "
-        "loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]; "
-        "assert not loaded, loaded"
-    )
+    config_path = _write_config(tmp_path, dataset, {"seeds": [1]})
+    texts = tmp_path / "texts.txt"
+    texts.write_text("".join(r.text + "\n" for r in dataset.store.records[:300]), encoding="utf-8")
+    code = "\n".join([
+        "import os, sys",
+        "from pseudolab import cli, parallel",
+        "parallel.usable_cpus = lambda: 2",
+        "forks, real_fork = [], os.fork",
+        "def counted_fork():",
+        "    pid = real_fork()",
+        "    forks.extend([pid] if pid else [])",
+        "    return pid",
+        "os.fork = counted_fork",
+        "def run(*argv):",
+        "    before = len(forks)",
+        "    assert cli.main([*argv, '--config', " + repr(str(config_path)) + "]) == 0, argv",
+        "    loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]",
+        "    assert not loaded, (argv, loaded)",
+        "    return len(forks) - before",
+        "assert cli.main(['--version']) == 0",
+        "assert run('ingest') == 0",
+        "run('featurize')",
+        "assert run('index') > 0",
+        "for stage in ('train-baseline', 'pseudolabel', 'train-ensemble'):",
+        "    run(stage)",
+        "assert run('predict', '--input', " + repr(str(texts)) + ") > 0",
+    ])
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120

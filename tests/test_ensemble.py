@@ -139,7 +139,7 @@ def test_fixture_pseudo_stage_in_place_matches_gathered_rows(
         cfg.seeds,
         cfg.hyper_pseudo,
     )
-    in_place = pipeline.train_stage_models(ctx, corpus_features, pset, cfg, "test")
+    in_place = pipeline.train_stage_models(ctx, corpus_features, pset.admitted(), cfg, "test")
     assert [model_to_json(m) for m in in_place] == [model_to_json(m) for m in gathered]
 
 

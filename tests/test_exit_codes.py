@@ -63,8 +63,9 @@ EDGE_INTEGERS = st.sampled_from([
     -(2**70), -(2**63) - 1, -(2**63), -1, 0, 1, 2, 3, 2**31 - 1, 2**31, 2**32,
     2**63 - 1, 2**63, 2**64, 2**70,
 ])
-TEXTS = st.text(max_size=12) | st.sampled_from(
-    ["", ".", "..", " ", "retrieval", "a", "b", *FORMATS, *SETTINGS]
+# any code point, lone surrogates (which JSON can escape but UTF-8 cannot hold) included
+TEXTS = st.text(st.characters(exclude_categories=()), max_size=12) | st.sampled_from(
+    ["", ".", "..", " ", "retrieval", "a", "b", "\ud800", "a\udfffb", *FORMATS, *SETTINGS]
 )
 SCALARS = st.none() | st.booleans() | EDGE_INTEGERS | st.floats() | TEXTS
 # each branch as likely: the right type for most keys (an edge integer, a
@@ -156,6 +157,9 @@ def _names(line: str, key: str, value) -> bool:
 @example(key="archetypes[].name", value="a/b")
 @example(key="archetypes[].name", value="a\x00b")
 @example(key="archetypes[].name", value="a" * 300)
+# a seed too long for a model file name; a name that no file name can encode
+@example(key="seeds", value=[10**60])
+@example(key="archetypes[].name", value="\ud800")
 def test_a_hostile_config_value_never_exits_3(trained, tmp_path_factory, monkeypatch, capsys,
                                                key, value):
     directory, config = trained

@@ -92,11 +92,6 @@ def test_forked_embed_archetypes_writes_shared_matrices_and_holds_no_chunk(
     """With two workers the matrices are in shared memory, which tracemalloc
     does not see, and this process embeds no chunk of its own."""
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-    # the pool's first import of these is not the embedding's: 0.6 MB under
-    # pytest and 1.6 MB in a bare interpreter, against the 1.05 MB bound below
-    import concurrent.futures.process  # noqa: F401
-    import multiprocessing  # noqa: F401
-
     store = big_dataset.store
     archetypes = _corpus_archetypes(store)
     texts = [r.text for r in store.records]
@@ -398,3 +393,35 @@ def test_evaluate_settings_holds_one_corpus_matrix_at_a_time(two_featurizer_run,
     )
     assert set(reports) == set(pipeline.SETTINGS)
     assert peak < largest + next_largest / 2, (peak, largest, next_largest)
+
+
+def test_fold_pseudo_labels_are_arrays(two_featurizer_run, monkeypatch):
+    """evaluate's fold sets, which every forked training task inherits, are
+    arrays: fold_pseudo_labels builds no PseudoLabel, and the sets it returns
+    hold under 40 traced bytes per admitted row (three 8-byte columns), where a
+    PseudoLabel per row held several times that."""
+    from pseudolab import corpus, pseudolabel
+    from pseudolab.config import load_config
+
+    config_path, _ = two_featurizer_run
+    config = load_config(config_path)
+    store = corpus.load_store(Path(config.output_dir) / "store.jsonl")
+    ctx = pipeline.build_context(store, config.retrieval, config.archetypes)
+    labeled = corpus.load_labeled(config.labeled_train)
+    plan = make_fold_plan(len(labeled), config.n_folds, seed=config.fold_seed)
+    pipeline.fold_pseudo_labels(ctx, labeled, plan, config)  # any lazy import or cache first
+    made = []
+    real = pseudolabel.PseudoLabel
+    monkeypatch.setattr(
+        pseudolabel, "PseudoLabel", lambda *args, **kwargs: made.append(1) or real(*args, **kwargs)
+    )
+    tracemalloc.start()
+    try:
+        pseudo_sets = pipeline.fold_pseudo_labels(ctx, labeled, plan, config)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert made == []
+    rows = sum(len(pset.ids) for pset in pseudo_sets)
+    assert rows > 1000, rows
+    assert held < 40 * rows, (held, rows)

@@ -4,6 +4,7 @@ the serial failures."""
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -121,9 +122,12 @@ def test_anchors_are_retrieved_once_for_every_fold(
     for f, pset in enumerate(psets):
         fold_train = [labeled[i] for i in plan.train_indices(f)]
         gate = pipeline.train_gate_model(ctx.retrieval_stats, fold_train, cfg)
-        alone = pipeline.generate_for_anchors(ctx, fold_train, gate, cfg, exclude)
-        assert pset.labels, f
-        assert pset.labels == alone.labels, f
+        alone = pipeline.generate_for_anchors(ctx, fold_train, gate, cfg, exclude).labels
+        assert len(pset.ids) == len(alone) > 0, f
+        # the id, score and anchor of every admitted row, in admission order
+        assert pset.ids.tolist() == [lab.sentence_id for lab in alone], f
+        assert pset.scores.tolist() == [lab.predicted_score for lab in alone], f
+        assert pset.anchor_ids.tolist() == [lab.anchor_id for lab in alone], f
 
 
 def _bundle_files(bundle, directory: Path) -> dict[str, bytes]:
@@ -335,3 +339,102 @@ def test_dead_worker_ends_evaluate_with_an_error():
     )
     assert result.returncode == 5, result.stderr
     assert "a worker process died during the training per featurizer" in result.stdout
+
+
+def test_a_dead_child_is_named_with_its_signal_or_exit_status(monkeypatch):
+    """The error names the work; its cause names how the child ended."""
+    _use_workers(monkeypatch, 2)
+
+    def killed(i):
+        if i == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i
+
+    with pytest.raises(ChildProcessError, match="^a worker process died during a test$") as info:
+        parallel.map_forked(killed, 3, work="a test")
+    assert "killed by signal 9" in str(info.value.__cause__), info.value.__cause__
+
+    def exited(i):
+        if i == 0:
+            os._exit(3)
+        return i
+
+    with pytest.raises(ChildProcessError, match="^a worker process died during a test$") as info:
+        parallel.map_forked(exited, 2, work="a test")
+    assert str(info.value.__cause__).endswith(": exit status 3"), info.value.__cause__
+
+
+def test_the_map_starts_no_thread():
+    """map_forked forks its children and reads their results with no thread: with
+    Thread.start made to raise, it still returns on two workers. It runs in a
+    subprocess under a timeout, so that a map that waits on a thread fails the
+    test instead of hanging it."""
+    code = textwrap.dedent(
+        """
+        import os
+        import threading
+        from pseudolab import parallel
+
+        def no_thread(self):
+            raise RuntimeError("the map started a thread")
+
+        threading.Thread.start = no_thread
+        parallel.usable_cpus = lambda: 2
+        results = parallel.map_forked(lambda i: (i, os.getpid()), 5, work="a test")
+        assert [i for i, _ in results] == list(range(5)), results
+        assert os.getpid() not in {pid for _, pid in results}, results
+        print("returned")
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the map's children with it
+        proc.communicate()
+        pytest.fail("map_forked with Thread.start made to raise ran past 60 s")
+    assert proc.returncode == 0, err
+    assert out.split() == ["returned"]
+
+
+class _Unloadable:
+    """Pickles in a child; unpickling it raises ValueError in the parent."""
+
+    def __reduce__(self):
+        return int, ("not a number",)
+
+
+def test_a_map_that_raises_in_the_parent_leaves_no_child(monkeypatch):
+    """A result that cannot be unpickled raises in the parent while the other
+    child sleeps; the map kills and reaps that child before the error leaves it."""
+    _use_workers(monkeypatch, 2)
+    forked = []
+    real_fork = os.fork
+
+    def recorded_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+
+    def task(i):
+        if i == 0:
+            return _Unloadable()
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="not a number"):
+        parallel.map_forked(task, 3, work="a test")
+    assert time.monotonic() - start < 30
+    assert len(forked) == 2  # the third task never started
+    for pid in forked:
+        with pytest.raises(ChildProcessError):  # reaped: no longer this process's child
+            os.waitpid(pid, os.WNOHANG)
+        with pytest.raises(ProcessLookupError):  # and not running
+            os.kill(pid, 0)

@@ -347,17 +347,21 @@ def test_leakage_guard_names_fold(monkeypatch, small_context, small_dataset):
     from pseudolab.ensemble import make_fold_plan
 
     labeled = small_dataset.labeled_train
-    real = pipeline.generate_pseudo_labels
+    real = pipeline.admit
 
     def leaky(anchors, *args, **kwargs):
-        """The per-fold admission step, with one label anchored outside the fold."""
+        """The per-fold admission rule, with one label anchored outside the fold."""
         pset = real(anchors, *args, **kwargs)
         train_ids = {a.id for a in anchors}
         outsider = next(s for s in labeled if s.id not in train_ids)
-        pset.labels.append(replace(pset.labels[0], anchor_id=outsider.id))
-        return pset
+        return replace(
+            pset,
+            ids=np.append(pset.ids, pset.ids[0]),
+            scores=np.append(pset.scores, pset.scores[0]),
+            anchor_ids=np.append(pset.anchor_ids, outsider.id),
+        )
 
-    monkeypatch.setattr(pipeline, "generate_pseudo_labels", leaky)
+    monkeypatch.setattr(pipeline, "admit", leaky)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     plan = make_fold_plan(len(labeled), n_folds=5, seed=1)
     with pytest.raises(RuntimeError, match="fold 0: pseudo-labels anchored on test-fold ids"):

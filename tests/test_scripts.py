@@ -215,3 +215,30 @@ def test_stage_peaks_writes_a_bench_file_of_every_stage(tmp_path):
     sources = sorted((ROOT / "src" / "pseudolab").glob("*.py"))
     wc = {p.name: len(p.read_text(encoding="utf-8").splitlines()) for p in sources}
     assert bench["source_lines"] == {**wc, "total": sum(wc.values())}
+
+
+def test_stage_peaks_builds_its_own_fixture(tmp_path):
+    """--n-corpus N runs the stages on make_fixture.py's fixture of N sentences,
+    which the script writes in a temporary directory and removes at the end; a
+    copy of the scripts whose src/ links to this one writes its bench file under
+    tmp_path."""
+    (tmp_path / "scripts").mkdir()
+    for script in ("stage_peaks.py", "make_fixture.py"):
+        shutil.copy(ROOT / "scripts" / script, tmp_path / "scripts")
+    (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    (tmp_path / "tmp").mkdir()
+    stages = ["ingest", "featurize", "index"]
+    result = subprocess.run(
+        [sys.executable, str(tmp_path / "scripts" / "stage_peaks.py"), "--n-corpus", "600",
+         "--label", "fixture-600", *stages],
+        env=dict(os.environ, TMPDIR=str(tmp_path / "tmp")),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    records = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [r["stage"] for r in records] == stages
+    assert all(r["exit"] == 0 for r in records)
+    assert "wrote 600 corpus sentences" in result.stderr
+    bench = json.loads((tmp_path / "BENCH_fixture-600.json").read_text(encoding="utf-8"))
+    assert bench["corpus_sentences"] == 600
+    assert list((tmp_path / "tmp").iterdir()) == []
